@@ -13,10 +13,12 @@ short:
 	NVBENCH_DUR=10ms $(GO) test -short ./...
 
 # Race pass over the concurrency-heavy packages only, kept short. pmem is
-# in the list for the striped-model stress tests; epoch for the
-# registration high-water mark.
+# in the list for the striped-model stress tests and the file backend's
+# bracketed writes; epoch for the registration high-water mark; hashtable,
+# arena and persist because they sit on that write path and drive it
+# through a real structure.
 race:
-	NVBENCH_DUR=10ms $(GO) test -race -short ./internal/pmem ./internal/epoch ./internal/core ./internal/store ./internal/list ./internal/skiplist ./internal/queue ./internal/stack ./internal/shard ./internal/crashtest ./internal/batcher ./internal/server ./internal/repl
+	NVBENCH_DUR=10ms $(GO) test -race -short ./internal/pmem ./internal/epoch ./internal/core ./internal/store ./internal/list ./internal/skiplist ./internal/queue ./internal/stack ./internal/shard ./internal/crashtest ./internal/batcher ./internal/server ./internal/repl ./internal/hashtable ./internal/arena ./internal/persist
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -97,11 +99,15 @@ repl-smoke:
 # each pre-commit-point step, mid-log corruption — plus the degraded-mode
 # serving paths (batcher refusals, wire-level ERR DEGRADED, STATS) and the
 # fault-schedule crash tortures. Seeded schedules, no timing dependence.
+# Last, the WAL replay fuzzer for a time-boxed 20 s: arbitrary bytes as the
+# live log must never panic replay, never get a bad-checksum frame applied,
+# and be classified torn tail vs mid-log corruption as documented.
 fault-smoke:
 	$(GO) test -count=1 -run 'TestFault' ./internal/pmem/ ./internal/crashtest/
 	$(GO) test -count=1 ./internal/pmem/vfs/
 	$(GO) test -count=1 -run 'DegradedOnFsync' ./internal/batcher/
 	$(GO) test -count=1 -run 'TestServerDegraded|TestServerIdleTimeout|TestClientTimeout' ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzReplayWAL -fuzztime 20s -fuzzminimizetime 2s ./internal/pmem/
 
 # Exercise both CLIs end to end with tiny workloads so they cannot rot.
 # server-smoke rides along so the serving layer cannot rot locally either.

@@ -29,8 +29,20 @@ import (
 // "some other thread already fenced my link" return path). A SIGKILL after
 // an acknowledgement therefore always finds the acknowledged record in the
 // file — group commit at the file layer mirrors the batcher's group commit
-// at the wire. Config.SyncFence additionally fdatasyncs at those points for
-// power-loss (not just process-death) durability.
+// at the wire. Config.SyncFence additionally calls File.Sync (fsync, data and
+// metadata) at those points for power-loss, not just process-death,
+// durability.
+//
+// Only dirty lines are logged. Real NVRAM writes nothing back for a clwb of
+// a line that is already persistent, and NVTraverse leans on that: it
+// flushes the destination's lines on every operation, reads included. Here
+// the equivalent is the clean-line rule: a flush may be skipped only if a
+// capture of the line's current content is already appended to the log or
+// covered by a checkpoint, and the commit point that follows syncs whatever
+// is buffered. Each region carries the exact per-line version of the newest
+// such capture (region.logged); Thread.Flush and walFromFlushSet compare it
+// with the line's current write version. A read of quiescent data therefore
+// appends nothing and syncs nothing.
 //
 // Addresses do not survive a process restart, so the log cannot record raw
 // pointers. Instead, structures register the memory that backs their cells
@@ -53,7 +65,7 @@ import (
 // with tracked content, and the cell values. Fast mode captures whole
 // lines (mask 0xff) at Flush; tracked mode reuses the flush-set snapshots.
 type walEntry struct {
-	tag  uint64
+	r    *region // the line's region: tag on disk, logged version in memory
 	idx  uint32
 	mask uint8
 	ver  uint64
@@ -69,6 +81,29 @@ type region struct {
 	// ptr is the GC-visible interior pointer that both keeps the backing
 	// slab alive and is the legal base for unsafe.Add arithmetic.
 	ptr unsafe.Pointer
+	// logged[i] is 1 + the write version of the newest capture of line i
+	// that is appended to the log or covered by the state recovery loaded;
+	// 0 means none. It is indexed by the exact line — never by the hashed
+	// version slot, where two lines would vouch for each other — and costs
+	// 8 bytes per 64-byte line. Written under d.mu (or by RecoverFiles,
+	// quiescent), read lock-free by the flush path.
+	logged []atomic.Uint64
+}
+
+// clean reports whether a capture of line idx at write version ver is
+// already in the log or the recovered state.
+func (r *region) clean(idx uint32, ver uint64) bool {
+	return r.logged[idx].Load() == ver+1
+}
+
+// stamp records that a capture of line idx at ver has been appended. Stamps
+// only move forward: a stale capture appended late (its thread fenced after
+// a newer one) must not make the line look dirty at the newer version, nor
+// clean at the older. Caller holds d.mu.
+func (r *region) stamp(idx uint32, ver uint64) {
+	if l := &r.logged[idx]; l.Load() < ver+1 {
+		l.Store(ver + 1)
+	}
 }
 
 // WALStats counts log appends since the backend went live (reporting hook).
@@ -148,6 +183,11 @@ type durableMem struct {
 	// dirty is true while the userspace buffer may hold unflushed records;
 	// checked lock-free so DurableSync costs one atomic load when clean.
 	dirty atomic.Bool
+
+	// writeWindow, when set, runs inside every fast-mode write between the
+	// cell store and the version bump. Tests park a writer there; nil
+	// otherwise.
+	writeWindow func()
 
 	// walLen is the current generation's log length in bytes (including
 	// buffered records), maintained lock-free so size-threshold checkpoint
@@ -334,7 +374,10 @@ func (s *Space) Register(sub uint32, p unsafe.Pointer, size uintptr) {
 	if uintptr(p)%LineSize != 0 || size == 0 || size%LineSize != 0 {
 		panic("pmem: Register needs a line-aligned, line-sized region")
 	}
-	r := &region{tag: spaceTag(s.id, sub), base: uintptr(p), size: size, ptr: p}
+	r := &region{
+		tag: spaceTag(s.id, sub), base: uintptr(p), size: size, ptr: p,
+		logged: make([]atomic.Uint64, size/LineSize),
+	}
 	d.regMu.Lock()
 	defer d.regMu.Unlock()
 	if _, dup := d.byTag[r.tag]; dup {
@@ -425,24 +468,37 @@ func (d *durableMem) provided(tag uint64, seen map[uint64]bool) {
 	}
 }
 
+// inWriteWindow runs the test hook of the store-then-bump window.
+func (d *durableMem) inWriteWindow() {
+	if d.writeWindow != nil {
+		d.writeWindow()
+	}
+}
+
 // captureFast snapshots c's whole line for the WAL (fast mode, durable
-// only): called from Flush after the coalescing check admitted the line.
+// only): called from Flush after the coalescing check admitted the line,
+// with ver from durableVersion. It returns false, capturing nothing, when
+// the line is clean at ver.
 // Reading the version before the content is what makes replay ack-safe: a
 // write's own capture (which happens after the write in program order)
 // always carries a version at least as new as the write's bump, so any
 // record that could shadow it during replay must itself contain the write.
-func (t *Thread) captureFast(d *durableMem, c *Cell, ver uint64) {
+func (t *Thread) captureFast(d *durableMem, c *Cell, ver uint64) bool {
 	addr := uintptr(unsafe.Pointer(c)) &^ uintptr(LineSize-1)
 	r := d.lookup(addr)
 	if r == nil {
-		return // unregistered line: not durable
+		return true // unregistered line: not durable, an ordinary flush
 	}
-	e := walEntry{tag: r.tag, idx: uint32((addr - r.base) >> lineShift), mask: 0xff, ver: ver}
+	e := walEntry{r: r, idx: uint32((addr - r.base) >> lineShift), mask: 0xff, ver: ver}
+	if r.clean(e.idx, ver) {
+		return false
+	}
 	p := unsafe.Add(r.ptr, addr-r.base)
 	for i := 0; i < CellsPerLine; i++ {
 		e.vals[i] = (*atomic.Uint64)(unsafe.Add(p, i*8)).Load()
 	}
 	t.walPend = append(t.walPend, e)
+	return true
 }
 
 // entryForLine builds a WAL entry for a tracked line's current volatile
@@ -456,7 +512,7 @@ func (d *durableMem) entryForLine(key uintptr, ls *lineState) (walEntry, bool) {
 		return walEntry{}, false
 	}
 	e := walEntry{
-		tag:  r.tag,
+		r:    r,
 		idx:  uint32((addr - r.base) >> lineShift),
 		mask: ls.mask,
 		ver:  ls.curVer,
@@ -470,7 +526,12 @@ func (d *durableMem) entryForLine(key uintptr, ls *lineState) (walEntry, bool) {
 }
 
 // walFromFlushSet converts the tracked-mode flush-set snapshots into WAL
-// entries (the model already captured content and version at flush time).
+// entries (the model already captured content and version at flush time),
+// leaving out lines that are clean at the captured version. Tracked
+// versions are exact and move with the content under the line's stripe
+// lock, so an equal version is the same image: neither hazard of the fast
+// path (hashed slots, the store-then-bump window) exists here. The flush
+// itself still counts and still feeds the crash model.
 func (t *Thread) walFromFlushSet(d *durableMem) {
 	for i := range t.flushSet {
 		fe := &t.flushSet[i]
@@ -482,9 +543,13 @@ func (t *Thread) walFromFlushSet(d *durableMem) {
 		if r == nil {
 			continue
 		}
+		idx := uint32((addr - r.base) >> lineShift)
+		if r.clean(idx, fe.ver) {
+			continue
+		}
 		t.walPend = append(t.walPend, walEntry{
-			tag:  r.tag,
-			idx:  uint32((addr - r.base) >> lineShift),
+			r:    r,
+			idx:  idx,
 			mask: fe.mask,
 			ver:  fe.ver,
 			vals: fe.vals,
@@ -540,12 +605,17 @@ func (d *durableMem) appendRecord(entries []walEntry) {
 	d.wstats.Lines += uint64(len(entries))
 	d.wstats.Bytes += uint64(len(d.scratch))
 	d.walLen.Add(int64(len(d.scratch)))
+	// dirty before the stamps: a flush that finds a line clean must find the
+	// record that made it so either still marked buffered or already synced.
 	d.dirty.Store(true)
+	for i := range entries {
+		entries[i].r.stamp(entries[i].idx, entries[i].ver)
+	}
 	d.mu.Unlock()
 }
 
 // flush drains the userspace buffer to the OS; with SyncFence it also
-// fdatasyncs. The buffer only ever holds fenced records, so flushing at
+// fsyncs. The buffer only ever holds fenced records, so flushing at
 // any point is safe; the commit points just make it mandatory. The return
 // value is the commit verdict: nil means everything appended so far is in
 // the file (and on disk, under SyncFence); non-nil means some record may
@@ -559,6 +629,12 @@ func (d *durableMem) flush() error {
 	defer d.mu.Unlock()
 	if err := d.damageErr(); err != nil {
 		return err
+	}
+	if !d.dirty.Load() {
+		// Whoever held the mutex ahead of us drained and synced everything
+		// appended before we asked; repeating both on an empty buffer
+		// would only put a second fsync behind the first.
+		return nil
 	}
 	if d.bw != nil {
 		if err := d.bw.Flush(); err != nil {

@@ -153,9 +153,16 @@ type Memory struct {
 	spaceSeq atomic.Uint32
 }
 
+// paddedVer is one slot of the fast-mode version table. v counts finished
+// writes (bumped after the store) and is the line's write version everywhere.
+// started counts writes begun (bumped before the store) and is maintained
+// only on file-backed memories, whose clean-line check needs to see a write
+// that is in flight — see Thread.durableVersion. It lives in what was
+// padding, on the same physical line as v.
 type paddedVer struct {
-	v atomic.Uint64
-	_ [LineSize - 8]byte
+	v       atomic.Uint64
+	started atomic.Uint64
+	_       [LineSize - 16]byte
 }
 
 // New creates a Memory with the given configuration.

@@ -10,10 +10,11 @@ import "sync/atomic"
 // published snapshots.
 //
 // Flushes counts clwb instructions actually issued; FlushesElided counts
-// Flush calls coalesced away by the line model (the line was already
-// captured, unchanged, in the thread's pending flush set — see
-// Thread.Flush). Flushes+FlushesElided is the number of Flush calls the
-// persistence policy made.
+// Flush calls that did no work: the line was already captured, unchanged,
+// in the thread's pending flush set, or — on a file-backed fast-mode memory
+// — it was clean, its current content already appended to the log or
+// checkpointed (see Thread.Flush). Flushes+FlushesElided is the number of
+// Flush calls the persistence policy made.
 type Stats struct {
 	Reads         uint64
 	Writes        uint64
@@ -253,6 +254,15 @@ func (t *Thread) fastSlot(c *Cell) uintptr {
 }
 
 // Store atomically writes a cell.
+//
+// Fast mode writes the cell and then bumps the line's version, so for an
+// instant a load can return the new value while the version still names the
+// old content. A file-backed memory skips flushes of lines whose version
+// says the log already has them, and that instant would let a reader elide,
+// fence and reply with a value no record holds. So there (t.dur != nil) a
+// write is bracketed: started is bumped before the cell changes, the
+// version after, and the flush path treats started != version as "a write
+// is in flight" (see durableVersion). Other memories keep the single bump.
 func (t *Thread) Store(c *Cell, v uint64) {
 	t.st.Writes++
 	if m := t.model; m != nil {
@@ -260,17 +270,34 @@ func (t *Thread) Store(c *Cell, v uint64) {
 		m.store(c, v)
 		return
 	}
+	if d := t.dur; d != nil {
+		sl := &t.lineVer[t.fastSlot(c)]
+		sl.started.Add(1)
+		c.v.Store(v)
+		d.inWriteWindow()
+		sl.v.Add(1)
+		return
+	}
 	c.v.Store(v)
 	t.lineVer[t.fastSlot(c)].v.Add(1)
 }
 
 // CAS atomically compares-and-swaps a cell, returning whether it succeeded.
+// On a file-backed memory the attempt is bracketed like Store; a failed
+// attempt still closes its bracket, which advances the version of an
+// unchanged line and costs at most one harmless re-log.
 func (t *Thread) CAS(c *Cell, old, new uint64) bool {
 	t.st.CASes++
 	var ok bool
 	if m := t.model; m != nil {
 		t.mem.checkCrash()
 		ok = m.cas(c, old, new)
+	} else if d := t.dur; d != nil {
+		sl := &t.lineVer[t.fastSlot(c)]
+		sl.started.Add(1)
+		ok = c.v.CompareAndSwap(old, new)
+		d.inWriteWindow()
+		sl.v.Add(1)
 	} else {
 		ok = c.v.CompareAndSwap(old, new)
 		if ok {
@@ -281,6 +308,33 @@ func (t *Thread) CAS(c *Cell, old, new uint64) bool {
 		t.st.CASFail++
 	}
 	return ok
+}
+
+// durableVersion returns the write version a file-backed fast-mode flush of
+// c's line works with: the version the capture will carry, and the one the
+// pending-set and clean-line checks compare.
+//
+// Both checks skip the capture when an earlier capture carried the same
+// version, and the argument that this loses nothing is: that capture read
+// the version, then the content; if no write was in flight when THIS flush
+// read the version (started == version, read in that order), every store
+// this thread can have loaded from the line finished its bracket at or
+// below that version, hence before the earlier capture read it, hence
+// before the earlier capture read the content. With a write in flight the
+// argument fails — its store may be visible and is in no capture of this
+// version — and worse, a new capture at this version could lose a replay
+// tie to an older one without the store. So the flush performs an empty
+// bracket of its own: the version it gets is larger than that of any
+// capture that began before this thread's loads, and any capture at or
+// above it began after them and contains what they saw.
+func (t *Thread) durableVersion(c *Cell) uint64 {
+	sl := &t.lineVer[t.fastSlot(c)]
+	cur := sl.v.Load()
+	if sl.started.Load() != cur {
+		sl.started.Add(1)
+		cur = sl.v.Add(1)
+	}
+	return cur
 }
 
 // Flush issues a clwb for the cell's 64-byte line: the content the line
@@ -296,6 +350,14 @@ func (t *Thread) CAS(c *Cell, old, new uint64) bool {
 // re-captured. The pending set is an open-addressed line table (lineSet),
 // so the coalescing check is O(1) regardless of how many lines a batch has
 // flushed since the last fence.
+//
+// On a file-backed fast-mode memory a flush of a clean line is a no-op too,
+// as a clwb of an already-persistent line is on NVRAM: when a capture of the
+// line at its current version is already appended to the log or covered by a
+// checkpoint (region.logged), nothing is captured and the next fence appends
+// nothing for it. The commit point that follows still drains and syncs the
+// log, which is what covers a line some other thread fenced but has not yet
+// synced.
 func (t *Thread) Flush(c *Cell) {
 	if m := t.model; m != nil {
 		t.mem.checkCrash()
@@ -304,17 +366,17 @@ func (t *Thread) Flush(c *Cell) {
 			return
 		}
 	} else if d := t.dur; d != nil {
-		// Durable fast mode keys the pending set by the exact line (two
-		// distinct lines colliding in the hashed version table must not
-		// elide each other's capture) while versions still come from the
-		// hashed slot: collisions merge versions monotonically, which the
-		// replay guard tolerates, whereas a missed capture would lose data.
-		cur := t.lineVer[t.fastSlot(c)].v.Load()
-		if !t.lines.put(lineOf(c), cur) {
+		// Durable fast mode keys the pending set and the logged versions
+		// by the exact line (two distinct lines colliding in the hashed
+		// version table must not elide each other's capture) while the
+		// version itself still comes from the hashed slot: a collision only
+		// ever makes it larger, which the replay guard tolerates and which
+		// can force a re-capture but never an elision.
+		cur := t.durableVersion(c)
+		if !t.lines.put(lineOf(c), cur) || !t.captureFast(d, c, cur) {
 			t.st.FlushesElided++
 			return
 		}
-		t.captureFast(d, c, cur)
 	} else {
 		slot := t.fastSlot(c)
 		cur := t.lineVer[slot].v.Load()
@@ -396,8 +458,10 @@ func (t *Thread) resetFlushState() {
 
 // Unfenced reports how many flushes this thread has issued since its last
 // fence. Policies use it to skip provably idempotent fences. Elided
-// flushes do not count: they only ever coalesce into an already-pending
-// line capture, so they never make a fence necessary.
+// flushes do not count: they coalesce into an already-pending line capture
+// or found the line's content already in the log, so they never make a
+// fence necessary (the commit point's DurableSync is what a clean line may
+// still need, and every return path reaches one).
 func (t *Thread) Unfenced() int { return t.unfenced }
 
 // CommitFence is the durability fence an operation issues before returning

@@ -92,7 +92,7 @@ func appendRecordBytes(buf []byte, boot uint64, entries []walEntry) []byte {
 	off := 12
 	for i := range entries {
 		e := &entries[i]
-		binary.LittleEndian.PutUint64(payload[off:], e.tag)
+		binary.LittleEndian.PutUint64(payload[off:], e.r.tag)
 		binary.LittleEndian.PutUint32(payload[off+8:], e.idx)
 		binary.LittleEndian.PutUint32(payload[off+12:], uint32(e.mask))
 		binary.LittleEndian.PutUint64(payload[off+16:], e.ver)
@@ -479,6 +479,7 @@ func (m *Memory) RecoverFiles() (ReplayStats, error) {
 		}
 		d.walLen.Store(end)
 		d.removeStaleGenerations()
+		d.markAllClean(m)
 		return nil
 	}()
 	if err != nil {
@@ -496,6 +497,27 @@ func (m *Memory) RecoverFiles() (ReplayStats, error) {
 		m.PersistAll()
 	}
 	return st, nil
+}
+
+// markAllClean declares every line of every registered region clean at its
+// current write version: what the regions hold now is construction state
+// (re-executed before every recovery) overlaid with the checkpoint and the
+// replayed log, which is exactly what the next recovery would rebuild from
+// the same files. Without it a restart would re-log the whole store once,
+// line by line, as reads flush it. Regions registered later (an arena
+// growing) start with no line logged. Caller holds d.mu; the memory is
+// quiescent.
+func (d *durableMem) markAllClean(m *Memory) {
+	p := d.regions.Load()
+	if p == nil {
+		return
+	}
+	for _, r := range *p {
+		first := r.base >> lineShift
+		for i := range r.logged {
+			r.logged[i].Store(m.lineVersion(first+uintptr(i)) + 1)
+		}
+	}
 }
 
 // removeStaleGenerations best-effort deletes wal/ckpt files of generations
@@ -532,7 +554,11 @@ func (d *durableMem) removeStaleGenerations() {
 // the snapshot content (its version bump preceded the scan's version read)
 // or re-captured at a newer version by its own thread's later fence. The
 // threads pay one stalled fence while the dump runs; nothing needs to
-// quiesce. No-op without a file backend.
+// quiesce. The per-line logged versions stay valid across the generation
+// switch for the same reason: a line stamped clean at version v had its
+// record appended before this checkpoint took d.mu, so the scan reads a
+// version >= v and content at least as new — the snapshot covers it.
+// No-op without a file backend.
 func (m *Memory) Checkpoint() error {
 	d := m.durable
 	if d == nil {
@@ -552,7 +578,10 @@ func (m *Memory) Checkpoint() error {
 	if err := d.bw.Flush(); err != nil {
 		return d.latch(err) // live-WAL flush failure: fail-stop
 	}
-	d.dirty.Store(false)
+	// dirty stays set until the flip below: the drained records are in the
+	// OS but not synced, so a commit point racing this checkpoint must wait
+	// on d.mu for the snapshot that covers them (or, if the checkpoint
+	// fails before the flip, sync the old log itself).
 	newGen := d.gen + 1
 
 	// 1. Snapshot all regions into ckpt-<newGen> (tmp + fsync + rename).
@@ -651,6 +680,7 @@ func (m *Memory) Checkpoint() error {
 	}
 	d.f = nf
 	d.bw = bufio.NewWriterSize(nf, 1<<16)
+	d.dirty.Store(false) // everything appended so far is in the synced snapshot
 	d.walLen.Store(int64(len(walMagic)))
 	d.wstats.Checkpoints++
 	oldGen := d.gen

@@ -318,8 +318,9 @@ func loadConn(cfg LoadConfig, wl bench.Workload, ci int, cl *Client, budget uint
 		}
 		// The deadline only applies once something has been issued: every
 		// connection contributes at least one op, so a smoke-length window
-		// on a slow machine still measures a non-empty run.
-		if budget == 0 && inflight > 0 && !deadline.IsZero() && time.Now().After(deadline) {
+		// on a slow machine still measures a non-empty run. Completed ops
+		// count as issued — at depth 1 nothing is in flight at the loop top.
+		if budget == 0 && ops+uint64(inflight) > 0 && !deadline.IsZero() && time.Now().After(deadline) {
 			break
 		}
 		times[tail] = time.Now()

@@ -640,6 +640,34 @@ func TestLoadGenerator(t *testing.T) {
 	}
 }
 
+// TestLoadGeneratorDepthOneDeadline: a duration-bounded closed loop at
+// pipeline depth 1 has nothing in flight at the top of its loop, and must
+// stop at the deadline all the same (it used to run forever).
+func TestLoadGeneratorDepthOneDeadline(t *testing.T) {
+	addr, _, _ := startServer(t, core.KindHash, 2, Config{MaxConns: 4})
+	done := make(chan struct{})
+	var res LoadResult
+	var err error
+	go func() {
+		defer close(done)
+		res, err = RunLoad(LoadConfig{
+			Addr: addr, Conns: 1, Pipeline: 1,
+			Duration: 100 * time.Millisecond, Workload: "A", Range: 1 << 10,
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("depth-1 closed loop did not stop at its deadline")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops == 0 || res.Errors > 0 {
+		t.Fatalf("ops %d, errors %d", res.Ops, res.Errors)
+	}
+}
+
 // TestLoadGeneratorOpenLoop: open-loop runs (fixed-rate and Poisson, text
 // and binary) issue on their schedule, complete every issued request, and
 // report the achieved offered rate.
