@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race fmt vet staticcheck nvlint lint apicheck server-smoke crash-smoke repl-smoke fault-smoke bench-smoke bench-ci bench-gate bench-json ci
+.PHONY: build test short race fmt vet staticcheck nvlint lint apicheck server-smoke benchmark-smoke crash-smoke repl-smoke fault-smoke bench-smoke bench-ci bench-gate bench-json ci
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,15 @@ server-smoke:
 	$(GO) run ./cmd/nvserver -selftest -bin -conns 4 -pipeline 8 -ops 5000 -range 4096 -shards 4
 	$(GO) run ./cmd/nvserver -selftest -bin -rate 20000 -poisson -dur 250ms -conns 2 -range 4096 -shards 4
 	$(GO) run ./cmd/nvserver -selftest -kind skiplist -shards 2 -workload E -prefill -conns 2 -pipeline 4 -ops 2000 -range 2048
+
+# The repository benchmark is a module of its own (benchmark/go.mod,
+# replaced onto this checkout), so `go build ./...` and `go test ./...` at
+# the root never compile it. This target does (~10 s): vet, then its tests,
+# which build nvserver from the checkout and run every workload briefly
+# under the oracle — a PR that renames an internal symbol the benchmark
+# compiles against fails here rather than at the benchmark gate.
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # SIGKILL-restart recovery smoke: spawn a file-backed nvserver child, kill
 # -9 it mid-load, restart it on the same data directory, and fail unless
@@ -157,4 +166,4 @@ bench-json:
 		$(if $(BENCH_CMP),-cmp $(BENCH_CMP)) $(if $(BENCH_LABEL),-label "$(BENCH_LABEL)")
 	$(GO) run ./cmd/nvbench -verifyjson $(BENCH_JSON)
 
-ci: fmt vet build nvlint short race apicheck bench-smoke crash-smoke repl-smoke fault-smoke bench-ci bench-gate
+ci: fmt vet build nvlint short race apicheck bench-smoke benchmark-smoke crash-smoke repl-smoke fault-smoke bench-ci bench-gate

@@ -38,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/batcher"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/persist"
@@ -81,8 +80,7 @@ func run(args []string, out io.Writer) error {
 		waitK     = fs.Int("wait", 0, "write quorum: acknowledge a write only after this many replicas confirmed it (0 = never wait)")
 		waitTO    = fs.Duration("wait-timeout", time.Second, "fail WAIT-gated writes after this long without quorum")
 
-		maxBatch = fs.Int("maxbatch", 64, "group-commit: flush at this many pending writes")
-		maxDelay = fs.Duration("maxdelay", 50*time.Microsecond, "group-commit: flush after the oldest write waited this long")
+		maxBatch = fs.Int("maxbatch", 64, "group-commit: cap on one worker flush (a flush takes what queued during the previous one; a lone write flushes at once)")
 		idleTO   = fs.Duration("idle-timeout", 5*time.Minute, "close connections idle for this long (0 = never)")
 
 		conns    = fs.Int("conns", 4, "load: concurrent connections")
@@ -138,7 +136,7 @@ func run(args []string, out io.Writer) error {
 		})
 	case *selftest:
 		return runSelfTest(out, *kind, *policy, *profile, *shards, *size, *maxConns,
-			batcher.Config{MaxBatch: *maxBatch, MaxDelay: *maxDelay}, loadCfg, *jsonOut, *label)
+			*maxBatch, loadCfg, *jsonOut, *label)
 	case *load:
 		loadCfg.Addr = *connect
 		res, err := server.RunLoad(loadCfg)
@@ -152,8 +150,7 @@ func run(args []string, out io.Writer) error {
 		return writeLoadDoc(*jsonOut, *label, loadCfg, res, out)
 	default:
 		return runServe(out, *listen, *serveFor, *kind, *policy, *profile, *shards, *size,
-			*maxConns, *dataDir, *syncWAL, *ckptB, *idleTO,
-			batcher.Config{MaxBatch: *maxBatch, MaxDelay: *maxDelay},
+			*maxConns, *dataDir, *syncWAL, *ckptB, *idleTO, *maxBatch,
 			*replicaOf, *waitK, *waitTO)
 	}
 }
@@ -194,14 +191,14 @@ func openStore(kind, policy, profile string, shards, size, maxConns int, dataDir
 
 func runServe(out io.Writer, listen string, serveFor time.Duration,
 	kind, policy, profile string, shards, size, maxConns int,
-	dataDir string, syncWAL bool, ckptBytes int64, idleTO time.Duration, bcfg batcher.Config,
+	dataDir string, syncWAL bool, ckptBytes int64, idleTO time.Duration, maxBatch int,
 	replicaOf string, waitK int, waitTO time.Duration) error {
 	st, err := openStore(kind, policy, profile, shards, size, maxConns, dataDir, syncWAL, ckptBytes)
 	if err != nil {
 		return err
 	}
 	srv := server.New(st, server.Config{
-		MaxConns: maxConns, Batch: bcfg, IdleTimeout: idleTO,
+		MaxConns: maxConns, MaxBatch: maxBatch, IdleTimeout: idleTO,
 		WaitReplicas: waitK, WaitTimeout: waitTO,
 	})
 	if replicaOf != "" {
@@ -286,7 +283,7 @@ func runServe(out io.Writer, listen string, serveFor time.Duration,
 // with the load generator: the zero-to-working smoke of the whole wire
 // stack. Any protocol error fails the run.
 func runSelfTest(out io.Writer, kind, policy, profile string, shards, size, maxConns int,
-	bcfg batcher.Config, loadCfg server.LoadConfig, jsonOut, label string) error {
+	maxBatch int, loadCfg server.LoadConfig, jsonOut, label string) error {
 	st, err := openStore(kind, policy, profile, shards, size, maxConns, "", false, 0)
 	if err != nil {
 		return err
@@ -297,7 +294,7 @@ func runSelfTest(out io.Writer, kind, policy, profile string, shards, size, maxC
 	}
 	defer os.RemoveAll(dir)
 	addr := "unix:" + filepath.Join(dir, "nv.sock")
-	srv := server.New(st, server.Config{MaxConns: maxConns, Batch: bcfg})
+	srv := server.New(st, server.Config{MaxConns: maxConns, MaxBatch: maxBatch})
 	ln, err := server.Listen(addr)
 	if err != nil {
 		return err

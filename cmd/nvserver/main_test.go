@@ -103,4 +103,8 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-selftest", "-kind", "bogus", "-ops", "10"}, &sb); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+	// Group commit has no clock: the flag that set one is gone, not ignored.
+	if err := run([]string{"-selftest", "-maxdelay", "1ms", "-ops", "10"}, &sb); err == nil {
+		t.Fatal("-maxdelay accepted")
+	}
 }

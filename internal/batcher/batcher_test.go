@@ -3,7 +3,6 @@ package batcher
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/persist"
@@ -28,124 +27,46 @@ func openEngine(t *testing.T, shards, sessions int) store.Store {
 	return st
 }
 
-// TestBatcherBasicOps round-trips the operation vocabulary through Do on
-// both backends.
+// The TestBatcher* cases drive the stage in its one-worker shape (Workers: 1
+// over a sharded store): one session serves every shard, so a single flush
+// spans several shard fence groups and acknowledges them group by group —
+// the path a per-shard worker, whose flushes hold one group each, never
+// takes. The TestPool* cases cover the default shard-affine shape.
+
+// TestBatcherBasicOps round-trips the operation vocabulary through one
+// worker on both backends.
 func TestBatcherBasicOps(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		st, err := store.Open(store.Config{
-			Kind: core.KindSkiplist, Profile: pmem.ProfileZero,
-			Shards: shards, SizeHint: 1024, MaxSessions: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := New(st, Config{MaxBatch: 4, MaxDelay: 100 * time.Microsecond})
-		if res, err := b.Do(store.Op{Kind: shard.OpInsert, Key: 10, Value: 100}); err != nil || !res.OK {
-			t.Fatalf("shards=%d insert: %+v %v", shards, res, err)
-		}
-		if res, _ := b.Do(store.Op{Kind: shard.OpInsert, Key: 10, Value: 101}); res.OK {
-			t.Fatalf("shards=%d duplicate insert succeeded", shards)
-		}
-		if res, _ := b.Do(store.Op{Kind: shard.OpGet, Key: 10}); !res.OK || res.Value != 100 {
-			t.Fatalf("shards=%d get: %+v", shards, res)
-		}
-		if res, _ := b.Do(store.Op{Kind: shard.OpPut, Key: 11, Value: 42}); !res.OK {
-			t.Fatalf("shards=%d put: %+v", shards, res)
-		}
-		if res, _ := b.Do(store.Op{Kind: shard.OpUpdate, Key: 11, Fn: func(o uint64) uint64 { return o + 1 }}); !res.OK || res.Value != 43 {
-			t.Fatalf("shards=%d update: %+v", shards, res)
-		}
-		if res, _ := b.Do(store.Op{Kind: shard.OpScan, Key: 1, Hi: 100}); !res.OK || res.Value != 2 {
-			t.Fatalf("shards=%d scan: %+v", shards, res)
-		}
-		if res, _ := b.Do(store.Op{Kind: shard.OpDelete, Key: 10}); !res.OK {
-			t.Fatalf("shards=%d delete: %+v", shards, res)
-		}
-		b.Close()
-		if _, err := b.Do(store.Op{Kind: shard.OpGet, Key: 10}); err != ErrClosed {
-			t.Fatalf("shards=%d submit after close: %v", shards, err)
-		}
-		st2 := st.NewSession()
-		if v, ok := st2.Get(11); !ok || v != 43 {
-			t.Fatalf("shards=%d store state after close: %d %v", shards, v, ok)
-		}
-	}
+	testBasicOps(t, PoolConfig{Workers: 1, MaxBatch: 4})
 }
 
-// TestBatcherConcurrentWriters hammers the batcher from many goroutines and
-// verifies every write landed.
+// TestBatcherConcurrentWriters hammers one worker's ring from many
+// goroutines.
 func TestBatcherConcurrentWriters(t *testing.T) {
-	st := openEngine(t, 4, 8)
-	b := New(st, Config{MaxBatch: 16, MaxDelay: 50 * time.Microsecond})
-	const workers, per = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				k := uint64(w*per + i + 1)
-				if res, err := b.Do(store.Op{Kind: shard.OpPut, Key: k, Value: k * 2}); err != nil || !res.OK {
-					t.Errorf("put %d: %+v %v", k, res, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.Close()
-	sess := st.NewSession()
-	for k := uint64(1); k <= workers*per; k++ {
-		if v, ok := sess.Get(k); !ok || v != k*2 {
-			t.Fatalf("key %d: %d %v", k, v, ok)
-		}
-	}
-	bs := b.Stats()
-	if bs.Ops != workers*per {
-		t.Fatalf("batcher ops %d, want %d", bs.Ops, workers*per)
-	}
-	if bs.Flushes >= bs.Ops {
-		t.Fatalf("no batching happened: %d flushes for %d ops", bs.Flushes, bs.Ops)
-	}
-}
-
-// TestBatcherLatencyBudget: a lone request must not wait for a full batch —
-// the MaxDelay flush must release it.
-func TestBatcherLatencyBudget(t *testing.T) {
-	st := openEngine(t, 2, 4)
-	b := New(st, Config{MaxBatch: 1 << 20, MaxDelay: 200 * time.Microsecond})
-	defer b.Close()
-	done := make(chan struct{})
-	go func() {
-		b.Do(store.Op{Kind: shard.OpPut, Key: 1, Value: 1})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("lone request stuck: MaxDelay flush never happened")
-	}
+	testConcurrentWriters(t, PoolConfig{Workers: 1, MaxBatch: 16})
 }
 
 // TestGroupCommitFenceAccounting is the fence-accounting pin for group
-// commit: K concurrent writers issue R rounds of one fresh-key insert each
-// through the batcher (MaxBatch = K, effectively unbounded delay, so each
-// round is exactly one flush), and the identical operation stream replays
-// unbatched on an identical engine. A successful NVTraverse insert issues a
-// fixed set of unconditional ordering fences plus exactly one commit fence,
-// so the two runs differ only in commit fences: the unbatched run pays K
-// per round, the batched run exactly one per shard group per flush. The
-// test asserts that difference exactly, and that the batched run's commit
-// fences per round are at most K/2 (≥2x group-commit amortization at K=8
-// concurrent writers over 4 shards).
+// commit: R rounds of K fresh-key inserts go through a one-worker pool, each
+// round queued while the previous flush is held at a gate so that it rides
+// exactly one flush (the previous flush is the batching window; a lone
+// warm-up insert opens the first one), and the identical operation stream
+// replays unbatched on an identical engine. A successful NVTraverse insert
+// issues a fixed set of unconditional ordering fences plus exactly one
+// commit fence, so the two runs differ only in commit fences: the unbatched
+// run pays K per round, the batched run exactly one per shard group per
+// flush. The test asserts that difference exactly, and that the batched
+// run's commit fences per round are at most K/2 (≥2x group-commit
+// amortization at K=8 writes in flight over 4 shards).
 func TestGroupCommitFenceAccounting(t *testing.T) {
 	const K, R, shards = 8, 25, 4
 	batched := openEngine(t, shards, K+4)
 	unbatched := openEngine(t, shards, K+4)
 	eng := batched.(*store.EngineStore).Engine()
 
-	b := NewSession(batched.NewSession(), Config{MaxBatch: K, MaxDelay: time.Hour})
+	g := newGate()
+	b := NewSessionPool(gatedAsync{batched.NewSession().(store.AsyncSession), g}, PoolConfig{MaxBatch: K})
 	key := func(r, w int) uint64 { return uint64(r*K+w) + 1 }
+	const warmup = uint64(R*K) + 1
 
 	// Expected fence groups: per round, one commit fence per distinct shard
 	// among the round's keys.
@@ -158,20 +79,28 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 		expectGroups += len(distinct)
 	}
 
-	batched.ResetStats()
-	for r := 0; r < R; r++ {
-		var wg sync.WaitGroup
-		for w := 0; w < K; w++ {
-			wg.Add(1)
-			go func(k uint64) {
-				defer wg.Done()
-				if res, err := b.Do(store.Op{Kind: shard.OpInsert, Key: k, Value: k}); err != nil || !res.OK {
-					t.Errorf("insert %d: %+v %v", k, res, err)
-				}
-			}(key(r, w))
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	submit := func(k uint64) {
+		wg.Add(1)
+		b.Submit(store.Op{Kind: shard.OpInsert, Key: k, Value: k}, cbCompleter{fn: func(res store.OpResult, err error) {
+			if err != nil || !res.OK {
+				t.Errorf("insert %d: %+v %v", k, res, err)
+			}
+			wg.Done()
+		}})
 	}
+	batched.ResetStats()
+	submit(warmup)
+	<-g.entered // the worker is mid-flush holding exactly the warm-up insert
+	for r := 0; r < R; r++ {
+		for w := 0; w < K; w++ {
+			submit(key(r, w)) // queues behind the running flush
+		}
+		g.release <- struct{}{} // the running flush lands ...
+		<-g.entered             // ... and the next one took the whole round
+	}
+	g.release <- struct{}{}
+	wg.Wait()
 	fBatched := batched.Stats().Fences
 	b.Close()
 
@@ -194,9 +123,10 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 	perOp := fUnbatched / uint64(R*K)
 
 	// Calibrate the split of perOp into ordering fences and commit fences:
-	// a one-op batch pays the ordering fences plus exactly one group fence.
+	// a lone request is a one-op flush, which pays the ordering fences plus
+	// exactly one group fence.
 	cal := openEngine(t, shards, 4)
-	cb := NewSession(cal.NewSession(), Config{MaxBatch: 1, MaxDelay: time.Hour})
+	cb := NewPool(cal, PoolConfig{Workers: 1})
 	cal.ResetStats()
 	if res, err := cb.Do(store.Op{Kind: shard.OpInsert, Key: 1, Value: 1}); err != nil || !res.OK {
 		t.Fatalf("calibration insert: %+v %v", res, err)
@@ -210,8 +140,8 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 
 	// Exactly one commit fence per shard group per flush: beyond the
 	// unavoidable ordering fences, the batched run paid precisely one fence
-	// per nonempty shard group.
-	batchedCommit := fBatched - uint64(R*K)*ordering
+	// per nonempty shard group, plus the warm-up flush's one.
+	batchedCommit := fBatched - uint64(R*K+1)*ordering - 1
 	if batchedCommit != uint64(expectGroups) {
 		t.Fatalf("batched commit fences %d (total %d, ordering/op %d), want exactly one per shard group: %d",
 			batchedCommit, fBatched, ordering, expectGroups)
@@ -229,13 +159,13 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 			expectGroups, R, K)
 	}
 	bs := b.Stats()
-	if bs.Flushes != R {
-		t.Fatalf("flushes %d, want one per round (%d)", bs.Flushes, R)
+	if bs.Flushes != R+1 {
+		t.Fatalf("flushes %d, want the warm-up plus one per round (%d)", bs.Flushes, R+1)
 	}
-	if bs.Groups != uint64(expectGroups) {
-		t.Fatalf("completion groups %d, want %d", bs.Groups, expectGroups)
+	if bs.Groups != uint64(expectGroups)+1 {
+		t.Fatalf("completion groups %d, want %d", bs.Groups, expectGroups+1)
 	}
-	if bs.Ops != R*K {
-		t.Fatalf("ops %d, want %d", bs.Ops, R*K)
+	if bs.Ops != R*K+1 {
+		t.Fatalf("ops %d, want %d", bs.Ops, R*K+1)
 	}
 }

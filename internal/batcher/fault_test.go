@@ -11,7 +11,6 @@ package batcher
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pmem"
@@ -56,7 +55,7 @@ func driveUntilDegraded(t *testing.T, do func(store.Op) (store.OpResult, error))
 }
 
 func checkDegraded(t *testing.T, st store.Store, acked uint64, derr error,
-	do func(store.Op) (store.OpResult, error), dir string) {
+	do func(store.Op) (store.OpResult, error), dir string, shards int) {
 	t.Helper()
 	if !errors.Is(derr, ErrDegraded) {
 		t.Fatalf("refusal is %v, want ErrDegraded", derr)
@@ -81,7 +80,7 @@ func checkDegraded(t *testing.T, st store.Store, acked uint64, derr error,
 	// acked anything it could not recover.
 	st2, err := store.Open(store.Config{
 		Kind: core.KindSkiplist, Profile: pmem.ProfileZero,
-		SizeHint: 1024, MaxSessions: 8, Dir: dir,
+		Shards: shards, SizeHint: 1024, MaxSessions: 8, Dir: dir,
 	})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -96,27 +95,26 @@ func checkDegraded(t *testing.T, st store.Store, acked uint64, derr error,
 }
 
 func TestPoolDegradedOnFsyncFailure(t *testing.T) {
+	testDegradedOnFsyncFailure(t, 0)
+}
+
+// TestBatcherDegradedOnFsyncFailure runs the same regression on the sharded
+// engine behind one worker: the verdict must travel through
+// shard.Session.ApplyCommitted's per-group callback as it does through the
+// bare structure's.
+func TestBatcherDegradedOnFsyncFailure(t *testing.T) {
+	testDegradedOnFsyncFailure(t, 4)
+}
+
+func testDegradedOnFsyncFailure(t *testing.T, shards int) {
 	dir := t.TempDir()
-	st := openFaultStore(t, dir, "sync~wal@8=eio", 0)
-	p := NewPool(st, PoolConfig{MaxBatch: 4, MaxDelay: 50 * time.Microsecond})
+	st := openFaultStore(t, dir, "sync~wal@8=eio", shards)
+	p := NewPool(st, PoolConfig{Workers: 1, MaxBatch: 4})
 	acked, derr := driveUntilDegraded(t, p.Do)
 	if p.DegradedErr() == nil {
 		t.Fatal("pool does not report degradation")
 	}
-	checkDegraded(t, st, acked, derr, p.Do, dir)
+	checkDegraded(t, st, acked, derr, p.Do, dir, shards)
 	p.Close()
-	st.Close()
-}
-
-func TestBatcherDegradedOnFsyncFailure(t *testing.T) {
-	dir := t.TempDir()
-	st := openFaultStore(t, dir, "sync~wal@8=eio", 0)
-	b := New(st, Config{MaxBatch: 4, MaxDelay: 50 * time.Microsecond})
-	acked, derr := driveUntilDegraded(t, b.Do)
-	if b.DegradedErr() == nil {
-		t.Fatal("batcher does not report degradation")
-	}
-	checkDegraded(t, st, acked, derr, b.Do, dir)
-	b.Close()
 	st.Close()
 }

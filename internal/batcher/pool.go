@@ -1,35 +1,85 @@
+// Package batcher is the group-commit stage between a network front end
+// and a store.Store: writes submitted by many connections are applied in
+// batches through ApplyCommitted, so the commit fence that durable
+// linearizability demands before every acknowledgement is paid once per
+// shard group per flush instead of once per request — the same amortization
+// shard.Session.Apply performs for one caller's batch, extended across
+// callers.
+//
+// Pool is that stage, and the only one. It runs one worker per shard group,
+// each owning its own store session and a bounded ring (a buffered channel
+// of by-value requests — no allocation per submission); Submit routes an
+// operation by its key's shard straight to the session that owns it, with
+// no central queue and no shared pending list.
+//
+// There is one batching rule and no clock in it: a worker takes what its
+// ring holds, capped at MaxBatch, and flushes it now. A request that finds
+// the worker idle is applied and fenced at once and pays exactly its own
+// apply and one commit fence; requests that arrive while a flush is running
+// queue behind it and ride the next flush together. The previous flush —
+// the fsync itself on a -sync store — is the only batching window, so
+// batches grow exactly as fast as commits get slow, and nothing ever waits
+// for company that may not come.
+//
+// Correctness is the reply-after-fence rule: a request's Completer runs
+// only after the commit fence covering its operation has landed
+// (ApplyCommitted fires per fence group), so a reply implies durability — a
+// crash can only lose requests that were never acknowledged. A worker
+// applies its ring in FIFO order, so requests on one key are applied in the
+// order they were submitted. Read-your-writes across workers is the
+// caller's (the server connection's) WaitGroup over all its outstanding
+// submissions, which is worker-agnostic: a completion from any worker
+// counts it down. After every flush a worker probes the store's automatic
+// checkpoint threshold (MaybeCheckpoint), so on durable stores the WAL
+// stays bounded under live traffic with no background ticker.
 package batcher
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/pmem"
+	"repro/internal/shard"
 	"repro/internal/store"
 )
 
-// Pool is the shard-affine generation of the group-commit stage: instead of
-// one central batcher funnelling every connection's writes through a single
-// session, the pool runs one worker per shard group, each owning its own
-// store session and running its own group-commit loop. Connections hand
-// decoded operations to a worker through a bounded ring (a buffered channel
-// of by-value requests — no allocation per submission), routed by the key's
-// shard, so an operation reaches the session that owns its shard without
-// crossing a central queue or a shared pending list. The group-commit rule
-// per worker is backlog-driven: a worker flushes whatever its ring holds
-// (capped at MaxBatch), so batches form naturally from what queued during
-// the previous flush; only a lonely request — one with an empty ring behind
-// it — waits up to MaxDelay for a companion before paying a fence alone.
-//
-// Correctness is unchanged — reply-after-fence per fence group — and
-// read-your-writes across workers is the caller's (the server connection's)
-// WaitGroup over all its outstanding submissions, which is worker-agnostic:
-// a completion from any worker counts it down. After every flush a worker
-// probes the store's automatic checkpoint threshold (MaybeCheckpoint), so
-// on durable stores the WAL stays bounded under live traffic with no
-// background ticker.
+// Errors a Completer may receive.
+var (
+	// ErrClosed rejects submissions after Close.
+	ErrClosed = errors.New("batcher: closed")
+	// ErrCrashed completes requests whose covering fence never landed
+	// because the memory crashed: the request was not acknowledged and may
+	// or may not have taken effect (in-flight under durable linearizability).
+	ErrCrashed = errors.New("batcher: store crashed before commit")
+	// ErrDegraded completes writes whose commit fence could not be made
+	// durable: the store's disk backend latched a sticky write/fsync
+	// failure (see store.Store.DurableErr). The write was not acknowledged
+	// and must be treated as lost — it may be in process memory but is not
+	// on disk, and only what recovery replays after a restart survives.
+	// The condition is permanent for the process: every later write fails
+	// the same way, while reads keep completing normally.
+	ErrDegraded = errors.New("batcher: store degraded, write not durable")
+)
+
+// isReadOp reports whether op needs no durability to acknowledge. Reads
+// keep serving on a degraded store; everything else is a write whose
+// acknowledgement would promise durability the disk can no longer provide.
+func isReadOp(op store.Op) bool {
+	return op.Kind == shard.OpGet || op.Kind == shard.OpScan
+}
+
+// Stats counts pool activity (monotone, read with atomic snapshots).
+type Stats struct {
+	// Ops is the number of requests applied.
+	Ops uint64
+	// Flushes is the number of batches applied.
+	Flushes uint64
+	// Groups is the number of completion groups (one per shard fence group
+	// per flush, plus one per flush that carried scans).
+	Groups uint64
+}
 
 // Completer receives a submitted operation's completion exactly once: after
 // the commit fence covering the operation landed, or with ErrClosed /
@@ -71,11 +121,9 @@ type PoolConfig struct {
 	// Ring is each worker's bounded ring capacity (default 1024). A full
 	// ring applies backpressure: Submit blocks until the worker drains.
 	Ring int
-	// MaxBatch caps one flush (default 64); MaxDelay is how long a lonely
-	// request waits for a companion before flushing alone (default 50µs).
-	// Batches otherwise form from ring backlog with no delay.
+	// MaxBatch caps one flush (default 64). Batches form from ring backlog
+	// only: a flush takes what queued while the previous one ran.
 	MaxBatch int
-	MaxDelay time.Duration
 	// OnCommit, when non-nil, observes every durable fence group at its
 	// commit point and may defer the group's write acknowledgements until
 	// replication confirms it (see GroupSink). The replication primary
@@ -177,9 +225,6 @@ func newPool(st store.Store, sessions []store.Session, cfg PoolConfig) *Pool {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 50 * time.Microsecond
 	}
 	p := &Pool{st: st, cfg: cfg}
 	if st != nil {
@@ -313,23 +358,15 @@ func (p *Pool) degrade(err error) error {
 	return *p.degraded.Load()
 }
 
-// run is one worker's loop: take the first request (blocking), drain the
-// ring without blocking, flush, probe the checkpoint threshold. Batches are
-// sized by backlog, not by timer: whatever queued in the ring while the
-// previous flush ran becomes the next batch, so a saturated worker batches
-// naturally and an idle worker never stalls a request behind a delay it
-// cannot fill. The one exception is a lonely request — a drain that finds
-// the ring empty — which waits up to MaxDelay for a companion before
-// flushing alone: that wait is the classic group-commit amortization for
-// trickle traffic (several slow clients landing within the window share
-// one fence), and it costs nothing under load because a busy ring never
-// drains to one. After a crash the worker stays on the ring failing
-// everything with ErrCrashed until Close, so submitters blocked on a full
-// ring always make progress.
+// run is one worker's loop: take the first request (blocking), take what
+// else the ring already holds, flush, probe the checkpoint threshold.
+// Whatever queued in the ring while the previous flush ran becomes the next
+// batch, so a saturated worker batches naturally and an idle worker commits
+// a lone request at once. After a crash the worker stays on the ring
+// failing everything with ErrCrashed until Close, so submitters blocked on
+// a full ring always make progress.
 func (w *poolWorker) run() {
 	defer w.p.wg.Done()
-	maxBatch := w.p.cfg.MaxBatch
-	var timer *time.Timer
 	for {
 		r, ok := <-w.ring
 		if !ok {
@@ -340,30 +377,7 @@ func (w *poolWorker) run() {
 			continue
 		}
 		w.reqs = append(w.reqs[:0], r)
-		open := w.drain(maxBatch)
-		if len(w.reqs) == 1 && open {
-			// Lonely request: wait for company. The timer is reused across
-			// batches (no allocation per flush).
-			if timer == nil {
-				timer = time.NewTimer(w.p.cfg.MaxDelay)
-			} else {
-				timer.Reset(w.p.cfg.MaxDelay)
-			}
-			select {
-			case r, ok := <-w.ring:
-				if ok {
-					w.reqs = append(w.reqs, r)
-					w.drain(maxBatch)
-				}
-			case <-timer.C:
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
+		w.drain()
 		if !w.flush() {
 			w.crashed = true
 			w.p.crashed.Store(true)
@@ -382,20 +396,20 @@ func (w *poolWorker) run() {
 }
 
 // drain moves queued requests from the ring into the batch without
-// blocking, up to maxBatch; it reports whether the ring is still open.
-func (w *poolWorker) drain(maxBatch int) bool {
-	for len(w.reqs) < maxBatch {
+// blocking, up to MaxBatch. A ring closed mid-drain just ends the batch;
+// the next blocking receive in run sees the close.
+func (w *poolWorker) drain() {
+	for len(w.reqs) < w.p.cfg.MaxBatch {
 		select {
 		case r, ok := <-w.ring:
 			if !ok {
-				return false
+				return
 			}
 			w.reqs = append(w.reqs, r)
 		default:
-			return true
+			return
 		}
 	}
-	return true
 }
 
 // flush applies the worker's gathered batch through its own session and

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/crashtest"
@@ -32,8 +31,9 @@ func (v storeView) Recover(_ *pmem.Thread)           { v.st.Recover() }
 func (v storeView) Contents(_ *pmem.Thread) []uint64 { return v.st.Contents() }
 
 // TestBatcherCrashTorture is the server-path crash torture: concurrent
-// clients pipeline windows of operations through the group-commit batcher
-// against a tracked engine, the engine crashes mid-traffic, and the
+// clients pipeline windows of operations through a one-worker pool — every
+// flush spans several shard groups, so a crash lands between one group's
+// acknowledgement and the next group's fence — against a tracked engine, the engine crashes mid-traffic, and the
 // crashtest checker verifies durable linearizability of the recovered
 // state against the recorded histories. The load-bearing property is the
 // reply-after-fence rule: every request whose callback reported success was
@@ -47,12 +47,12 @@ func TestBatcherCrashTorture(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		evict := []float64{0, 0.5, 1}[round%3]
-		tortureRound(t, round, evict, false)
+		tortureRound(t, round, evict, 1)
 	}
 }
 
-// TestPoolCrashTorture runs the same torture through the shard-affine
-// worker pool: the reply-after-fence rule must hold per worker, and a crash
+// TestPoolCrashTorture runs the same torture through shard-affine
+// workers: the reply-after-fence rule must hold per worker, and a crash
 // must fail every unacknowledged request across all workers' rings.
 func TestPoolCrashTorture(t *testing.T) {
 	rounds := 6
@@ -61,7 +61,7 @@ func TestPoolCrashTorture(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		evict := []float64{0, 0.5, 1}[round%3]
-		tortureRound(t, round, evict, true)
+		tortureRound(t, round, evict, 2)
 	}
 }
 
@@ -71,7 +71,7 @@ type cbCompleter struct{ fn func(store.OpResult, error) }
 
 func (c cbCompleter) Complete(res store.OpResult, err error) { c.fn(res, err) }
 
-func tortureRound(t *testing.T, seed int, evictProb float64, usePool bool) {
+func tortureRound(t *testing.T, seed int, evictProb float64, poolWorkers int) {
 	const (
 		workers        = 4
 		window         = 4
@@ -99,17 +99,8 @@ func tortureRound(t *testing.T, seed int, evictProb float64, usePool bool) {
 	}
 	eng.PersistAll()
 
-	var submit func(op store.Op, cb func(store.OpResult, error))
-	var closeStage func()
-	if usePool {
-		p := NewPool(st, PoolConfig{Workers: 2, MaxBatch: 8, MaxDelay: 100 * time.Microsecond})
-		submit = func(op store.Op, cb func(store.OpResult, error)) { p.Submit(op, cbCompleter{fn: cb}) }
-		closeStage = p.Close
-	} else {
-		b := NewSession(st.NewSession(), Config{MaxBatch: 8, MaxDelay: 100 * time.Microsecond})
-		submit = b.Submit
-		closeStage = b.Close
-	}
+	p := NewPool(st, PoolConfig{Workers: poolWorkers, MaxBatch: 8})
+	submit := func(op store.Op, cb func(store.OpResult, error)) { p.Submit(op, cbCompleter{fn: cb}) }
 	var completed atomic.Uint64
 	histories := make([]*crashtest.History, workers)
 	var wg sync.WaitGroup
@@ -190,7 +181,7 @@ func tortureRound(t *testing.T, seed int, evictProb float64, usePool bool) {
 	}
 	eng.Crash()
 	wg.Wait()
-	closeStage()
+	p.Close()
 	eng.FinishCrash(evictProb, int64(seed))
 	eng.Restart()
 

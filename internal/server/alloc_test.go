@@ -3,9 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"testing"
-	"time"
 
-	"repro/internal/batcher"
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/pmem"
@@ -31,12 +29,9 @@ func allocHarness(t *testing.T) (*connState, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tiny MaxDelay so single-op batches flush immediately: each measured
-	// iteration spans a complete submit → fence → complete round trip.
-	srv := New(st, Config{
-		MaxConns: 2,
-		Batch:    batcher.Config{MaxBatch: 4, MaxDelay: time.Microsecond},
-	})
+	// A lone write flushes at once, so each measured iteration spans a
+	// complete submit → fence → complete round trip.
+	srv := New(st, Config{MaxConns: 2, MaxBatch: 4})
 	sess := st.NewSession()
 	cs := newConnState(srv, sess, 8, true)
 	for k := uint64(1); k <= 512; k++ {
@@ -94,5 +89,40 @@ func TestBinaryReadPathAllocs(t *testing.T) {
 		get(100021, binTagNil) // miss path must be clean too
 	}); avg != 0 {
 		t.Errorf("binary GET path: %v allocs per 2 gets, want 0", avg)
+	}
+}
+
+// TestClientBinaryReplyAllocs: the client's side of a binary point request
+// — queue the frame, flush, read the reply — allocates nothing, and since
+// the server shares the process, neither does its whole socket path (read
+// loop, dispatch, group commit, writer goroutine).
+func TestClientBinaryReplyAllocs(t *testing.T) {
+	addr, _, _ := startServer(t, core.KindHash, 4, Config{})
+	cl, err := Dial(addr, WithBinaryProto())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	do := func(send error, check func(Reply) bool) {
+		if send != nil {
+			t.Fatal(send)
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := cl.ReadReply(); err != nil || !check(r) {
+			t.Fatalf("reply %+v %v", r, err)
+		}
+	}
+	round := func() {
+		do(cl.SendPut(7, 49), func(r Reply) bool { return r.Status == "OK" })
+		do(cl.SendGet(7), func(r Reply) bool { return r.Found && r.Value == 49 })
+		do(cl.SendGet(8), func(r Reply) bool { return !r.Found && !r.IsErr() })
+	}
+	for i := 0; i < 64; i++ { // warm slot buffers and worker scratch
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("binary PUT + GET hit + GET miss round trips: %v allocs, want 0", avg)
 	}
 }

@@ -96,11 +96,16 @@ const (
 // handleBin is the binary-protocol read loop: fixed 5-byte header, payload
 // into a reused buffer, dispatch. Framing errors close the connection (the
 // stream offset is lost); semantic errors reply with an ERR frame and keep
-// it open.
+// it open. The idle clock re-arms only when the next frame is not already
+// wholly in the read buffer, i.e. before a read that may wait on the
+// socket: a pipelined burst pays for it once, and a frame that dribbles in
+// for longer than IdleTimeout is still cut.
 func (s *Server) handleBin(br *bufio.Reader, cs *connState) {
 	var hdr [5]byte
 	for {
-		cs.armIdle()
+		if br.Buffered() < len(hdr) {
+			cs.armIdle()
+		}
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
@@ -110,6 +115,9 @@ func (s *Server) handleBin(br *bufio.Reader, cs *connState) {
 			return
 		}
 		need := int(n) - 1
+		if br.Buffered() < need {
+			cs.armIdle()
+		}
 		if cap(cs.binBuf) < need {
 			cs.binBuf = make([]byte, need)
 		}

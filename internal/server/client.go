@@ -68,6 +68,14 @@ type Client struct {
 	// through (WithReadFrom); writes always use the primary connection.
 	reads    []*Client
 	nextRead int
+	// Frame scratch of the binary protocol, one per side because one
+	// goroutine may drive each. A local array would escape through the
+	// buffered reader/writer and cost a heap object per frame. wbuf holds a
+	// fixed-shape request being queued; rbuf a reply's 5-byte header and a
+	// payload of up to 16 bytes (every point reply), so only arrays and
+	// error strings get a buffer of their own.
+	wbuf [25]byte
+	rbuf [5 + 16]byte
 }
 
 // ReadFrom selects where a Client's synchronous read helpers go when
@@ -332,13 +340,13 @@ func (cl *Client) SendUpdate(k, v uint64) error {
 // SendScan queues a SCAN with a result cap.
 func (cl *Client) SendScan(lo, hi uint64, max int) error {
 	if cl.bin {
-		var b [25]byte
-		binary.LittleEndian.PutUint32(b[:4], 21)
+		b := cl.wbuf[:]
+		binary.LittleEndian.PutUint32(b, 21)
 		b[4] = binOpScan
 		binary.LittleEndian.PutUint64(b[5:], lo)
 		binary.LittleEndian.PutUint64(b[13:], hi)
 		binary.LittleEndian.PutUint32(b[21:], uint32(max))
-		_, err := cl.bw.Write(b[:])
+		_, err := cl.bw.Write(b)
 		return err
 	}
 	var buf [96]byte
@@ -385,29 +393,29 @@ func (cl *Client) SendMGet(keys []uint64) error {
 
 // sendBin0, sendBin1, sendBin2 queue fixed-shape binary request frames.
 func (cl *Client) sendBin0(op byte) error {
-	var b [5]byte
-	binary.LittleEndian.PutUint32(b[:4], 1)
+	b := cl.wbuf[:5]
+	binary.LittleEndian.PutUint32(b, 1)
 	b[4] = op
-	_, err := cl.bw.Write(b[:])
+	_, err := cl.bw.Write(b)
 	return err
 }
 
 func (cl *Client) sendBin1(op byte, k uint64) error {
-	var b [13]byte
-	binary.LittleEndian.PutUint32(b[:4], 9)
+	b := cl.wbuf[:13]
+	binary.LittleEndian.PutUint32(b, 9)
 	b[4] = op
 	binary.LittleEndian.PutUint64(b[5:], k)
-	_, err := cl.bw.Write(b[:])
+	_, err := cl.bw.Write(b)
 	return err
 }
 
 func (cl *Client) sendBin2(op byte, k, v uint64) error {
-	var b [21]byte
-	binary.LittleEndian.PutUint32(b[:4], 17)
+	b := cl.wbuf[:21]
+	binary.LittleEndian.PutUint32(b, 17)
 	b[4] = op
 	binary.LittleEndian.PutUint64(b[5:], k)
 	binary.LittleEndian.PutUint64(b[13:], v)
-	_, err := cl.bw.Write(b[:])
+	_, err := cl.bw.Write(b)
 	return err
 }
 
@@ -512,15 +520,19 @@ func (cl *Client) readReply() (Reply, error) {
 // PAIRS entries render as "k v" lines and MULTI entries as "$v"/"$-1", so
 // Scan and array handling work identically across protocols.
 func (cl *Client) readBinReply() (Reply, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(cl.br, hdr[:]); err != nil {
+	hdr, payload := cl.rbuf[:5], cl.rbuf[5:]
+	if _, err := io.ReadFull(cl.br, hdr); err != nil {
 		return Reply{}, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < 1 || n > maxBinFrame {
 		return Reply{}, fmt.Errorf("server: bad binary frame length %d", n)
 	}
-	payload := make([]byte, n-1)
+	if int(n-1) <= len(payload) {
+		payload = payload[:n-1]
+	} else {
+		payload = make([]byte, n-1)
+	}
 	if _, err := io.ReadFull(cl.br, payload); err != nil {
 		return Reply{}, err
 	}

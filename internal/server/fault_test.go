@@ -7,9 +7,14 @@ package server
 // client-side timeouts.
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,5 +199,122 @@ func TestClientTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v", elapsed)
+	}
+}
+
+// countConn counts deadline updates and socket writes on the server's end
+// of a connection.
+type countConn struct {
+	net.Conn
+	readArms, writeArms, writes atomic.Int32
+}
+
+func (c *countConn) SetReadDeadline(t time.Time) error {
+	c.readArms.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *countConn) SetWriteDeadline(t time.Time) error {
+	c.writeArms.Add(1)
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestDeadlinesPerBurst: the idle clock is re-armed when the server is
+// about to wait on the socket, not per request — 64 pipelined requests
+// delivered in one write cost at most two read-deadline updates (one would
+// do; the bound leaves room for the burst's tail arriving separately) —
+// and the write deadline is armed once per socket write, not per reply.
+func TestDeadlinesPerBurst(t *testing.T) {
+	const n = 64
+	for _, bin := range []bool{false, true} {
+		_, srv, _ := startServer(t, core.KindHash, 4, Config{
+			IdleTimeout: time.Minute, WriteTimeout: time.Minute,
+		})
+		client, server := net.Pipe()
+		cc := &countConn{Conn: server}
+		done := make(chan struct{})
+		go func() {
+			srv.handle(cc)
+			close(done)
+		}()
+
+		var burst []byte
+		replyLen := len("+OK\r\n")
+		if bin {
+			burst = append(burst, binMagic, binVersion)
+		}
+		for k := uint64(1); k <= n; k++ {
+			if bin {
+				burst = binary.LittleEndian.AppendUint32(burst, 17)
+				burst = append(burst, binOpPut)
+				burst = binary.LittleEndian.AppendUint64(burst, k)
+				burst = binary.LittleEndian.AppendUint64(burst, k*3)
+			} else {
+				burst = fmt.Appendf(burst, "PUT %d %d\r\n", k, k*3)
+			}
+		}
+		if _, err := client.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		replies := make([]byte, n*replyLen)
+		if _, err := io.ReadFull(client, replies); err != nil {
+			t.Fatalf("bin=%v: reading %d replies: %v", bin, n, err)
+		}
+		if bin {
+			for i := 0; i < n; i++ {
+				if r := replies[i*5 : i*5+5]; r[0] != 1 || r[4] != binTagOK {
+					t.Fatalf("bin reply %d = % x, want an OK frame", i, r)
+				}
+			}
+		} else if want := strings.Repeat("+OK\r\n", n); string(replies) != want {
+			t.Fatalf("text replies %q", replies)
+		}
+		if arms := cc.readArms.Load(); arms < 1 || arms > 2 {
+			t.Errorf("bin=%v: %d read-deadline updates for one burst of %d requests, want 1 or 2", bin, arms, n)
+		}
+		if arms, writes := cc.writeArms.Load(), cc.writes.Load(); arms != writes || writes > n {
+			t.Errorf("bin=%v: %d write-deadline updates for %d socket writes (%d replies), want one per write", bin, arms, writes, n)
+		}
+		client.Close()
+		<-done
+	}
+}
+
+// TestServerIdleTimeoutPartialFrame: a client that delivers part of a
+// request and stalls is cut like one that delivers nothing — buffered
+// bytes that do not make a whole frame do not excuse the read from the
+// idle clock.
+func TestServerIdleTimeoutPartialFrame(t *testing.T) {
+	for _, bin := range []bool{false, true} {
+		addr, _, _ := startServer(t, core.KindSkiplist, 0, Config{IdleTimeout: 100 * time.Millisecond})
+		network, address := SplitAddr(addr)
+		c, err := net.Dial(network, address)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		// One whole PING and the first bytes of a PUT, in one write.
+		msg := []byte("PING\r\nPUT 7 ")
+		pong := "+PONG\r\n"
+		if bin {
+			msg = []byte{binMagic, binVersion, 1, 0, 0, 0, binOpPing, 17, 0, 0, 0, binOpPut, 7, 0}
+			pong = "\x01\x00\x00\x00\x00"
+		}
+		if _, err := c.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(pong))
+		if _, err := io.ReadFull(c, got); err != nil || string(got) != pong {
+			t.Fatalf("bin=%v: ping reply %q %v", bin, got, err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := c.Read(got); err != io.EOF {
+			t.Fatalf("bin=%v: read %d bytes, err %v; want EOF from a server that hung up on the stalled frame", bin, n, err)
+		}
 	}
 }

@@ -42,6 +42,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -70,8 +71,9 @@ type Config struct {
 	// most this many requests outstanding before the server stops reading
 	// its socket (default 128).
 	Pipeline int
-	// Batch is the per-worker group-commit policy for writes.
-	Batch batcher.Config
+	// MaxBatch caps one worker flush (default 64; see
+	// batcher.PoolConfig.MaxBatch).
+	MaxBatch int
 	// Workers is the shard-affine worker count (default: the store's shard
 	// count; see batcher.PoolConfig.Workers).
 	Workers int
@@ -81,14 +83,16 @@ type Config struct {
 	// MaxScan caps SCAN reply sizes (default 4096 entries); the explicit
 	// limit argument may lower it but not raise it.
 	MaxScan int
-	// IdleTimeout closes a connection that has started no new request for
-	// this long (0 = no limit). The clock re-arms at each request frame, so
-	// a slow pipeline of replies never trips it — only a client that has
-	// gone quiet while holding a session slot.
+	// IdleTimeout closes a connection that has delivered no complete
+	// request for this long (0 = no limit). The clock re-arms whenever the
+	// server is about to wait on the socket for the rest of the next frame —
+	// once per burst of pipelined requests, not once per request — so a slow
+	// pipeline of replies never trips it, only a client that has gone quiet
+	// (or dribbles one frame) while holding a session slot.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each reply write to the socket (0 = no limit): a
-	// client that stops reading cannot pin a handler forever once its
-	// kernel buffer fills.
+	// WriteTimeout bounds each write of a reply burst to the socket (0 = no
+	// limit): a client that stops reading cannot pin a handler forever once
+	// its kernel buffer fills.
 	WriteTimeout time.Duration
 	// WaitReplicas is the replication write quorum K: with K > 0 a write
 	// is acknowledged only after K replicas confirmed its fence group
@@ -155,8 +159,7 @@ func New(st store.Store, cfg Config) *Server {
 		pool: batcher.NewPool(st, batcher.PoolConfig{
 			Workers:  cfg.Workers,
 			Ring:     cfg.Ring,
-			MaxBatch: cfg.Batch.MaxBatch,
-			MaxDelay: cfg.Batch.MaxDelay,
+			MaxBatch: cfg.MaxBatch,
 			OnCommit: prim,
 		}),
 		cfg:       cfg,
@@ -470,13 +473,13 @@ func (s *Server) handle(c net.Conn) {
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		bw := bufio.NewWriterSize(c, 64<<10)
-		wt := s.cfg.WriteTimeout
+		var w io.Writer = c
+		if wt := s.cfg.WriteTimeout; wt > 0 {
+			w = deadlineWriter{c: c, d: wt}
+		}
+		bw := bufio.NewWriterSize(w, 64<<10)
 		for sl := range cs.order {
 			<-sl.ready
-			if wt > 0 {
-				c.SetWriteDeadline(time.Now().Add(wt))
-			}
 			bw.Write(sl.buf)
 			// Flush only when no further reply is queued: pipelined replies
 			// coalesce into few syscalls.
@@ -516,7 +519,11 @@ func (s *Server) handle(c net.Conn) {
 		return
 	}
 	for {
-		cs.armIdle()
+		// Re-arm the idle clock only when the next line is not already
+		// wholly in the buffer (see handleBin).
+		if buffered, _ := br.Peek(br.Buffered()); bytes.IndexByte(buffered, '\n') < 0 {
+			cs.armIdle()
+		}
 		line, err := br.ReadSlice('\n')
 		if err != nil {
 			if errors.Is(err, bufio.ErrBufferFull) {
@@ -577,8 +584,24 @@ func newConnState(s *Server, sess store.Session, pipeline int, bin bool) *connSt
 // scanKV is one collected SCAN entry.
 type scanKV struct{ k, v uint64 }
 
-// armIdle re-arms the connection's idle deadline before waiting for the
-// next request (no-op when Config.IdleTimeout is unset).
+// deadlineWriter arms the connection's write deadline before every write
+// that reaches the socket. It sits under the writer goroutine's bufio
+// buffer, so the clock is read once per flushed burst of replies, not once
+// per reply.
+type deadlineWriter struct {
+	c net.Conn
+	d time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	w.c.SetWriteDeadline(time.Now().Add(w.d))
+	return w.c.Write(p)
+}
+
+// armIdle re-arms the connection's idle deadline (no-op when
+// Config.IdleTimeout is unset). The read loops call it only before a read
+// that may have to wait on the socket: a request already wholly in the read
+// buffer costs no clock read and no deadline update.
 func (cs *connState) armIdle() {
 	if d := cs.srv.cfg.IdleTimeout; d > 0 && cs.conn != nil {
 		cs.conn.SetReadDeadline(time.Now().Add(d))

@@ -231,7 +231,7 @@ func TestReadYourWritesAcrossShards(t *testing.T) {
 	srv := New(st, Config{
 		MaxConns: 8,
 		Pipeline: 4096,
-		Batch:    batcher.Config{MaxBatch: 8192, MaxDelay: 2 * time.Millisecond},
+		MaxBatch: 8192,
 	})
 	ln, err := Listen(addr)
 	if err != nil {
@@ -300,11 +300,15 @@ func TestReadYourWritesAcrossShards(t *testing.T) {
 // acknowledges a batch's operations one at a time in REVERSE submission
 // order, pausing between acknowledgements — a deterministic stand-in for
 // the shard engine acknowledging one flush's shard groups in shard-index
-// order while later groups are still unexecuted.
+// order while later groups are still unexecuted. With entered/release set,
+// every flush announces itself on entered and waits at release first, so a
+// test can queue a known backlog behind a running flush.
 type inversionSession struct {
 	mu    sync.Mutex
 	m     map[uint64]uint64
 	pause time.Duration
+
+	entered, release chan struct{}
 }
 
 func (s *inversionSession) Get(key uint64) (uint64, bool) {
@@ -336,6 +340,10 @@ func (s *inversionSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, 
 		dst = make([]store.OpResult, len(ops))
 	}
 	dst = dst[:len(ops)]
+	if s.entered != nil {
+		s.entered <- struct{}{}
+		<-s.release
+	}
 	for i := len(ops) - 1; i >= 0; i-- {
 		s.Put(ops[i].Key, ops[i].Value)
 		dst[i] = store.OpResult{Value: ops[i].Value, OK: true}
@@ -368,25 +376,36 @@ func drainReplies(cs *connState, n int) []string {
 // (inversionSession's reverse-order acks). A read that waited only on the
 // connection's most recent write would run between the two
 // acknowledgements and miss a; the server must hold the GET until every
-// outstanding write has committed.
+// outstanding write has committed. The two PUTs share one flush because
+// they queue while a priming write's flush is held at the gate: what
+// arrives during a flush rides the next one together.
 func TestAwaitWritesWaitsForAllOutstanding(t *testing.T) {
-	sess := &inversionSession{m: make(map[uint64]uint64), pause: 100 * time.Millisecond}
-	// MaxBatch 2 flushes exactly when both PUTs are pending; the long
-	// MaxDelay keeps the first PUT from flushing alone.
-	p := batcher.NewSessionPool(sess, batcher.PoolConfig{MaxBatch: 2, MaxDelay: time.Hour})
+	sess := &inversionSession{
+		m: make(map[uint64]uint64), pause: 100 * time.Millisecond,
+		entered: make(chan struct{}), release: make(chan struct{}),
+	}
+	p := batcher.NewSessionPool(sess, batcher.PoolConfig{})
 	defer p.Close()
 	srv := &Server{pool: p, cfg: Config{MaxScan: 16}}
 	cs := newConnState(srv, sess, 16, false)
 
+	cs.dispatch([]byte("PUT 1 1\n")) // priming write: flushes alone, at once
+	<-sess.entered                   // ... and is held mid-flush
 	cs.dispatch([]byte("PUT 7 21\n"))
 	cs.dispatch([]byte("PUT 8 24\n"))
+	sess.release <- struct{}{} // the priming flush lands
+	<-sess.entered             // the next flush took both PUTs
+	sess.release <- struct{}{}
 	cs.dispatch([]byte("GET 7\n")) // blocks until read-your-writes holds
 
-	want := []string{"+OK\r\n", "+OK\r\n", "$21\r\n"}
+	want := []string{"+OK\r\n", "+OK\r\n", "+OK\r\n", "$21\r\n"}
 	for i, got := range drainReplies(cs, len(want)) {
 		if got != want[i] {
 			t.Fatalf("reply %d = %q, want %q (stale read: GET ran before the earlier write was applied)", i, got, want[i])
 		}
+	}
+	if ps := p.Stats(); ps.Flushes != 2 || ps.Ops != 3 {
+		t.Fatalf("%d ops in %d flushes, want PUT 7 and PUT 8 sharing the second of 2 flushes", ps.Ops, ps.Flushes)
 	}
 }
 
@@ -421,7 +440,7 @@ func TestAwaitWritesAcrossWorkers(t *testing.T) {
 	p := batcher.NewSessionsPool(
 		[]store.Session{slow, fast},
 		func(key uint64) int { return int(key % 2) },
-		batcher.PoolConfig{MaxBatch: 1, MaxDelay: time.Microsecond},
+		batcher.PoolConfig{MaxBatch: 1},
 	)
 	defer p.Close()
 	srv := &Server{pool: p, cfg: Config{MaxScan: 16}}
@@ -750,4 +769,42 @@ func TestServerSmokeScript(t *testing.T) {
 	}
 	// Close is idempotent.
 	srv.Close()
+}
+
+// TestLonePutRoundTrips is the regression test for the group-commit clock:
+// a write that finds its worker idle flushes at once, so 200 depth-1 PUT
+// round trips over a Unix socket cost 200 flushes and a few milliseconds.
+// When a lone write waited for company on a sub-millisecond timer — which
+// an otherwise idle Go process rounds up to about a millisecond — the same
+// loop took 220 ms or more.
+func TestLonePutRoundTrips(t *testing.T) {
+	addr, _, _ := startServer(t, core.KindHash, 4, Config{})
+	cl, err := Dial(addr, WithBinaryProto())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	before, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	start := time.Now()
+	for k := uint64(1); k <= n; k++ {
+		if err := cl.Put(k, k*5); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+	}
+	elapsed := time.Since(start)
+	after, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after["batch_flushes"] - before["batch_flushes"]; got != n {
+		t.Errorf("batch_flushes advanced by %d over %d lone PUTs, want one flush each", got, n)
+	}
+	t.Logf("%d lone PUT round trips in %v", n, elapsed)
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("%d depth-1 PUT round trips took %v, want under 100ms: something on the write path is waiting on a clock", n, elapsed)
+	}
 }
