@@ -108,15 +108,19 @@ repl-smoke:
 # each pre-commit-point step, mid-log corruption — plus the degraded-mode
 # serving paths (batcher refusals, wire-level ERR DEGRADED, STATS) and the
 # fault-schedule crash tortures. Seeded schedules, no timing dependence.
-# Last, the WAL replay fuzzer for a time-boxed 20 s: arbitrary bytes as the
+# Then the WAL replay fuzzer for a time-boxed 20 s: arbitrary bytes as the
 # live log must never panic replay, never get a bad-checksum frame applied,
-# and be classified torn tail vs mid-log corruption as documented.
+# and be classified torn tail vs mid-log corruption as documented. Last,
+# the replication stream fuzzer for 10 s: arbitrary bytes as a primary's
+# stream must never panic a replica, never get a malformed frame applied or
+# acknowledged, and always end the stream with an error.
 fault-smoke:
 	$(GO) test -count=1 -run 'TestFault' ./internal/pmem/ ./internal/crashtest/
 	$(GO) test -count=1 ./internal/pmem/vfs/
 	$(GO) test -count=1 -run 'DegradedOnFsync' ./internal/batcher/
 	$(GO) test -count=1 -run 'TestServerDegraded|TestServerIdleTimeout|TestClientTimeout' ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzReplayWAL -fuzztime 20s -fuzzminimizetime 2s ./internal/pmem/
+	$(GO) test -run '^$$' -fuzz FuzzReplicaStream -fuzztime 10s -fuzzminimizetime 2s ./internal/repl/
 
 # Exercise both CLIs end to end with tiny workloads so they cannot rot.
 # server-smoke rides along so the serving layer cannot rot locally either.

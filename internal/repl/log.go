@@ -1,27 +1,28 @@
 package repl
 
-// shardLog is one shard's bounded replication log: committed fence groups in
-// sequence order, trimmed from the front once the retention cap is
-// reached. A replica whose position fell off the front cannot tail any
-// more and must full-resync — bounded memory is the deliberate trade; the
-// snapshot path is the backstop. The caller (Primary) serializes access
-// under its own mutex.
+// shardLog is one shard's bounded replication log: the encoded batch
+// frames of committed fence groups in sequence order, held in a fixed ring
+// of max slots. Once the ring is full each append overwrites the oldest
+// group, so an append costs the same at any retention window. A replica
+// whose position fell off the front cannot tail any more and must
+// full-resync — bounded memory is the deliberate trade; the snapshot path
+// is the backstop. The caller (Primary) serializes access under its own
+// mutex.
 //
 // Sequence numbers start at 1; position 0 means "nothing acknowledged".
+// Group seq lives in slots[(seq-1) % max].
 type shardLog struct {
-	groups   []logGroup
-	firstSeq uint64 // seq of groups[0]; meaningful only when len > 0
-	nextSeq  uint64 // seq the next append receives
-	cumBytes uint64 // encoded bytes ever appended (monotone)
+	slots    []logSlot // grows to max during warm-up, then fixed
+	nextSeq  uint64    // seq the next append receives
+	cumBytes uint64    // effect bytes ever appended (monotone)
 	max      int
 }
 
-// logGroup is one appended fence group. Effects are immutable after
-// append, so feeders may encode them outside the primary's mutex.
-type logGroup struct {
-	seq     uint64
-	effects []Effect
-	// cum is the log's cumulative encoded byte count through this group;
+// logSlot is one appended fence group. The frame is immutable after
+// append, so feeders may write it outside the primary's mutex.
+type logSlot struct {
+	frame []byte // the group's whole frameBatch, header included
+	// cum is the log's cumulative effect byte count through this group;
 	// the difference of two groups' cum values is the stream bytes
 	// between them, which is what per-replica lag-bytes accounting needs
 	// without walking the log.
@@ -38,25 +39,23 @@ func newShardLog(max int) *shardLog {
 // head reports the latest appended sequence (0 when nothing ever was).
 func (l *shardLog) head() uint64 { return l.nextSeq - 1 }
 
-// append adds one group's effects (which must not be mutated afterwards)
-// and returns its sequence.
-func (l *shardLog) append(effects []Effect) uint64 {
+// first reports the oldest retained sequence (head()+1 while nothing is
+// retained, so every probe of an empty log falls past its head).
+func (l *shardLog) first() uint64 { return l.nextSeq - uint64(len(l.slots)) }
+
+func (l *shardLog) slot(seq uint64) *logSlot { return &l.slots[(seq-1)%uint64(l.max)] }
+
+// append adds one group's encoded batch frame (which must not be mutated
+// afterwards) and returns its sequence, which the frame must carry.
+func (l *shardLog) append(frame []byte) uint64 {
 	seq := l.nextSeq
 	l.nextSeq++
-	l.cumBytes += uint64(17 * len(effects)) // 1 kind + 8 key + 8 value
-	if len(l.groups) == 0 {
-		l.firstSeq = seq
-	}
-	l.groups = append(l.groups, logGroup{seq: seq, effects: effects, cum: l.cumBytes})
-	if len(l.groups) > l.max {
-		// Trim from the front; shift rather than reslice so the backing
-		// array does not grow without bound.
-		n := copy(l.groups, l.groups[len(l.groups)-l.max:])
-		for i := n; i < len(l.groups); i++ {
-			l.groups[i] = logGroup{}
-		}
-		l.groups = l.groups[:n]
-		l.firstSeq = l.groups[0].seq
+	l.cumBytes += effectBytes(frame)
+	s := logSlot{frame: frame, cum: l.cumBytes}
+	if len(l.slots) < l.max {
+		l.slots = append(l.slots, s) // lands at index seq-1
+	} else {
+		*l.slot(seq) = s
 	}
 	return seq
 }
@@ -68,22 +67,19 @@ func (l *shardLog) canTail(from uint64) bool {
 	if from >= l.head() {
 		return true // nothing to serve: trivially tailable
 	}
-	return len(l.groups) > 0 && l.firstSeq <= from+1
+	return l.first() <= from+1
 }
 
-// from appends to dst every retained group with seq > from, in order.
-func (l *shardLog) from(from uint64, dst []logGroup) []logGroup {
-	if len(l.groups) == 0 || l.head() <= from {
-		return dst
+// from appends to dst the frame of every retained group with seq > from,
+// in order.
+func (l *shardLog) from(from uint64, dst [][]byte) [][]byte {
+	for seq := max(from+1, l.first()); seq <= l.head(); seq++ {
+		dst = append(dst, l.slot(seq).frame)
 	}
-	start := 0
-	if from+1 > l.firstSeq {
-		start = int(from + 1 - l.firstSeq)
-	}
-	return append(dst, l.groups[start:]...)
+	return dst
 }
 
-// bytesBetween reports the encoded stream bytes between positions a and b
+// bytesBetween reports the effect bytes between positions a and b
 // (a ≤ b), using the cumulative counters; positions older than the
 // retained window count from the window's start.
 func (l *shardLog) bytesBetween(a, b uint64) uint64 {
@@ -93,14 +89,12 @@ func (l *shardLog) bytesBetween(a, b uint64) uint64 {
 // cumAt reports the cumulative byte counter at position seq (clamped to
 // the retained window).
 func (l *shardLog) cumAt(seq uint64) uint64 {
-	if len(l.groups) == 0 || seq < l.firstSeq {
-		if len(l.groups) == 0 {
-			return l.cumBytes
-		}
-		return l.groups[0].cum - uint64(17*len(l.groups[0].effects))
-	}
 	if seq >= l.head() {
 		return l.cumBytes
 	}
-	return l.groups[seq-l.firstSeq].cum
+	if first := l.first(); seq < first {
+		s := l.slot(first)
+		return s.cum - effectBytes(s.frame)
+	}
+	return l.slot(seq).cum
 }

@@ -51,6 +51,9 @@ type Primary struct {
 	feeds  map[*feeder]struct{}
 	gates  [][]*gate // per shard, FIFO in sequence order
 	closed bool
+	// effects is CommittedGroup's scratch: a group's effects live here
+	// only until they are encoded into the frame the log keeps.
+	effects []Effect
 
 	// gateWake kicks the timeout monitor when the first gate registers.
 	gateWake chan struct{}
@@ -185,10 +188,14 @@ func (p *Primary) CommittedGroup(ops []store.Op, res []store.OpResult, idxs []in
 		p.mu.Unlock()
 		return false
 	}
-	// Extracted under the mutex: the log must append in commit order, and
-	// the slice is retained by the log, so it is a fresh allocation.
-	effects := effectsOf(nil, ops, res, idxs)
-	seq := p.logs[shardOf].append(effects)
+	// Encoded under the mutex: the log must append in commit order, and
+	// the frame is retained by the log, so it is the group's one fresh
+	// allocation.
+	p.effects = effectsOf(p.effects[:0], ops, res, idxs)
+	nEffects := len(p.effects)
+	l := p.logs[shardOf]
+	seq := l.head() + 1
+	l.append(appendBatchFrame(make([]byte, 0, batchHeader+17*nEffects), shardOf, seq, p.effects))
 	for f := range p.feeds {
 		select {
 		case f.wake <- struct{}{}:
@@ -200,7 +207,7 @@ func (p *Primary) CommittedGroup(ops []store.Op, res []store.OpResult, idxs []in
 		p.mu.Unlock()
 		return false
 	}
-	if len(effects) == 0 {
+	if nEffects == 0 {
 		// Nothing changed state (failed inserts, absent deletes): there
 		// is nothing for a replica to confirm, so the group counts as
 		// trivially replicated and the pool acks it now.
@@ -531,11 +538,11 @@ func (p *Primary) sendSnapshot(bw *bufio.Writer, sess store.Session, f *feeder) 
 	return nil
 }
 
-// streamTo is a feeder's writer loop: encode and send every log group
-// past the feeder's positions, then sleep on the wake channel (with a
-// keepalive ping on idle).
+// streamTo is a feeder's writer loop: send every log group past the
+// feeder's positions, then sleep on the wake channel (with a keepalive
+// ping on idle).
 func (p *Primary) streamTo(bw *bufio.Writer, f *feeder) error {
-	var pending []logGroup
+	var pending [][]byte
 	var buf []byte
 	ping := time.NewTicker(p.cfg.PingEvery)
 	defer ping.Stop()
@@ -552,23 +559,14 @@ func (p *Primary) streamTo(bw *bufio.Writer, f *feeder) error {
 			}
 			pending = p.logs[sh].from(f.next[sh]-1, pending[:0])
 			p.mu.Unlock()
-			for _, g := range pending {
-				body := make([]byte, 0, 16+17*len(g.effects))
-				body = putU32(body, uint32(sh))
-				body = putU64(body, g.seq)
-				body = putU32(body, uint32(len(g.effects)))
-				for _, e := range g.effects {
-					body = append(body, e.Kind)
-					body = putU64(body, e.Key)
-					body = putU64(body, e.Value)
-				}
-				buf = writeFrame(buf[:0], frameBatch, body)
-				if _, err := bw.Write(buf); err != nil {
+			for _, frame := range pending {
+				if _, err := bw.Write(frame); err != nil {
 					return err
 				}
-				f.next[sh] = g.seq + 1
+				f.next[sh]++
 				sent = true
 			}
+			clear(pending) // do not pin frames the ring has dropped
 		}
 		if err := bw.Flush(); err != nil {
 			return err

@@ -5,11 +5,16 @@
 // (reply ⇒ durable); this package taps that exact point through
 // batcher.GroupSink: when a group's fence is down, the primary appends
 // the group's committed effects to a per-shard replication log and
-// streams them to attached replicas. Replicas apply each batch through
-// the store's ordinary session surface — the same hooked ApplyCommitted
-// path every other writer uses, so the persistence discipline nvlint
-// checks is never bypassed — and acknowledge the group's (shard, seq)
-// back to the primary.
+// streams them to attached replicas. Each group is encoded into its wire
+// frame once, at the commit point; the log is a fixed ring of those
+// frames, so a commit costs the same whatever the retention window, and
+// every feeder writes the same immutable bytes. Replicas apply each batch
+// through the store's ordinary session surface — the same hooked
+// ApplyCommitted path every other writer uses, so the persistence
+// discipline nvlint checks is never bypassed — and acknowledge back to the
+// primary cumulatively: one (shard, seq) ack per shard touched, sent once
+// per read burst, when the replica has applied every frame it holds and
+// its next read could block.
 //
 // # Stream unit and watermark
 //
@@ -153,6 +158,30 @@ func effectsOf(dst []Effect, ops []store.Op, res []store.OpResult, idxs []int) [
 	}
 	return dst
 }
+
+// batchHeader is a frameBatch's size without its effects: the u32 length,
+// the opcode, u32 shard, u64 seq and u32 count. Each effect adds 17 bytes.
+const batchHeader = 5 + 16
+
+// appendBatchFrame appends the whole frameBatch of one committed fence
+// group to dst.
+func appendBatchFrame(dst []byte, sh int, seq uint64, effects []Effect) []byte {
+	dst = putU32(dst, uint32(batchHeader-4+17*len(effects)))
+	dst = append(dst, frameBatch)
+	dst = putU32(dst, uint32(sh))
+	dst = putU64(dst, seq)
+	dst = putU32(dst, uint32(len(effects)))
+	for _, e := range effects {
+		dst = append(dst, e.Kind)
+		dst = putU64(dst, e.Key)
+		dst = putU64(dst, e.Value)
+	}
+	return dst
+}
+
+// effectBytes is the effect payload size of an encoded batch frame: the
+// unit of the primary's lag-bytes accounting.
+func effectBytes(frame []byte) uint64 { return uint64(len(frame) - batchHeader) }
 
 // isWriteOp reports whether a batch operation needs a replication
 // acknowledgement before a WAIT-mode reply (mirrors the batcher's

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/kv"
 	"repro/internal/shard"
 	"repro/internal/store"
 )
@@ -169,8 +170,7 @@ func (r *Replica) run() {
 	}
 }
 
-// attachOnce runs one connection lifetime: handshake, optional snapshot,
-// stream application.
+// attachOnce runs one connection lifetime: dial, then sync over the link.
 func (r *Replica) attachOnce() error {
 	network, address := splitAddr(r.cfg.Primary)
 	c, err := net.DialTimeout(network, address, r.cfg.DialTimeout)
@@ -184,10 +184,18 @@ func (r *Replica) attachOnce() error {
 		return ErrClosed
 	}
 	r.conn = c
+	r.mu.Unlock()
+	defer c.Close()
+	return r.syncOn(c)
+}
+
+// syncOn runs the replica side of one link: handshake, optional wipe for
+// a full resync, then stream application.
+func (r *Replica) syncOn(c net.Conn) error {
+	r.mu.Lock()
 	runID := r.runID
 	acked := append([]uint64(nil), r.acked...)
 	r.mu.Unlock()
-	defer c.Close()
 
 	bw := bufio.NewWriterSize(c, 32<<10)
 	br := bufio.NewReaderSize(c, 64<<10)
@@ -205,8 +213,7 @@ func (r *Replica) attachOnce() error {
 		return err
 	}
 
-	var buf []byte
-	op, payload, buf, err := readFrame(br, buf)
+	op, payload, _, err := readFrame(br, nil)
 	if err != nil {
 		return err
 	}
@@ -228,16 +235,55 @@ func (r *Replica) attachOnce() error {
 		r.acked = make([]uint64, shards)
 		r.groups, r.opsCount = 0, 0
 		r.mu.Unlock()
+	} else if len(acked) != shards {
+		return errors.New("repl: primary tails a position of another shard count")
 	}
 	r.mu.Lock()
 	r.linkUp = true
 	r.lastErr = nil
 	r.mu.Unlock()
+	return r.applyStream(br, bw, shards)
+}
 
-	var ops []store.Op
-	var res []store.OpResult
+// applyStream applies the primary's frames after HELLO until the link
+// fails, and always returns the error that ended it (io.EOF on a clean end
+// of stream). r.acked must hold one position per shard.
+//
+// Acks are cumulative and sent once per read burst: every frame already
+// whole in br is applied first, and only when the next read could block
+// does the loop publish the new positions, write one ack per shard it
+// touched and flush. That holds whatever frame kind ends the burst, so a
+// WAIT gate on the primary never waits on a replica that is itself
+// waiting. A malformed frame ends the stream before anything it carries
+// is applied or acknowledged.
+func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, shards int) error {
+	r.mu.Lock()
+	pos := append([]uint64(nil), r.acked...)
+	r.mu.Unlock()
+	var (
+		buf     []byte
+		ops     []store.Op
+		res     []store.OpResult
+		dirty   = make([]bool, shards) // shards to ack at the burst's end
+		due     bool                   // some shard is dirty
+		groups  uint64                 // applied this burst
+		nops    uint64                 // effects applied this burst
+		unsaved uint64                 // groups applied since the watermark was saved
+		persist bool
+	)
 	for {
-		op, payload, buf, err = readFrame(br, buf)
+		if due && !frameBuffered(br) {
+			if err := r.ackBurst(bw, pos, dirty, groups, nops); err != nil {
+				return err
+			}
+			due, groups, nops = false, 0, 0
+			if persist || unsaved >= 64 {
+				r.saveWatermark()
+				persist, unsaved = false, 0
+			}
+		}
+		op, payload, nbuf, err := readFrame(br, buf)
+		buf = nbuf
 		if err != nil {
 			return err
 		}
@@ -252,11 +298,11 @@ func (r *Replica) attachOnce() error {
 			}
 			ops = ops[:0]
 			for i := 0; i < n; i++ {
-				ops = append(ops, store.Op{
-					Kind:  shard.OpPut,
-					Key:   binary.LittleEndian.Uint64(payload[4+16*i:]),
-					Value: binary.LittleEndian.Uint64(payload[12+16*i:]),
-				})
+				k := binary.LittleEndian.Uint64(payload[4+16*i:])
+				if k < kv.MinKey || k > kv.MaxKey {
+					return errors.New("repl: snapshot key out of range")
+				}
+				ops = append(ops, store.Op{Kind: shard.OpPut, Key: k, Value: binary.LittleEndian.Uint64(payload[12+16*i:])})
 			}
 			if err := r.apply(ops, &res); err != nil {
 				return err
@@ -269,22 +315,13 @@ func (r *Replica) attachOnce() error {
 			if n != shards || len(payload) != 4+8*n {
 				return errors.New("repl: malformed snapshot cut")
 			}
-			r.mu.Lock()
-			for i := 0; i < n; i++ {
-				r.acked[i] = binary.LittleEndian.Uint64(payload[4+8*i:])
-			}
-			r.mu.Unlock()
-			r.saveWatermark()
 			// Confirm the bootstrap position so the primary's lag and
 			// quorum accounting see this replica as caught up to the cut.
-			for sh := 0; sh < shards; sh++ {
-				if err := r.sendAck(bw, sh); err != nil {
-					return err
-				}
+			for sh := 0; sh < n; sh++ {
+				pos[sh] = binary.LittleEndian.Uint64(payload[4+8*sh:])
+				dirty[sh] = true
 			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
+			due, persist = true, true
 		case frameBatch:
 			if len(payload) < 16 {
 				return errors.New("repl: malformed batch frame")
@@ -298,40 +335,69 @@ func (r *Replica) attachOnce() error {
 			ops = ops[:0]
 			for i := 0; i < n; i++ {
 				e := payload[16+17*i:]
-				k := store.Op{Key: binary.LittleEndian.Uint64(e[1:]), Value: binary.LittleEndian.Uint64(e[9:])}
-				if e[0] == effectDel {
+				k := store.Op{Kind: shard.OpPut, Key: binary.LittleEndian.Uint64(e[1:]), Value: binary.LittleEndian.Uint64(e[9:])}
+				switch {
+				case e[0] > effectDel || k.Key < kv.MinKey || k.Key > kv.MaxKey:
+					return errors.New("repl: malformed batch effect")
+				case e[0] == effectDel:
 					k.Kind = shard.OpDelete
-				} else {
-					k.Kind = shard.OpPut
 				}
 				ops = append(ops, k)
 			}
 			if err := r.apply(ops, &res); err != nil {
 				return err
 			}
-			r.mu.Lock()
-			if seq > r.acked[sh] {
-				r.acked[sh] = seq
-			}
-			r.groups++
-			r.opsCount += uint64(n)
-			persistDue := r.groups%64 == 0
-			r.mu.Unlock()
-			if err := r.sendAck(bw, sh); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			if persistDue {
-				r.saveWatermark()
-			}
+			pos[sh] = max(pos[sh], seq)
+			dirty[sh], due = true, true
+			groups++
+			nops += uint64(n)
+			unsaved++
 		case framePing:
 			// Keepalive only.
 		default:
 			return fmt.Errorf("repl: unexpected frame %d from primary", op)
 		}
 	}
+}
+
+// frameBuffered reports whether br already holds the whole next frame, so
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 5 {
+		return false
+	}
+	h, _ := br.Peek(4)
+	return n >= 4+int(binary.LittleEndian.Uint32(h))
+}
+
+// ackBurst publishes a burst's positions and counters under one lock,
+// then writes one cumulative ack per dirty shard, clears dirty and flushes.
+func (r *Replica) ackBurst(bw *bufio.Writer, pos []uint64, dirty []bool, groups, nops uint64) error {
+	r.mu.Lock()
+	for sh, d := range dirty {
+		if d {
+			r.acked[sh] = pos[sh]
+		}
+	}
+	r.groups += groups
+	r.opsCount += nops
+	r.mu.Unlock()
+	frame := [17]byte{0: 13, 4: frameAck}
+	for sh, d := range dirty {
+		if !d {
+			continue
+		}
+		dirty[sh] = false
+		binary.LittleEndian.PutUint32(frame[5:], uint32(sh))
+		binary.LittleEndian.PutUint64(frame[9:], pos[sh])
+		// Copied into bw's own buffer: handing frame[:] to Write would
+		// move the array to the heap.
+		if _, err := bw.Write(append(bw.AvailableBuffer(), frame[:]...)); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
 
 // apply runs one batch through the replica store's ordinary session
@@ -347,19 +413,6 @@ func (r *Replica) apply(ops []store.Op, res *[]store.OpResult) error {
 		return fmt.Errorf("repl: replica store degraded: %w", err)
 	}
 	return nil
-}
-
-// sendAck queues a cumulative ack for shard's current position.
-func (r *Replica) sendAck(bw *bufio.Writer, sh int) error {
-	r.mu.Lock()
-	seq := r.acked[sh]
-	r.mu.Unlock()
-	var body [12]byte
-	binary.LittleEndian.PutUint32(body[:4], uint32(sh))
-	binary.LittleEndian.PutUint64(body[4:], seq)
-	frame := writeFrame(nil, frameAck, body[:])
-	_, err := bw.Write(frame)
-	return err
 }
 
 // wipe deletes everything the store currently holds (full-resync
