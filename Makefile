@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race fmt vet staticcheck nvlint lint apicheck server-smoke benchmark-smoke crash-smoke repl-smoke fault-smoke bench-smoke bench-ci bench-gate bench-json ci
+.PHONY: build test short race fmt vet staticcheck nvlint lint apicheck benchmark-smoke crash-smoke repl-smoke fault-smoke bench-smoke bench-ci bench-gate bench-json ci
 
 build:
 	$(GO) build ./...
@@ -55,16 +55,6 @@ lint: fmt vet staticcheck nvlint
 apicheck:
 	$(GO) test -run TestV1FacadeSymbols .
 
-# Serve-and-load smoke over a Unix socket: the whole wire stack (listener,
-# protocol sniffing, pipelining, shard-affine group commit) runs a few
-# thousand ops and must finish with zero errors and a clean shutdown. One
-# round per protocol (text, binary) plus an open-loop rate-paced round.
-server-smoke:
-	$(GO) run ./cmd/nvserver -selftest -conns 4 -pipeline 8 -ops 5000 -range 4096 -shards 4
-	$(GO) run ./cmd/nvserver -selftest -bin -conns 4 -pipeline 8 -ops 5000 -range 4096 -shards 4
-	$(GO) run ./cmd/nvserver -selftest -bin -rate 20000 -poisson -dur 250ms -conns 2 -range 4096 -shards 4
-	$(GO) run ./cmd/nvserver -selftest -kind skiplist -shards 2 -workload E -prefill -conns 2 -pipeline 4 -ops 2000 -range 2048
-
 # The repository benchmark is a module of its own (benchmark/go.mod,
 # replaced onto this checkout), so `go build ./...` and `go test ./...` at
 # the root never compile it. This target does (~10 s): vet, then its tests,
@@ -74,34 +64,29 @@ server-smoke:
 benchmark-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# SIGKILL-restart recovery smoke: spawn a file-backed nvserver child, kill
-# -9 it mid-load, restart it on the same data directory, and fail unless
-# the durable-linearizability checker passes with every acknowledged write
-# present. A second round SIGTERMs the restarted server (checkpoint path)
-# and re-verifies. The third invocation sets a checkpoint threshold and
-# enough traffic that the child must checkpoint on its own before the kill:
-# the orchestrator fails unless the restart loaded automatic-checkpoint
-# bytes AND replayed only a threshold-bounded WAL tail. CRASH_SMOKE_DATA
-# pins the data dir (CI points it at a workspace path so the WAL/checkpoint
-# files can be uploaded on failure).
-CRASH_SMOKE_DATA ?=
+# SIGKILL-restart recovery smoke (TestCrashSmokeSIGKILL): spawn a
+# file-backed nvserver child, kill -9 it mid-load, restart it on the same
+# data directory, and fail unless the durable-linearizability checker
+# passes with every acknowledged write present. A second round SIGTERMs the
+# restarted server (checkpoint path) and re-verifies. One round sets a
+# checkpoint threshold and enough traffic that the child must checkpoint on
+# its own before the kill: it fails unless the restart loaded
+# automatic-checkpoint bytes AND replayed only a threshold-bounded WAL
+# tail. Each round's data dir is an nvsmoke* directory under $TMPDIR, kept
+# and printed on failure (CI uploads it).
 crash-smoke:
-	$(GO) run ./cmd/nvserver -crashsmoke $(if $(CRASH_SMOKE_DATA),-data $(CRASH_SMOKE_DATA)) \
-		-shards 4 -conns 4 -smoke-acks 4000
-	$(GO) run ./cmd/nvserver -crashsmoke -kind skiplist -shards 2 -conns 2 -smoke-acks 2000
-	$(GO) run ./cmd/nvserver -crashsmoke -shards 4 -conns 4 -smoke-acks 12000 -ckpt-bytes 16384
+	$(GO) test -count=1 -run 'TestCrashSmokeSIGKILL' ./cmd/nvserver/
 
-# Replication failover smoke: a durable primary with -wait 2 and two
-# -replica-of children on Unix sockets, pipelined WAIT load, SIGKILL the
-# primary mid-stream, PROMOTE one replica over the wire, and fail unless
-# the durable-linearizability checker finds every quorum-acknowledged
-# write on the promoted replica (the second replica must keep serving
-# stale reads and refusing writes). REPL_SMOKE_DATA pins the primary's
-# data dir for CI artifact upload on failure.
-REPL_SMOKE_DATA ?=
+# Replication failover smoke (TestReplSmokeFailover): a durable primary
+# with -wait 2 and two -replica-of children on Unix sockets, pipelined WAIT
+# load, SIGKILL the primary mid-stream, PROMOTE one replica over the wire,
+# and fail unless the durable-linearizability checker finds every
+# quorum-acknowledged write on the promoted replica (the second replica
+# must keep serving stale reads and refusing writes). The primary's data
+# dir is an nvrepl-data* directory under $TMPDIR, kept and printed on
+# failure.
 repl-smoke:
-	$(GO) run ./cmd/nvserver -replsmoke $(if $(REPL_SMOKE_DATA),-data $(REPL_SMOKE_DATA)) \
-		-shards 4 -smoke-acks 2000
+	$(GO) test -count=1 -run 'TestReplSmokeFailover' ./cmd/nvserver/
 
 # The deterministic disk-fault matrix: every errfs schedule the fault
 # tests script — fsync EIO, ENOSPC, short writes, checkpoint faults at
@@ -123,8 +108,7 @@ fault-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReplicaStream -fuzztime 10s -fuzzminimizetime 2s ./internal/repl/
 
 # Exercise both CLIs end to end with tiny workloads so they cannot rot.
-# server-smoke rides along so the serving layer cannot rot locally either.
-bench-smoke: server-smoke
+bench-smoke:
 	$(GO) run ./cmd/nvbench -list
 	NVBENCH_DUR=5ms $(GO) run ./cmd/nvbench -panel sA -threads 2 -scale 256
 	NVBENCH_DUR=5ms $(GO) run ./cmd/nvbench -ycsb A -shards 4 -threads 2 -range 512 -profile zero
@@ -145,10 +129,10 @@ bench-ci:
 	NVBENCH_DUR=5ms $(GO) test -run=NONE -bench=. -benchtime=1x ./internal/bench/...
 	NVBENCH_DUR=5ms $(GO) run ./cmd/nvbench -panel yE -threads 2 -scale 256
 
-# Regression gate: capture the baseline suite (with latency percentiles,
-# the server rows and the recovery-replay row) and compare against the
-# committed BENCH_8.json, failing on a >35% throughput drop on any
-# zero-profile panel. CI uploads the capture as the next BENCH_N artifact.
+# Regression gate: capture the baseline suite (with latency percentiles
+# and the recovery-replay row) and compare against the committed
+# BENCH_8.json, failing on a >35% throughput drop on any zero-profile
+# panel (its srv-* server rows match nothing and gate nothing). CI uploads the capture as the next BENCH_N artifact.
 BENCH_GATE_OUT ?= BENCH_9-capture.json
 BENCH_GATE_DUR ?= 1s
 bench-gate:
@@ -157,10 +141,8 @@ bench-gate:
 	$(GO) run ./cmd/nvbench -verifyjson $(BENCH_GATE_OUT)
 
 # Run the JSON baseline suite (fast-mode panels, the tracked-mode torture
-# throughput proxy, the server rows — text, file-backed, binary, the
-# replica read-scaling rows srv-repl-r1/r2/r4 and the WAIT-1 write row,
-# with open-loop percentiles — and the recovery-replay row) and write
-# BENCH_9.json. Compare against a prior capture with:
+# throughput proxy and the recovery-replay row) and write BENCH_9.json.
+# The server is priced by the repository benchmark (benchmark/run.sh). Compare against a prior capture with:
 # make bench-json BENCH_CMP=path/to/old.json. The committed BENCH_9.json
 # was produced at PR 10 with -dur 1s.
 BENCH_JSON ?= BENCH_9.json

@@ -94,15 +94,6 @@ var (
 	_ []store.ReplStats = nil
 )
 
-// The deprecated v2 Dial variants must keep compiling with their original
-// signatures (and plain Dial("addr") calls still compile against the new
-// variadic form): old callers get the new client without a source change.
-var (
-	_ func(string) (*server.Client, error)                = server.DialBin
-	_ func(string, time.Duration) (*server.Client, error) = server.DialTimeout
-	_ func(string, time.Duration) (*server.Client, error) = server.DialBinTimeout
-)
-
 // TestV1FacadeSymbols exists so `go test -run TestV1Facade` has a named
 // anchor; the real checking is the compile of this file.
 func TestV1FacadeSymbols(t *testing.T) {

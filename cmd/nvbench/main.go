@@ -36,7 +36,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/pmem"
-	"repro/internal/server"
 )
 
 func main() {
@@ -62,7 +61,6 @@ func run(args []string, out io.Writer) error {
 		jsonLabel  = fs.String("label", "", "label recorded in the -json document")
 		jsonVerify = fs.String("verifyjson", "", "parse a BenchDoc JSON and assert every row has nonzero ops/s")
 		tolerance  = fs.Float64("tolerance", 0, "with -cmp: fail when a zero-profile panel regressed beyond this fraction (0.35 = fail below 0.65x; 0 disables the gate)")
-		noServer   = fs.Bool("noserver", false, "with -json: skip the server (wire protocol) baseline row")
 
 		flushes = fs.Bool("flushstats", false, "run the flush-accounting ablation (panels fA/fB/fC) and summarize flushes/op")
 		ycsb    = fs.String("ycsb", "", "run one YCSB workload (A, B, C, D, E, F, U) instead of a panel")
@@ -105,41 +103,6 @@ func run(args []string, out io.Writer) error {
 		rows, err := bench.RunBaseline(*dur, func(line string) { fmt.Fprintln(out, line) })
 		if err != nil {
 			return err
-		}
-		if !*noServer {
-			// The wire-protocol rows: serve-and-load over a Unix socket, so
-			// the capture carries network-path throughput and latency
-			// percentiles next to the in-process panels. The -file variant
-			// runs the same workload on the durable file backend (the delta
-			// is the serving-path cost of real durability); the -bin variant
-			// drives the binary frame protocol (the delta is what text
-			// parsing costs). Throughput comes from a closed-loop capacity
-			// pass, the percentiles from an open-loop pass at 70% of it.
-			for _, sb := range []struct {
-				panel string
-				run   func(time.Duration) (bench.Result, error)
-			}{
-				{"srv-unix4", server.Bench},
-				{"srv-unix4-file", server.BenchFile},
-				{"srv-unix4-bin", server.BenchBin},
-				// Read scaling over replicas: one primary, N caught-up
-				// replicas, the same per-replica offered read rate — the
-				// rows' throughput must grow with N. srv-wait1 prices the
-				// WAIT-1 replication round trip into the write path.
-				{"srv-repl-r1", server.BenchRepl(1)},
-				{"srv-repl-r2", server.BenchRepl(2)},
-				{"srv-repl-r4", server.BenchRepl(4)},
-				{"srv-wait1", server.BenchWait1},
-			} {
-				res, err := sb.run(*dur)
-				if err != nil {
-					return fmt.Errorf("server baseline row %s: %w", sb.panel, err)
-				}
-				row := bench.RowFromResult(sb.panel, res)
-				rows = append(rows, row)
-				fmt.Fprintf(out, "%-12s %10.0f ops/s  flush/op %.2f  elide/op %.2f  fence/op %.2f  open-loop @%.0f/s p50 %.1fµs  p99 %.1fµs\n",
-					row.Panel, row.OpsPerSec, row.FlushPerOp, row.ElidePerOp, row.FencePerOp, row.OfferedOpsPerSec, row.P50us, row.P99us)
-			}
 		}
 		doc := bench.NewBenchDoc(*jsonLabel, rows)
 		if *jsonCmp != "" {

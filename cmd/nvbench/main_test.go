@@ -84,11 +84,11 @@ func TestToleranceGate(t *testing.T) {
 	dir := t.TempDir()
 	base := dir + "/base.json"
 	var sb strings.Builder
-	if err := run([]string{"-json", base, "-noserver"}, &sb); err != nil {
+	if err := run([]string{"-json", base}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	sb.Reset()
-	if err := run([]string{"-json", dir + "/same.json", "-noserver", "-cmp", base,
+	if err := run([]string{"-json", dir + "/same.json", "-cmp", base,
 		"-tolerance", "0.99"}, &sb); err != nil {
 		t.Fatalf("self-comparison failed a 99%% tolerance gate: %v\n%s", err, sb.String())
 	}
@@ -112,7 +112,7 @@ func TestToleranceGate(t *testing.T) {
 	}
 	sb.Reset()
 	capture := dir + "/gated.json"
-	if err := run([]string{"-json", capture, "-noserver", "-cmp", inflated,
+	if err := run([]string{"-json", capture, "-cmp", inflated,
 		"-tolerance", "0.35"}, &sb); err == nil {
 		t.Fatalf("1000x regression passed the gate:\n%s", sb.String())
 	}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/persist"
 	"repro/internal/pmem"
 	"repro/internal/queue"
-	"repro/internal/shard"
 	"repro/internal/stack"
 )
 
@@ -118,7 +117,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		if *shards > 0 {
-			return shard.Torture(shard.TortureOptions{
+			return crashtest.RunEngine(crashtest.EngineOptions{
 				Shards:         *shards,
 				Kind:           k,
 				Policy:         pol,

@@ -4,55 +4,21 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
-// TestSelfTest runs the full serve+load self-test in-process.
-func TestSelfTest(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-selftest", "-conns", "2", "-pipeline", "4",
-		"-ops", "2000", "-range", "1024", "-shards", "4"}, &sb)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "selftest: ok") {
-		t.Fatalf("unexpected output:\n%s", sb.String())
-	}
-}
-
-// TestSelfTestJSON writes the load result as a BenchDoc.
-func TestSelfTestJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "load.json")
-	var sb strings.Builder
-	err := run([]string{"-selftest", "-conns", "2", "-pipeline", "4",
-		"-ops", "1000", "-range", "512", "-json", path, "-label", "test"}, &sb)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, sb.String())
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"srv-load"`, `"p99_us"`, `"label": "test"`} {
-		if !strings.Contains(string(buf), want) {
-			t.Fatalf("doc missing %s:\n%s", want, buf)
-		}
-	}
-}
-
-// TestServeAndLoad exercises the two-process shape in one process: serve
-// mode with a time limit, load mode against it.
+// TestServeAndLoad runs serve mode with a -serve-for limit in-process,
+// round-trips a PUT and a GET through a client, and checks the server
+// stops on its own and shuts down cleanly.
 func TestServeAndLoad(t *testing.T) {
 	addr := "unix:" + filepath.Join(t.TempDir(), "nv.sock")
 	var serveOut strings.Builder
-	var wg sync.WaitGroup
-	wg.Add(1)
 	serveErr := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		serveErr <- run([]string{"-listen", addr, "-serve-for", "2s",
+		serveErr <- run([]string{"-listen", addr, "-serve-for", "1s",
 			"-kind", "skiplist", "-shards", "2", "-size", "2048"}, &serveOut)
 	}()
 	// Wait for the socket to appear.
@@ -63,48 +29,59 @@ func TestServeAndLoad(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server socket never appeared\n%s", serveOut.String())
+			t.Fatal("server socket never appeared")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var loadOut strings.Builder
-	if err := run([]string{"-load", "-connect", addr, "-conns", "2",
-		"-pipeline", "4", "-ops", "1500", "-workload", "E", "-range", "1024",
-		"-prefill"}, &loadOut); err != nil {
-		t.Fatalf("load: %v\n%s", err, loadOut.String())
+	cl, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(loadOut.String(), "0 errors") {
-		t.Fatalf("load output:\n%s", loadOut.String())
+	if err := cl.Put(42, 4242); err != nil {
+		t.Fatalf("put: %v", err)
 	}
-	wg.Wait()
+	if v, ok, err := cl.Get(42); err != nil || !ok || v != 4242 {
+		t.Fatalf("get: %d %v %v", v, ok, err)
+	}
+	cl.Close()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
-	if !strings.Contains(serveOut.String(), "shut down cleanly") {
+	if !strings.HasSuffix(serveOut.String(), "shut down cleanly\n") {
 		t.Fatalf("serve output:\n%s", serveOut.String())
 	}
 }
 
-// TestBadFlags pins flag validation.
+// mustRefuse runs nvserver with args in serve mode and fails the test
+// unless it returns an error before it starts serving.
+func mustRefuse(t *testing.T, args ...string) error {
+	t.Helper()
+	sock := "unix:" + filepath.Join(t.TempDir(), "nv.sock")
+	var out strings.Builder
+	err := run(append([]string{"-listen", sock, "-serve-for", "1ms"}, args...), &out)
+	if err == nil {
+		t.Fatalf("args %v accepted", args)
+	}
+	if strings.Contains(out.String(), "serving") {
+		t.Fatalf("args %v refused only after the server listened:\n%s", args, out.String())
+	}
+	return err
+}
+
+// TestBadFlags pins flag validation: bad store settings fail before the
+// server listens, and the modes nvserver no longer has are unknown flags,
+// not ignored ones.
 func TestBadFlags(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-selftest", "-policy", "bogus"}, &sb); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if err := run([]string{"-selftest", "-policy", "none", "-ops", "10"}, &sb); err == nil {
-		t.Fatal("non-durable policy accepted for serving")
-	}
-	if err := run([]string{"-selftest", "-profile", "bogus"}, &sb); err == nil {
-		t.Fatal("unknown profile accepted")
-	}
-	if err := run([]string{"-selftest", "-load"}, &sb); err == nil {
-		t.Fatal("-selftest -load accepted")
-	}
-	if err := run([]string{"-selftest", "-kind", "bogus", "-ops", "10"}, &sb); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	// Group commit has no clock: the flag that set one is gone, not ignored.
-	if err := run([]string{"-selftest", "-maxdelay", "1ms", "-ops", "10"}, &sb); err == nil {
-		t.Fatal("-maxdelay accepted")
+	mustRefuse(t, "-policy", "bogus")
+	mustRefuse(t, "-policy", "none") // not durable: the server acks writes as durable
+	mustRefuse(t, "-profile", "bogus")
+	mustRefuse(t, "-kind", "bogus")
+	mustRefuse(t, "-sync")
+	mustRefuse(t, "-ckpt-bytes", "4096")
+	for _, gone := range []string{"-load", "-selftest", "-crashsmoke", "-rate", "-maxdelay"} {
+		err := mustRefuse(t, gone, "1")
+		if !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: %v, want an undefined-flag error", gone, err)
+		}
 	}
 }

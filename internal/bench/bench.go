@@ -60,10 +60,6 @@ type Result struct {
 	FencePerOp float64
 	Elapsed    time.Duration
 	Lat        *Histogram
-	// Offered is the open-loop offered rate behind Lat's percentiles, when
-	// the harness ran one (server rows); 0 for in-process panels, whose
-	// histogram samples closed-loop operation latency.
-	Offered float64
 }
 
 // latSampleMask selects which operations get timed: ops with

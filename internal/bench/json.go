@@ -45,12 +45,6 @@ type JSONRow struct {
 	// such rows Ops counts replayed records and OpsPerSec is records/s.
 	ReplayRecords uint64 `json:"replay_records,omitempty"`
 	ReplayBytes   uint64 `json:"replay_bytes,omitempty"`
-	// OfferedOpsPerSec (schema 4) is set on server rows whose latency
-	// percentiles come from an open-loop run: the rate the load generator
-	// actually offered, independent of how fast the server answered. On
-	// such rows the percentiles are free of coordinated omission; the
-	// throughput fields still come from the closed-loop capacity run.
-	OfferedOpsPerSec float64 `json:"offered_ops_per_sec,omitempty"`
 }
 
 // SpeedupRow compares one panel row against the same row of a baseline doc.
@@ -91,9 +85,7 @@ func (d *BenchDoc) MachineMismatch() string {
 	return ""
 }
 
-// RowFromResult flattens a Result into a JSONRow under a panel id, so
-// external harnesses (the server load generator) land in the same document
-// schema as the in-process panels.
+// RowFromResult flattens a Result into a JSONRow under a panel id.
 func RowFromResult(panel string, r Result) JSONRow {
 	row := JSONRow{
 		Panel:      panel,
@@ -117,7 +109,6 @@ func RowFromResult(panel string, r Result) JSONRow {
 		row.P99us = float64(r.Lat.Quantile(0.99)) / 1e3
 		row.P999us = float64(r.Lat.Quantile(0.999)) / 1e3
 	}
-	row.OfferedOpsPerSec = r.Offered
 	return row
 }
 
@@ -201,10 +192,12 @@ func RunBaseline(dur time.Duration, progress func(string)) ([]JSONRow, error) {
 
 // CurrentSchema is the BenchDoc schema this harness writes. Schema 2 added
 // the latency percentile fields; schema 3 added the recovery-replay fields
-// (ReplayRecords/ReplayBytes); schema 4 added OfferedOpsPerSec and makes
-// server-row percentiles open-loop (intended-send-time) measurements —
-// percentiles on server rows are not comparable across that boundary.
-// Older documents still load and compare (throughput gating is unaffected).
+// (ReplayRecords/ReplayBytes); schema 4 added an offered-rate field to the
+// wire-protocol server rows (srv-*), which the server benchmark under
+// benchmark/ has since replaced. Documents holding those rows still load
+// (the decoder ignores the unknown field); the rows match no row of a new
+// capture, so they gate nothing. Older documents still load and compare
+// (throughput gating is unaffected).
 const CurrentSchema = 4
 
 // NewBenchDoc assembles a document from captured rows.

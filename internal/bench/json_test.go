@@ -51,8 +51,7 @@ func TestBenchDocVerifyRejects(t *testing.T) {
 	if err := (&BenchDoc{Schema: CurrentSchema + 1, Rows: []JSONRow{{Panel: "a", OpsPerSec: 1, Ops: 1}}}).Verify(); err == nil {
 		t.Fatal("unknown schema verified")
 	}
-	// Schema 1 documents (pre-percentile captures, e.g. BENCH_4.json) must
-	// keep verifying.
+	// Schema 1 documents (pre-percentile captures) must keep verifying.
 	if err := (&BenchDoc{Schema: 1, Rows: []JSONRow{{Panel: "a", OpsPerSec: 1, Ops: 1}}}).Verify(); err != nil {
 		t.Fatalf("schema-1 doc rejected: %v", err)
 	}

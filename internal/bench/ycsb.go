@@ -49,8 +49,8 @@ func Workloads() []Workload {
 	}
 }
 
-// WorkloadByName resolves "A" or "ycsb-a" (case-insensitive).
-func WorkloadByName(name string) (Workload, bool) {
+// workloadByName resolves "A" or "ycsb-a" (case-insensitive).
+func workloadByName(name string) (Workload, bool) {
 	for _, w := range Workloads() {
 		if strings.EqualFold(w.Name, name) || strings.EqualFold("ycsb-"+w.Name, name) {
 			return w, true
@@ -176,7 +176,7 @@ func RunYCSB(cfg Config) (Result, error) {
 		wl = Workload{Name: "", ReadPct: 100 - cfg.UpdatePct, UpdatePct: cfg.UpdatePct}
 	} else {
 		var ok bool
-		wl, ok = WorkloadByName(cfg.Workload)
+		wl, ok = workloadByName(cfg.Workload)
 		if !ok {
 			return Result{}, fmt.Errorf("bench: unknown YCSB workload %q", cfg.Workload)
 		}

@@ -30,10 +30,10 @@ func TestWorkloadsWellFormed(t *testing.T) {
 			t.Fatalf("workload %s missing", name)
 		}
 	}
-	if _, ok := WorkloadByName("ycsb-a"); !ok {
+	if _, ok := workloadByName("ycsb-a"); !ok {
 		t.Fatal("ycsb-a alias not resolved")
 	}
-	if _, ok := WorkloadByName("ycsb-e"); !ok {
+	if _, ok := workloadByName("ycsb-e"); !ok {
 		t.Fatal("ycsb-e alias not resolved")
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 // File-backend crash torture: the same durable-linearizability rounds the
 // tracked simulation runs, but against the WAL-backed pmem directory. The
@@ -14,6 +14,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/crashtest"
 	"repro/internal/persist"
 	"repro/internal/pmem"
@@ -26,7 +27,7 @@ func fileTortureRounds(t *testing.T) int {
 	return 3
 }
 
-func runFileTorture(t *testing.T, kind Kind, pol persist.Policy) {
+func runFileTorture(t *testing.T, kind core.Kind, pol persist.Policy) {
 	t.Helper()
 	for r := 0; r < fileTortureRounds(t); r++ {
 		res := crashtest.Run(crashtest.Options{
@@ -38,7 +39,7 @@ func runFileTorture(t *testing.T, kind Kind, pol persist.Policy) {
 			Seed:           int64(r)*7919 + int64(len(kind)),
 			Dir:            t.TempDir(),
 		}, func(mem *pmem.Memory) crashtest.Set {
-			s, err := NewSet(kind, mem, pol, Params{SizeHint: 256})
+			s, err := core.NewSet(kind, mem, pol, core.Params{SizeHint: 256})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +59,7 @@ func runFileTorture(t *testing.T, kind Kind, pol persist.Policy) {
 }
 
 func TestFileBackendCrashTorture(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range core.Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			t.Parallel()
@@ -71,7 +72,7 @@ func TestFileBackendCrashTorture(t *testing.T) {
 // defers the flush), closing that window through DurableSync instead — worth
 // its own torture pass over a structure that exercises the tagged-link path.
 func TestFileBackendCrashTortureLinkAndPersist(t *testing.T) {
-	runFileTorture(t, KindList, persist.LinkAndPersist{})
+	runFileTorture(t, core.KindList, persist.LinkAndPersist{})
 }
 
 // TestFileBackendFencePoints crashes one operation at every fence of its
@@ -92,7 +93,7 @@ func TestFileBackendFencePoints(t *testing.T) {
 		{"delete-present", 30, false},
 		{"delete-absent", 35, false},
 	}
-	for _, kind := range Kinds() {
+	for _, kind := range core.Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			t.Parallel()
@@ -100,9 +101,9 @@ func TestFileBackendFencePoints(t *testing.T) {
 				dir := t.TempDir()
 				cfg := pmem.Config{Mode: pmem.ModeTracked, Profile: pmem.ProfileZero,
 					MaxThreads: 4, Dir: dir}
-				build := func() (*pmem.Memory, Set, *pmem.Thread) {
+				build := func() (*pmem.Memory, core.Set, *pmem.Thread) {
 					mem := pmem.New(cfg)
-					s, err := NewSet(kind, mem, persist.NVTraverse{}, Params{SizeHint: 64})
+					s, err := core.NewSet(kind, mem, persist.NVTraverse{}, core.Params{SizeHint: 64})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -118,7 +119,7 @@ func TestFileBackendFencePoints(t *testing.T) {
 					cnt := cfg
 					cnt.Dir = t.TempDir()
 					mem := pmem.New(cnt)
-					s, err := NewSet(kind, mem, persist.NVTraverse{}, Params{SizeHint: 64})
+					s, err := core.NewSet(kind, mem, persist.NVTraverse{}, core.Params{SizeHint: 64})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -152,7 +153,7 @@ func TestFileBackendFencePoints(t *testing.T) {
 					// SIGKILL semantics: abandon mem, reopen from the files.
 					mem2, s2, rec := build()
 					s2.Recover(rec)
-					if v, ok := s2.(Validator); ok {
+					if v, ok := s2.(core.Validator); ok {
 						if err := v.Validate(rec); err != nil {
 							t.Fatalf("%s: fence %d/%d: invalid after file recovery: %v",
 								sc.name, k, fences, err)
@@ -175,7 +176,7 @@ func TestFileBackendFencePoints(t *testing.T) {
 	}
 }
 
-func runOp(s Set, th *pmem.Thread, key uint64, insert bool) {
+func runOp(s core.Set, th *pmem.Thread, key uint64, insert bool) {
 	if insert {
 		s.Insert(th, key, key)
 	} else {
@@ -186,7 +187,7 @@ func runOp(s Set, th *pmem.Thread, key uint64, insert bool) {
 // checkFileFenceContents verifies prefill keys survive (except possibly the
 // target), no foreign keys appear, and the target's presence is explainable
 // by the interrupted operation landing fully or not at all.
-func checkFileFenceContents(s Set, rec *pmem.Thread, prefill []uint64, target uint64, insert bool) error {
+func checkFileFenceContents(s core.Set, rec *pmem.Thread, prefill []uint64, target uint64, insert bool) error {
 	got := map[uint64]bool{}
 	for _, k := range s.Contents(rec) {
 		got[k] = true

@@ -19,9 +19,10 @@
 //
 // The harness comes in two layers. Run drives the whole round (one
 // structure on one memory). The History/Check layer underneath is exported
-// so composite systems — the sharded engine in internal/shard crashes many
-// memories at once and acknowledges batched operations together — can
-// record their own histories and reuse the identical checker.
+// so composite systems can record their own histories and reuse the
+// identical checker: RunEngine does so for the sharded engine, which
+// crashes many memories at once and acknowledges batched operations
+// together, and the wire smokes of cmd/nvserver do so over a socket.
 package crashtest
 
 import (

@@ -1,4 +1,4 @@
-package shard
+package crashtest
 
 import (
 	"fmt"
@@ -7,13 +7,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/crashtest"
 	"repro/internal/persist"
 	"repro/internal/pmem"
+	"repro/internal/shard"
 )
 
-// TortureOptions configures one engine crash round.
-type TortureOptions struct {
+// EngineOptions configures one crash round of a sharded engine.
+type EngineOptions struct {
 	Shards         int
 	Kind           core.Kind      // default hash
 	Policy         persist.Policy // default NVTraverse
@@ -32,15 +32,15 @@ type TortureOptions struct {
 	Dir string
 }
 
-// Torture runs one whole-engine crash round: concurrent sessions issue
+// RunEngine runs one whole-engine crash round: concurrent sessions issue
 // single and batched operations, the engine crashes mid-traffic (so some
 // sessions die inside an unacknowledged batch), recovery runs in parallel
-// across shards, and the crashtest checker verifies durable
+// across shards, and Check verifies durable
 // linearizability of the union state. Because the key space partitions
 // over shards, the union check is exactly the conjunction of the per-shard
-// checks; Torture additionally validates each shard structurally and
+// checks; RunEngine additionally validates each shard structurally and
 // verifies that no key surfaced on a shard it does not hash to.
-func Torture(o TortureOptions) crashtest.Result {
+func RunEngine(o EngineOptions) Result {
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
@@ -53,7 +53,7 @@ func Torture(o TortureOptions) crashtest.Result {
 	if o.Shards <= 0 {
 		o.Shards = 4
 	}
-	cfg := Config{
+	cfg := shard.Config{
 		Shards:      o.Shards,
 		Kind:        o.Kind,
 		Policy:      o.Policy,
@@ -62,12 +62,12 @@ func Torture(o TortureOptions) crashtest.Result {
 		Params:      core.Params{SizeHint: int(o.Keys)},
 		Dir:         o.Dir,
 	}
-	eng, err := New(cfg)
+	eng, err := shard.New(cfg)
 	if err != nil {
-		return crashtest.Result{Violations: []crashtest.Violation{{Detail: err.Error()}}}
+		return Result{Violations: []Violation{{Detail: err.Error()}}}
 	}
 	if _, err := eng.RecoverFiles(); err != nil {
-		return crashtest.Result{Violations: []crashtest.Violation{{Detail: err.Error()}}}
+		return Result{Violations: []Violation{{Detail: err.Error()}}}
 	}
 
 	setup := eng.NewSession()
@@ -82,17 +82,17 @@ func Torture(o TortureOptions) crashtest.Result {
 	eng.PersistAll()
 
 	var completed atomic.Uint64
-	histories := make([]*crashtest.History, o.Workers)
+	histories := make([]*History, o.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < o.Workers; w++ {
 		sess := eng.NewSession()
-		hist := &crashtest.History{}
+		hist := &History{}
 		histories[w] = hist
 		wg.Add(1)
-		go func(sess *Session, hist *crashtest.History) {
+		go func(sess *shard.Session, hist *History) {
 			defer wg.Done()
-			ops := make([]Op, 0, o.BatchSize)
-			var results []OpResult
+			ops := make([]shard.Op, 0, o.BatchSize)
+			var results []shard.OpResult
 			for !eng.ShardMemory(0).Crashed() {
 				n := 1
 				if o.BatchSize > 1 {
@@ -102,14 +102,14 @@ func Torture(o TortureOptions) crashtest.Result {
 				for j := 0; j < n; j++ {
 					k := sess.Rand()%o.Keys + 1
 					r := int(sess.Rand() % 100)
-					kind := OpGet
+					kind := shard.OpGet
 					switch {
 					case r < o.UpdateRatio/2:
-						kind = OpInsert
+						kind = shard.OpInsert
 					case r < o.UpdateRatio:
-						kind = OpDelete
+						kind = shard.OpDelete
 					}
-					ops = append(ops, Op{Kind: kind, Key: k, Value: sess.Rand() & ((1 << 32) - 1)})
+					ops = append(ops, shard.Op{Kind: kind, Key: k, Value: sess.Rand() & ((1 << 32) - 1)})
 				}
 				crashed := pmem.RunOp(func() {
 					results = sess.Apply(ops, results)
@@ -143,12 +143,12 @@ func Torture(o TortureOptions) crashtest.Result {
 		// SIGKILL semantics: abandon the crashed engine (no FinishCrash —
 		// its unflushed userspace buffers are gone) and reopen the
 		// per-shard files with a fresh engine.
-		eng2, err := New(cfg)
+		eng2, err := shard.New(cfg)
 		if err != nil {
-			return crashtest.Result{Violations: []crashtest.Violation{{Detail: err.Error()}}}
+			return Result{Violations: []Violation{{Detail: err.Error()}}}
 		}
 		if _, err := eng2.RecoverFiles(); err != nil {
-			return crashtest.Result{Violations: []crashtest.Violation{{Detail: err.Error()}}}
+			return Result{Violations: []Violation{{Detail: err.Error()}}}
 		}
 		eng = eng2
 	}
@@ -156,10 +156,10 @@ func Torture(o TortureOptions) crashtest.Result {
 	rec := eng.NewSession()
 	eng.Recover(rec)
 
-	res := crashtest.Result{Completed: completed.Load()}
-	var violations []crashtest.Violation
-	violations, res.Survivors = crashtest.Check(
-		engineView{sess: rec}, nil, histories, crashtest.CheckConfig{Prefilled: prefilled})
+	res := Result{Completed: completed.Load()}
+	var violations []Violation
+	violations, res.Survivors = Check(
+		engineView{eng: eng, sess: rec}, nil, histories, CheckConfig{Prefilled: prefilled})
 	res.Violations = violations
 	for _, h := range histories {
 		res.InFlight += h.InFlightCount()
@@ -170,7 +170,7 @@ func Torture(o TortureOptions) crashtest.Result {
 	for i := 0; i < eng.NumShards(); i++ {
 		for _, k := range eng.ShardSet(i).Contents(rec.Thread(i)) {
 			if eng.ShardFor(k) != i {
-				res.Violations = append(res.Violations, crashtest.Violation{
+				res.Violations = append(res.Violations, Violation{
 					Key:    k,
 					Detail: fmt.Sprintf("recovered on shard %d but hashes to shard %d", i, eng.ShardFor(k)),
 				})
@@ -180,29 +180,32 @@ func Torture(o TortureOptions) crashtest.Result {
 	return res
 }
 
-func opKindFor(k OpKind) crashtest.OpKind {
+func opKindFor(k shard.OpKind) OpKind {
 	switch k {
-	case OpInsert:
-		return crashtest.OpInsert
-	case OpDelete:
-		return crashtest.OpDelete
+	case shard.OpInsert:
+		return OpInsert
+	case shard.OpDelete:
+		return OpDelete
 	default:
-		return crashtest.OpFind
+		return OpFind
 	}
 }
 
-// engineView adapts a recovered engine session to the crashtest.Set
-// surface. The thread argument of each method is ignored: the session
-// carries the per-shard threads.
-type engineView struct{ sess *Session }
+// engineView adapts a recovered engine session to the Set surface. The
+// thread argument of each method is ignored: the session carries the
+// per-shard threads.
+type engineView struct {
+	eng  *shard.Engine
+	sess *shard.Session
+}
 
 func (v engineView) Insert(_ *pmem.Thread, key, value uint64) bool { return v.sess.Insert(key, value) }
 func (v engineView) Delete(_ *pmem.Thread, key uint64) bool        { return v.sess.Delete(key) }
 func (v engineView) Find(_ *pmem.Thread, key uint64) (uint64, bool) {
 	return v.sess.Get(key)
 }
-func (v engineView) Recover(_ *pmem.Thread)           { v.sess.eng.Recover(v.sess) }
-func (v engineView) Contents(_ *pmem.Thread) []uint64 { return v.sess.eng.Contents(v.sess) }
+func (v engineView) Recover(_ *pmem.Thread)           { v.eng.Recover(v.sess) }
+func (v engineView) Contents(_ *pmem.Thread) []uint64 { return v.eng.Contents(v.sess) }
 
 // RangeScan lets the checker cross-validate the merged engine scan against
 // the recovered contents (ordered kinds only; hash engines report
@@ -212,4 +215,4 @@ func (v engineView) RangeScan(_ *pmem.Thread, lo, hi uint64, fn func(key, value 
 }
 
 // Validate lets the checker run every shard's structural self-check.
-func (v engineView) Validate(_ *pmem.Thread) error { return v.sess.eng.Validate(v.sess) }
+func (v engineView) Validate(_ *pmem.Thread) error { return v.eng.Validate(v.sess) }

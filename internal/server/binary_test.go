@@ -16,7 +16,7 @@ import (
 // fixed-layout frames instead of text lines.
 func TestBinaryRoundTrips(t *testing.T) {
 	addr, _, _ := startServer(t, core.KindSkiplist, 4, Config{})
-	cl, err := DialBin(addr)
+	cl, err := Dial(addr, WithBinaryProto())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,54 +88,6 @@ func TestBinaryRoundTrips(t *testing.T) {
 	}
 	if err := cl.Quit(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBinaryPipelining queues a window of binary writes before reading a
-// single reply and checks replies come back in submission order with
-// reply-after-fence batching underneath.
-func TestBinaryPipelining(t *testing.T) {
-	addr, srv, _ := startServer(t, core.KindHash, 4, Config{})
-	cl, err := DialBin(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	const n = 256
-	for i := uint64(1); i <= n; i++ {
-		if err := cl.SendPut(i, i*3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(1); i <= n; i++ {
-		if err := cl.SendGet(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= n; i++ {
-		r, err := cl.ReadReply()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Status != "OK" {
-			t.Fatalf("put %d: %+v", i, r)
-		}
-	}
-	for i := uint64(1); i <= n; i++ {
-		r, err := cl.ReadReply()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.Found || r.Value != i*3 {
-			t.Fatalf("get %d: %+v", i, r)
-		}
-	}
-	if bs := srv.Pool().Stats(); bs.Ops != n {
-		t.Fatalf("pool saw %d ops, want %d", bs.Ops, n)
 	}
 }
 
@@ -236,7 +188,7 @@ func TestProtocolCoexistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer txt.Close()
-	bin, err := DialBin(addr)
+	bin, err := Dial(addr, WithBinaryProto())
 	if err != nil {
 		t.Fatal(err)
 	}

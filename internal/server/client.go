@@ -51,8 +51,7 @@ func mapErr(err error) error {
 // the write buffer, Flush pushes them to the wire, and the Read* methods
 // consume replies in send order. The synchronous helpers (Put, Get, ...)
 // wrap a send+flush+read pair. A Client is not safe for concurrent use
-// (but its read and write sides may be driven by one goroutine each —
-// the open-loop load generator does).
+// (but its read and write sides may be driven by one goroutine each).
 //
 // A Client speaks either the text protocol (the default) or the binary
 // frame protocol (WithBinaryProto / NewClientBin); both expose the same
@@ -221,27 +220,6 @@ func (cl *Client) readClient() *Client {
 	rc := cl.reads[cl.nextRead%len(cl.reads)]
 	cl.nextRead++
 	return rc
-}
-
-// DialBin connects like Dial and negotiates the binary frame protocol.
-//
-// Deprecated: use Dial(addr, WithBinaryProto()).
-func DialBin(addr string) (*Client, error) {
-	return Dial(addr, WithBinaryProto())
-}
-
-// DialTimeout connects like Dial with a dial and round-trip timeout.
-//
-// Deprecated: use Dial(addr, WithDialTimeout(d)).
-func DialTimeout(addr string, d time.Duration) (*Client, error) {
-	return Dial(addr, WithDialTimeout(d))
-}
-
-// DialBinTimeout is DialTimeout negotiating the binary frame protocol.
-//
-// Deprecated: use Dial(addr, WithBinaryProto(), WithDialTimeout(d)).
-func DialBinTimeout(addr string, d time.Duration) (*Client, error) {
-	return Dial(addr, WithBinaryProto(), WithDialTimeout(d))
 }
 
 // SetTimeout bounds every subsequent Flush and reply read: an operation

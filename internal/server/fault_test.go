@@ -63,13 +63,11 @@ func startFaultServer(t *testing.T, schedule string, scfg Config) (string, *Serv
 
 func dialVariant(t *testing.T, addr string, bin bool) *Client {
 	t.Helper()
-	var cl *Client
-	var err error
+	var opts []DialOption
 	if bin {
-		cl, err = DialBin(addr)
-	} else {
-		cl, err = Dial(addr)
+		opts = append(opts, WithBinaryProto())
 	}
+	cl, err := Dial(addr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +185,7 @@ func TestClientTimeout(t *testing.T) {
 		}
 	}()
 
-	cl, err := DialTimeout("unix:"+sock, 100*time.Millisecond)
+	cl, err := Dial("unix:"+sock, WithDialTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -141,16 +143,29 @@ func TestTCP(t *testing.T) {
 	}
 }
 
-// TestPipelining sends a burst of commands without reading, then checks
-// every reply arrives in order — including the read-your-writes pair where
-// a pipelined GET follows the PUT of the same key.
+// TestPipelining sends bursts of commands without reading, over each
+// protocol on a 4-shard ordered store, and checks every reply arrives in
+// order.
 func TestPipelining(t *testing.T) {
-	addr, srv, _ := startServer(t, core.KindHash, 4, Config{})
-	cl, err := Dial(addr)
+	for _, tc := range []struct {
+		name string
+		opts []DialOption
+	}{
+		{"text", nil},
+		{"binary", []DialOption{WithBinaryProto()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testPipelining(t, tc.opts...) })
+	}
+}
+
+func testPipelining(t *testing.T, opts ...DialOption) {
+	addr, srv, _ := startServer(t, core.KindSkiplist, 4, Config{})
+	cl, err := Dial(addr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	model := make(map[uint64]uint64)
 
 	// Phase 1: a pure write burst. The pipeline keeps the batcher fed, so
 	// the burst must coalesce into far fewer flushes than writes.
@@ -159,6 +174,7 @@ func TestPipelining(t *testing.T) {
 		if err := cl.SendPut(i, i*10); err != nil {
 			t.Fatal(err)
 		}
+		model[i] = i * 10
 	}
 	if err := cl.Flush(); err != nil {
 		t.Fatal(err)
@@ -191,6 +207,7 @@ func TestPipelining(t *testing.T) {
 		if err := cl.SendGet(i); err != nil {
 			t.Fatal(err)
 		}
+		model[i] = i * 7
 	}
 	if err := cl.Flush(); err != nil {
 		t.Fatal(err)
@@ -207,6 +224,101 @@ func TestPipelining(t *testing.T) {
 			t.Fatalf("pipelined get %d after put: %+v (read-your-writes broken)", i, get)
 		}
 	}
+
+	// Phase 3: one burst mixing every pipelined command over present and
+	// absent keys. The expected replies come from a model map advanced in
+	// send order, so each reply must reflect every earlier write of the
+	// burst, whichever shard it went to.
+	var want []Reply
+	rng := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 400; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		k, v := 1+rng%(n+n/2), rng>>40|1
+		var err error
+		switch i % 5 {
+		case 0:
+			err = cl.SendInsert(k, v)
+			_, had := model[k]
+			if !had {
+				model[k] = v
+			}
+			want = append(want, Reply{Int: boolInt(!had)})
+		case 1:
+			err = cl.SendUpdate(k, v)
+			if _, had := model[k]; had {
+				model[k] = v
+				want = append(want, Reply{Value: v, Found: true})
+			} else {
+				want = append(want, Reply{})
+			}
+		case 2:
+			err = cl.SendDel(k)
+			_, had := model[k]
+			delete(model, k)
+			want = append(want, Reply{Int: boolInt(had)})
+		case 3:
+			err = cl.SendGet(k)
+			mv, had := model[k]
+			want = append(want, Reply{Value: mv, Found: had})
+		case 4:
+			hi, max := k+rng%64, int(rng%16)
+			err = cl.SendScan(k, hi, max)
+			want = append(want, Reply{Array: modelScan(model, k, hi, max)})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		got, err := cl.ReadReply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.IsErr() || got.Int != w.Int || got.Found != w.Found || got.Value != w.Value ||
+			strings.Join(got.Array, ",") != strings.Join(w.Array, ",") {
+			t.Fatalf("mixed burst reply %d = %+v, want %+v", i, got, w)
+		}
+	}
+
+	// Close ends every connection, the open one included, and a second
+	// Close is harmless.
+	srv.Close()
+	if c := srv.connCount(); c != 0 {
+		t.Fatalf("%d connections survive Close", c)
+	}
+	srv.Close()
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// modelScan renders what SCAN lo hi max returns over the model: up to max
+// "k v" entries of [lo, hi] in key order.
+func modelScan(model map[uint64]uint64, lo, hi uint64, max int) []string {
+	var keys []uint64
+	for k := range model {
+		if k >= lo && k <= hi {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	if len(keys) > max {
+		keys = keys[:max]
+	}
+	var out []string
+	for _, k := range keys {
+		out = append(out, fmt.Sprintf("%d %d", k, model[k]))
+	}
+	return out
 }
 
 // TestReadYourWritesAcrossShards regression-tests the ordering bug where a
@@ -633,142 +745,6 @@ func TestConcurrentConnections(t *testing.T) {
 	if bs := srv.Pool().Stats(); bs.Ops != conns*per {
 		t.Fatalf("pool ops %d, want %d", bs.Ops, conns*per)
 	}
-}
-
-// TestLoadGenerator runs the embedded load generator end to end on every
-// point workload and checks zero protocol errors.
-func TestLoadGenerator(t *testing.T) {
-	addr, _, _ := startServer(t, core.KindSkiplist, 4, Config{MaxConns: 8})
-	for _, wl := range []string{"A", "C", "E", "U"} {
-		res, err := RunLoad(LoadConfig{
-			Addr: addr, Conns: 2, Pipeline: 8, Ops: 2000,
-			Workload: wl, Range: 1 << 10, Prefill: wl == "E",
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", wl, err)
-		}
-		if res.Errors > 0 {
-			t.Fatalf("%s: %d protocol errors", wl, res.Errors)
-		}
-		if res.Ops < 2000-2*8 || res.Ops > 2000 {
-			t.Fatalf("%s: ops %d, want ~2000", wl, res.Ops)
-		}
-		if res.Lat.Count() == 0 || res.Lat.Quantile(0.5) <= 0 {
-			t.Fatalf("%s: no latency samples: %s", wl, res.Lat.Summary())
-		}
-	}
-}
-
-// TestLoadGeneratorDepthOneDeadline: a duration-bounded closed loop at
-// pipeline depth 1 has nothing in flight at the top of its loop, and must
-// stop at the deadline all the same (it used to run forever).
-func TestLoadGeneratorDepthOneDeadline(t *testing.T) {
-	addr, _, _ := startServer(t, core.KindHash, 2, Config{MaxConns: 4})
-	done := make(chan struct{})
-	var res LoadResult
-	var err error
-	go func() {
-		defer close(done)
-		res, err = RunLoad(LoadConfig{
-			Addr: addr, Conns: 1, Pipeline: 1,
-			Duration: 100 * time.Millisecond, Workload: "A", Range: 1 << 10,
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("depth-1 closed loop did not stop at its deadline")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 || res.Errors > 0 {
-		t.Fatalf("ops %d, errors %d", res.Ops, res.Errors)
-	}
-}
-
-// TestLoadGeneratorOpenLoop: open-loop runs (fixed-rate and Poisson, text
-// and binary) issue on their schedule, complete every issued request, and
-// report the achieved offered rate.
-func TestLoadGeneratorOpenLoop(t *testing.T) {
-	addr, _, _ := startServer(t, core.KindHash, 4, Config{MaxConns: 8})
-	for _, tc := range []struct {
-		name    string
-		poisson bool
-		binary  bool
-	}{
-		{"fixed-text", false, false},
-		{"poisson-text", true, false},
-		{"poisson-binary", true, true},
-	} {
-		res, err := RunLoad(LoadConfig{
-			Addr: addr, Conns: 2, Pipeline: 8,
-			Duration: 150 * time.Millisecond, Rate: 20000,
-			Poisson: tc.poisson, Binary: tc.binary,
-			Workload: "A", Range: 1 << 10,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if res.Errors > 0 {
-			t.Fatalf("%s: %d protocol errors", tc.name, res.Errors)
-		}
-		if res.Ops == 0 {
-			t.Fatalf("%s: no ops completed", tc.name)
-		}
-		// Every scheduled request was answered: completed rate ≈ offered
-		// rate (both counted over the same elapsed window).
-		if res.Offered <= 0 {
-			t.Fatalf("%s: no offered rate reported: %+v", tc.name, res)
-		}
-		if res.OpsPerSec < res.Offered*0.99 {
-			t.Fatalf("%s: completed %.0f/s of %.0f/s offered — replies lost", tc.name, res.OpsPerSec, res.Offered)
-		}
-		if res.Lat.Count() == 0 || res.Lat.Quantile(0.5) <= 0 {
-			t.Fatalf("%s: no latency samples: %s", tc.name, res.Lat.Summary())
-		}
-	}
-}
-
-// TestBenchRow: the self-contained server bench produces a well-formed
-// bench.Result row with open-loop percentiles.
-func TestBenchRow(t *testing.T) {
-	res, err := Bench(50 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 || res.Mops <= 0 {
-		t.Fatalf("empty bench result: %+v", res)
-	}
-	if res.Lat == nil || res.Lat.Count() == 0 {
-		t.Fatal("bench result has no latency histogram")
-	}
-	if res.FencePerOp <= 0 {
-		t.Fatalf("bench result has no fence accounting: %+v", res)
-	}
-	if res.Offered <= 0 {
-		t.Fatalf("bench result percentiles are not from an open-loop pass: %+v", res)
-	}
-}
-
-// TestServerSmokeScript is the server-smoke scenario in miniature: serve,
-// load, verify, shut down cleanly. Used as the reference for the Makefile
-// target.
-func TestServerSmokeScript(t *testing.T) {
-	addr, srv, _ := startServer(t, core.KindHash, 4, Config{MaxConns: 8})
-	res, err := RunLoad(LoadConfig{Addr: addr, Conns: 4, Pipeline: 8, Ops: 4000, Range: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors", res.Errors)
-	}
-	srv.Close()
-	if n := srv.connCount(); n != 0 {
-		t.Fatalf("%d connections survive Close", n)
-	}
-	// Close is idempotent.
-	srv.Close()
 }
 
 // TestLonePutRoundTrips is the regression test for the group-commit clock:

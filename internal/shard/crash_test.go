@@ -1,9 +1,10 @@
-package shard
+package shard_test
 
 import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/crashtest"
 	"repro/internal/persist"
 )
 
@@ -18,7 +19,7 @@ func TestTortureDurableAcrossShardCounts(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4, 8} {
 		for r := 0; r < rounds; r++ {
-			res := Torture(TortureOptions{
+			res := crashtest.RunEngine(crashtest.EngineOptions{
 				Shards:         shards,
 				Kind:           core.KindHash,
 				Policy:         persist.NVTraverse{},
@@ -51,7 +52,7 @@ func TestTortureMidBatch(t *testing.T) {
 	}
 	for _, kind := range []core.Kind{core.KindHash, core.KindSkiplist, core.KindList} {
 		for r := 0; r < rounds; r++ {
-			res := Torture(TortureOptions{
+			res := crashtest.RunEngine(crashtest.EngineOptions{
 				Shards:         4,
 				Kind:           kind,
 				Policy:         persist.NVTraverse{},
@@ -83,7 +84,7 @@ func TestTortureFileBackend(t *testing.T) {
 	}
 	for _, kind := range []core.Kind{core.KindHash, core.KindSkiplist} {
 		for r := 0; r < rounds; r++ {
-			res := Torture(TortureOptions{
+			res := crashtest.RunEngine(crashtest.EngineOptions{
 				Shards:         4,
 				Kind:           kind,
 				Policy:         persist.NVTraverse{},
@@ -110,7 +111,7 @@ func TestTortureFileBackend(t *testing.T) {
 // teeth: with the persistence-free policy and no eviction luck, completed
 // operations are rolled back wholesale and the checker must notice.
 func TestTortureCatchesNonDurablePolicy(t *testing.T) {
-	res := Torture(TortureOptions{
+	res := crashtest.RunEngine(crashtest.EngineOptions{
 		Shards:         4,
 		Kind:           core.KindHash,
 		Policy:         persist.None{},
@@ -129,7 +130,7 @@ func TestTortureCatchesNonDurablePolicy(t *testing.T) {
 // TestTortureAllPolicies: every durable policy must pass engine torture.
 func TestTortureAllPolicies(t *testing.T) {
 	for _, pol := range []persist.Policy{persist.NVTraverse{}, persist.Izraelevitz{}, persist.LinkAndPersist{}} {
-		res := Torture(TortureOptions{
+		res := crashtest.RunEngine(crashtest.EngineOptions{
 			Shards:         4,
 			Kind:           core.KindHash,
 			Policy:         pol,

@@ -15,8 +15,7 @@
 // batch is acknowledged only after every group's closing fence, so the
 // engine remains durably linearizable at batch granularity: a crash
 // mid-batch leaves each unacknowledged operation either fully applied or
-// fully absent, which internal/shard's torture harness verifies with the
-// crashtest checker.
+// fully absent, which crashtest.RunEngine verifies.
 //
 // A whole-engine Crash/Recover mirrors a machine failure: every shard's
 // memory crashes together, and recovery runs the per-structure recovery
