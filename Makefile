@@ -95,10 +95,14 @@ repl-smoke:
 # fault-schedule crash tortures. Seeded schedules, no timing dependence.
 # Then the WAL replay fuzzer for a time-boxed 20 s: arbitrary bytes as the
 # live log must never panic replay, never get a bad-checksum frame applied,
-# and be classified torn tail vs mid-log corruption as documented. Last,
+# and be classified torn tail vs mid-log corruption as documented. Then
 # the replication stream fuzzer for 10 s: arbitrary bytes as a primary's
 # stream must never panic a replica, never get a malformed frame applied or
-# acknowledged, and always end the stream with an error.
+# acknowledged, and always end the stream with an error. Last, the two
+# request decoders for 10 s each: arbitrary bytes as a text or binary
+# client stream must never panic the server's codec, must end in a framing
+# error exactly where framing is lost, and every request decoded must
+# survive a client re-encode unchanged.
 fault-smoke:
 	$(GO) test -count=1 -run 'TestFault' ./internal/pmem/ ./internal/crashtest/
 	$(GO) test -count=1 ./internal/pmem/vfs/
@@ -106,6 +110,8 @@ fault-smoke:
 	$(GO) test -count=1 -run 'TestServerDegraded|TestServerIdleTimeout|TestClientTimeout' ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzReplayWAL -fuzztime 20s -fuzzminimizetime 2s ./internal/pmem/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaStream -fuzztime 10s -fuzzminimizetime 2s ./internal/repl/
+	$(GO) test -run '^$$' -fuzz FuzzTextRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzBinaryRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/
 
 # Exercise both CLIs end to end with tiny workloads so they cannot rot.
 bench-smoke:

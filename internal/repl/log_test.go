@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -204,22 +203,6 @@ func BenchmarkShardLogAppendFull(b *testing.B) {
 				l.append(frame)
 			}
 		})
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	frame := writeFrame(nil, frameBatch, []byte{1, 2}, []byte{3})
-	op, payload, _, err := readFrame(bytes.NewReader(frame), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op != frameBatch || !bytes.Equal(payload, []byte{1, 2, 3}) {
-		t.Fatalf("round trip: op %d payload %v", op, payload)
-	}
-	// Oversized length must be refused, not allocated.
-	bad := []byte{0xff, 0xff, 0xff, 0xff, 1}
-	if _, _, _, err := readFrame(bytes.NewReader(bad), nil); err == nil {
-		t.Fatal("oversized frame accepted")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/batcher"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // PrimaryConfig tunes a replication primary.
@@ -388,9 +389,6 @@ func (p *Primary) Stats() store.ReplStats {
 	return st
 }
 
-// RunID exposes the primary's run identity (tests).
-func (p *Primary) RunID() uint64 { return p.runID }
-
 // ServeConn owns one replica connection after the server recognized its
 // PSYNC request: psync is the request payload, br the connection's read
 // side (it may hold buffered bytes), sess a store session ServeConn may
@@ -456,7 +454,7 @@ func (p *Primary) ServeConn(c net.Conn, br *bufio.Reader, sess store.Session, ps
 	if full {
 		hello[12] = 1
 	}
-	buf = writeFrame(buf[:0], frameHello, hello[:])
+	buf = wire.AppendFrame(buf[:0], frameHello, hello[:])
 	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
@@ -502,29 +500,25 @@ func (p *Primary) sendSnapshot(bw *bufio.Writer, sess store.Session, f *feeder) 
 		}
 		chunk := keys[start:end]
 		res = sess.MultiGet(chunk, res)
-		body := make([]byte, 0, 4+16*len(chunk))
-		n := 0
+		body := make([]byte, 4, 4+16*len(chunk)) // u32 count, set below
 		for i, k := range chunk {
 			if !res[i].OK {
 				continue // deleted since Contents; the stream will say so
 			}
-			n++
-			body = putU64(body, k)
-			body = putU64(body, res[i].Value)
+			body = binary.LittleEndian.AppendUint64(body, k)
+			body = binary.LittleEndian.AppendUint64(body, res[i].Value)
 		}
-		var cnt [4]byte
-		binary.LittleEndian.PutUint32(cnt[:], uint32(n))
-		buf = writeFrame(buf[:0], frameSnapKV, cnt[:], body)
+		binary.LittleEndian.PutUint32(body, uint32((len(body)-4)/16))
+		buf = wire.AppendFrame(buf[:0], frameSnapKV, body)
 		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
-	body := make([]byte, 0, 4+8*len(cut))
-	body = putU32(body, uint32(len(cut)))
+	body := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+8*len(cut)), uint32(len(cut)))
 	for _, s := range cut {
-		body = putU64(body, s)
+		body = binary.LittleEndian.AppendUint64(body, s)
 	}
-	buf = writeFrame(buf[:0], frameSnapEnd, body)
+	buf = wire.AppendFrame(buf[:0], frameSnapEnd, body)
 	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
@@ -577,7 +571,7 @@ func (p *Primary) streamTo(bw *bufio.Writer, f *feeder) error {
 		select {
 		case <-f.wake:
 		case <-ping.C:
-			buf = writeFrame(buf[:0], framePing)
+			buf = wire.AppendFrame(buf[:0], framePing, nil)
 			if _, err := bw.Write(buf); err != nil {
 				return err
 			}
@@ -595,7 +589,7 @@ func (p *Primary) streamTo(bw *bufio.Writer, f *feeder) error {
 func (p *Primary) readAcks(br *bufio.Reader, f *feeder) error {
 	var buf []byte
 	for {
-		op, payload, nbuf, err := readFrame(br, buf)
+		op, payload, nbuf, err := wire.ReadFrame(br, buf)
 		buf = nbuf
 		if err != nil {
 			return err

@@ -58,11 +58,10 @@ package repl
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 
 	"repro/internal/shard"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // OpPSync is the binary-protocol request opcode a replica sends to turn a
@@ -79,8 +78,8 @@ import (
 const OpPSync = 0x20
 
 // Replication channel frames (both directions after the PSYNC handoff)
-// reuse the binary protocol's shape — u32 length | u8 opcode | payload,
-// little-endian, length counting the opcode byte.
+// are wire frames: u32 length | u8 opcode | payload, little-endian, length
+// counting the opcode byte.
 const (
 	// frameHello (primary → replica): u64 runID | u32 nshards | u8 full.
 	// full=1 announces a full resync: the replica wipes its store and
@@ -107,10 +106,6 @@ const (
 	effectPut = 0
 	effectDel = 1
 )
-
-// maxFrame bounds a replication frame, mirroring the binary protocol's
-// request bound: a desynced stream must not drive huge allocations.
-const maxFrame = 1 << 20
 
 // snapChunk is how many key/value pairs one snapshot frame carries.
 const snapChunk = 512
@@ -166,15 +161,15 @@ const batchHeader = 5 + 16
 // appendBatchFrame appends the whole frameBatch of one committed fence
 // group to dst.
 func appendBatchFrame(dst []byte, sh int, seq uint64, effects []Effect) []byte {
-	dst = putU32(dst, uint32(batchHeader-4+17*len(effects)))
-	dst = append(dst, frameBatch)
-	dst = putU32(dst, uint32(sh))
-	dst = putU64(dst, seq)
-	dst = putU32(dst, uint32(len(effects)))
+	le := binary.LittleEndian
+	dst = wire.AppendHeader(dst, frameBatch, batchHeader-5+17*len(effects))
+	dst = le.AppendUint32(dst, uint32(sh))
+	dst = le.AppendUint64(dst, seq)
+	dst = le.AppendUint32(dst, uint32(len(effects)))
 	for _, e := range effects {
 		dst = append(dst, e.Kind)
-		dst = putU64(dst, e.Key)
-		dst = putU64(dst, e.Value)
+		dst = le.AppendUint64(dst, e.Key)
+		dst = le.AppendUint64(dst, e.Value)
 	}
 	return dst
 }
@@ -194,64 +189,13 @@ func isWriteOp(op store.Op) bool {
 	return true
 }
 
-// writeFrame appends one channel frame to buf.
-func writeFrame(buf []byte, op byte, payload ...[]byte) []byte {
-	n := 1
-	for _, p := range payload {
-		n += len(p)
-	}
-	var h [5]byte
-	binary.LittleEndian.PutUint32(h[:4], uint32(n))
-	h[4] = op
-	buf = append(buf, h[:]...)
-	for _, p := range payload {
-		buf = append(buf, p...)
-	}
-	return buf
-}
-
-// readFrame reads one channel frame into buf (reused), returning the
-// opcode and payload.
-func readFrame(r io.Reader, buf []byte) (op byte, payload, nbuf []byte, err error) {
-	var h [5]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, nil, buf, err
-	}
-	n := binary.LittleEndian.Uint32(h[:4])
-	if n < 1 || n > maxFrame {
-		return 0, nil, buf, fmt.Errorf("repl: frame length %d out of range", n)
-	}
-	need := int(n) - 1
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	payload = buf[:need]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, buf, err
-	}
-	return h[4], payload, buf, nil
-}
-
-func putU32(buf []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(buf, b[:]...)
-}
-
-func putU64(buf []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(buf, b[:]...)
-}
-
 // PSyncPayload encodes the attach request a replica sends as the payload
 // of an OpPSync request frame.
 func PSyncPayload(runID uint64, acked []uint64) []byte {
-	buf := make([]byte, 0, 12+8*len(acked))
-	buf = putU64(buf, runID)
-	buf = putU32(buf, uint32(len(acked)))
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 12+8*len(acked)), runID)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(acked)))
 	for _, s := range acked {
-		buf = putU64(buf, s)
+		buf = binary.LittleEndian.AppendUint64(buf, s)
 	}
 	return buf
 }

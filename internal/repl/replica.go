@@ -15,6 +15,7 @@ import (
 	"repro/internal/kv"
 	"repro/internal/shard"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // ReplicaConfig tunes a replication replica.
@@ -172,7 +173,7 @@ func (r *Replica) run() {
 
 // attachOnce runs one connection lifetime: dial, then sync over the link.
 func (r *Replica) attachOnce() error {
-	network, address := splitAddr(r.cfg.Primary)
+	network, address := wire.SplitAddr(r.cfg.Primary)
 	c, err := net.DialTimeout(network, address, r.cfg.DialTimeout)
 	if err != nil {
 		return err
@@ -202,18 +203,13 @@ func (r *Replica) syncOn(c net.Conn) error {
 	// Binary-protocol preamble plus the PSYNC request frame; after the
 	// server hands the connection to its primary, only replication
 	// channel frames flow.
-	bw.Write([]byte{0x80, 0x01})
-	psync := PSyncPayload(runID, acked)
-	var req [5]byte
-	binary.LittleEndian.PutUint32(req[:4], uint32(1+len(psync)))
-	req[4] = OpPSync
-	bw.Write(req[:])
-	bw.Write(psync)
+	bw.WriteString(wire.Preamble)
+	bw.Write(wire.AppendFrame(nil, OpPSync, PSyncPayload(runID, acked)))
 	if err := bw.Flush(); err != nil {
 		return err
 	}
 
-	op, payload, _, err := readFrame(br, nil)
+	op, payload, _, err := wire.ReadFrame(br, nil)
 	if err != nil {
 		return err
 	}
@@ -272,7 +268,7 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, shards int) er
 		persist bool
 	)
 	for {
-		if due && !frameBuffered(br) {
+		if due && !wire.Buffered(br) {
 			if err := r.ackBurst(bw, pos, dirty, groups, nops); err != nil {
 				return err
 			}
@@ -282,7 +278,7 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, shards int) er
 				persist, unsaved = false, 0
 			}
 		}
-		op, payload, nbuf, err := readFrame(br, buf)
+		op, payload, nbuf, err := wire.ReadFrame(br, buf)
 		buf = nbuf
 		if err != nil {
 			return err
@@ -360,17 +356,6 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, shards int) er
 	}
 }
 
-// frameBuffered reports whether br already holds the whole next frame, so
-// reading it cannot block.
-func frameBuffered(br *bufio.Reader) bool {
-	n := br.Buffered()
-	if n < 5 {
-		return false
-	}
-	h, _ := br.Peek(4)
-	return n >= 4+int(binary.LittleEndian.Uint32(h))
-}
-
 // ackBurst publishes a burst's positions and counters under one lock,
 // then writes one cumulative ack per dirty shard, clears dirty and flushes.
 func (r *Replica) ackBurst(bw *bufio.Writer, pos []uint64, dirty []bool, groups, nops uint64) error {
@@ -383,17 +368,14 @@ func (r *Replica) ackBurst(bw *bufio.Writer, pos []uint64, dirty []bool, groups,
 	r.groups += groups
 	r.opsCount += nops
 	r.mu.Unlock()
-	frame := [17]byte{0: 13, 4: frameAck}
 	for sh, d := range dirty {
 		if !d {
 			continue
 		}
 		dirty[sh] = false
-		binary.LittleEndian.PutUint32(frame[5:], uint32(sh))
-		binary.LittleEndian.PutUint64(frame[9:], pos[sh])
-		// Copied into bw's own buffer: handing frame[:] to Write would
-		// move the array to the heap.
-		if _, err := bw.Write(append(bw.AvailableBuffer(), frame[:]...)); err != nil {
+		// Encoded in bw's own free space, so the frame costs no allocation.
+		ack := binary.LittleEndian.AppendUint32(wire.AppendHeader(bw.AvailableBuffer(), frameAck, 12), uint32(sh))
+		if _, err := bw.Write(binary.LittleEndian.AppendUint64(ack, pos[sh])); err != nil {
 			return err
 		}
 	}
@@ -491,17 +473,4 @@ func (r *Replica) loadWatermark() {
 		}
 	}
 	r.runID, r.acked = runID, acked
-}
-
-// splitAddr mirrors server.SplitAddr without importing the server package
-// (the server imports repl).
-func splitAddr(addr string) (network, address string) {
-	switch {
-	case strings.HasPrefix(addr, "unix:"):
-		return "unix", addr[len("unix:"):]
-	case strings.HasPrefix(addr, "tcp:"):
-		return "tcp", addr[len("tcp:"):]
-	default:
-		return "tcp", addr
-	}
 }

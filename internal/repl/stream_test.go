@@ -18,6 +18,7 @@ import (
 	"repro/internal/batcher"
 	"repro/internal/shard"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // newTestReplica builds a replica over a fresh store without starting its
@@ -57,7 +58,7 @@ func scriptPrimary(t *testing.T, c net.Conn, shards int, full bool) {
 	if full {
 		hello[12] = 1
 	}
-	if _, err := c.Write(writeFrame(nil, frameHello, hello[:])); err != nil {
+	if _, err := c.Write(wire.AppendFrame(nil, frameHello, hello[:])); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -69,7 +70,7 @@ func readAcks(t *testing.T, c net.Conn, n int, d time.Duration) map[int]uint64 {
 	c.SetReadDeadline(time.Now().Add(d))
 	got := make(map[int]uint64)
 	for i := 0; i < n; i++ {
-		op, payload, _, err := readFrame(c, nil)
+		op, payload, _, err := wire.ReadFrame(c, nil)
 		if err != nil {
 			t.Fatalf("ack %d of %d did not arrive within %v: %v", i+1, n, d, err)
 		}
@@ -103,7 +104,7 @@ func TestReplicaAcksBeforeBlockAfterPing(t *testing.T) {
 	pc := runScripted(t, r)
 	scriptPrimary(t, pc, 2, false)
 	burst := appendBatchFrame(nil, 1, 1, []Effect{{Kind: effectPut, Key: 5, Value: 50}})
-	burst = writeFrame(burst, framePing)
+	burst = wire.AppendFrame(burst, framePing, nil)
 	if _, err := pc.Write(burst); err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +126,8 @@ func TestReplicaAcksBeforeBlockAfterSnapEnd(t *testing.T) {
 	binary.LittleEndian.PutUint32(kv[:], 1)
 	binary.LittleEndian.PutUint64(kv[4:], 7)
 	binary.LittleEndian.PutUint64(kv[12:], 70)
-	burst := writeFrame(nil, frameSnapKV, kv[:])
-	burst = writeFrame(burst, frameSnapEnd, putU64(putU64(putU32(nil, 2), 3), 0))
+	burst := wire.AppendFrame(nil, frameSnapKV, kv[:])
+	burst = wire.AppendFrame(burst, frameSnapEnd, binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 2), 3), 0))
 	burst = appendBatchFrame(burst, 0, 4, []Effect{{Kind: effectDel, Key: 7}})
 	if _, err := pc.Write(burst); err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func capturedStream(t testing.TB) ([]byte, []uint64) {
 			bw.Write(frame)
 		}
 	}
-	bw.Write(writeFrame(nil, framePing))
+	bw.Write(wire.AppendFrame(nil, framePing, nil))
 	bw.Flush()
 	return out.Bytes(), heads
 }
@@ -269,7 +270,7 @@ func FuzzReplicaStream(f *testing.F) {
 			allowed[sh] = map[uint64]bool{0: true}
 		}
 		for in := bytes.NewReader(data); ; {
-			op, p, _, err := readFrame(in, nil)
+			op, p, _, err := wire.ReadFrame(in, nil)
 			if err != nil || !wellFormed(op, p, shards) {
 				break
 			}
@@ -283,7 +284,7 @@ func FuzzReplicaStream(f *testing.F) {
 			}
 		}
 		for acks := out.Bytes(); len(acks) > 0; acks = acks[17:] {
-			op, p, _, err := readFrame(bytes.NewReader(acks), nil)
+			op, p, _, err := wire.ReadFrame(bytes.NewReader(acks), nil)
 			if err != nil || op != frameAck || len(p) != 12 {
 				t.Fatalf("replica wrote a frame that is not an ack: %x", acks)
 			}

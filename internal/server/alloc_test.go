@@ -18,7 +18,7 @@ import (
 // flush anywhere in the path fails the test.
 
 // allocHarness builds a server and a binary connState wired straight to the
-// dispatch layer (no socket: the network write is the kernel's job, the
+// exec layer (no socket: the network write is the kernel's job, the
 // allocation story ends at the rendered slot buffer).
 func allocHarness(t *testing.T) (*connState, func()) {
 	t.Helper()
@@ -33,17 +33,17 @@ func allocHarness(t *testing.T) (*connState, func()) {
 	// complete submit → fence → complete round trip.
 	srv := New(st, Config{MaxConns: 2, MaxBatch: 4})
 	sess := st.NewSession()
-	cs := newConnState(srv, sess, 8, true)
+	cs := newConnState(srv, sess, 8, &binCodec{})
 	for k := uint64(1); k <= 512; k++ {
 		sess.Insert(k, k)
 	}
 	return cs, func() { srv.Close() }
 }
 
-// roundTrip pushes one decoded binary request through dispatch and drains
-// its reply slot, asserting the reply tag.
+// roundTrip pushes one binary request payload through the decoder and exec
+// and drains its reply slot, asserting the reply tag.
 func roundTrip(t *testing.T, cs *connState, op byte, payload []byte, wantTag byte) {
-	cs.dispatchBin(op, payload)
+	cs.exec(parseBin(op, payload, nil))
 	sl := <-cs.order
 	<-sl.ready
 	if len(sl.buf) < 5 || sl.buf[4] != wantTag {
@@ -95,7 +95,7 @@ func TestBinaryReadPathAllocs(t *testing.T) {
 // TestClientBinaryReplyAllocs: the client's side of a binary point request
 // — queue the frame, flush, read the reply — allocates nothing, and since
 // the server shares the process, neither does its whole socket path (read
-// loop, dispatch, group commit, writer goroutine).
+// loop, exec, group commit, writer goroutine).
 func TestClientBinaryReplyAllocs(t *testing.T) {
 	addr, _, _ := startServer(t, core.KindHash, 4, Config{})
 	cl, err := Dial(addr, WithBinaryProto())

@@ -1,9 +1,9 @@
 // The length-prefixed binary frame protocol: the same operation vocabulary
-// as the text protocol, in fixed-layout frames a server can decode — and a
-// reply it can encode — without allocating, parsing decimals, or splitting
-// strings. A connection opts in by making its first two bytes the magic
-// sequence 0x80 0x01 (magic, version); 0x80 is not a byte any text command
-// starts with, so the two protocols share a listener.
+// as the text protocol, in fixed-layout wire frames a server can decode —
+// and a reply it can encode — without allocating, parsing decimals, or
+// splitting strings. A connection opts in by making its first two bytes
+// wire.Preamble (magic 0x80, version 0x01); 0x80 is not a byte any text
+// command starts with, so the two protocols share a listener.
 //
 // All integers are little-endian.
 //
@@ -43,26 +43,19 @@
 //
 // Replies carry the reply-after-fence guarantee of the text protocol: a
 // write's OK/TRUE/FALSE/VALUE frame is sent only after the commit fence
-// covering it has landed.
+// covering it has landed. Framing errors (a length field out of range)
+// close the connection after an ERR frame; a malformed but framed request
+// gets an ERR frame and the connection stays open.
 package server
 
 import (
 	"bufio"
 	"encoding/binary"
-	"io"
+	"errors"
+	"fmt"
+	"strconv"
 
-	"repro/internal/repl"
-	"repro/internal/shard"
-	"repro/internal/store"
-)
-
-const (
-	binMagic   = 0x80
-	binVersion = 0x01
-	// maxBinFrame bounds a request frame's length field; anything larger is
-	// a protocol error and closes the connection (a desynced or hostile
-	// stream must not drive huge allocations).
-	maxBinFrame = 1 << 20
+	"repro/internal/wire"
 )
 
 // Request opcodes.
@@ -93,244 +86,209 @@ const (
 	binTagStats = 8
 )
 
-// handleBin is the binary-protocol read loop: fixed 5-byte header, payload
-// into a reused buffer, dispatch. Framing errors close the connection (the
-// stream offset is lost); semantic errors reply with an ERR frame and keep
-// it open. The idle clock re-arms only when the next frame is not already
-// wholly in the read buffer, i.e. before a read that may wait on the
-// socket: a pipelined burst pays for it once, and a frame that dribbles in
-// for longer than IdleTimeout is still cut.
-func (s *Server) handleBin(br *bufio.Reader, cs *connState) {
-	var hdr [5]byte
-	for {
-		if br.Buffered() < len(hdr) {
-			cs.armIdle()
-		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		if n < 1 || n > maxBinFrame {
-			cs.replyBinErr("frame length out of range")
-			return
-		}
-		need := int(n) - 1
-		if br.Buffered() < need {
-			cs.armIdle()
-		}
-		if cap(cs.binBuf) < need {
-			cs.binBuf = make([]byte, need)
-		}
-		payload := cs.binBuf[:need]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return
-		}
-		if !cs.dispatchBin(hdr[4], payload) {
-			return
-		}
+// binCodec is the binary frame protocol.
+type binCodec struct {
+	buf  []byte // frame scratch: readRequest on a server, readReply on a client
+	keys []uint64
+}
+
+// readRequest reads whole frames: the idle clock re-arms only when the next
+// frame is not already in the read buffer, so a pipelined burst pays for it
+// once and a frame that dribbles in for longer than the idle timeout is
+// still cut.
+func (c *binCodec) readRequest(br *bufio.Reader, armIdle func()) (request, error) {
+	if !wire.Buffered(br) {
+		armIdle()
 	}
+	op, p, buf, err := wire.ReadFrame(br, c.buf)
+	c.buf = buf
+	if errors.Is(err, wire.ErrFrameLength) {
+		return badRequest(wire.ErrFrameLength.Error()), errFraming
+	}
+	if err != nil {
+		return request{}, err
+	}
+	r := parseBin(op, p, c.keys[:0])
+	if r.keys != nil {
+		c.keys = r.keys
+	}
+	return r, nil
 }
 
-// replyBinErr enqueues an ERR frame.
-func (cs *connState) replyBinErr(msg string) {
-	sl := cs.take()
-	sl.buf = appendBinErr(sl.buf[:0], msg)
-	cs.finish(sl)
+// binPayload is the fixed payload of each argument shape that has one: its
+// size, and the tail of the error a request of any other size gets.
+var binPayload = [...]struct {
+	n    int
+	want string
+}{
+	argKey:    {8, " wants an 8-byte payload"},
+	argKeyVal: {16, " wants a 16-byte payload"},
+	argScan:   {20, " wants a 20-byte payload"},
 }
 
-// dispatchBin executes one decoded binary request; false closes the
-// connection. The write paths (PUT, INSERT, DEL, UPDATE) run without any
-// allocation: the decoded operation goes to the pool by value and the slot
-// renders the reply into its reused buffer.
-func (cs *connState) dispatchBin(op byte, p []byte) bool {
-	switch op {
-	case binOpPing:
-		sl := cs.take()
-		sl.buf = appendBinHeader(sl.buf[:0], binTagOK, 0)
-		cs.finish(sl)
-	case binOpGet:
-		if len(p) != 8 {
-			cs.replyBinErr("GET wants an 8-byte payload")
-			return true
+// parseBin decodes one request frame, collecting MGET keys into keys.
+func parseBin(op byte, p []byte, keys []uint64) request {
+	c := byOp[op]
+	if c == cmdBad {
+		return badRequest("unknown opcode")
+	}
+	d, le := &commands[c], binary.LittleEndian
+	r := request{cmd: c}
+	switch d.args {
+	case argKey, argKeyVal, argScan:
+		if want := binPayload[d.args]; len(p) != want.n {
+			return badRequest(d.name + want.want)
 		}
-		cs.awaitWrites()
-		v, found := cs.sess.Get(binary.LittleEndian.Uint64(p))
-		sl := cs.take()
-		sl.buf = appendBinValue(sl.buf[:0], v, found)
-		cs.finish(sl)
-	case binOpPut:
-		if len(p) != 16 {
-			cs.replyBinErr("PUT wants a 16-byte payload")
-			return true
+		r.key = le.Uint64(p)
+		if d.args != argKey {
+			r.val = le.Uint64(p[8:])
 		}
-		cs.submitWrite(store.Op{
-			Kind:  shard.OpPut,
-			Key:   binary.LittleEndian.Uint64(p),
-			Value: binary.LittleEndian.Uint64(p[8:]),
-		}, modeOK)
-	case binOpInsert:
-		if len(p) != 16 {
-			cs.replyBinErr("INSERT wants a 16-byte payload")
-			return true
+		if d.args == argScan {
+			r.max = int(le.Uint32(p[16:]))
 		}
-		cs.submitWrite(store.Op{
-			Kind:  shard.OpInsert,
-			Key:   binary.LittleEndian.Uint64(p),
-			Value: binary.LittleEndian.Uint64(p[8:]),
-		}, modeBool)
-	case binOpDel:
-		if len(p) != 8 {
-			cs.replyBinErr("DEL wants an 8-byte payload")
-			return true
+	case argKeys:
+		if len(p) < 4 {
+			return badRequest("MGET wants a count-prefixed payload")
 		}
-		cs.submitWrite(store.Op{Kind: shard.OpDelete, Key: binary.LittleEndian.Uint64(p)}, modeBool)
-	case binOpUpdate:
-		if len(p) != 16 {
-			cs.replyBinErr("UPDATE wants a 16-byte payload")
-			return true
+		if n := int(le.Uint32(p)); len(p) != 4+8*n {
+			return badRequest("MGET payload length mismatch")
 		}
-		cs.submitWrite(store.Op{
-			Kind:  shard.OpUpdate,
-			Key:   binary.LittleEndian.Uint64(p),
-			Value: binary.LittleEndian.Uint64(p[8:]),
-		}, modeValue)
-	case binOpScan:
-		cs.execScanBin(p)
-	case binOpMGet:
-		cs.execMGetBin(p)
-	case binOpStats:
-		cs.awaitWrites()
-		stats := cs.statRows()
+		for p = p[4:]; len(p) > 0; p = p[8:] {
+			keys = append(keys, le.Uint64(p))
+		}
+		r.keys = keys
+	case argRaw:
+		r.raw = p
+	}
+	return r
+}
+
+func (*binCodec) appendReply(b []byte, r reply) []byte {
+	le := binary.LittleEndian
+	switch r.kind {
+	case replyOK, replyPong:
+		return wire.AppendHeader(b, binTagOK, 0)
+	case replyBool:
+		if r.ok {
+			return wire.AppendHeader(b, binTagTrue, 0)
+		}
+		return wire.AppendHeader(b, binTagFalse, 0)
+	case replyValue:
+		if !r.ok {
+			return wire.AppendHeader(b, binTagNil, 0)
+		}
+		return le.AppendUint64(wire.AppendHeader(b, binTagValue, 8), r.v)
+	case replyPairs:
+		b = wire.AppendHeader(b, binTagPairs, 4+16*len(r.pairs))
+		b = le.AppendUint32(b, uint32(len(r.pairs)))
+		for _, p := range r.pairs {
+			b = le.AppendUint64(le.AppendUint64(b, p.k), p.v)
+		}
+	case replyMulti:
+		b = wire.AppendHeader(b, binTagMulti, 4+9*len(r.multi))
+		b = le.AppendUint32(b, uint32(len(r.multi)))
+		for _, m := range r.multi {
+			var found byte
+			if m.OK {
+				found = 1
+			}
+			b = le.AppendUint64(append(b, found), m.Value)
+		}
+	case replyStats:
 		n := 4
-		for _, s := range stats {
+		for _, s := range r.stats {
 			n += 1 + len(s.name) + 8
 		}
-		sl := cs.take()
-		buf := appendBinHeader(sl.buf[:0], binTagStats, n)
-		buf = appendBinU32(buf, uint32(len(stats)))
-		for _, s := range stats {
-			buf = append(buf, byte(len(s.name)))
-			buf = append(buf, s.name...)
-			buf = appendBinU64(buf, s.v)
+		b = wire.AppendHeader(b, binTagStats, n)
+		b = le.AppendUint32(b, uint32(len(r.stats)))
+		for _, s := range r.stats {
+			b = append(append(b, byte(len(s.name))), s.name...)
+			b = le.AppendUint64(b, s.v)
 		}
-		sl.buf = buf
-		cs.finish(sl)
-	case binOpPromote:
-		cs.awaitWrites()
-		cs.srv.Promote()
-		sl := cs.take()
-		sl.buf = appendBinHeader(sl.buf[:0], binTagOK, 0)
-		cs.finish(sl)
-	case repl.OpPSync:
-		if cs.srv.prim == nil || cs.srv.readOnly.Load() {
-			cs.replyBinErr("PSYNC: not a primary")
-			return true
-		}
-		// Copy the payload out of the reused frame buffer and leave the
-		// request loop; handle() drains the reply stream and hands the
-		// connection to the primary.
-		cs.replPSync = append([]byte(nil), p...)
-		return false
-	case binOpQuit:
-		sl := cs.take()
-		sl.buf = appendBinHeader(sl.buf[:0], binTagOK, 0)
-		cs.finish(sl)
-		return false
-	default:
-		cs.replyBinErr("unknown opcode")
+	default: // replyErr
+		b = append(wire.AppendHeader(b, binTagErr, len(r.msg)), r.msg...)
 	}
-	return true
+	return b
 }
 
-func (cs *connState) execScanBin(p []byte) {
-	if len(p) != 20 {
-		cs.replyBinErr("SCAN wants a 20-byte payload")
-		return
+func (*binCodec) appendRequest(b []byte, r request) []byte {
+	d, le := &commands[r.cmd], binary.LittleEndian
+	switch d.args {
+	case argKey, argKeyVal, argScan:
+		b = le.AppendUint64(wire.AppendHeader(b, d.op, binPayload[d.args].n), r.key)
+		if d.args != argKey {
+			b = le.AppendUint64(b, r.val)
+		}
+		if d.args == argScan {
+			b = le.AppendUint32(b, uint32(min(r.max, 1<<32-1)))
+		}
+		return b
+	case argKeys:
+		b = wire.AppendHeader(b, d.op, 4+8*len(r.keys))
+		b = le.AppendUint32(b, uint32(len(r.keys)))
+		for _, k := range r.keys {
+			b = le.AppendUint64(b, k)
+		}
+		return b
 	}
-	lo := binary.LittleEndian.Uint64(p)
-	hi := binary.LittleEndian.Uint64(p[8:])
-	max := int(binary.LittleEndian.Uint32(p[16:]))
-	if max > cs.srv.cfg.MaxScan || max < 0 {
-		max = cs.srv.cfg.MaxScan
-	}
-	items, err := cs.collectScan(lo, hi, max)
+	return append(wire.AppendHeader(b, d.op, len(r.raw)), r.raw...) // argNone, argRaw
+}
+
+// readReply parses one reply frame into the shared Reply shape: PAIRS
+// entries render as "k v" lines, MULTI entries as "$v"/"$-1" and STATS
+// rows as "name value", so Scan, MGET and Stats read either protocol alike.
+func (c *binCodec) readReply(br *bufio.Reader) (Reply, error) {
+	tag, p, buf, err := wire.ReadFrame(br, c.buf)
+	c.buf = buf
 	if err != nil {
-		cs.replyBinErr(err.Error())
-		return
+		return Reply{}, err
 	}
-	sl := cs.take()
-	buf := appendBinHeader(sl.buf[:0], binTagPairs, 4+16*len(items))
-	buf = appendBinU32(buf, uint32(len(items)))
-	for _, it := range items {
-		buf = appendBinU64(buf, it.k)
-		buf = appendBinU64(buf, it.v)
-	}
-	sl.buf = buf
-	cs.finish(sl)
-}
-
-func (cs *connState) execMGetBin(p []byte) {
-	if len(p) < 4 {
-		cs.replyBinErr("MGET wants a count-prefixed payload")
-		return
-	}
-	n := int(binary.LittleEndian.Uint32(p))
-	if n < 0 || len(p) != 4+8*n {
-		cs.replyBinErr("MGET payload length mismatch")
-		return
-	}
-	keys := cs.keys[:0]
-	for i := 0; i < n; i++ {
-		keys = append(keys, binary.LittleEndian.Uint64(p[4+8*i:]))
-	}
-	cs.keys = keys
-	cs.awaitWrites()
-	cs.res = cs.sess.MultiGet(keys, cs.res)
-	sl := cs.take()
-	buf := appendBinHeader(sl.buf[:0], binTagMulti, 4+9*n)
-	buf = appendBinU32(buf, uint32(n))
-	for _, r := range cs.res {
-		if r.OK {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+	le := binary.LittleEndian
+	switch tag {
+	case binTagOK:
+		return Reply{Status: "OK"}, nil
+	case binTagValue:
+		if len(p) != 8 {
+			return Reply{}, errors.New("server: malformed VALUE frame")
 		}
-		buf = appendBinU64(buf, r.Value)
+		return Reply{Value: le.Uint64(p), Found: true}, nil
+	case binTagNil:
+		return Reply{}, nil
+	case binTagTrue:
+		return Reply{Int: 1}, nil
+	case binTagFalse:
+		return Reply{Int: 0}, nil
+	case binTagErr:
+		return Reply{Err: string(p)}, nil
+	case binTagPairs, binTagMulti, binTagStats:
+	default:
+		return Reply{}, fmt.Errorf("server: unknown binary reply tag %d", tag)
 	}
-	sl.buf = buf
-	cs.finish(sl)
-}
-
-// appendBinHeader writes a reply frame header for a payload of payloadLen
-// bytes (the length field counts the tag byte too).
-func appendBinHeader(buf []byte, tag byte, payloadLen int) []byte {
-	var h [5]byte
-	binary.LittleEndian.PutUint32(h[:4], uint32(payloadLen+1))
-	h[4] = tag
-	return append(buf, h[:]...)
-}
-
-func appendBinU32(buf []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(buf, b[:]...)
-}
-
-func appendBinU64(buf []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(buf, b[:]...)
-}
-
-func appendBinValue(buf []byte, v uint64, ok bool) []byte {
-	if !ok {
-		return appendBinHeader(buf, binTagNil, 0)
+	if len(p) < 4 {
+		return Reply{}, fmt.Errorf("server: malformed reply frame (tag %d)", tag)
 	}
-	buf = appendBinHeader(buf, binTagValue, 8)
-	return appendBinU64(buf, v)
-}
-
-func appendBinErr(buf []byte, msg string) []byte {
-	buf = appendBinHeader(buf, binTagErr, len(msg))
-	return append(buf, msg...)
+	n := int(le.Uint32(p))
+	arr := make([]string, 0, min(n, len(p)))
+	for p = p[4:]; len(arr) < n; {
+		switch {
+		case tag == binTagPairs && len(p) >= 16:
+			arr = append(arr, strconv.FormatUint(le.Uint64(p), 10)+" "+strconv.FormatUint(le.Uint64(p[8:]), 10))
+			p = p[16:]
+		case tag == binTagMulti && len(p) >= 9 && p[0] == 0:
+			arr = append(arr, "$-1")
+			p = p[9:]
+		case tag == binTagMulti && len(p) >= 9:
+			arr = append(arr, "$"+strconv.FormatUint(le.Uint64(p[1:]), 10))
+			p = p[9:]
+		case tag == binTagStats && len(p) >= 1 && len(p) >= 1+int(p[0])+8:
+			arr = append(arr, string(p[1:1+p[0]])+" "+strconv.FormatUint(le.Uint64(p[1+p[0]:]), 10))
+			p = p[1+int(p[0])+8:]
+		default:
+			return Reply{}, fmt.Errorf("server: malformed reply frame (tag %d)", tag)
+		}
+	}
+	if len(p) != 0 {
+		return Reply{}, fmt.Errorf("server: malformed reply frame (tag %d)", tag)
+	}
+	return Reply{Array: arr}, nil
 }

@@ -9,87 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
-
-// TestBinaryRoundTrips exercises every binary opcode through the client's
-// binary mode — the same command sequence as TestRoundTrips, decoded from
-// fixed-layout frames instead of text lines.
-func TestBinaryRoundTrips(t *testing.T) {
-	addr, _, _ := startServer(t, core.KindSkiplist, 4, Config{})
-	cl, err := Dial(addr, WithBinaryProto())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if err := cl.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Put(7, 70); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := cl.Get(7); err != nil || !ok || v != 70 {
-		t.Fatalf("get: %d %v %v", v, ok, err)
-	}
-	if _, ok, err := cl.Get(8); err != nil || ok {
-		t.Fatalf("missing get: %v %v", ok, err)
-	}
-	if ins, err := cl.Insert(8, 80); err != nil || !ins {
-		t.Fatalf("insert: %v %v", ins, err)
-	}
-	if ins, err := cl.Insert(8, 81); err != nil || ins {
-		t.Fatalf("duplicate insert: %v %v", ins, err)
-	}
-	if v, ok, err := cl.Update(8, 88); err != nil || !ok || v != 88 {
-		t.Fatalf("update: %d %v %v", v, ok, err)
-	}
-	if _, ok, err := cl.Update(9, 99); err != nil || ok {
-		t.Fatalf("update missing: %v %v", ok, err)
-	}
-	keys, vals, err := cl.Scan(1, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 || keys[0] != 7 || keys[1] != 8 || vals[1] != 88 {
-		t.Fatalf("scan: %v %v", keys, vals)
-	}
-	if keys, _, err := cl.Scan(1, 100, 0); err != nil || len(keys) != 0 {
-		t.Fatalf("scan max=0: %v %v", keys, err)
-	}
-	if err := cl.SendMGet([]uint64{7, 8, 9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cl.ReadReply()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"$70", "$88", "$-1"}
-	if len(rep.Array) != len(want) {
-		t.Fatalf("mget: %v", rep.Array)
-	}
-	for i := range want {
-		if rep.Array[i] != want[i] {
-			t.Fatalf("mget[%d] = %q, want %q", i, rep.Array[i], want[i])
-		}
-	}
-	if del, err := cl.Del(7); err != nil || !del {
-		t.Fatalf("del: %v %v", del, err)
-	}
-	if del, err := cl.Del(7); err != nil || del {
-		t.Fatalf("double del: %v %v", del, err)
-	}
-	// STATS speaks binary too (tag 8), parsing into the same map shape as
-	// the text protocol.
-	if st, err := cl.Stats(); err != nil || st["pool_workers"] == 0 {
-		t.Fatalf("binary STATS: %v (stats %v)", err, st)
-	}
-	if err := cl.Quit(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // readRawFrame reads one reply frame off a raw binary-protocol connection.
 func readRawFrame(t *testing.T, br *bufio.Reader) (tag byte, payload []byte) {
@@ -99,7 +20,7 @@ func readRawFrame(t *testing.T, br *bufio.Reader) (tag byte, payload []byte) {
 		t.Fatalf("read frame header: %v", err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n < 1 || n > maxBinFrame {
+	if n < 1 || n > wire.MaxFrame {
 		t.Fatalf("bad reply frame length %d", n)
 	}
 	payload = make([]byte, n-1)
@@ -123,7 +44,7 @@ func TestBinaryErrorFrames(t *testing.T) {
 	br := bufio.NewReader(c)
 
 	// Magic + version, then a GET with a truncated 4-byte payload.
-	frame := []byte{binMagic, binVersion, 5, 0, 0, 0, binOpGet, 1, 2, 3, 4}
+	frame := []byte{wire.Magic, wire.Version, 5, 0, 0, 0, binOpGet, 1, 2, 3, 4}
 	if _, err := c.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +91,7 @@ func TestBinaryVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Write([]byte{binMagic, 0x7F}); err != nil {
+	if _, err := c.Write([]byte{wire.Magic, 0x7F}); err != nil {
 		t.Fatal(err)
 	}
 	line, err := bufio.NewReader(c).ReadString('\n')
@@ -206,5 +127,48 @@ func TestProtocolCoexistence(t *testing.T) {
 	}
 	if v, ok, err := txt.Get(2); err != nil || !ok || v != 20 {
 		t.Fatalf("text get of binary put: %d %v %v", v, ok, err)
+	}
+}
+
+// TestMGetReplyFitsFrame: the largest MGET whose binary reply fits one
+// frame is served, and one key more is refused with an ERR that leaves the
+// connection usable (it used to be accepted, and its reply frame was one
+// byte over wire.MaxFrame, which the client could not read).
+func TestMGetReplyFitsFrame(t *testing.T) {
+	addr, _, _ := startServer(t, core.KindHash, 4, Config{})
+	cl, err := Dial(addr, WithBinaryProto())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Put(3, 30); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]uint64, maxMGet+1)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	mget := func(keys []uint64) Reply {
+		t.Helper()
+		if err := cl.SendMGet(keys); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := cl.ReadReply()
+		if err != nil {
+			t.Fatalf("MGET of %d keys: %v", len(keys), err)
+		}
+		return rep
+	}
+	if rep := mget(keys[:maxMGet]); rep.IsErr() || len(rep.Array) != maxMGet || rep.Array[2] != "$30" {
+		t.Fatalf("MGET of %d keys: err %q, %d entries", maxMGet, rep.Err, len(rep.Array))
+	}
+	if rep := mget(keys); !rep.IsErr() {
+		t.Fatalf("MGET of %d keys: %d entries, want an error reply", len(keys), len(rep.Array))
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection unusable after the refused MGET: %v", err)
 	}
 }

@@ -2,15 +2,15 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Errors the client classifies out of failed round trips (errors.Is).
@@ -21,7 +21,7 @@ var (
 	// NOT made durable.
 	ErrDegraded = errors.New("server: store degraded")
 	// ErrTimeout reports a dial, flush, or reply read that exceeded the
-	// client's timeout (WithDialTimeout / SetTimeout).
+	// client's timeout (WithDialTimeout).
 	ErrTimeout = errors.New("server: timeout")
 	// ErrWait reports a write the server acknowledged as NOT yet
 	// replicated (the "-ERR WAIT ..." reply): the replica quorum did not
@@ -54,27 +54,22 @@ func mapErr(err error) error {
 // (but its read and write sides may be driven by one goroutine each).
 //
 // A Client speaks either the text protocol (the default) or the binary
-// frame protocol (WithBinaryProto / NewClientBin); both expose the same
-// surface and parse into the same Reply struct.
+// frame protocol (WithBinaryProto) through the server's own codec; both
+// expose the same surface and parse into the same Reply struct.
 type Client struct {
-	c       net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	bin     bool
+	c     net.Conn
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	codec codec
+	// timeout bounds every Flush and reply read (WithDialTimeout): an
+	// operation that stalls longer fails with an error matching ErrTimeout
+	// and the connection should be abandoned.
 	timeout time.Duration
 	// reads, when non-empty, carries the replica connections the
 	// synchronous read helpers (Get, Scan, Stats-free reads) rotate
 	// through (WithReadFrom); writes always use the primary connection.
 	reads    []*Client
 	nextRead int
-	// Frame scratch of the binary protocol, one per side because one
-	// goroutine may drive each. A local array would escape through the
-	// buffered reader/writer and cost a heap object per frame. wbuf holds a
-	// fixed-shape request being queued; rbuf a reply's 5-byte header and a
-	// payload of up to 16 bytes (every point reply), so only arrays and
-	// error strings get a buffer of their own.
-	wbuf [25]byte
-	rbuf [5 + 16]byte
 }
 
 // ReadFrom selects where a Client's synchronous read helpers go when
@@ -113,8 +108,8 @@ func WithBinaryProto() DialOption {
 }
 
 // WithDialTimeout bounds the dial itself and arms the client with the
-// same per-round-trip timeout (see SetTimeout). A dial that exceeds d
-// fails with an error matching ErrTimeout.
+// same timeout on every Flush and reply read. Either one exceeding d fails
+// with an error matching ErrTimeout.
 func WithDialTimeout(d time.Duration) DialOption {
 	return func(c *dialConfig) { c.timeout = d }
 }
@@ -191,24 +186,23 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 }
 
 func dialOne(addr string, cfg dialConfig) (*Client, error) {
-	network, address := SplitAddr(addr)
-	var c net.Conn
-	var err error
-	if cfg.timeout > 0 {
-		c, err = net.DialTimeout(network, address, cfg.timeout)
-	} else {
-		c, err = net.Dial(network, address)
-	}
+	network, address := wire.SplitAddr(addr)
+	c, err := net.DialTimeout(network, address, cfg.timeout) // 0: no timeout
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	var cl *Client
-	if cfg.bin {
-		cl = NewClientBin(c)
-	} else {
-		cl = NewClient(c)
+	cl := &Client{
+		c:       c,
+		br:      bufio.NewReaderSize(c, 64<<10),
+		bw:      bufio.NewWriterSize(c, 64<<10),
+		codec:   &textCodec{},
+		timeout: cfg.timeout,
 	}
-	cl.SetTimeout(cfg.timeout)
+	if cfg.bin {
+		// The preamble reaches the server with the first Flush.
+		cl.codec = &binCodec{}
+		cl.bw.WriteString(wire.Preamble)
+	}
 	return cl, nil
 }
 
@@ -222,12 +216,6 @@ func (cl *Client) readClient() *Client {
 	return rc
 }
 
-// SetTimeout bounds every subsequent Flush and reply read: an operation
-// that stalls longer than d fails with an error matching ErrTimeout and
-// the connection should be abandoned (the stream position is unknown).
-// Zero restores no limit.
-func (cl *Client) SetTimeout(d time.Duration) { cl.timeout = d }
-
 func (cl *Client) armRead() {
 	if cl.timeout > 0 {
 		cl.c.SetReadDeadline(time.Now().Add(cl.timeout))
@@ -238,24 +226,6 @@ func (cl *Client) armWrite() {
 	if cl.timeout > 0 {
 		cl.c.SetWriteDeadline(time.Now().Add(cl.timeout))
 	}
-}
-
-// NewClient wraps an established connection.
-func NewClient(c net.Conn) *Client {
-	return &Client{
-		c:  c,
-		br: bufio.NewReaderSize(c, 64<<10),
-		bw: bufio.NewWriterSize(c, 64<<10),
-	}
-}
-
-// NewClientBin wraps an established connection and queues the binary magic
-// (it reaches the server with the first Flush).
-func NewClientBin(c net.Conn) *Client {
-	cl := NewClient(c)
-	cl.bin = true
-	cl.bw.Write([]byte{binMagic, binVersion})
-	return cl
 }
 
 // Close closes the connection (and any replica read connections).
@@ -272,152 +242,37 @@ func (cl *Client) Flush() error {
 	return mapErr(cl.bw.Flush())
 }
 
-// Send queues one raw command line (no terminator).
-func (cl *Client) Send(line string) error {
-	if _, err := cl.bw.WriteString(line); err != nil {
-		return err
-	}
-	_, err := cl.bw.WriteString("\r\n")
+// send queues one request in the client's protocol.
+func (cl *Client) send(r request) error {
+	_, err := cl.bw.Write(cl.codec.appendRequest(cl.bw.AvailableBuffer(), r))
 	return err
 }
 
 // SendGet, SendPut, SendInsert, SendDel, SendUpdate queue point commands
-// without allocating the command string, in whichever protocol the client
-// negotiated.
-func (cl *Client) SendGet(k uint64) error {
-	if cl.bin {
-		return cl.sendBin1(binOpGet, k)
-	}
-	return cl.send1("GET", k)
-}
-func (cl *Client) SendDel(k uint64) error {
-	if cl.bin {
-		return cl.sendBin1(binOpDel, k)
-	}
-	return cl.send1("DEL", k)
-}
+// without allocating, in whichever protocol the client negotiated.
+func (cl *Client) SendGet(k uint64) error { return cl.send(request{cmd: cmdGet, key: k}) }
+func (cl *Client) SendDel(k uint64) error { return cl.send(request{cmd: cmdDel, key: k}) }
 func (cl *Client) SendPut(k, v uint64) error {
-	if cl.bin {
-		return cl.sendBin2(binOpPut, k, v)
-	}
-	return cl.send2("PUT", k, v)
+	return cl.send(request{cmd: cmdPut, key: k, val: v})
 }
 func (cl *Client) SendInsert(k, v uint64) error {
-	if cl.bin {
-		return cl.sendBin2(binOpInsert, k, v)
-	}
-	return cl.send2("INSERT", k, v)
+	return cl.send(request{cmd: cmdInsert, key: k, val: v})
 }
 func (cl *Client) SendUpdate(k, v uint64) error {
-	if cl.bin {
-		return cl.sendBin2(binOpUpdate, k, v)
-	}
-	return cl.send2("UPDATE", k, v)
+	return cl.send(request{cmd: cmdUpdate, key: k, val: v})
 }
 
-// SendScan queues a SCAN with a result cap.
+// SendScan queues a SCAN returning at most max pairs (the server caps it
+// further); a negative max is refused before anything is sent.
 func (cl *Client) SendScan(lo, hi uint64, max int) error {
-	if cl.bin {
-		b := cl.wbuf[:]
-		binary.LittleEndian.PutUint32(b, 21)
-		b[4] = binOpScan
-		binary.LittleEndian.PutUint64(b[5:], lo)
-		binary.LittleEndian.PutUint64(b[13:], hi)
-		binary.LittleEndian.PutUint32(b[21:], uint32(max))
-		_, err := cl.bw.Write(b)
-		return err
+	if max < 0 {
+		return fmt.Errorf("server: SCAN max %d is negative", max)
 	}
-	var buf [96]byte
-	b := append(buf[:0], "SCAN "...)
-	b = strconv.AppendUint(b, lo, 10)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, hi, 10)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(max), 10)
-	b = append(b, '\r', '\n')
-	_, err := cl.bw.Write(b)
-	return err
+	return cl.send(request{cmd: cmdScan, key: lo, val: hi, max: max})
 }
 
 // SendMGet queues an MGET for a set of keys.
-func (cl *Client) SendMGet(keys []uint64) error {
-	if cl.bin {
-		var hdr [9]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(5+8*len(keys)))
-		hdr[4] = binOpMGet
-		binary.LittleEndian.PutUint32(hdr[5:], uint32(len(keys)))
-		if _, err := cl.bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		var kb [8]byte
-		for _, k := range keys {
-			binary.LittleEndian.PutUint64(kb[:], k)
-			if _, err := cl.bw.Write(kb[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var buf [96]byte
-	b := append(buf[:0], "MGET"...)
-	for _, k := range keys {
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, k, 10)
-	}
-	b = append(b, '\r', '\n')
-	_, err := cl.bw.Write(b)
-	return err
-}
-
-// sendBin0, sendBin1, sendBin2 queue fixed-shape binary request frames.
-func (cl *Client) sendBin0(op byte) error {
-	b := cl.wbuf[:5]
-	binary.LittleEndian.PutUint32(b, 1)
-	b[4] = op
-	_, err := cl.bw.Write(b)
-	return err
-}
-
-func (cl *Client) sendBin1(op byte, k uint64) error {
-	b := cl.wbuf[:13]
-	binary.LittleEndian.PutUint32(b, 9)
-	b[4] = op
-	binary.LittleEndian.PutUint64(b[5:], k)
-	_, err := cl.bw.Write(b)
-	return err
-}
-
-func (cl *Client) sendBin2(op byte, k, v uint64) error {
-	b := cl.wbuf[:21]
-	binary.LittleEndian.PutUint32(b, 17)
-	b[4] = op
-	binary.LittleEndian.PutUint64(b[5:], k)
-	binary.LittleEndian.PutUint64(b[13:], v)
-	_, err := cl.bw.Write(b)
-	return err
-}
-
-func (cl *Client) send1(cmd string, k uint64) error {
-	var buf [64]byte
-	b := append(buf[:0], cmd...)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, k, 10)
-	b = append(b, '\r', '\n')
-	_, err := cl.bw.Write(b)
-	return err
-}
-
-func (cl *Client) send2(cmd string, k, v uint64) error {
-	var buf [96]byte
-	b := append(buf[:0], cmd...)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, k, 10)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, v, 10)
-	b = append(b, '\r', '\n')
-	_, err := cl.bw.Write(b)
-	return err
-}
+func (cl *Client) SendMGet(keys []uint64) error { return cl.send(request{cmd: cmdMGet, keys: keys}) }
 
 // Reply is one parsed server reply. Exactly one interpretation applies per
 // command (see the protocol table in the package comment).
@@ -443,157 +298,8 @@ func (r Reply) IsErr() bool { return r.Err != "" }
 // reply — including every array line — must arrive within it.
 func (cl *Client) ReadReply() (Reply, error) {
 	cl.armRead()
-	r, err := cl.readReply()
+	r, err := cl.codec.readReply(cl.br)
 	return r, mapErr(err)
-}
-
-func (cl *Client) readReply() (Reply, error) {
-	if cl.bin {
-		return cl.readBinReply()
-	}
-	line, err := cl.readLine()
-	if err != nil {
-		return Reply{}, err
-	}
-	if len(line) == 0 {
-		return Reply{}, errors.New("server: empty reply line")
-	}
-	switch line[0] {
-	case '+':
-		return Reply{Status: line[1:]}, nil
-	case '-':
-		return Reply{Err: strings.TrimPrefix(line[1:], "ERR ")}, nil
-	case ':':
-		n, err := strconv.ParseInt(line[1:], 10, 64)
-		if err != nil {
-			return Reply{}, fmt.Errorf("server: bad integer reply %q", line)
-		}
-		return Reply{Int: n}, nil
-	case '$':
-		if line == "$-1" {
-			return Reply{}, nil
-		}
-		v, err := strconv.ParseUint(line[1:], 10, 64)
-		if err != nil {
-			return Reply{}, fmt.Errorf("server: bad value reply %q", line)
-		}
-		return Reply{Value: v, Found: true}, nil
-	case '*':
-		n, err := strconv.Atoi(line[1:])
-		if err != nil || n < 0 {
-			return Reply{}, fmt.Errorf("server: bad array reply %q", line)
-		}
-		arr := make([]string, n)
-		for i := 0; i < n; i++ {
-			if arr[i], err = cl.readLine(); err != nil {
-				return Reply{}, err
-			}
-		}
-		return Reply{Array: arr}, nil
-	}
-	return Reply{}, fmt.Errorf("server: unknown reply %q", line)
-}
-
-// readBinReply parses one binary reply frame into the shared Reply shape:
-// PAIRS entries render as "k v" lines and MULTI entries as "$v"/"$-1", so
-// Scan and array handling work identically across protocols.
-func (cl *Client) readBinReply() (Reply, error) {
-	hdr, payload := cl.rbuf[:5], cl.rbuf[5:]
-	if _, err := io.ReadFull(cl.br, hdr); err != nil {
-		return Reply{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n < 1 || n > maxBinFrame {
-		return Reply{}, fmt.Errorf("server: bad binary frame length %d", n)
-	}
-	if int(n-1) <= len(payload) {
-		payload = payload[:n-1]
-	} else {
-		payload = make([]byte, n-1)
-	}
-	if _, err := io.ReadFull(cl.br, payload); err != nil {
-		return Reply{}, err
-	}
-	switch hdr[4] {
-	case binTagOK:
-		return Reply{Status: "OK"}, nil
-	case binTagValue:
-		if len(payload) != 8 {
-			return Reply{}, errors.New("server: malformed VALUE frame")
-		}
-		return Reply{Value: binary.LittleEndian.Uint64(payload), Found: true}, nil
-	case binTagNil:
-		return Reply{}, nil
-	case binTagTrue:
-		return Reply{Int: 1}, nil
-	case binTagFalse:
-		return Reply{Int: 0}, nil
-	case binTagPairs:
-		if len(payload) < 4 {
-			return Reply{}, errors.New("server: malformed PAIRS frame")
-		}
-		cnt := int(binary.LittleEndian.Uint32(payload))
-		if len(payload) != 4+16*cnt {
-			return Reply{}, errors.New("server: malformed PAIRS frame")
-		}
-		arr := make([]string, cnt)
-		for i := 0; i < cnt; i++ {
-			k := binary.LittleEndian.Uint64(payload[4+16*i:])
-			v := binary.LittleEndian.Uint64(payload[12+16*i:])
-			arr[i] = strconv.FormatUint(k, 10) + " " + strconv.FormatUint(v, 10)
-		}
-		return Reply{Array: arr}, nil
-	case binTagMulti:
-		if len(payload) < 4 {
-			return Reply{}, errors.New("server: malformed MULTI frame")
-		}
-		cnt := int(binary.LittleEndian.Uint32(payload))
-		if len(payload) != 4+9*cnt {
-			return Reply{}, errors.New("server: malformed MULTI frame")
-		}
-		arr := make([]string, cnt)
-		for i := 0; i < cnt; i++ {
-			if payload[4+9*i] == 0 {
-				arr[i] = "$-1"
-			} else {
-				arr[i] = "$" + strconv.FormatUint(binary.LittleEndian.Uint64(payload[5+9*i:]), 10)
-			}
-		}
-		return Reply{Array: arr}, nil
-	case binTagErr:
-		return Reply{Err: string(payload)}, nil
-	case binTagStats:
-		// Render as "name value" lines, the text protocol's STATS shape,
-		// so Stats() parses both protocols identically.
-		if len(payload) < 4 {
-			return Reply{}, errors.New("server: malformed STATS frame")
-		}
-		cnt := int(binary.LittleEndian.Uint32(payload))
-		p := payload[4:]
-		arr := make([]string, 0, cnt)
-		for i := 0; i < cnt; i++ {
-			if len(p) < 1 || len(p) < 1+int(p[0])+8 {
-				return Reply{}, errors.New("server: malformed STATS frame")
-			}
-			name := string(p[1 : 1+p[0]])
-			v := binary.LittleEndian.Uint64(p[1+p[0]:])
-			arr = append(arr, name+" "+strconv.FormatUint(v, 10))
-			p = p[1+int(p[0])+8:]
-		}
-		if len(p) != 0 {
-			return Reply{}, errors.New("server: malformed STATS frame")
-		}
-		return Reply{Array: arr}, nil
-	}
-	return Reply{}, fmt.Errorf("server: unknown binary reply tag %d", hdr[4])
-}
-
-func (cl *Client) readLine() (string, error) {
-	line, err := cl.br.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
 }
 
 // roundTrip flushes and reads one reply, folding protocol errors into err.
@@ -606,78 +312,57 @@ func (cl *Client) roundTrip() (Reply, error) {
 		return Reply{}, err
 	}
 	if r.IsErr() {
-		if msg, ok := strings.CutPrefix(r.Err, "DEGRADED"); ok {
-			return r, fmt.Errorf("%w:%s", ErrDegraded, msg)
-		}
-		if msg, ok := strings.CutPrefix(r.Err, "WAIT"); ok {
-			return r, fmt.Errorf("%w:%s", ErrWait, msg)
-		}
-		if msg, ok := strings.CutPrefix(r.Err, "REPLICA"); ok {
-			return r, fmt.Errorf("%w:%s", ErrReplica, msg)
+		for _, t := range typedErrs {
+			if msg, ok := strings.CutPrefix(r.Err, t.token); ok {
+				return r, fmt.Errorf("%w:%s", t.client, msg)
+			}
 		}
 		return r, errors.New("server: " + r.Err)
 	}
 	return r, nil
 }
 
+// call sends one request and round-trips it.
+func (cl *Client) call(r request) (Reply, error) {
+	if err := cl.send(r); err != nil {
+		return Reply{}, err
+	}
+	return cl.roundTrip()
+}
+
 // Ping round-trips a PING.
 func (cl *Client) Ping() error {
-	var err error
-	if cl.bin {
-		err = cl.sendBin0(binOpPing)
-	} else {
-		err = cl.Send("PING")
-	}
-	if err != nil {
-		return err
-	}
-	_, err = cl.roundTrip()
+	_, err := cl.call(request{cmd: cmdPing})
 	return err
 }
 
 // Put upserts key to value.
 func (cl *Client) Put(k, v uint64) error {
-	if err := cl.SendPut(k, v); err != nil {
-		return err
-	}
-	_, err := cl.roundTrip()
+	_, err := cl.call(request{cmd: cmdPut, key: k, val: v})
 	return err
 }
 
 // Get looks up a key, on a replica connection when read routing says so.
 func (cl *Client) Get(k uint64) (uint64, bool, error) {
-	rc := cl.readClient()
-	if err := rc.SendGet(k); err != nil {
-		return 0, false, err
-	}
-	r, err := rc.roundTrip()
+	r, err := cl.readClient().call(request{cmd: cmdGet, key: k})
 	return r.Value, r.Found, err
 }
 
 // Insert adds key with value; false if present.
 func (cl *Client) Insert(k, v uint64) (bool, error) {
-	if err := cl.SendInsert(k, v); err != nil {
-		return false, err
-	}
-	r, err := cl.roundTrip()
+	r, err := cl.call(request{cmd: cmdInsert, key: k, val: v})
 	return r.Int == 1, err
 }
 
 // Del removes a key; false if absent.
 func (cl *Client) Del(k uint64) (bool, error) {
-	if err := cl.SendDel(k); err != nil {
-		return false, err
-	}
-	r, err := cl.roundTrip()
+	r, err := cl.call(request{cmd: cmdDel, key: k})
 	return r.Int == 1, err
 }
 
 // Update sets key to v if present, returning the new value.
 func (cl *Client) Update(k, v uint64) (uint64, bool, error) {
-	if err := cl.SendUpdate(k, v); err != nil {
-		return 0, false, err
-	}
-	r, err := cl.roundTrip()
+	r, err := cl.call(request{cmd: cmdUpdate, key: k, val: v})
 	return r.Value, r.Found, err
 }
 
@@ -711,31 +396,13 @@ func (cl *Client) Scan(lo, hi uint64, max int) (keys, vals []uint64, err error) 
 // Promote round-trips a PROMOTE: the server, if a replica, becomes a
 // primary (failover). Idempotent on a server that already is one.
 func (cl *Client) Promote() error {
-	var err error
-	if cl.bin {
-		err = cl.sendBin0(binOpPromote)
-	} else {
-		err = cl.Send("PROMOTE")
-	}
-	if err != nil {
-		return err
-	}
-	_, err = cl.roundTrip()
+	_, err := cl.call(request{cmd: cmdPromote})
 	return err
 }
 
 // Stats fetches the server's counters (either protocol).
 func (cl *Client) Stats() (map[string]uint64, error) {
-	var err error
-	if cl.bin {
-		err = cl.sendBin0(binOpStats)
-	} else {
-		err = cl.Send("STATS")
-	}
-	if err != nil {
-		return nil, err
-	}
-	r, err := cl.roundTrip()
+	r, err := cl.call(request{cmd: cmdStats})
 	if err != nil {
 		return nil, err
 	}
@@ -756,16 +423,7 @@ func (cl *Client) Stats() (map[string]uint64, error) {
 
 // Quit sends QUIT and closes.
 func (cl *Client) Quit() error {
-	var err error
-	if cl.bin {
-		err = cl.sendBin0(binOpQuit)
-	} else {
-		err = cl.Send("QUIT")
-	}
-	if err != nil {
-		return err
-	}
-	if _, err := cl.roundTrip(); err != nil {
+	if _, err := cl.call(request{cmd: cmdQuit}); err != nil {
 		return err
 	}
 	return cl.Close()

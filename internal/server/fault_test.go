@@ -22,6 +22,7 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/pmem/vfs"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // startFaultServer is startServer over a durable store whose filesystem
@@ -162,7 +163,7 @@ func TestServerIdleTimeout(t *testing.T) {
 }
 
 // TestClientTimeout: a stalled server (accepts, reads, never replies)
-// must not hang the client — SetTimeout bounds the read and surfaces the
+// must not hang the client — WithDialTimeout bounds the read and surfaces the
 // typed ErrTimeout.
 func TestClientTimeout(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "stall.sock")
@@ -244,7 +245,7 @@ func TestDeadlinesPerBurst(t *testing.T) {
 		var burst []byte
 		replyLen := len("+OK\r\n")
 		if bin {
-			burst = append(burst, binMagic, binVersion)
+			burst = append(burst, wire.Preamble...)
 		}
 		for k := uint64(1); k <= n; k++ {
 			if bin {
@@ -290,7 +291,7 @@ func TestDeadlinesPerBurst(t *testing.T) {
 func TestServerIdleTimeoutPartialFrame(t *testing.T) {
 	for _, bin := range []bool{false, true} {
 		addr, _, _ := startServer(t, core.KindSkiplist, 0, Config{IdleTimeout: 100 * time.Millisecond})
-		network, address := SplitAddr(addr)
+		network, address := wire.SplitAddr(addr)
 		c, err := net.Dial(network, address)
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +301,7 @@ func TestServerIdleTimeoutPartialFrame(t *testing.T) {
 		msg := []byte("PING\r\nPUT 7 ")
 		pong := "+PONG\r\n"
 		if bin {
-			msg = []byte{binMagic, binVersion, 1, 0, 0, 0, binOpPing, 17, 0, 0, 0, binOpPut, 7, 0}
+			msg = []byte{wire.Magic, wire.Version, 1, 0, 0, 0, binOpPing, 17, 0, 0, 0, binOpPut, 7, 0}
 			pong = "\x01\x00\x00\x00\x00"
 		}
 		if _, err := c.Write(msg); err != nil {

@@ -33,6 +33,12 @@
 // operation vocabulary in fixed-layout frames with no parsing or
 // formatting of decimals — see binary.go for the exact layout.
 //
+// Both protocols decode into one request model (request.go: the command
+// table, request, reply and the codec interface); each protocol is one
+// codec (text.go, binary.go) that the server and Client share, and every
+// command runs through one exec. An MGET may ask for at most
+// (wire.MaxFrame-5)/9 keys, so that its binary reply fits one frame.
+//
 // Clients of either protocol may pipeline: the server replies in request
 // order, and a reply to a write is sent only after the commit fence
 // covering it has landed (reply-after-fence; see DESIGN.md). Within one
@@ -42,14 +48,11 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -59,6 +62,7 @@ import (
 	"repro/internal/repl"
 	"repro/internal/shard"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Config tunes a Server.
@@ -74,15 +78,6 @@ type Config struct {
 	// MaxBatch caps one worker flush (default 64; see
 	// batcher.PoolConfig.MaxBatch).
 	MaxBatch int
-	// Workers is the shard-affine worker count (default: the store's shard
-	// count; see batcher.PoolConfig.Workers).
-	Workers int
-	// Ring is each worker's bounded submission ring (default 1024; see
-	// batcher.PoolConfig.Ring).
-	Ring int
-	// MaxScan caps SCAN reply sizes (default 4096 entries); the explicit
-	// limit argument may lower it but not raise it.
-	MaxScan int
 	// IdleTimeout closes a connection that has delivered no complete
 	// request for this long (0 = no limit). The clock re-arms whenever the
 	// server is about to wait on the socket for the rest of the next frame —
@@ -103,9 +98,6 @@ type Config struct {
 	// WaitTimeout bounds a WAIT-mode write's wait for its replica quorum
 	// before it fails with a typed quorum error (default 2s).
 	WaitTimeout time.Duration
-	// ReplLogGroups is the per-shard replication log retention in fence
-	// groups (default 1024).
-	ReplLogGroups int
 }
 
 // Server serves the store protocol. One Server may serve many listeners.
@@ -133,9 +125,10 @@ type Server struct {
 	handlers sync.WaitGroup
 }
 
-// New builds a server over st. The server owns one pool session per worker;
-// read sessions are drawn from a pool of at most cfg.MaxConns. Callers must
-// ensure the store was opened with MaxSessions ≥ MaxConns + Workers + 1.
+// New builds a server over st. The server owns one pool session per worker
+// (one worker per shard); read sessions are drawn from a pool of at most
+// cfg.MaxConns. Callers must ensure the store was opened with
+// MaxSessions ≥ MaxConns + shards + 1.
 func New(st store.Store, cfg Config) *Server {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 64
@@ -143,22 +136,16 @@ func New(st store.Store, cfg Config) *Server {
 	if cfg.Pipeline <= 0 {
 		cfg.Pipeline = 128
 	}
-	if cfg.MaxScan <= 0 {
-		cfg.MaxScan = 4096
-	}
 	if cfg.WaitReplicas == 0 {
 		cfg.WaitReplicas = st.Repl().WaitReplicas
 	}
 	prim := repl.NewPrimary(st, repl.PrimaryConfig{
 		WaitReplicas: cfg.WaitReplicas,
 		WaitTimeout:  cfg.WaitTimeout,
-		LogGroups:    cfg.ReplLogGroups,
 	})
 	return &Server{
 		st: st,
 		pool: batcher.NewPool(st, batcher.PoolConfig{
-			Workers:  cfg.Workers,
-			Ring:     cfg.Ring,
 			MaxBatch: cfg.MaxBatch,
 			OnCommit: prim,
 		}),
@@ -169,9 +156,6 @@ func New(st store.Store, cfg Config) *Server {
 		sessions:  make(chan store.Session, cfg.MaxConns),
 	}
 }
-
-// Primary exposes the replication primary (tests, stats).
-func (s *Server) Primary() *repl.Primary { return s.prim }
 
 // StartReplica switches the server into replica mode: writes are refused
 // with a REPLICA error, and a background link tails primaryAddr's
@@ -213,9 +197,6 @@ func (s *Server) Promote() {
 	}
 }
 
-// Pool exposes the group-commit stage (stats, tests).
-func (s *Server) Pool() *batcher.Pool { return s.pool }
-
 // CheckpointErr reports the first error an automatic size-threshold
 // checkpoint returned (nil normally); callers surface it at shutdown.
 func (s *Server) CheckpointErr() error { return s.pool.CheckpointErr() }
@@ -230,7 +211,7 @@ func (s *Server) CheckpointErr() error { return s.pool.CheckpointErr() }
 // servers cannot unlink each other's fresh bind; the loser sees the
 // winner answer its probe and fails with the original EADDRINUSE.
 func Listen(addr string) (net.Listener, error) {
-	network, address := SplitAddr(addr)
+	network, address := wire.SplitAddr(addr)
 	ln, err := net.Listen(network, address)
 	if err == nil || network != "unix" || !errors.Is(err, syscall.EADDRINUSE) {
 		return ln, err
@@ -257,28 +238,6 @@ func Listen(addr string) (net.Listener, error) {
 		return nil, err
 	}
 	return net.Listen(network, address)
-}
-
-// SplitAddr splits "unix:/path" / "tcp:host:port" / "host:port" into
-// (network, address).
-func SplitAddr(addr string) (network, address string) {
-	switch {
-	case strings.HasPrefix(addr, "unix:"):
-		return "unix", addr[len("unix:"):]
-	case strings.HasPrefix(addr, "tcp:"):
-		return "tcp", addr[len("tcp:"):]
-	default:
-		return "tcp", addr
-	}
-}
-
-// ListenAndServe listens on addr (see Listen) and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := Listen(addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until Close. It returns nil after Close,
@@ -376,18 +335,6 @@ func (s *Server) getSession() (store.Session, bool) {
 
 func (s *Server) putSession(sess store.Session) { s.sessions <- sess }
 
-// replyMode selects how a completed write renders into its reply buffer —
-// an enum rather than a per-request closure, so a slot is reusable without
-// allocating on the submit path.
-type replyMode uint8
-
-const (
-	modeRaw   replyMode = iota // buf already rendered (reads, errors)
-	modeOK                     // PUT: +OK / binTagOK
-	modeBool                   // INSERT, DEL: :1 / :0 / binTagTrue / binTagFalse
-	modeValue                  // UPDATE: $v / $-1 / binTagValue / binTagNil
-)
-
 // slot is one in-order reply. A connection owns Pipeline slots, recycled
 // through the free channel; the writer goroutine sends buf once the ready
 // token arrives. Write slots are completed by the pool (slot implements
@@ -396,8 +343,7 @@ type slot struct {
 	cs    *connState
 	ready chan struct{} // capacity 1: one token per completion
 	buf   []byte
-	mode  replyMode
-	bin   bool
+	kind  replyKind // how a completed write renders
 }
 
 // Complete renders the committed write's result into the slot's reused
@@ -405,40 +351,17 @@ type slot struct {
 // only after the covering commit fence landed, or with an error when it
 // never will).
 func (sl *slot) Complete(res store.OpResult, err error) {
-	buf := sl.buf[:0]
-	switch {
-	case err != nil:
-		buf = appendErrReply(buf, sl.bin, wireErrMsg(err))
-	case sl.mode == modeOK:
-		buf = appendOKReply(buf, sl.bin)
-	case sl.mode == modeBool:
-		buf = appendBoolReply(buf, sl.bin, res.OK)
-	default: // modeValue
-		buf = appendValueReply(buf, sl.bin, res.Value, res.OK)
+	r := reply{kind: sl.kind, ok: res.OK, v: res.Value}
+	if err != nil {
+		r = reply{kind: replyErr, msg: wireErrMsg(err)}
 	}
-	sl.buf = buf
+	sl.buf = sl.cs.codec.appendReply(sl.buf[:0], r)
 	sl.ready <- struct{}{}
 	sl.cs.writes.Done()
 }
 
-// wireErrMsg renders a completion error for the wire. Degraded-store
-// refusals get a stable leading "DEGRADED" token so clients of either
-// protocol can classify them without parsing the cause chain.
-func wireErrMsg(err error) string {
-	if errors.Is(err, batcher.ErrDegraded) {
-		return "DEGRADED " + err.Error()
-	}
-	if errors.Is(err, repl.ErrQuorum) {
-		// The write IS durable on the primary; only the replica quorum is
-		// missing. A distinct token keeps that apart from DEGRADED, where
-		// the write never became durable.
-		return "WAIT " + err.Error()
-	}
-	return err.Error()
-}
-
-// handle runs one connection: a reader goroutine (this one) parses and
-// dispatches requests, a writer goroutine sends completed replies in
+// handle runs one connection: a reader goroutine (this one) decodes and
+// executes requests, a writer goroutine sends completed replies in
 // request order. The fixed slot set is the pipelining window and the
 // backpressure: when a client floods requests faster than commits, the
 // reader blocks acquiring a free slot and the socket fills.
@@ -458,16 +381,17 @@ func (s *Server) handle(c net.Conn) {
 	if err != nil {
 		return
 	}
-	bin := first[0] == binMagic
-	if bin {
-		var magic [2]byte
-		if _, err := io.ReadFull(br, magic[:]); err != nil || magic[1] != binVersion {
+	var cd codec = &textCodec{}
+	if first[0] == wire.Magic {
+		if pre, err := br.Peek(2); err != nil || pre[1] != wire.Version {
 			fmt.Fprintf(c, "-ERR unsupported binary protocol version\r\n")
 			return
 		}
+		br.Discard(2)
+		cd = &binCodec{}
 	}
 
-	cs := newConnState(s, sess, s.cfg.Pipeline, bin)
+	cs := newConnState(s, sess, s.cfg.Pipeline, cd)
 	cs.conn = c
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
@@ -490,59 +414,44 @@ func (s *Server) handle(c net.Conn) {
 		}
 		bw.Flush()
 	}()
-	// On exit: stop the reply stream, let the writer drain every reply —
+	// Stop the reply stream and let the writer drain every reply —
 	// including writes still waiting on their fence (a QUIT's +OK must reach
-	// the wire) — then the deferred c.Close runs.
-	drained := false
-	drain := func() {
+	// the wire) — before the socket closes or changes hands.
+	drain := sync.OnceFunc(func() {
 		close(cs.order)
 		writerWG.Wait()
-	}
-	defer func() {
-		if !drained {
-			drain()
-		}
-	}()
+	})
+	defer drain()
 
-	if bin {
-		s.handleBin(br, cs)
-		if cs.replPSync != nil {
-			// The connection re-negotiated into a replication channel:
-			// drain the reply stream first (every pending reply completed
-			// and hit the wire), then hand the quiet socket to the
-			// primary, which owns it until the link dies. The connection's
-			// session serves the snapshot reads.
-			drain()
-			drained = true
-			s.prim.ServeConn(c, br, cs.sess, cs.replPSync)
-		}
-		return
-	}
+	armIdle := cs.armIdle
 	for {
-		// Re-arm the idle clock only when the next line is not already
-		// wholly in the buffer (see handleBin).
-		if buffered, _ := br.Peek(br.Buffered()); bytes.IndexByte(buffered, '\n') < 0 {
-			cs.armIdle()
+		req, err := cd.readRequest(br, armIdle)
+		if errors.Is(err, errFraming) {
+			cs.replyErr(req.msg)
 		}
-		line, err := br.ReadSlice('\n')
 		if err != nil {
-			if errors.Is(err, bufio.ErrBufferFull) {
-				cs.reply("-ERR request line too long\r\n")
-			}
 			return
 		}
-		if !cs.dispatch(line) {
-			return
+		if !cs.exec(req) {
+			break
 		}
+	}
+	if cs.replPSync != nil {
+		// The connection re-negotiated into a replication channel: every
+		// pending reply hits the wire first, then the quiet socket goes to
+		// the primary, which owns it until the link dies. The connection's
+		// session serves the snapshot reads.
+		drain()
+		s.prim.ServeConn(c, br, cs.sess, cs.replPSync)
 	}
 }
 
-// connState is the per-connection request dispatcher.
+// connState is one connection's request executor.
 type connState struct {
-	srv  *Server
-	sess store.Session
-	conn net.Conn // deadline arming only; all IO goes through the buffers
-	bin  bool
+	srv   *Server
+	sess  store.Session
+	conn  net.Conn // deadline arming only; all IO goes through the buffers
+	codec codec
 	// free recycles the connection's reply slots; order carries them to the
 	// writer in request order. Together they bound the pipeline window.
 	free  chan *slot
@@ -556,22 +465,19 @@ type connState struct {
 	// a worker), which satisfies the WaitGroup reuse rule.
 	writes sync.WaitGroup
 	// scratch buffers reused across requests.
-	fields  []string
-	keys    []uint64
 	res     []store.OpResult
 	scanBuf []scanKV
-	binBuf  []byte
-	// replPSync, when set by dispatchBin, carries a PSYNC request payload
-	// out of the request loop: the connection stops being a request
-	// stream and is handed to the replication primary.
+	// replPSync, when set by exec, carries a PSYNC request payload out of
+	// the request loop: the connection stops being a request stream and is
+	// handed to the replication primary.
 	replPSync []byte
 }
 
-func newConnState(s *Server, sess store.Session, pipeline int, bin bool) *connState {
+func newConnState(s *Server, sess store.Session, pipeline int, cd codec) *connState {
 	cs := &connState{
 		srv:   s,
 		sess:  sess,
-		bin:   bin,
+		codec: cd,
 		free:  make(chan *slot, pipeline),
 		order: make(chan *slot, pipeline),
 	}
@@ -599,8 +505,8 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 }
 
 // armIdle re-arms the connection's idle deadline (no-op when
-// Config.IdleTimeout is unset). The read loops call it only before a read
-// that may have to wait on the socket: a request already wholly in the read
+// Config.IdleTimeout is unset). The codecs call it only before a read that
+// may have to wait on the socket: a request already wholly in the read
 // buffer costs no clock read and no deadline update.
 func (cs *connState) armIdle() {
 	if d := cs.srv.cfg.IdleTimeout; d > 0 && cs.conn != nil {
@@ -608,46 +514,30 @@ func (cs *connState) armIdle() {
 	}
 }
 
-// take acquires the next reply slot, blocking when the client already has
-// a full pipeline window outstanding.
-func (cs *connState) take() *slot {
+// reply renders a reply now and queues it in request order.
+func (cs *connState) reply(r reply) {
 	sl := <-cs.free
-	sl.mode = modeRaw
-	sl.bin = cs.bin
-	return sl
-}
-
-// finish enqueues an already-rendered reply (its token is sent here).
-func (cs *connState) finish(sl *slot) {
+	sl.buf = cs.codec.appendReply(sl.buf[:0], r)
 	sl.ready <- struct{}{}
 	cs.order <- sl
 }
 
-// reply enqueues a fixed already-complete reply.
-func (cs *connState) reply(msg string) {
-	sl := cs.take()
-	sl.buf = append(sl.buf[:0], msg...)
-	cs.finish(sl)
-}
+func (cs *connState) replyErr(msg string) { cs.reply(reply{kind: replyErr, msg: msg}) }
 
 // submitWrite enqueues a reply slot for op in request order and submits it
-// to the pool; the slot renders the result per mode once the covering
+// to the pool; the slot renders the result as kind once the covering
 // fence lands. The slot enters the order queue before Submit so replies
 // cannot reorder, whatever worker the key routes to.
-func (cs *connState) submitWrite(op store.Op, mode replyMode) {
+func (cs *connState) submitWrite(op store.Op, kind replyKind) {
 	if cs.srv.readOnly.Load() {
 		// Replica mode: the store's contents belong to the primary's
 		// stream. The refusal names where writes go, like DEGRADED names
 		// why they stopped.
-		if cs.bin {
-			cs.replyBinErr("REPLICA read-only: writes go to the primary")
-		} else {
-			cs.reply("-ERR REPLICA read-only: writes go to the primary\r\n")
-		}
+		cs.replyErr(wireErrMsg(errReadOnly))
 		return
 	}
-	sl := cs.take()
-	sl.mode = mode
+	sl := <-cs.free
+	sl.kind = kind
 	cs.order <- sl
 	cs.writes.Add(1)
 	cs.srv.pool.Submit(op, sl)
@@ -662,164 +552,86 @@ func (cs *connState) awaitWrites() {
 	cs.writes.Wait()
 }
 
-// dispatch parses and executes one text request line; false closes the
-// connection.
-func (cs *connState) dispatch(line []byte) bool {
-	fields := splitFields(line, cs.fields[:0])
-	cs.fields = fields
-	if len(fields) == 0 {
-		return true // blank line: ignore
-	}
-	cmd := fields[0]
-	args := fields[1:]
-	switch {
-	case strings.EqualFold(cmd, "GET"):
-		k, ok := parse1(cs, args, "GET key")
-		if !ok {
-			return true
+// exec runs one decoded request, whichever protocol carried it; false
+// closes the connection. A write goes to the pool by value and its slot
+// renders the reply, so the write path allocates nothing.
+func (cs *connState) exec(req request) bool {
+	switch req.cmd {
+	case cmdBad:
+		cs.replyErr(req.msg)
+	case cmdPing:
+		cs.reply(reply{kind: replyPong})
+	case cmdGet:
+		cs.awaitWrites()
+		v, found := cs.sess.Get(req.key)
+		cs.reply(reply{kind: replyValue, v: v, ok: found})
+	case cmdPut:
+		cs.submitWrite(store.Op{Kind: shard.OpPut, Key: req.key, Value: req.val}, replyOK)
+	case cmdInsert:
+		cs.submitWrite(store.Op{Kind: shard.OpInsert, Key: req.key, Value: req.val}, replyBool)
+	case cmdDel:
+		cs.submitWrite(store.Op{Kind: shard.OpDelete, Key: req.key}, replyBool)
+	case cmdUpdate:
+		cs.submitWrite(store.Op{Kind: shard.OpUpdate, Key: req.key, Value: req.val}, replyValue)
+	case cmdScan:
+		items, err := cs.collectScan(req.key, req.val, min(req.max, maxScan))
+		if err != nil {
+			cs.replyErr(err.Error())
+			break
+		}
+		cs.reply(reply{kind: replyPairs, pairs: items})
+	case cmdMGet:
+		if len(req.keys) > maxMGet {
+			cs.replyErr(mgetSizeMsg)
+			break
 		}
 		cs.awaitWrites()
-		v, found := cs.sess.Get(k)
-		sl := cs.take()
-		sl.buf = appendValue(sl.buf[:0], v, found)
-		cs.finish(sl)
-	case strings.EqualFold(cmd, "PUT"):
-		k, v, ok := parse2(cs, args, "PUT key value")
-		if !ok {
-			return true
-		}
-		cs.submitWrite(store.Op{Kind: shard.OpPut, Key: k, Value: v}, modeOK)
-	case strings.EqualFold(cmd, "INSERT"):
-		k, v, ok := parse2(cs, args, "INSERT key value")
-		if !ok {
-			return true
-		}
-		cs.submitWrite(store.Op{Kind: shard.OpInsert, Key: k, Value: v}, modeBool)
-	case strings.EqualFold(cmd, "DEL"):
-		k, ok := parse1(cs, args, "DEL key")
-		if !ok {
-			return true
-		}
-		cs.submitWrite(store.Op{Kind: shard.OpDelete, Key: k}, modeBool)
-	case strings.EqualFold(cmd, "UPDATE"):
-		k, v, ok := parse2(cs, args, "UPDATE key value")
-		if !ok {
-			return true
-		}
-		cs.submitWrite(store.Op{Kind: shard.OpUpdate, Key: k, Value: v}, modeValue)
-	case strings.EqualFold(cmd, "SCAN"):
-		cs.execScan(args)
-	case strings.EqualFold(cmd, "MGET"):
-		cs.execMGet(args)
-	case strings.EqualFold(cmd, "STATS"):
+		cs.res = cs.sess.MultiGet(req.keys, cs.res)
+		cs.reply(reply{kind: replyMulti, multi: cs.res})
+	case cmdStats:
 		cs.awaitWrites()
-		sl := cs.take()
-		sl.buf = cs.appendStats(sl.buf[:0])
-		cs.finish(sl)
-	case strings.EqualFold(cmd, "PROMOTE"):
-		// Failover: turn a replica into a primary (idempotent; +OK on a
+		cs.reply(reply{kind: replyStats, stats: cs.statRows()})
+	case cmdPromote:
+		// Failover: turn a replica into a primary (idempotent; OK on a
 		// server that already is one). Reads served before the reply saw
 		// the pre-promotion state; writes accepted after it are the new
 		// primary's own.
 		cs.awaitWrites()
 		cs.srv.Promote()
-		cs.reply("+OK\r\n")
-	case strings.EqualFold(cmd, "PING"):
-		cs.reply("+PONG\r\n")
-	case strings.EqualFold(cmd, "QUIT"):
-		cs.reply("+OK\r\n")
+		cs.reply(reply{kind: replyOK})
+	case cmdPSync:
+		if cs.srv.prim == nil || cs.srv.readOnly.Load() {
+			cs.replyErr("PSYNC: not a primary")
+			break
+		}
+		// Copy the payload out of the codec's frame buffer and leave the
+		// request loop; handle hands the connection to the primary.
+		cs.replPSync = append([]byte(nil), req.raw...)
 		return false
-	default:
-		cs.reply("-ERR unknown command '" + cmd + "'\r\n")
+	case cmdQuit:
+		cs.reply(reply{kind: replyOK})
+		return false
 	}
 	return true
 }
 
-func (cs *connState) execScan(args []string) {
-	if len(args) < 2 || len(args) > 3 {
-		cs.reply("-ERR usage: SCAN lo hi [max]\r\n")
-		return
-	}
-	lo, err1 := strconv.ParseUint(args[0], 10, 64)
-	hi, err2 := strconv.ParseUint(args[1], 10, 64)
-	if err1 != nil || err2 != nil {
-		cs.reply("-ERR SCAN bounds must be uint64\r\n")
-		return
-	}
-	max := cs.srv.cfg.MaxScan
-	if len(args) == 3 {
-		m, err := strconv.Atoi(args[2])
-		if err != nil || m < 0 {
-			cs.reply("-ERR SCAN max must be a non-negative int\r\n")
-			return
-		}
-		if m < max {
-			max = m
-		}
-	}
-	items, err := cs.collectScan(lo, hi, max)
-	if err != nil {
-		cs.reply("-ERR " + err.Error() + "\r\n")
-		return
-	}
-	sl := cs.take()
-	buf := appendArrayHeader(sl.buf[:0], len(items))
-	for _, it := range items {
-		buf = strconv.AppendUint(buf, it.k, 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendUint(buf, it.v, 10)
-		buf = append(buf, '\r', '\n')
-	}
-	sl.buf = buf
-	cs.finish(sl)
-}
-
 // collectScan waits for read-your-writes and gathers up to max entries of
-// [lo, hi] into the reused scan scratch (shared by both protocols).
+// [lo, hi] into the reused scan scratch.
 func (cs *connState) collectScan(lo, hi uint64, max int) ([]scanKV, error) {
 	cs.awaitWrites()
 	items := cs.scanBuf[:0]
+	var err error
 	if max > 0 {
-		err := cs.sess.Scan(lo, hi, func(k, v uint64) bool {
+		err = cs.sess.Scan(lo, hi, func(k, v uint64) bool {
 			items = append(items, scanKV{k, v})
 			return len(items) < max
 		})
-		if err != nil {
-			cs.scanBuf = items
-			return nil, err
-		}
 	}
 	cs.scanBuf = items
-	return items, nil
+	return items, err
 }
 
-func (cs *connState) execMGet(args []string) {
-	if len(args) == 0 {
-		cs.reply("-ERR usage: MGET key...\r\n")
-		return
-	}
-	keys := cs.keys[:0]
-	for _, a := range args {
-		k, err := strconv.ParseUint(a, 10, 64)
-		if err != nil {
-			cs.reply("-ERR MGET keys must be uint64\r\n")
-			return
-		}
-		keys = append(keys, k)
-	}
-	cs.keys = keys
-	cs.awaitWrites()
-	cs.res = cs.sess.MultiGet(keys, cs.res)
-	sl := cs.take()
-	buf := appendArrayHeader(sl.buf[:0], len(keys))
-	for _, r := range cs.res {
-		buf = appendValue(buf, r.Value, r.OK)
-	}
-	sl.buf = buf
-	cs.finish(sl)
-}
-
-// statRow is one STATS counter, rendered by either protocol.
+// statRow is one STATS counter.
 type statRow struct {
 	name string
 	v    uint64
@@ -855,18 +667,6 @@ func (cs *connState) statRows() []statRow {
 	}
 }
 
-func (cs *connState) appendStats(buf []byte) []byte {
-	stats := cs.statRows()
-	buf = appendArrayHeader(buf, len(stats))
-	for _, s := range stats {
-		buf = append(buf, s.name...)
-		buf = append(buf, ' ')
-		buf = strconv.AppendUint(buf, s.v, 10)
-		buf = append(buf, '\r', '\n')
-	}
-	return buf
-}
-
 // degraded01 renders the degraded state as a stats value: 1 once the
 // store's durable backend (or the pool watching it) has latched a disk
 // failure, 0 while healthy.
@@ -888,110 +688,6 @@ func (s *Server) DegradedErr() error {
 		return nil
 	}
 	return s.st.DurableErr()
-}
-
-// parse1 and parse2 parse fixed uint64 argument lists, replying with a
-// usage error on mismatch.
-func parse1(cs *connState, args []string, usage string) (uint64, bool) {
-	if len(args) != 1 {
-		cs.reply("-ERR usage: " + usage + "\r\n")
-		return 0, false
-	}
-	k, err := strconv.ParseUint(args[0], 10, 64)
-	if err != nil {
-		cs.reply("-ERR arguments must be uint64\r\n")
-		return 0, false
-	}
-	return k, true
-}
-
-func parse2(cs *connState, args []string, usage string) (uint64, uint64, bool) {
-	if len(args) != 2 {
-		cs.reply("-ERR usage: " + usage + "\r\n")
-		return 0, 0, false
-	}
-	k, err1 := strconv.ParseUint(args[0], 10, 64)
-	v, err2 := strconv.ParseUint(args[1], 10, 64)
-	if err1 != nil || err2 != nil {
-		cs.reply("-ERR arguments must be uint64\r\n")
-		return 0, 0, false
-	}
-	return k, v, true
-}
-
-// splitFields splits a request line on single spaces, trimming the
-// CR/LF terminator, into dst (reused scratch).
-func splitFields(line []byte, dst []string) []string {
-	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-		line = line[:len(line)-1]
-	}
-	start := -1
-	for i := 0; i <= len(line); i++ {
-		if i == len(line) || line[i] == ' ' {
-			if start >= 0 {
-				dst = append(dst, string(line[start:i]))
-				start = -1
-			}
-			continue
-		}
-		if start < 0 {
-			start = i
-		}
-	}
-	return dst
-}
-
-func appendValue(buf []byte, v uint64, ok bool) []byte {
-	if !ok {
-		return append(buf, '$', '-', '1', '\r', '\n')
-	}
-	buf = append(buf, '$')
-	buf = strconv.AppendUint(buf, v, 10)
-	return append(buf, '\r', '\n')
-}
-
-func appendArrayHeader(buf []byte, n int) []byte {
-	buf = append(buf, '*')
-	buf = strconv.AppendInt(buf, int64(n), 10)
-	return append(buf, '\r', '\n')
-}
-
-// appendOKReply, appendBoolReply, appendValueReply, and appendErrReply
-// render a completed write's reply for either protocol (slot.Complete).
-func appendOKReply(buf []byte, bin bool) []byte {
-	if bin {
-		return appendBinHeader(buf, binTagOK, 0)
-	}
-	return append(buf, "+OK\r\n"...)
-}
-
-func appendBoolReply(buf []byte, bin, ok bool) []byte {
-	if bin {
-		if ok {
-			return appendBinHeader(buf, binTagTrue, 0)
-		}
-		return appendBinHeader(buf, binTagFalse, 0)
-	}
-	if ok {
-		return append(buf, ":1\r\n"...)
-	}
-	return append(buf, ":0\r\n"...)
-}
-
-func appendValueReply(buf []byte, bin bool, v uint64, ok bool) []byte {
-	if bin {
-		return appendBinValue(buf, v, ok)
-	}
-	return appendValue(buf, v, ok)
-}
-
-func appendErrReply(buf []byte, bin bool, msg string) []byte {
-	if bin {
-		return appendBinErr(buf, msg)
-	}
-	buf = append(buf, "-ERR "...)
-	buf = append(buf, msg...)
-	return append(buf, '\r', '\n')
 }
 
 // connCount is a test hook: live connections.

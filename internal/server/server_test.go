@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/persist"
 	"repro/internal/pmem"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // startServer spins up a server over a fresh store on a Unix socket in a
@@ -49,10 +52,26 @@ func startServer(t *testing.T, kind core.Kind, shards int, scfg Config) (string,
 	return addr, srv, st
 }
 
-// TestRoundTrips exercises every command synchronously over a Unix socket.
+// TestRoundTrips exercises every command synchronously over a Unix socket,
+// on each protocol.
 func TestRoundTrips(t *testing.T) {
+	for _, tc := range protocols {
+		t.Run(tc.name, func(t *testing.T) { testRoundTrips(t, tc.opts...) })
+	}
+}
+
+// protocols names the client options of each wire protocol.
+var protocols = []struct {
+	name string
+	opts []DialOption
+}{
+	{"text", nil},
+	{"binary", []DialOption{WithBinaryProto()}},
+}
+
+func testRoundTrips(t *testing.T, opts ...DialOption) {
 	addr, _, _ := startServer(t, core.KindSkiplist, 4, Config{})
-	cl, err := Dial(addr)
+	cl, err := Dial(addr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +112,19 @@ func TestRoundTrips(t *testing.T) {
 	if keys, _, err := cl.Scan(1, 100, 0); err != nil || len(keys) != 0 {
 		t.Fatalf("scan max=0: %v %v", keys, err)
 	}
+	if err := cl.SendMGet([]uint64{7, 8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := cl.ReadReply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(rep.Array, ","); got != "$70,$88,$-1" {
+		t.Fatalf("mget: %q", got)
+	}
 	if del, err := cl.Del(7); err != nil || !del {
 		t.Fatalf("del: %v %v", del, err)
 	}
@@ -103,11 +135,36 @@ func TestRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["batch_ops"] == 0 || stats["fences"] == 0 {
+	if stats["batch_ops"] == 0 || stats["fences"] == 0 || stats["pool_workers"] == 0 {
 		t.Fatalf("stats missing activity: %v", stats)
 	}
 	if err := cl.Quit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanNegativeMax: a negative SCAN limit is refused by the client on
+// either protocol before anything reaches the wire (binary once sent it as
+// uint32(-1) and got every key back), and the connection stays in step.
+func TestScanNegativeMax(t *testing.T) {
+	for _, tc := range protocols {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, _, _ := startServer(t, core.KindSkiplist, 4, Config{})
+			cl, err := Dial(addr, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if err := cl.Put(5, 50); err != nil {
+				t.Fatal(err)
+			}
+			if keys, _, err := cl.Scan(1, 100, -1); err == nil {
+				t.Fatalf("Scan with max -1 returned %v, want an error", keys)
+			}
+			if v, ok, err := cl.Get(5); err != nil || !ok || v != 50 {
+				t.Fatalf("get after refused scan: %d %v %v (a stray reply?)", v, ok, err)
+			}
+		})
 	}
 }
 
@@ -147,13 +204,7 @@ func TestTCP(t *testing.T) {
 // protocol on a 4-shard ordered store, and checks every reply arrives in
 // order.
 func TestPipelining(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []DialOption
-	}{
-		{"text", nil},
-		{"binary", []DialOption{WithBinaryProto()}},
-	} {
+	for _, tc := range protocols {
 		t.Run(tc.name, func(t *testing.T) { testPipelining(t, tc.opts...) })
 	}
 }
@@ -188,7 +239,7 @@ func testPipelining(t *testing.T, opts ...DialOption) {
 			t.Fatalf("put %d: %+v", i, put)
 		}
 	}
-	bs := srv.Pool().Stats()
+	bs := srv.pool.Stats()
 	if bs.Ops != n {
 		t.Fatalf("pool saw %d ops, want %d", bs.Ops, n)
 	}
@@ -469,6 +520,12 @@ func (s *inversionSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, 
 	return dst
 }
 
+// execText decodes one text request line and executes it
+// (component-level tests with no socket).
+func execText(cs *connState, line string) {
+	cs.exec(parseText(splitFields([]byte(line), nil), nil))
+}
+
 // drainReplies collects the next n rendered replies from a connState's
 // order queue (component-level tests with no writer goroutine).
 func drainReplies(cs *connState, n int) []string {
@@ -498,17 +555,17 @@ func TestAwaitWritesWaitsForAllOutstanding(t *testing.T) {
 	}
 	p := batcher.NewSessionPool(sess, batcher.PoolConfig{})
 	defer p.Close()
-	srv := &Server{pool: p, cfg: Config{MaxScan: 16}}
-	cs := newConnState(srv, sess, 16, false)
+	srv := &Server{pool: p}
+	cs := newConnState(srv, sess, 16, &textCodec{})
 
-	cs.dispatch([]byte("PUT 1 1\n")) // priming write: flushes alone, at once
-	<-sess.entered                   // ... and is held mid-flush
-	cs.dispatch([]byte("PUT 7 21\n"))
-	cs.dispatch([]byte("PUT 8 24\n"))
+	execText(cs, "PUT 1 1") // priming write: flushes alone, at once
+	<-sess.entered          // ... and is held mid-flush
+	execText(cs, "PUT 7 21")
+	execText(cs, "PUT 8 24")
 	sess.release <- struct{}{} // the priming flush lands
 	<-sess.entered             // the next flush took both PUTs
 	sess.release <- struct{}{}
-	cs.dispatch([]byte("GET 7\n")) // blocks until read-your-writes holds
+	execText(cs, "GET 7") // blocks until read-your-writes holds
 
 	want := []string{"+OK\r\n", "+OK\r\n", "+OK\r\n", "$21\r\n"}
 	for i, got := range drainReplies(cs, len(want)) {
@@ -555,14 +612,14 @@ func TestAwaitWritesAcrossWorkers(t *testing.T) {
 		batcher.PoolConfig{MaxBatch: 1},
 	)
 	defer p.Close()
-	srv := &Server{pool: p, cfg: Config{MaxScan: 16}}
+	srv := &Server{pool: p}
 	// The read session is the slow worker's: a stale read of key 2 would
 	// observe the map before the delayed apply.
-	cs := newConnState(srv, slow, 16, false)
+	cs := newConnState(srv, slow, 16, &textCodec{})
 
-	cs.dispatch([]byte("PUT 2 42\n")) // worker 0 (slow)
-	cs.dispatch([]byte("PUT 3 9\n"))  // worker 1 (fast, acks first)
-	cs.dispatch([]byte("GET 2\n"))    // must wait for worker 0 too
+	execText(cs, "PUT 2 42") // worker 0 (slow)
+	execText(cs, "PUT 3 9")  // worker 1 (fast, acks first)
+	execText(cs, "GET 2")    // must wait for worker 0 too
 
 	want := []string{"+OK\r\n", "+OK\r\n", "$42\r\n"}
 	for i, got := range drainReplies(cs, len(want)) {
@@ -608,15 +665,23 @@ func TestListenSocketOwnership(t *testing.T) {
 	ln2.Close()
 }
 
+// rawText dials addr without a Client, for tests that must put exact
+// text request lines on the wire.
+func rawText(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	c, err := net.Dial(wire.SplitAddr(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, bufio.NewReader(c)
+}
+
 // TestErrorReplies pins the protocol's error surface; the connection stays
 // usable after each error.
 func TestErrorReplies(t *testing.T) {
 	addr, _, _ := startServer(t, core.KindHash, 0, Config{})
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	c, br := rawText(t, addr)
 	for _, bad := range []string{
 		"BOGUS 1 2",
 		"GET",
@@ -627,26 +692,22 @@ func TestErrorReplies(t *testing.T) {
 		"MGET",
 		"SCAN 1 100 5", // hash kind: unordered
 	} {
-		if err := cl.Send(bad); err != nil {
+		if _, err := c.Write([]byte(bad + "\r\n")); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := cl.ReadReply()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.IsErr() {
-			t.Fatalf("%q: expected error reply, got %+v", bad, rep)
+		if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "-ERR ") {
+			t.Fatalf("%q: reply %q %v, want an error reply", bad, line, err)
 		}
 	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("connection unusable after error replies: %v", err)
+	if _, err := c.Write([]byte("PING\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := br.ReadString('\n'); err != nil || line != "+PONG\r\n" {
+		t.Fatalf("connection unusable after error replies: %q %v", line, err)
 	}
 }
 
-// TestMGet covers the batch read path.
+// TestMGet covers the batch read path on the text wire.
 func TestMGet(t *testing.T) {
 	addr, _, _ := startServer(t, core.KindHash, 4, Config{})
 	cl, err := Dial(addr)
@@ -659,24 +720,14 @@ func TestMGet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.Send("MGET 1 3 9 5"); err != nil {
+	c, br := rawText(t, addr)
+	if _, err := c.Write([]byte("MGET 1 3 9 5\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cl.ReadReply()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"$101", "$103", "$-1", "$105"}
-	if len(rep.Array) != len(want) {
-		t.Fatalf("mget: %v", rep.Array)
-	}
-	for i := range want {
-		if rep.Array[i] != want[i] {
-			t.Fatalf("mget[%d] = %q, want %q", i, rep.Array[i], want[i])
-		}
+	want := "*4\r\n$101\r\n$103\r\n$-1\r\n$105\r\n"
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(br, got); err != nil || string(got) != want {
+		t.Fatalf("mget reply %q %v, want %q", got, err, want)
 	}
 }
 
@@ -742,7 +793,7 @@ func TestConcurrentConnections(t *testing.T) {
 			t.Fatalf("key %d: %d %v", k, v, ok)
 		}
 	}
-	if bs := srv.Pool().Stats(); bs.Ops != conns*per {
+	if bs := srv.pool.Stats(); bs.Ops != conns*per {
 		t.Fatalf("pool ops %d, want %d", bs.Ops, conns*per)
 	}
 }
