@@ -1,11 +1,12 @@
 package nvtraverse
 
 // This file is the API-compatibility guard the CI `apicheck` target runs:
-// compile-time assertions that the v1 facade symbols still exist with
-// their v1 signatures. It is the in-repo equivalent of an apidiff gate —
-// removing or re-signing any v1 symbol breaks this file before it breaks a
-// downstream caller. The v2 surface (Open, Store, Map) is asserted below
-// too, so the next redesign extends rather than replaces it.
+// compile-time assertions that the facade symbols still exist with their
+// signatures. It is the in-repo equivalent of an apidiff gate — removing or
+// re-signing a pinned symbol breaks this file before it breaks a downstream
+// caller. It pins the queue's construction surface, the policy, profile,
+// kind and op values, the v2 store surface (Open and its options) and the
+// v3 replication and client surface.
 
 import (
 	"testing"
@@ -18,16 +19,15 @@ import (
 	"repro/internal/store"
 )
 
-// v1 construction surface.
+// The queue's surface.
 var (
-	_ func(pmem.Profile) *Memory                                 = NewMemory
-	_ func(core.Kind, *Memory, persist.Policy) (Set, error)      = NewSet
-	_ func(core.Kind, *Memory, persist.Policy, int) (Set, error) = NewSetSized
-	_ func(*Memory, persist.Policy) *Queue                       = NewQueue
-	_ func(EngineConfig) (*Engine, error)                        = NewEngine
+	_ func(pmem.Profile) *Memory           = NewMemory
+	_ func(*Memory, persist.Policy) *Queue = NewQueue
+	_ func(*Queue, *Thread, uint64)        = (*Queue).Enqueue
+	_ func(*Queue, *Thread) (uint64, bool) = (*Queue).Dequeue
 )
 
-// v1 policy and profile values.
+// Policy and profile values.
 var (
 	_ persist.Policy = PolicyNone
 	_ persist.Policy = PolicyNVTraverse
@@ -37,7 +37,7 @@ var (
 	_ pmem.Profile   = DRAM
 )
 
-// v1 kind constants and op kinds.
+// Kind constants and op kinds.
 var (
 	_ = []core.Kind{List, HashMap, EllenBST, NMBST, Skiplist}
 	_ = []Op{{Kind: OpGet}, {Kind: OpPut}, {Kind: OpInsert}, {Kind: OpDelete}}
@@ -52,19 +52,6 @@ var (
 	}
 	_ = []Op{{Kind: OpUpdate}, {Kind: OpScan}}
 )
-
-// The v1 Set alias must keep satisfying the v2 contract so old callers
-// gain the new operations without a type change.
-var _ interface {
-	Insert(t *Thread, key, value uint64) bool
-	Delete(t *Thread, key uint64) bool
-	Find(t *Thread, key uint64) (uint64, bool)
-	Update(t *Thread, key uint64, fn func(old uint64) uint64) (uint64, bool)
-	GetOrInsert(t *Thread, key, value uint64) (uint64, bool)
-	RangeScan(t *Thread, lo, hi uint64, fn func(key, value uint64) bool) error
-	Recover(t *Thread)
-	Contents(t *Thread) []uint64
-} = Set(nil)
 
 // v3 surface: replication options on the facade, the replication view on
 // the store, and the single-constructor client Dial.
@@ -94,9 +81,9 @@ var (
 	_ []store.ReplStats = nil
 )
 
-// TestV1FacadeSymbols exists so `go test -run TestV1Facade` has a named
+// TestFacadeSymbols exists so `go test -run TestFacadeSymbols` has a named
 // anchor; the real checking is the compile of this file.
-func TestV1FacadeSymbols(t *testing.T) {
+func TestFacadeSymbols(t *testing.T) {
 	if _, err := Open(Skiplist); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestCrashSmokeSIGKILL(t *testing.T) {
 	}{
 		{"hash-4shard", smokeConfig{kind: "hash", shards: 4, size: 1 << 14, conns: 4, acks: 2000}},
 		{"skiplist-2shard", smokeConfig{kind: "skiplist", shards: 2, size: 1 << 14, conns: 2, acks: 1000}},
-		{"hash-bare", smokeConfig{kind: "hash", shards: 0, size: 1 << 14, conns: 2, acks: 1000}},
+		{"hash-1shard", smokeConfig{kind: "hash", shards: 1, size: 1 << 14, conns: 2, acks: 1000}},
 		// The live-checkpoint round: enough acked traffic that the child's
 		// automatic checkpointing must have run before the SIGKILL, and the
 		// replayed WAL tail must be bounded by the threshold (asserted by

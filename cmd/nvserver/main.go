@@ -49,7 +49,7 @@ func run(args []string, out io.Writer) error {
 		kind     = fs.String("kind", "hash", "structure kind (hash, list, skiplist, ellenbst, nmbst)")
 		policy   = fs.String("policy", "nvtraverse", "persistence policy")
 		profile  = fs.String("profile", "zero", "latency profile: nvram, dram, zero")
-		shards   = fs.Int("shards", 4, "shard count (0 = bare structure)")
+		shards   = fs.Int("shards", 4, "shard count (at least 1)")
 		size     = fs.Int("size", 1<<16, "expected key-range size hint")
 		maxConns = fs.Int("max-conns", 64, "maximum concurrent connections")
 		dataDir  = fs.String("data", "", "durable data directory (WAL + checkpoints; empty = in-memory only)")
@@ -70,6 +70,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	if *shards < 1 {
+		return fmt.Errorf("-shards must be at least 1")
+	}
 	if *syncWAL && *dataDir == "" {
 		return fmt.Errorf("-sync needs -data")
 	}
@@ -101,17 +104,13 @@ func openStore(kind, policy, profile string, shards, size, maxConns int, dataDir
 	if err != nil {
 		return nil, err
 	}
-	workers := shards
-	if workers < 1 {
-		workers = 1
-	}
 	return store.Open(store.Config{
 		Kind:        core.Kind(kind),
 		Policy:      pol,
 		Profile:     prof,
 		Shards:      shards,
 		SizeHint:    size,
-		MaxSessions: maxConns + workers + 4,
+		MaxSessions: maxConns + shards + 4,
 		Dir:         dataDir,
 		SyncFence:   syncWAL,
 		CkptBytes:   ckptBytes,

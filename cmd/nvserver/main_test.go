@@ -76,6 +76,7 @@ func TestBadFlags(t *testing.T) {
 	mustRefuse(t, "-policy", "none") // not durable: the server acks writes as durable
 	mustRefuse(t, "-profile", "bogus")
 	mustRefuse(t, "-kind", "bogus")
+	mustRefuse(t, "-shards", "0") // the engine has at least one shard
 	mustRefuse(t, "-sync")
 	mustRefuse(t, "-ckpt-bytes", "4096")
 	for _, gone := range []string{"-load", "-selftest", "-crashsmoke", "-rate", "-maxdelay"} {

@@ -2,8 +2,9 @@
 // transformation, use it from several goroutines through per-goroutine
 // session handles — point ops, atomic read-modify-write, an ordered range
 // scan — and inspect the persistence-instruction counts that make the
-// transformation cheap. The same handles would work unchanged against the
-// sharded engine (add nvtraverse.WithShards(8) to Open).
+// transformation cheap. The store is one shard of the sharded engine; the
+// same handles work unchanged on eight (add nvtraverse.WithShards(8) to
+// Open).
 package main
 
 import (

@@ -95,13 +95,13 @@ func checkDegraded(t *testing.T, st store.Store, acked uint64, derr error,
 }
 
 func TestPoolDegradedOnFsyncFailure(t *testing.T) {
-	testDegradedOnFsyncFailure(t, 0)
+	testDegradedOnFsyncFailure(t, 1)
 }
 
 // TestBatcherDegradedOnFsyncFailure runs the same regression on the sharded
 // engine behind one worker: the verdict must travel through
 // shard.Session.ApplyCommitted's per-group callback as it does through the
-// bare structure's.
+// single-shard pool's.
 func TestBatcherDegradedOnFsyncFailure(t *testing.T) {
 	testDegradedOnFsyncFailure(t, 4)
 }

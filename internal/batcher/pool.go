@@ -189,9 +189,6 @@ type Pool struct {
 func NewPool(st store.Store, cfg PoolConfig) *Pool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = st.Shards()
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
 	}
 	sessions := make([]store.Session, cfg.Workers)
 	for i := range sessions {

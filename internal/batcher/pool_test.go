@@ -11,14 +11,13 @@ import (
 )
 
 // TestPoolBasicOps round-trips the operation vocabulary through Pool.Do on
-// both backends (one worker on the bare structure, one per shard on the
-// engine).
+// one shard and on four (one worker per shard).
 func TestPoolBasicOps(t *testing.T) {
 	testBasicOps(t, PoolConfig{MaxBatch: 4})
 }
 
 func testBasicOps(t *testing.T, cfg PoolConfig) {
-	for _, shards := range []int{0, 4} {
+	for _, shards := range []int{1, 4} {
 		st, err := store.Open(store.Config{
 			Kind: core.KindSkiplist, Profile: pmem.ProfileZero,
 			Shards: shards, SizeHint: 1024, MaxSessions: 8,

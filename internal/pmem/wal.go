@@ -45,9 +45,9 @@ var ErrWALCorrupt = errors.New("pmem: WAL corrupted mid-log")
 // acknowledged record necessarily lies before it (acknowledgement waits for
 // the flush of its record).
 //
-// A checkpoint (current format, v2) is
+// A checkpoint is
 //
-//	ckptMagic2 | u32 regionCount | u64 boot | regionCount × (u64 tag |
+//	ckptMagic | u32 regionCount | u64 boot | regionCount × (u64 tag |
 //	u64 size | (size/64) × (u64 ver | 64 content bytes)) |
 //	u32 crc32(everything after the magic)
 //
@@ -59,13 +59,11 @@ var ErrWALCorrupt = errors.New("pmem: WAL corrupted mid-log")
 // guard: a WAL record that captured a line at a version the checkpoint
 // already covers is skipped, which is what makes checkpointing safe under
 // live traffic — a thread that captured a line before the checkpoint but
-// fenced after it cannot roll the line back (see Checkpoint). The v1
-// format (no versions, quiesced-only) is still read for old directories.
+// fenced after it cannot roll the line back (see Checkpoint).
 
 const (
-	walMagic   = "NVTWAL1\n"
-	ckptMagic  = "NVTCKP1\n"
-	ckptMagic2 = "NVTCKP2\n"
+	walMagic  = "NVTWAL1\n"
+	ckptMagic = "NVTCKP2\n"
 
 	walEntryBytes  = 88
 	walFrameHeader = 8
@@ -168,11 +166,10 @@ func (d *durableMem) storeLine(r *region, idx uint32, mask uint8, vals *[CellsPe
 }
 
 // loadCheckpoint reads and applies ckpt-<gen>.snap; missing file is fine
-// (no checkpoint taken yet in this generation). A v2 checkpoint seeds the
+// (no checkpoint taken yet in this generation). The checkpoint seeds the
 // replay guard with its per-line versions, so WAL records that captured a
 // line the checkpoint already covers are skipped — the other half of the
-// live-checkpoint safety argument (see Checkpoint). A v1 checkpoint (taken
-// quiesced, its WAL necessarily empty at the flip) seeds nothing.
+// live-checkpoint safety argument (see Checkpoint).
 func (d *durableMem) loadCheckpoint(gen uint64, guard map[lineGuard][2]uint64, seen map[uint64]bool, st *ReplayStats) error {
 	b, err := d.fs.ReadFile(ckptPath(d.dir, gen))
 	if errors.Is(err, os.ErrNotExist) {
@@ -181,30 +178,19 @@ func (d *durableMem) loadCheckpoint(gen uint64, guard map[lineGuard][2]uint64, s
 	if err != nil {
 		return err
 	}
-	if len(b) < len(ckptMagic)+8 {
-		return fmt.Errorf("pmem: checkpoint %s: bad magic", ckptPath(d.dir, gen))
-	}
-	v2 := string(b[:len(ckptMagic2)]) == ckptMagic2
-	if !v2 && string(b[:len(ckptMagic)]) != ckptMagic {
+	if len(b) < len(ckptMagic)+8 || string(b[:len(ckptMagic)]) != ckptMagic {
 		return fmt.Errorf("pmem: checkpoint %s: bad magic", ckptPath(d.dir, gen))
 	}
 	body, sum := b[len(ckptMagic):len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
 		return fmt.Errorf("pmem: checkpoint %s: checksum mismatch", ckptPath(d.dir, gen))
 	}
-	if len(body) < 4 {
+	if len(body) < 12 {
 		return fmt.Errorf("pmem: checkpoint %s: short header", ckptPath(d.dir, gen))
 	}
 	n := binary.LittleEndian.Uint32(body)
-	body = body[4:]
-	var ckptBoot uint64
-	if v2 {
-		if len(body) < 8 {
-			return fmt.Errorf("pmem: checkpoint %s: short header", ckptPath(d.dir, gen))
-		}
-		ckptBoot = binary.LittleEndian.Uint64(body)
-		body = body[8:]
-	}
+	ckptBoot := binary.LittleEndian.Uint64(body[4:])
+	body = body[12:]
 	var full [CellsPerLine]uint64
 	for i := uint32(0); i < n; i++ {
 		if len(body) < 16 {
@@ -213,10 +199,7 @@ func (d *durableMem) loadCheckpoint(gen uint64, guard map[lineGuard][2]uint64, s
 		tag := binary.LittleEndian.Uint64(body)
 		size := binary.LittleEndian.Uint64(body[8:])
 		body = body[16:]
-		stride := uint64(LineSize)
-		if v2 {
-			stride += 8 // u64 version prefix per line
-		}
+		const stride = 8 + LineSize // u64 version prefix per line
 		if size%LineSize != 0 || uint64(len(body)) < size/LineSize*stride {
 			return fmt.Errorf("pmem: checkpoint %s: bad region size %d", ckptPath(d.dir, gen), size)
 		}
@@ -235,16 +218,14 @@ func (d *durableMem) loadCheckpoint(gen uint64, guard map[lineGuard][2]uint64, s
 				uint32(tag>>32), uint32(tag), size, r.size)
 		}
 		for line := uintptr(0); line < r.size/LineSize; line++ {
-			off := line * uintptr(stride)
-			if v2 {
-				ver := binary.LittleEndian.Uint64(raw[off:])
-				// Seed every line, version 0 included: the checkpoint content
-				// was read after the version, so a record at a version the
-				// seed covers carries nothing the content lacks — while
-				// applying it could roll the line back below the snapshot.
-				guard[lineGuard{tag: tag, idx: uint32(line)}] = [2]uint64{ckptBoot, ver}
-				off += 8
-			}
+			off := line * stride
+			ver := binary.LittleEndian.Uint64(raw[off:])
+			// Seed every line, version 0 included: the checkpoint content
+			// was read after the version, so a record at a version the seed
+			// covers carries nothing the content lacks — while applying it
+			// could roll the line back below the snapshot.
+			guard[lineGuard{tag: tag, idx: uint32(line)}] = [2]uint64{ckptBoot, ver}
+			off += 8
 			for s := 0; s < CellsPerLine; s++ {
 				full[s] = binary.LittleEndian.Uint64(raw[off+uintptr(s)*8:])
 			}
@@ -600,7 +581,7 @@ func (m *Memory) Checkpoint() error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(cf, crc), 1<<16)
 	// The magic is outside the checksum; split the writer accordingly.
-	if _, err := io.WriteString(cf, ckptMagic2); err != nil {
+	if _, err := io.WriteString(cf, ckptMagic); err != nil {
 		cf.Close()
 		return err
 	}

@@ -24,14 +24,16 @@ type PrimaryConfig struct {
 	// WaitTimeout bounds how long a WAIT-mode write waits for its quorum
 	// before failing with ErrQuorum (default 2s).
 	WaitTimeout time.Duration
-	// LogGroups is the per-shard replication log retention in fence
-	// groups (default 1024): a replica that falls further behind than
-	// this must full-resync.
-	LogGroups int
-	// PingEvery is the keepalive interval on idle replica links
-	// (default 1s).
-	PingEvery time.Duration
 }
+
+const (
+	// logGroups is the per-shard replication log retention in fence
+	// groups: a replica that falls further behind than this must
+	// full-resync.
+	logGroups = 1024
+	// pingEvery is the keepalive interval on idle replica links.
+	pingEvery = time.Second
+)
 
 // Primary owns the per-shard replication logs and the attached replica
 // links of one serving store. It implements batcher.GroupSink: the
@@ -90,16 +92,7 @@ func NewPrimary(st store.Store, cfg PrimaryConfig) *Primary {
 	if cfg.WaitTimeout <= 0 {
 		cfg.WaitTimeout = 2 * time.Second
 	}
-	if cfg.LogGroups <= 0 {
-		cfg.LogGroups = 1024
-	}
-	if cfg.PingEvery <= 0 {
-		cfg.PingEvery = time.Second
-	}
 	shards := st.Shards()
-	if shards < 1 {
-		shards = 1
-	}
 	p := &Primary{
 		st:       st,
 		cfg:      cfg,
@@ -111,7 +104,7 @@ func NewPrimary(st store.Store, cfg PrimaryConfig) *Primary {
 		done:     make(chan struct{}),
 	}
 	for i := range p.logs {
-		p.logs[i] = newShardLog(cfg.LogGroups)
+		p.logs[i] = newShardLog(logGroups)
 	}
 	if p.runID == 0 {
 		// Non-durable primary: no boot counter to borrow, so a random
@@ -538,7 +531,7 @@ func (p *Primary) sendSnapshot(bw *bufio.Writer, sess store.Session, f *feeder) 
 func (p *Primary) streamTo(bw *bufio.Writer, f *feeder) error {
 	var pending [][]byte
 	var buf []byte
-	ping := time.NewTicker(p.cfg.PingEvery)
+	ping := time.NewTicker(pingEvery)
 	defer ping.Stop()
 	for {
 		sent := false

@@ -59,7 +59,6 @@ type Replica struct {
 	acked    []uint64
 	groups   uint64
 	opsCount uint64
-	lastErr  error
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -135,29 +134,15 @@ func (r *Replica) Stats() store.ReplStats {
 	return st
 }
 
-// LinkErr reports the most recent link failure (nil while the link is
-// healthy or before the first attach finished).
-func (r *Replica) LinkErr() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.linkUp {
-		return nil
-	}
-	return r.lastErr
-}
-
 // run is the attach/apply loop: dial, PSYNC, apply until the link dies,
 // back off, repeat.
 func (r *Replica) run() {
 	defer r.wg.Done()
 	for {
-		err := r.attachOnce()
+		_ = r.attachOnce() // a failed link only ends this attach; the loop backs off and retries
 		r.mu.Lock()
 		r.linkUp = false
 		r.conn = nil
-		if err != nil && !r.closed {
-			r.lastErr = err
-		}
 		closed := r.closed
 		r.mu.Unlock()
 		if closed {
@@ -236,7 +221,6 @@ func (r *Replica) syncOn(c net.Conn) error {
 	}
 	r.mu.Lock()
 	r.linkUp = true
-	r.lastErr = nil
 	r.mu.Unlock()
 	return r.applyStream(br, bw, shards)
 }

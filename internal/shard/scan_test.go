@@ -24,50 +24,90 @@ func newEngine(t *testing.T, shards int, kind core.Kind) *Engine {
 
 // TestScanMergesShards: the merged engine scan must return the same
 // globally ordered sequence a single structure would, with keys scattered
-// over shards by the hash.
+// over shards by the hash — for a few keys per shard, and for several
+// cursor chunks per shard (refills across chunk boundaries).
 func TestScanMergesShards(t *testing.T) {
 	for _, shards := range []int{1, 4, 7} {
-		eng := newEngine(t, shards, core.KindSkiplist)
-		s := eng.NewSession()
-		var want []uint64
-		for k := uint64(1); k <= 500; k += 3 {
-			s.Insert(k, k*2)
-			want = append(want, k)
-		}
-		var got []uint64
-		err := s.Scan(1, 1000, func(k, v uint64) bool {
-			if v != k*2 {
-				t.Fatalf("shards=%d: key %d value %d", shards, k, v)
+		// 2,048 keys in the second input: at least four chunks per shard.
+		for _, last := range []uint64{500, 3 * 32 * scanChunk} {
+			eng := newEngine(t, shards, core.KindSkiplist)
+			s := eng.NewSession()
+			var want []uint64
+			for k := uint64(1); k <= last; k += 3 {
+				s.Insert(k, k*2)
+				want = append(want, k)
 			}
-			got = append(got, k)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: scan %d keys, want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: scan[%d] = %d, want %d", shards, i, got[i], want[i])
+			var got []uint64
+			err := s.Scan(1, 2*last, func(k, v uint64) bool {
+				if v != k*2 {
+					t.Fatalf("shards=%d: key %d value %d", shards, k, v)
+				}
+				got = append(got, k)
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("shards=%d last=%d: scan %d keys, want %d", shards, last, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("shards=%d last=%d: scan[%d] = %d, want %d", shards, last, i, got[i], want[i])
+				}
+			}
+			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+				t.Fatalf("shards=%d: merged scan out of order", shards)
+			}
+			// Bounded sub-range with early stop.
+			count := 0
+			s.Scan(100, 200, func(k, v uint64) bool {
+				if k < 100 || k > 200 {
+					t.Fatalf("key %d outside [100, 200]", k)
+				}
+				count++
+				return count < 5
+			})
+			if count != 5 {
+				t.Fatalf("early stop saw %d keys", count)
 			}
 		}
-		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-			t.Fatalf("shards=%d: merged scan out of order", shards)
+	}
+}
+
+// TestScanWorkBoundedByReply: a scan that stops after 10 keys of the whole
+// key range copies at most one cursor chunk per shard, however many keys
+// the shards hold.
+func TestScanWorkBoundedByReply(t *testing.T) {
+	const shards, keys = 4, 100_000
+	eng, err := New(Config{Shards: shards, Kind: core.KindSkiplist, Policy: persist.NVTraverse{},
+		Params: core.Params{SizeHint: keys}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := eng.NewSession()
+	for k := uint64(1); k <= keys; k++ {
+		s.Put(k, k)
+	}
+	n := 0
+	if err := s.Scan(1, 1<<61-1, func(k, v uint64) bool {
+		n++
+		if k != uint64(n) || v != k {
+			t.Fatalf("scan[%d] = (%d,%d)", n, k, v)
 		}
-		// Bounded sub-range with early stop.
-		count := 0
-		s.Scan(100, 200, func(k, v uint64) bool {
-			if k < 100 || k > 200 {
-				t.Fatalf("key %d outside [100, 200]", k)
-			}
-			count++
-			return count < 5
-		})
-		if count != 5 {
-			t.Fatalf("early stop saw %d keys", count)
-		}
+		return n < 10
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 10 {
+		t.Fatalf("scan visited %d keys, want 10", n)
+	}
+	buffered := 0
+	for _, buf := range s.bufs {
+		buffered += len(buf)
+	}
+	if buffered > shards*scanChunk {
+		t.Fatalf("a 10-key scan buffered %d pairs, want at most %d (shards × chunk)", buffered, shards*scanChunk)
 	}
 }
 

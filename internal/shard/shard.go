@@ -406,14 +406,19 @@ type Session struct {
 	th       []*pmem.Thread
 	groups   [][]int    // scratch: batch op indexes grouped per shard
 	scanIdxs []int      // scratch: batch op indexes holding scans
-	bufs     [][]kvPair // scratch: per-shard scan collection buffers
-	heads    []int      // scratch: per-shard merge cursors
+	bufs     [][]kvPair // scratch: per-shard scan cursor chunks
+	heads    []int      // scratch: per-shard merge positions in bufs
 }
 
-// kvPair is one collected scan result during a merged engine scan.
+// kvPair is one buffered scan result during a merged engine scan.
 type kvPair struct {
 	key, value uint64
 }
+
+// scanChunk is the number of pairs a merged scan buffers per shard: a
+// refill is one RangeScan that stops after scanChunk keys, so a scan whose
+// fn stops early has copied at most shards × scanChunk pairs.
+const scanChunk = 64
 
 // NewSession registers a session (one thread on every shard's memory).
 func (e *Engine) NewSession() *Session {
@@ -474,11 +479,12 @@ func (s *Session) GetOrInsert(key, value uint64) (v uint64, inserted bool) {
 // Scan visits every present key in [lo, hi] ascending across all shards,
 // calling fn(key, value) until fn returns false or the range is exhausted.
 // Keys are hash-partitioned, so each shard's RangeScan yields an ordered
-// disjoint stream; the session collects the per-shard streams and k-way
-// merges them into one globally ordered sequence. The collection phase
-// always scans the full [lo, hi] on every shard (an early fn stop saves the
-// merge, not the shard scans) — callers bound hi accordingly. Returns
-// core.ErrUnordered when the engine's kind has no key order.
+// disjoint stream; the session k-way merges them into one globally ordered
+// sequence. Each shard is read through a cursor of scanChunk pairs that
+// refills by RangeScan from just past its last key, so the work is bounded
+// by what fn consumes, not by the width of [lo, hi]. One shard scans its
+// structure directly. Returns core.ErrUnordered when the engine's kind has
+// no key order.
 func (s *Session) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 	e := s.eng
 	if len(e.shards) == 1 {
@@ -489,23 +495,26 @@ func (s *Session) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 		s.heads = make([]int, len(e.shards))
 	}
 	for i := range e.shards {
-		buf := s.bufs[i][:0]
-		err := e.shards[i].set.RangeScan(s.th[i], lo, hi, func(k, v uint64) bool {
-			buf = append(buf, kvPair{k, v})
-			return true
-		})
-		s.bufs[i] = buf
-		if err != nil {
+		if err := s.refill(i, lo, hi); err != nil {
 			return err
 		}
-		s.heads[i] = 0
 	}
 	for {
 		best := -1
 		var bestKey uint64
 		for i := range s.bufs {
-			if s.heads[i] >= len(s.bufs[i]) {
-				continue
+			if buf := s.bufs[i]; s.heads[i] == len(buf) {
+				// A short chunk, or one that reached hi, ended the shard.
+				n := len(buf)
+				if n < scanChunk || buf[n-1].key >= hi {
+					continue
+				}
+				if err := s.refill(i, buf[n-1].key+1, hi); err != nil {
+					return err
+				}
+				if len(s.bufs[i]) == 0 {
+					continue
+				}
 			}
 			if k := s.bufs[i][s.heads[i]].key; best < 0 || k < bestKey {
 				best, bestKey = i, k
@@ -520,6 +529,18 @@ func (s *Session) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 			return nil
 		}
 	}
+}
+
+// refill replaces shard i's cursor chunk with the first scanChunk pairs of
+// [lo, hi] on that shard.
+func (s *Session) refill(i int, lo, hi uint64) error {
+	buf := s.bufs[i][:0]
+	err := s.eng.shards[i].set.RangeScan(s.th[i], lo, hi, func(k, v uint64) bool {
+		buf = append(buf, kvPair{k, v})
+		return len(buf) < scanChunk
+	})
+	s.bufs[i], s.heads[i] = buf, 0
+	return err
 }
 
 func (s *Session) exec(i int, op Op) OpResult {

@@ -209,7 +209,7 @@ func loggedLines(t *testing.T, dir string) map[[2]uint64]bool {
 // add one).
 func TestTrackedAndFastLogSameLines(t *testing.T) {
 	run := func(tracked bool) map[[2]uint64]bool {
-		cfg := store.Config{Kind: core.KindHash, SizeHint: 1 << 10, Tracked: tracked, Dir: t.TempDir()}
+		cfg := store.Config{Kind: core.KindHash, Shards: 1, SizeHint: 1 << 10, Tracked: tracked, Dir: t.TempDir()}
 		st, err := store.Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -238,7 +238,7 @@ func TestTrackedAndFastLogSameLines(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return loggedLines(t, cfg.Dir)
+		return loggedLines(t, filepath.Join(cfg.Dir, "shard-0"))
 	}
 	fast, tracked := run(false), run(true)
 	for l := range fast {

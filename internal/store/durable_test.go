@@ -1,6 +1,9 @@
 package store_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,8 +12,8 @@ import (
 	"repro/internal/store"
 )
 
-// TestStoreDurableReopen round-trips both backends through the file
-// backend: open with Dir, write, close, reopen the same directory, and
+// TestStoreDurableReopen round-trips stores of one and of several shards
+// through the file backend: open with Dir, write, close, reopen the same directory, and
 // require every key back with its value (plus scan agreement on ordered
 // kinds).
 func TestStoreDurableReopen(t *testing.T) {
@@ -157,4 +160,42 @@ func TestStoreManifestMismatch(t *testing.T) {
 		t.Fatalf("key 1 lost: (%d,%v)", v, ok)
 	}
 	st2.Close()
+}
+
+// TestStoreManifestRecordsShardsUsed pins the normalisation of Shards ≤ 0:
+// the manifest records the one shard actually opened, so the directory
+// reopens with Shards: 1, while a directory whose manifest says "shards": 0
+// (the layout of the removed bare-structure backend, journalled in the
+// top-level directory) is refused rather than misread.
+func TestStoreManifestRecordsShardsUsed(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Config{Kind: core.KindSkiplist, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Shards() != 1 {
+		t.Fatalf("Shards() = %d, want 1", st.Shards())
+	}
+	st.NewSession().Put(7, 70)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(store.Config{Kind: core.KindSkiplist, Shards: 1, Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen with Shards: 1: %v", err)
+	}
+	if v, ok := st2.NewSession().Get(7); !ok || v != 70 {
+		t.Fatalf("key 7: got (%d,%v)", v, ok)
+	}
+	st2.Close()
+
+	bare := t.TempDir()
+	manifest := fmt.Sprintf(`{"version": 1, "kind": "skiplist", "policy": %q, "shards": 0, "size_hint": 0, "buckets": 0}`,
+		persist.NVTraverse{}.Name())
+	if err := os.WriteFile(filepath.Join(bare, "MANIFEST.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Open(store.Config{Kind: core.KindSkiplist, Dir: bare}); err == nil || !strings.Contains(err.Error(), "refusing to open") {
+		t.Fatalf("bare-structure directory: want manifest mismatch, got %v", err)
+	}
 }

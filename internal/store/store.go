@@ -1,16 +1,14 @@
 // Package store is the unified durable-store surface of the repository —
-// Store API v2. One Store interface is satisfied by both backends:
+// Store API v2. Its one backend is the hash-sharded engine (shard.Engine);
+// a store of one shard is an engine of one shard, whose point operations
+// and scans go straight to the single structure.
 //
-//   - a bare traversal structure (one pmem.Memory, one core.Set), and
-//   - the hash-sharded engine (shard.Engine).
-//
-// Callers hold a Session — the per-goroutine operation handle — and never
-// need to know which backend they were given: benchmarks, CLIs, examples
-// and the typed Map facade all target Session. A bare structure's session
-// binds a pmem.Thread to the structure; an engine's session is exactly
-// shard.Session (which satisfies the interface structurally). Batched
-// Apply, atomic read-modify-write and ordered range scans work on both;
-// the engine's Scan k-way merges the per-shard ordered streams.
+// Callers hold a Session — the per-goroutine operation handle: benchmarks,
+// CLIs, examples and the typed Map facade all target it. The Session is
+// exactly shard.Session (which satisfies the interface structurally).
+// Store stays an interface so callers can wrap it (instrumentation, the
+// replica attachment). Batched Apply, atomic read-modify-write and ordered
+// range scans all work; Scan k-way merges the per-shard ordered streams.
 package store
 
 import (
@@ -28,8 +26,7 @@ import (
 )
 
 // Op and OpResult are the batched-operation vocabulary, shared with the
-// engine (a bare structure's Apply honors the same contract, with the whole
-// batch as one fence group).
+// engine.
 type (
 	Op       = shard.Op
 	OpResult = shard.OpResult
@@ -71,8 +68,8 @@ type Session interface {
 // could not be made durable (the backend latched a sticky disk failure,
 // see Store.DurableErr) and the results at idxs must not be acknowledged.
 // idxs aliases internal scratch and is valid only during the callback.
-// Both backends implement AsyncSession; it is a separate interface only so
-// Session stays implementable by test doubles.
+// The engine's session implements AsyncSession; it is a separate interface
+// only so Session stays implementable by test doubles.
 type AsyncSession interface {
 	Session
 	ApplyCommitted(ops []Op, dst []OpResult, committed func(idxs []int, err error)) []OpResult
@@ -121,13 +118,13 @@ type ReplStats struct {
 	AppliedOps    uint64
 }
 
-// Store is one durable key-value store, bare or sharded.
+// Store is one durable key-value store.
 type Store interface {
 	// NewSession registers a per-goroutine handle.
 	NewSession() Session
 	// Kind reports the underlying structure kind.
 	Kind() core.Kind
-	// Shards reports the shard count; 0 means a bare structure.
+	// Shards reports the shard count (at least 1).
 	Shards() int
 	// Ordered reports whether Scan works on this store.
 	Ordered() bool
@@ -152,8 +149,8 @@ type Store interface {
 	// ReplayStats reports the cost of the file recovery Open performed
 	// (zero on non-durable stores).
 	ReplayStats() pmem.ReplayStats
-	// ShardFor reports which shard a key routes to (always 0 on a bare
-	// structure). Shard-affine callers — the batcher's worker pool — use it
+	// ShardFor reports which shard a key routes to (always 0 on one
+	// shard). Shard-affine callers — the batcher's worker pool — use it
 	// to keep a key's operations on the worker that owns its shard group.
 	ShardFor(key uint64) int
 	// Repl reports the store's replication view: the zero ReplStats value
@@ -180,8 +177,8 @@ type Store interface {
 	Close() error
 }
 
-// Config parameterizes Open. The zero value opens a bare NVTraverse hash
-// table on a fast NVRAM-profile memory.
+// Config parameterizes Open. The zero value opens a one-shard NVTraverse
+// hash table on a fast memory.
 type Config struct {
 	// Kind is the structure kind (default core.KindHash).
 	Kind core.Kind
@@ -195,7 +192,8 @@ type Config struct {
 	Buckets int
 	// Tracked builds tracked memories (crash testing) instead of fast ones.
 	Tracked bool
-	// Shards > 0 opens the sharded engine instead of a bare structure.
+	// Shards is the shard count; ≤ 0 opens one shard. The manifest records
+	// the count actually used.
 	Shards int
 	// MaxSessions bounds NewSession calls (default 64).
 	MaxSessions int
@@ -286,14 +284,16 @@ func checkManifest(dir string, cfg Config) error {
 	return nil
 }
 
-// Open builds a Store for cfg: a bare structure when cfg.Shards == 0, the
-// sharded engine otherwise.
+// Open builds the sharded engine for cfg; Shards ≤ 0 opens one shard.
 func Open(cfg Config) (Store, error) {
 	if cfg.Kind == "" {
 		cfg.Kind = core.KindHash
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = persist.NVTraverse{}
+	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = 1
 	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 64
@@ -303,75 +303,40 @@ func Open(cfg Config) (Store, error) {
 			return nil, err
 		}
 	}
-	if cfg.Shards > 0 {
-		eng, err := shard.New(shard.Config{
-			Shards:      cfg.Shards,
-			Kind:        cfg.Kind,
-			Policy:      cfg.Policy,
-			Profile:     cfg.Profile,
-			Tracked:     cfg.Tracked,
-			MaxSessions: cfg.MaxSessions,
-			Params:      core.Params{SizeHint: cfg.SizeHint, Buckets: cfg.Buckets},
-			Dir:         cfg.Dir,
-			SyncFence:   cfg.SyncFence,
-			FS:          cfg.FS,
-		})
-		if err != nil {
-			return nil, err
-		}
-		replay, err := eng.RecoverFiles()
-		if err != nil {
-			return nil, fmt.Errorf("store: recover %s: %w", cfg.Dir, err)
-		}
-		st := &EngineStore{eng: eng, admin: eng.NewSession(), replay: replay, ckptBytes: cfg.CkptBytes}
-		st.repl.waitK = cfg.WaitReplicas
-		if eng.Durable() {
-			// The paper's recovery phase runs on every durable open: on a
-			// fresh directory it is a no-op scan, after a crash it rebuilds
-			// the auxiliary state the replayed image needs.
-			st.Recover()
-		}
-		return st, nil
-	}
-	mode := pmem.ModeFast
-	if cfg.Tracked {
-		mode = pmem.ModeTracked
-	}
-	mem := pmem.New(pmem.Config{
-		Mode:    mode,
-		Profile: cfg.Profile,
-		// +2: the structure constructor registers a thread, plus the
-		// store's admin thread.
-		MaxThreads: cfg.MaxSessions + 2,
-		Dir:        cfg.Dir,
-		SyncFence:  cfg.SyncFence,
-		FS:         cfg.FS,
-	})
-	set, err := core.NewSet(cfg.Kind, mem, cfg.Policy, core.Params{
-		SizeHint: cfg.SizeHint, Buckets: cfg.Buckets,
+	eng, err := shard.New(shard.Config{
+		Shards:      cfg.Shards,
+		Kind:        cfg.Kind,
+		Policy:      cfg.Policy,
+		Profile:     cfg.Profile,
+		Tracked:     cfg.Tracked,
+		MaxSessions: cfg.MaxSessions,
+		Params:      core.Params{SizeHint: cfg.SizeHint, Buckets: cfg.Buckets},
+		Dir:         cfg.Dir,
+		SyncFence:   cfg.SyncFence,
+		FS:          cfg.FS,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, err
 	}
-	var replay pmem.ReplayStats
-	if mem.Durable() {
-		replay, err = mem.RecoverFiles()
-		if err != nil {
-			return nil, fmt.Errorf("store: recover %s: %w", cfg.Dir, err)
-		}
+	replay, err := eng.RecoverFiles()
+	if err != nil {
+		return nil, fmt.Errorf("store: recover %s: %w", cfg.Dir, err)
 	}
-	st := &Single{mem: mem, set: set, kind: cfg.Kind, admin: mem.NewThread(), replay: replay, ckptBytes: cfg.CkptBytes}
+	st := &EngineStore{eng: eng, admin: eng.NewSession(), replay: replay, ckptBytes: cfg.CkptBytes}
 	st.repl.waitK = cfg.WaitReplicas
-	if mem.Durable() {
+	if eng.Durable() {
+		// The paper's recovery phase runs on every durable open: on a
+		// fresh directory it is a no-op scan, after a crash it rebuilds
+		// the auxiliary state the replayed image needs.
 		st.Recover()
 	}
 	return st, nil
 }
 
-// replSource is the shared live-stats indirection behind Repl(): the repl
+// replSource is the live-stats indirection behind Repl(): the repl
 // package attaches a primary's or replica's stats function through
 // SetReplSource, and until one is attached Repl reports the zero value
-// (plus the configured quorum). Held by both backends.
+// (plus the configured quorum).
 type replSource struct {
 	waitK int
 	fn    atomic.Pointer[func() ReplStats]
@@ -390,185 +355,6 @@ func (r *replSource) stats() ReplStats {
 	return ReplStats{WaitReplicas: r.waitK}
 }
 
-// Single is the bare-structure backend: one memory, one structure.
-type Single struct {
-	mem       *pmem.Memory
-	set       core.Set
-	kind      core.Kind
-	admin     *pmem.Thread
-	replay    pmem.ReplayStats
-	ckptBytes int64
-	repl      replSource
-}
-
-// NewSingle wraps an existing structure and memory as a Store (migration
-// path for callers that built via core.NewSet).
-func NewSingle(mem *pmem.Memory, set core.Set, kind core.Kind) *Single {
-	return &Single{mem: mem, set: set, kind: kind, admin: mem.NewThread()}
-}
-
-// Memory exposes the backing memory (crash testing, stats).
-func (s *Single) Memory() *pmem.Memory { return s.mem }
-
-// Set exposes the backing structure (tests, recovery inspection).
-func (s *Single) Set() core.Set { return s.set }
-
-func (s *Single) NewSession() Session {
-	return &singleSession{set: s.set, th: s.mem.NewThread()}
-}
-
-func (s *Single) Kind() core.Kind               { return s.kind }
-func (s *Single) Shards() int                   { return 0 }
-func (s *Single) Ordered() bool                 { return core.Ordered(s.kind) }
-func (s *Single) Recover()                      { s.set.Recover(s.admin) }
-func (s *Single) Contents() []uint64            { return s.set.Contents(s.admin) }
-func (s *Single) Stats() pmem.Stats             { return s.mem.Stats() }
-func (s *Single) ResetStats()                   { s.mem.ResetStats() }
-func (s *Single) Durable() bool                 { return s.mem.Durable() }
-func (s *Single) DurableErr() error             { return s.mem.DurableErr() }
-func (s *Single) ReplayStats() pmem.ReplayStats { return s.replay }
-func (s *Single) ShardFor(uint64) int           { return 0 }
-func (s *Single) Repl() ReplStats               { return s.repl.stats() }
-func (s *Single) Boot() uint64 {
-	boot, _ := s.mem.Watermark()
-	return boot
-}
-
-// SetReplSource attaches a live replication stats source (internal/repl).
-func (s *Single) SetReplSource(fn func() ReplStats) { s.repl.set(fn) }
-func (s *Single) Checkpoint() error {
-	if !s.mem.Durable() {
-		return nil
-	}
-	return s.mem.Checkpoint()
-}
-func (s *Single) MaybeCheckpoint() (int, error) {
-	if s.ckptBytes <= 0 || !s.mem.Durable() {
-		return 0, nil
-	}
-	ran, err := s.mem.CheckpointIfOver(s.ckptBytes)
-	if ran {
-		return 1, err
-	}
-	return 0, err
-}
-func (s *Single) Close() error { return s.mem.Close() }
-
-// singleSession binds one thread to a bare structure.
-type singleSession struct {
-	set       core.Set
-	th        *pmem.Thread
-	scanIdxs  []int // scratch: batch op indexes holding scans
-	keyedIdxs []int // scratch: the rest of the batch
-}
-
-func (s *singleSession) Get(key uint64) (uint64, bool) { return s.set.Find(s.th, key) }
-func (s *singleSession) Insert(key, value uint64) bool { return s.set.Insert(s.th, key, value) }
-func (s *singleSession) Delete(key uint64) bool        { return s.set.Delete(s.th, key) }
-func (s *singleSession) Rand() uint64                  { return s.th.Rand() }
-
-func (s *singleSession) Put(key, value uint64) {
-	core.Upsert(s.set, s.th, key, value)
-}
-
-func (s *singleSession) Update(key uint64, fn func(old uint64) uint64) (uint64, bool) {
-	return s.set.Update(s.th, key, fn)
-}
-
-func (s *singleSession) GetOrInsert(key, value uint64) (uint64, bool) {
-	return s.set.GetOrInsert(s.th, key, value)
-}
-
-func (s *singleSession) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
-	return s.set.RangeScan(s.th, lo, hi, fn)
-}
-
-// Apply executes the batch as one fence group: a bare structure has a
-// single memory, so the whole batch shares one commit fence (the engine
-// pays one per shard group). Matching the engine's Apply, OpScan
-// operations run before the batch's keyed operations — the two backends
-// must return identical results for the same batch.
-func (s *singleSession) Apply(ops []Op, dst []OpResult) []OpResult {
-	return s.ApplyCommitted(ops, dst, nil)
-}
-
-// ApplyCommitted is the AsyncSession surface on a bare structure: the whole
-// keyed batch is one fence group, so committed fires once for the scans
-// (before the group, mirroring the engine) and once for everything else
-// after the group's commit fence.
-func (s *singleSession) ApplyCommitted(ops []Op, dst []OpResult, committed func(idxs []int, err error)) []OpResult {
-	if cap(dst) < len(ops) {
-		dst = make([]OpResult, len(ops))
-	}
-	dst = dst[:len(ops)]
-	s.scanIdxs = s.scanIdxs[:0]
-	s.keyedIdxs = s.keyedIdxs[:0]
-	for i := range ops {
-		if ops[i].Kind == shard.OpScan {
-			dst[i] = s.execScan(ops[i])
-			s.scanIdxs = append(s.scanIdxs, i)
-		} else {
-			s.keyedIdxs = append(s.keyedIdxs, i)
-		}
-	}
-	if committed != nil && len(s.scanIdxs) > 0 {
-		committed(s.scanIdxs, nil)
-	}
-	s.th.BeginBatch()
-	for _, i := range s.keyedIdxs {
-		dst[i] = s.exec(ops[i])
-	}
-	s.th.EndBatch()
-	// Publish after the batch fence so Stats read at the acknowledgement
-	// point include it (see shard.Session.ApplyCommitted).
-	s.th.PublishStats()
-	if committed != nil && len(s.keyedIdxs) > 0 {
-		committed(s.keyedIdxs, s.th.DurableErr())
-	}
-	return dst
-}
-
-func (s *singleSession) execScan(op Op) OpResult {
-	var count uint64
-	err := s.set.RangeScan(s.th, op.Key, op.Hi, func(uint64, uint64) bool {
-		count++
-		return true
-	})
-	return OpResult{Value: count, OK: err == nil}
-}
-
-func (s *singleSession) exec(op Op) OpResult {
-	switch op.Kind {
-	case shard.OpGet:
-		v, ok := s.set.Find(s.th, op.Key)
-		return OpResult{Value: v, OK: ok}
-	case shard.OpInsert:
-		return OpResult{Value: op.Value, OK: s.set.Insert(s.th, op.Key, op.Value)}
-	case shard.OpDelete:
-		return OpResult{OK: s.set.Delete(s.th, op.Key)}
-	case shard.OpUpdate:
-		nv, ok := core.ApplyUpdate(s.set, s.th, op.Key, op.Fn, op.Value)
-		return OpResult{Value: nv, OK: ok}
-	default: // shard.OpPut
-		s.Put(op.Key, op.Value)
-		return OpResult{Value: op.Value, OK: true}
-	}
-}
-
-func (s *singleSession) MultiGet(keys []uint64, dst []OpResult) []OpResult {
-	if cap(dst) < len(keys) {
-		dst = make([]OpResult, len(keys))
-	}
-	dst = dst[:len(keys)]
-	s.th.BeginBatch()
-	for i, k := range keys {
-		v, ok := s.set.Find(s.th, k)
-		dst[i] = OpResult{Value: v, OK: ok}
-	}
-	s.th.EndBatch()
-	return dst
-}
-
 // EngineStore is the sharded backend.
 type EngineStore struct {
 	eng       *shard.Engine
@@ -576,12 +362,6 @@ type EngineStore struct {
 	replay    pmem.ReplayStats
 	ckptBytes int64
 	repl      replSource
-}
-
-// NewEngineStore wraps an existing engine as a Store (migration path for
-// callers that built via shard.New).
-func NewEngineStore(eng *shard.Engine) *EngineStore {
-	return &EngineStore{eng: eng, admin: eng.NewSession()}
 }
 
 // Engine exposes the backing engine (crash testing, per-shard inspection).
@@ -624,9 +404,5 @@ func (s *EngineStore) MaybeCheckpoint() (int, error) {
 func (s *EngineStore) Close() error { return s.eng.Close() }
 
 // Interface conformance: the engine's session is a store Session as-is,
-// and both backends' sessions carry the async completion surface.
-var (
-	_ Session      = (*shard.Session)(nil)
-	_ AsyncSession = (*shard.Session)(nil)
-	_ AsyncSession = (*singleSession)(nil)
-)
+// async completion surface included.
+var _ AsyncSession = (*shard.Session)(nil)

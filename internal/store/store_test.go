@@ -10,9 +10,9 @@ import (
 	"repro/internal/shard"
 )
 
-// driveStore exercises the whole Session surface against one backend; the
-// same body runs for the bare structure and the engine, which is the point
-// of the unified interface.
+// driveStore exercises the whole Session surface against one store; the
+// same body runs on one shard (the direct path) and on several (the merged
+// path).
 func driveStore(t *testing.T, st Store) {
 	t.Helper()
 	h := st.NewSession()
@@ -114,9 +114,9 @@ func TestStoreBackends(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"single-skiplist", Config{Kind: core.KindSkiplist}},
-		{"single-hash", Config{Kind: core.KindHash, SizeHint: 256}},
-		{"single-list-logfree", Config{Kind: core.KindList, Policy: persist.LinkAndPersist{}}},
+		{"single-skiplist", Config{Kind: core.KindSkiplist, Shards: 1}},
+		{"single-hash", Config{Kind: core.KindHash, Shards: 1, SizeHint: 256}},
+		{"single-list-logfree", Config{Kind: core.KindList, Shards: 1, Policy: persist.LinkAndPersist{}}},
 		{"engine-skiplist-4", Config{Kind: core.KindSkiplist, Shards: 4}},
 		{"engine-hash-4", Config{Kind: core.KindHash, Shards: 4, SizeHint: 256}},
 		{"engine-nmbst-3", Config{Kind: core.KindNMBST, Shards: 3}},
@@ -128,9 +128,8 @@ func TestStoreBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantShards := c.cfg.Shards
-			if st.Shards() != wantShards {
-				t.Fatalf("Shards() = %d, want %d", st.Shards(), wantShards)
+			if st.Shards() != c.cfg.Shards {
+				t.Fatalf("Shards() = %d, want %d", st.Shards(), c.cfg.Shards)
 			}
 			driveStore(t, st)
 		})
@@ -143,21 +142,5 @@ func TestOpenRejectsUnknownKind(t *testing.T) {
 	}
 	if _, err := Open(Config{Kind: core.Kind("btree"), Shards: 4}); err == nil {
 		t.Fatal("unknown sharded kind accepted")
-	}
-}
-
-// TestNewSingleWrapsExisting covers the migration path for callers that
-// built via core.NewSet.
-func TestNewSingleWrapsExisting(t *testing.T) {
-	st, err := Open(Config{Kind: core.KindList})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := st.(*Single)
-	wrapped := NewSingle(single.Memory(), single.Set(), core.KindList)
-	h := wrapped.NewSession()
-	h.Insert(7, 70)
-	if v, ok := st.NewSession().Get(7); !ok || v != 70 {
-		t.Fatalf("wrapped store diverged: %d,%v", v, ok)
 	}
 }

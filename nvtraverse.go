@@ -15,16 +15,14 @@
 //	h.Scan(1, 100, func(k, v uint64) bool { return true })
 //
 // Open takes functional options — WithPolicy, WithProfile, WithSizeHint,
-// WithShards, WithTracked — and returns a Store: the same interface over a
-// bare structure and over the hash-sharded engine, so the handle works
+// WithShards, WithTracked — and returns a Store over the hash-sharded
+// engine (one shard unless WithShards says otherwise), so the handle works
 // identically whether the store has one shard or sixty-four. NewMap wraps
-// a handle in a typed Map[K, V] with pluggable codecs.
+// a handle in a typed Map[K, V] with pluggable codecs. The durable queue
+// (NewQueue) runs on a caller-owned Memory.
 //
 // After a (simulated) crash — see pmem.Memory's tracked mode — call
-// Store.Recover (or Set.Recover) before issuing new operations.
-//
-// The v1 surface (NewSet/NewSetSized on a caller-owned Memory, NewEngine)
-// remains available below as thin wrappers; new code should use Open.
+// Store.Recover before issuing new operations.
 //
 // Everything here delegates to the internal packages; see DESIGN.md for
 // the system inventory and internal/persist for the transformation itself.
@@ -62,10 +60,7 @@ var (
 	DRAM  = pmem.ProfileDRAM
 )
 
-// Set is a durable map from uint64 keys (in [1, 2^61)) to uint64 values.
-type Set = core.Set
-
-// Thread is a per-goroutine operation context.
+// Thread is a per-goroutine operation context on a Memory.
 type Thread = pmem.Thread
 
 // Memory is a simulated persistent-memory domain.
@@ -77,24 +72,6 @@ func NewMemory(profile pmem.Profile) *Memory {
 	return pmem.NewFast(profile)
 }
 
-// NewSet builds a durable set of the given kind with the given policy.
-//
-// Deprecated: use Open(kind, WithPolicy(pol), ...), which owns its memory
-// and returns the unified Store surface (scans, RMW, sessions). NewSet
-// remains for callers that manage the Memory themselves — structures it
-// returns now carry the v2 operations (Update, GetOrInsert, RangeScan)
-// too, since they are part of the Set contract.
-func NewSet(kind core.Kind, mem *Memory, pol persist.Policy) (Set, error) {
-	return core.NewSet(kind, mem, pol, core.Params{})
-}
-
-// NewSetSized builds a durable set with a size hint (hash bucket count).
-//
-// Deprecated: use Open(kind, WithPolicy(pol), WithSizeHint(n)).
-func NewSetSized(kind core.Kind, mem *Memory, pol persist.Policy, sizeHint int) (Set, error) {
-	return core.NewSet(kind, mem, pol, core.Params{SizeHint: sizeHint})
-}
-
 // Queue is the durable Michael–Scott queue in traversal form.
 type Queue = queue.Queue
 
@@ -103,26 +80,13 @@ func NewQueue(mem *Memory, pol persist.Policy) *Queue {
 	return queue.New(mem, pol)
 }
 
-// Engine is the hash-sharded durable key-value engine: N independent
-// (memory, structure) shards behind Get/Put/Delete plus batched operations
-// that pay one commit fence per shard group, whole-engine crash/recovery
-// (shards recover in parallel), and per-shard statistics.
-type Engine = shard.Engine
-
-// EngineConfig configures NewEngine (shard count, structure kind, policy,
-// latency profile, tracked mode for crash testing).
-type EngineConfig = shard.Config
-
-// Session is a per-goroutine handle on an Engine (one per worker).
-type Session = shard.Session
-
-// Op and OpResult form Session.Apply's batched operation surface.
+// Op and OpResult form StoreSession.Apply's batched operation surface.
 type (
 	Op       = shard.Op
 	OpResult = shard.OpResult
 )
 
-// Batched operation kinds for Session.Apply and StoreSession.Apply.
+// Batched operation kinds for StoreSession.Apply.
 // OpUpdate is the atomic read-modify-write (Op.Fn, or conditional
 // overwrite with Op.Value when Fn is nil); OpScan counts the keys of
 // [Op.Key, Op.Hi].
@@ -134,12 +98,3 @@ const (
 	OpUpdate = shard.OpUpdate
 	OpScan   = shard.OpScan
 )
-
-// NewEngine builds a sharded durable KV engine.
-//
-// Deprecated: use Open(kind, WithShards(n), ...), which returns the same
-// engine behind the unified Store surface. NewEngine remains for callers
-// that want the concrete *Engine (per-shard inspection, crash testing).
-func NewEngine(cfg EngineConfig) (*Engine, error) {
-	return shard.New(cfg)
-}

@@ -4,24 +4,23 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/pmem"
+	"repro/internal/store"
 )
 
 func TestFacadeSetLifecycle(t *testing.T) {
 	for _, kind := range []core.Kind{List, HashMap, EllenBST, NMBST, Skiplist} {
-		mem := NewMemory(NVRAM)
-		s, err := NewSetSized(kind, mem, PolicyNVTraverse, 128)
+		st, err := Open(kind, WithSizeHint(128))
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		th := mem.NewThread()
-		if !s.Insert(th, 7, 70) {
+		h := st.NewSession()
+		if !h.Insert(7, 70) {
 			t.Fatalf("%s: insert failed", kind)
 		}
-		if v, ok := s.Find(th, 7); !ok || v != 70 {
-			t.Fatalf("%s: Find = %d,%v", kind, v, ok)
+		if v, ok := h.Get(7); !ok || v != 70 {
+			t.Fatalf("%s: Get = %d,%v", kind, v, ok)
 		}
-		if !s.Delete(th, 7) {
+		if !h.Delete(7) {
 			t.Fatalf("%s: delete failed", kind)
 		}
 	}
@@ -38,34 +37,41 @@ func TestFacadeQueue(t *testing.T) {
 	}
 }
 
+// crash simulates a power failure on a tracked store: every shard's memory
+// crashes, rolls back to its persisted state and restarts, then the
+// store's recovery phase runs.
+func crash(st Store, seed int64) {
+	eng := st.(*store.EngineStore).Engine()
+	eng.Crash()
+	eng.FinishCrash(0, seed)
+	eng.Restart()
+	st.Recover()
+}
+
 func TestFacadeCrashRoundTrip(t *testing.T) {
-	mem := pmem.NewTracked()
-	s, err := NewSet(Skiplist, mem, PolicyNVTraverse)
+	st, err := Open(Skiplist, WithTracked())
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := mem.NewThread()
+	h := st.NewSession()
 	for k := uint64(1); k <= 64; k++ {
-		s.Insert(th, k, k)
+		h.Insert(k, k)
 	}
-	mem.Crash()
-	mem.FinishCrash(0, 3)
-	mem.Restart()
-	rec := mem.NewThread()
-	s.Recover(rec)
+	crash(st, 3)
+	rec := st.NewSession()
 	for k := uint64(1); k <= 64; k++ {
-		if _, ok := s.Find(rec, k); !ok {
+		if _, ok := rec.Get(k); !ok {
 			t.Fatalf("key %d lost across crash", k)
 		}
 	}
 }
 
 func TestFacadeEngine(t *testing.T) {
-	eng, err := NewEngine(EngineConfig{Shards: 4, Kind: HashMap, Tracked: true})
+	st, err := Open(HashMap, WithShards(4), WithTracked())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := eng.NewSession()
+	s := st.NewSession()
 	for k := uint64(1); k <= 128; k++ {
 		s.Put(k, k*3)
 	}
@@ -77,11 +83,8 @@ func TestFacadeEngine(t *testing.T) {
 	if !res[0].OK || res[0].Value != 192 || !res[1].OK || !res[2].OK {
 		t.Fatalf("batch results wrong: %+v", res)
 	}
-	eng.Crash()
-	eng.FinishCrash(0, 11)
-	eng.Restart()
-	rec := eng.NewSession()
-	eng.Recover(rec)
+	crash(st, 11)
+	rec := st.NewSession()
 	for k := uint64(1); k <= 128; k++ {
 		if k == 64 {
 			continue

@@ -10,16 +10,15 @@ import (
 	"repro/internal/store"
 )
 
-// Store is the unified durable-store surface (Store API v2): one interface
-// satisfied by both a bare traversal structure and the sharded engine.
-// Open is the constructor; StoreSession is the per-goroutine handle.
+// Store is the unified durable-store surface (Store API v2) over the
+// hash-sharded engine. Open is the constructor; StoreSession is the
+// per-goroutine handle.
 type Store = store.Store
 
 // StoreSession is the per-goroutine operation handle of a Store: point
 // ops, atomic read-modify-write (Update, GetOrInsert, atomic Put), ordered
-// range scans (Scan), and batched Apply/MultiGet. A bare structure and an
-// engine hand out the same handle type, so callers never need to know
-// which they hold.
+// range scans (Scan), and batched Apply/MultiGet. The handle is the same
+// for one shard and for many.
 type StoreSession = store.Session
 
 // ErrUnordered is returned by Scan/RangeScan on kinds without a key order
@@ -65,8 +64,8 @@ func WithTracked() Option {
 	return func(c *openConfig) { c.cfg.Tracked = true }
 }
 
-// WithShards opens the hash-sharded engine with n shards instead of a bare
-// structure. Scans merge the per-shard ordered streams.
+// WithShards sets the shard count (default 1; n ≤ 0 means 1). Scans merge
+// the per-shard ordered streams.
 func WithShards(n int) Option {
 	return func(c *openConfig) { c.cfg.Shards = n }
 }
@@ -125,9 +124,8 @@ func WithWaitReplicas(k int) Option {
 //	h.Put(42, 420)
 //	h.Scan(1, 100, func(k, v uint64) bool { ...; return true })
 //
-// With no options the store is a bare NVTraverse structure on a fast
-// NVRAM-profile memory. Open replaces the positional constructors NewSet,
-// NewSetSized and NewEngine, which remain as deprecated wrappers.
+// With no options the store is one shard of an NVTraverse structure on a
+// fast memory.
 func Open(kind Kind, opts ...Option) (Store, error) {
 	oc := openConfig{cfg: store.Config{Kind: kind}}
 	for _, o := range opts {

@@ -11,7 +11,7 @@ func TestOpenDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Kind() != Skiplist || st.Shards() != 0 || !st.Ordered() {
+	if st.Kind() != Skiplist || st.Shards() != 1 || !st.Ordered() {
 		t.Fatalf("defaults: kind=%s shards=%d ordered=%v", st.Kind(), st.Shards(), st.Ordered())
 	}
 	h := st.NewSession()
