@@ -18,9 +18,10 @@ short:
 # persist because they sit on that write path and drive it through a real
 # structure; every structure package (ellenbst and nmbst are the slow ones,
 # about a minute each on 2 vCPUs); wire for the frame codec both the server
-# and repl share; the root package for the facade and its replica option.
+# and repl share; the root package for the facade and its replica option;
+# bench for the YCSB runner, whose workers drive store sessions in parallel.
 race:
-	NVBENCH_DUR=10ms $(GO) test -race -short . ./internal/pmem ./internal/epoch ./internal/core ./internal/store ./internal/list ./internal/skiplist ./internal/ellenbst ./internal/nmbst ./internal/onefile ./internal/queue ./internal/stack ./internal/shard ./internal/crashtest ./internal/batcher ./internal/server ./internal/repl ./internal/wire ./internal/hashtable ./internal/arena ./internal/persist
+	NVBENCH_DUR=10ms $(GO) test -race -short . ./internal/pmem ./internal/epoch ./internal/core ./internal/store ./internal/list ./internal/skiplist ./internal/ellenbst ./internal/nmbst ./internal/onefile ./internal/queue ./internal/stack ./internal/shard ./internal/crashtest ./internal/batcher ./internal/server ./internal/repl ./internal/wire ./internal/hashtable ./internal/arena ./internal/persist ./internal/bench
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -133,7 +134,7 @@ bench-smoke:
 
 # Run the Go benchmarks once (panels + flush accounting smoke), then the
 # YCSB-E panel once end to end: every ordered kind x durable policy,
-# single structure + 4-shard engine, real rows or a hard failure.
+# 1-shard + 4-shard store, real rows or a hard failure.
 bench-ci:
 	NVBENCH_DUR=5ms $(GO) test -run=NONE -bench=. -benchtime=1x ./internal/bench/...
 	NVBENCH_DUR=5ms $(GO) run ./cmd/nvbench -panel yE -threads 2 -scale 256

@@ -1,6 +1,6 @@
 // Command nvbench regenerates the paper's evaluation figures (§5) on the
 // simulated persistent-memory substrate, and runs the YCSB suite against
-// the sharded durable KV engine.
+// the durable KV store (store.Open, one shard unless -shards says more).
 //
 // Usage:
 //
@@ -9,12 +9,12 @@
 //	nvbench -panel 5c -csv            # CSV for plotting
 //	nvbench -list                     # list the panels
 //	nvbench -scale 4 -threads 16 -dur 500ms -panel 6g
-//	nvbench -ycsb A -shards 8         # one YCSB point against the engine
+//	nvbench -ycsb A -shards 8         # one YCSB point against an 8-shard store
 //	nvbench -ycsb C -shards 8 -batch 32
 //	nvbench -ycsb E -kind skiplist    # range scans (ordered kinds only)
 //	nvbench -ycsb U -kind list        # atomic in-place RMW workload
 //	nvbench -panel yE                 # YCSB-E panel: ordered kinds x policies,
-//	                                  # single structure + 4-shard engine
+//	                                  # 1-shard + 4-shard store
 //	nvbench -flushstats               # flushes/op per structure, NVTraverse
 //	                                  # vs flush-everything, YCSB A/B/C
 //
@@ -64,8 +64,8 @@ func run(args []string, out io.Writer) error {
 
 		flushes = fs.Bool("flushstats", false, "run the flush-accounting ablation (panels fA/fB/fC) and summarize flushes/op")
 		ycsb    = fs.String("ycsb", "", "run one YCSB workload (A, B, C, D, E, F, U) instead of a panel")
-		shards  = fs.Int("shards", 0, "shard count for -ycsb (0 = single structure)")
-		batch   = fs.Int("batch", 0, "read batch size for -ycsb engine runs")
+		shards  = fs.Int("shards", 1, "store shard count for -ycsb")
+		batch   = fs.Int("batch", 0, "read batch size for -ycsb")
 		kind    = fs.String("kind", "hash", "structure kind for -ycsb")
 		policy  = fs.String("policy", "nvtraverse", "persistence policy for -ycsb")
 		keys    = fs.Uint64("range", 1<<16, "key range for -ycsb")
@@ -77,8 +77,8 @@ func run(args []string, out io.Writer) error {
 		}
 		return err
 	}
-	if *scale < 1 || *threads < 1 {
-		return fmt.Errorf("-scale and -threads must be >= 1")
+	if *scale < 1 || *threads < 1 || *keys < 1 {
+		return fmt.Errorf("-scale, -threads and -range must be >= 1")
 	}
 
 	opts := bench.PanelOptions{SizeScale: *scale, ThreadCap: *threads, Duration: *dur}

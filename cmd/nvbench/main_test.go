@@ -135,4 +135,7 @@ func TestBadArgs(t *testing.T) {
 	if err := run([]string{"-ycsb", "A", "-profile", "bogus"}, &sb); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
+	if err := run([]string{"-ycsb", "A", "-range", "0"}, &sb); err == nil {
+		t.Fatal("-range 0 accepted")
+	}
 }

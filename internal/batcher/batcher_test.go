@@ -64,7 +64,7 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 	eng := batched.(*store.EngineStore).Engine()
 
 	g := newGate()
-	b := NewSessionPool(gatedAsync{batched.NewSession().(store.AsyncSession), g}, PoolConfig{MaxBatch: K})
+	b := NewSessionPool(gatedSession{batched.NewSession(), g}, PoolConfig{MaxBatch: K})
 	key := func(r, w int) uint64 { return uint64(r*K+w) + 1 }
 	const warmup = uint64(R*K) + 1
 

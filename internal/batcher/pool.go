@@ -139,10 +139,9 @@ type poolReq struct {
 
 // poolWorker owns one store session and one ring.
 type poolWorker struct {
-	p     *Pool
-	sess  store.Session
-	async store.AsyncSession
-	ring  chan poolReq
+	p    *Pool
+	sess store.Session
+	ring chan poolReq
 
 	// Flush scratch, reused across batches; committedFn and flushFn are
 	// built once so a flush allocates nothing.
@@ -233,7 +232,6 @@ func newPool(st store.Store, sessions []store.Session, cfg PoolConfig) *Pool {
 			sess: sess,
 			ring: make(chan poolReq, cfg.Ring),
 		}
-		w.async, _ = sess.(store.AsyncSession)
 		p.workers = append(p.workers, w)
 		p.wg.Add(1)
 		go w.run()
@@ -464,25 +462,7 @@ func (w *poolWorker) flush() bool {
 				c.Complete(w.dst[i], nil)
 			}
 		}
-		w.flushFn = func() {
-			if w.async != nil {
-				w.async.ApplyCommitted(w.ops, w.dst, w.committedFn)
-				return
-			}
-			// Fallback for sessions without the async surface: ask the
-			// store for the durability verdict when one is available (stub
-			// sessions without a store carry none).
-			w.sess.Apply(w.ops, w.dst)
-			var derr error
-			if w.p.st != nil {
-				derr = w.p.st.DurableErr()
-			}
-			idxs := make([]int, len(w.reqs))
-			for i := range idxs {
-				idxs[i] = i
-			}
-			w.committedFn(idxs, derr)
-		}
+		w.flushFn = func() { w.sess.ApplyCommitted(w.ops, w.dst, w.committedFn) }
 	}
 	crashed := pmem.RunOp(w.flushFn)
 	p.flushes.Add(1)

@@ -141,6 +141,15 @@ func (s *orderSession) Apply(ops []store.Op, dst []store.OpResult) []store.OpRes
 	}
 	return dst
 }
+func (s *orderSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, committed func([]int, error)) []store.OpResult {
+	dst = s.Apply(ops, dst)
+	idxs := make([]int, len(ops))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	committed(idxs, nil)
+	return dst
+}
 func (s *orderSession) MultiGet(keys []uint64, dst []store.OpResult) []store.OpResult {
 	return dst
 }
@@ -217,24 +226,24 @@ func (g gate) hold() {
 type gateSession struct {
 	*orderSession
 	gate
-	batches []int // len(ops) per Apply call
+	batches []int // len(ops) per flush
 }
 
-func (s *gateSession) Apply(ops []store.Op, dst []store.OpResult) []store.OpResult {
+func (s *gateSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, committed func([]int, error)) []store.OpResult {
 	s.hold()
 	s.batches = append(s.batches, len(ops))
-	return s.orderSession.Apply(ops, dst)
+	return s.orderSession.ApplyCommitted(ops, dst, committed)
 }
 
-// gatedAsync gates a real store session's flushes.
-type gatedAsync struct {
-	store.AsyncSession
+// gatedSession gates a real store session's flushes.
+type gatedSession struct {
+	store.Session
 	gate
 }
 
-func (s gatedAsync) ApplyCommitted(ops []store.Op, dst []store.OpResult, committed func([]int, error)) []store.OpResult {
+func (s gatedSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, committed func([]int, error)) []store.OpResult {
 	s.hold()
-	return s.AsyncSession.ApplyCommitted(ops, dst, committed)
+	return s.Session.ApplyCommitted(ops, dst, committed)
 }
 
 type countCompleter struct{ wg *sync.WaitGroup }

@@ -33,15 +33,15 @@ type Config struct {
 	Duration  time.Duration
 
 	// Workload selects a YCSB-style workload (see Workloads); empty runs
-	// the paper's uniform lookup/insert/delete mix above.
+	// the paper's uniform lookup/insert/delete mix above on a bare
+	// structure.
 	Workload string
-	// Theta overrides the workload's Zipf skew when > 0.
-	Theta float64
-	// Shards > 0 runs the configuration against a shard.Engine with that
-	// many shards instead of a single structure.
+	// Shards is the shard count of the store a YCSB run opens (≤ 0 opens
+	// one shard). Shards > 0 with an empty Workload runs RunYCSB's uniform
+	// read/upsert mix on the store.
 	Shards int
-	// BatchSize > 1 groups reads into MultiGet batches of this size
-	// (engine runs amortize one commit fence per shard group).
+	// BatchSize > 1 groups YCSB reads into MultiGet batches of this size
+	// (one commit fence per shard group per batch).
 	BatchSize int
 }
 
@@ -128,10 +128,10 @@ func Prefill(s Target, mem *pmem.Memory, cfg Config) {
 		func(w int, k uint64) { s.Insert(ths[w], k, k) })
 }
 
-// prefillShuffled is the partition-and-shuffle core shared by the
-// single-structure and engine prefills: worker w owns every workers-th
-// odd key of [1, rangeMax] and inserts its share in Fisher–Yates order.
-// rnd and insert are only called from worker w's goroutine.
+// prefillShuffled is the partition-and-shuffle core shared by Prefill and
+// RunYCSB: worker w owns every workers-th odd key of [1, rangeMax] and
+// inserts its share in Fisher–Yates order. rnd and insert are only called
+// from worker w's goroutine.
 func prefillShuffled(rangeMax uint64, workers int, rnd func(w int) uint64, insert func(w int, k uint64)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -167,8 +167,9 @@ func EffectiveDuration(d time.Duration) time.Duration {
 	return d
 }
 
-// Run executes one benchmark configuration, dispatching YCSB-workload and
-// sharded-engine configurations to the YCSB runner.
+// Run executes one benchmark configuration: YCSB-workload and sharded
+// configurations go to RunYCSB on a store, the paper's uniform mix to
+// Build, Prefill and Measure on a bare structure.
 func Run(cfg Config) (Result, error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 100 * time.Millisecond
@@ -274,20 +275,11 @@ func (r Result) wl() string {
 	return r.Workload
 }
 
-// nshards is the shard column value ("-" for a plain structure, so a
-// single structure and a one-shard engine stay distinguishable).
-func (r Result) nshards() string {
-	if r.Shards == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%d", r.Shards)
-}
-
 // Row renders a result as an aligned table row.
 func (r Result) Row() string {
-	return fmt.Sprintf("%-9s %-12s %-6s %4d %9d %5d%% %-3s %3s %9.3f %8.2f %8.2f %8.2f",
+	return fmt.Sprintf("%-9s %-12s %-6s %4d %9d %5d%% %-3s %3d %9.3f %8.2f %8.2f %8.2f",
 		r.Kind, r.Policy, r.Profile.Name, r.Threads, r.Range, r.UpdatePct,
-		r.wl(), r.nshards(), r.Mops, r.FlushPerOp, r.ElidePerOp, r.FencePerOp)
+		r.wl(), r.Shards, r.Mops, r.FlushPerOp, r.ElidePerOp, r.FencePerOp)
 }
 
 // Header is the table header matching Row.
@@ -299,7 +291,7 @@ func Header() string {
 }
 
 // CSV renders a result as a CSV line (for plotting). The shards column is
-// 0 for a plain structure, the engine's shard count otherwise.
+// 0 for a bare structure, the store's shard count otherwise.
 func (r Result) CSV() string {
 	return fmt.Sprintf("%s,%s,%s,%d,%d,%d,%s,%d,%.4f,%.3f,%.3f,%.3f",
 		r.Kind, r.Policy, r.Profile.Name, r.Threads, r.Range, r.UpdatePct,

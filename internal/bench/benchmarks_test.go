@@ -78,8 +78,8 @@ func BenchmarkEngineYCSBA(b *testing.B) {
 	}
 }
 
-// BenchmarkYCSBScanSkiplist runs YCSB-E on the skiplist, single structure
-// vs 4-shard engine (merged scans), reporting the per-op flush cost of the
+// BenchmarkYCSBScanSkiplist runs YCSB-E on the skiplist, 1-shard vs
+// 4-shard store (merged scans), reporting the per-op flush cost of the
 // destination-only scan persistence.
 func BenchmarkYCSBScanSkiplist(b *testing.B) {
 	for i := 0; i < b.N; i++ {

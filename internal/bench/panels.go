@@ -180,15 +180,15 @@ func Panels(o PanelOptions) []Panel {
 	}
 
 	// --- Store API v2 workloads: YCSB E (range scans, the workload the
-	// point-op surface could not express) over every ordered kind, single
-	// structure and 4-shard engine (the engine merges per-shard ordered
-	// scans), under the three durable policies ---
+	// point-op surface could not express) over every ordered kind, 1-shard
+	// and 4-shard store (the 4-shard store merges per-shard ordered scans),
+	// under the three durable policies ---
 	{
 		var cs []Config
 		th := o.threads([]int{4})[0]
 		for _, kind := range core.OrderedKinds() {
 			for _, pol := range []string{"nvtraverse", "izraelevitz", "logfree"} {
-				for _, sh := range []int{0, 4} {
+				for _, sh := range []int{1, 4} {
 					cs = append(cs, Config{
 						Kind: kind, Policy: pol, Profile: pmem.ProfileNVRAM,
 						Threads: th, Range: o.size(1 << 16), Duration: o.Duration,
@@ -197,17 +197,17 @@ func Panels(o PanelOptions) []Panel {
 				}
 			}
 		}
-		add("yE", "YCSB-E range scans: ordered kinds x durable policies, single + 4-shard engine", cs)
+		add("yE", "YCSB-E range scans: ordered kinds x durable policies, 1-shard + 4-shard store", cs)
 	}
 
 	// --- RMW-heavy panel: workload U hammers the atomic in-place Update
-	// path (with GetOrInsert seeding) on every kind, single + sharded ---
+	// path (with GetOrInsert seeding) on every kind, 1-shard + 4-shard ---
 	{
 		var cs []Config
 		th := o.threads([]int{4})[0]
 		for _, kind := range core.Kinds() {
 			for _, pol := range []string{"nvtraverse", "logfree"} {
-				for _, sh := range []int{0, 4} {
+				for _, sh := range []int{1, 4} {
 					cs = append(cs, Config{
 						Kind: kind, Policy: pol, Profile: pmem.ProfileNVRAM,
 						Threads: th, Range: o.size(1 << 16), Duration: o.Duration,
@@ -216,7 +216,7 @@ func Panels(o PanelOptions) []Panel {
 				}
 			}
 		}
-		add("yU", "YCSB-U atomic RMW: in-place Update across kinds, single + 4-shard engine", cs)
+		add("yU", "YCSB-U atomic RMW: in-place Update across kinds, 1-shard + 4-shard store", cs)
 	}
 
 	// --- Flush-accounting ablation: the paper's quantitative claim as a

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func TestWorkloadsWellFormed(t *testing.T) {
 
 func TestRunYCSBSingleStructure(t *testing.T) {
 	for _, w := range Workloads() {
-		cfg := ycsbCfg(w.Name, 0)
+		cfg := ycsbCfg(w.Name, 1)
 		if w.ScanPct > 0 {
 			cfg.Kind = core.KindSkiplist // scans need an ordered kind
 		}
@@ -60,13 +61,14 @@ func TestRunYCSBSingleStructure(t *testing.T) {
 	}
 }
 
-// TestRunYCSBScans: workload E runs on every ordered kind, single and
-// sharded, under all three durable policies — and is rejected with a clear
-// error on the unordered hash table and the onefile baseline.
+// TestRunYCSBScans: workload E runs on every ordered kind, on 1 and 4
+// shards, under all three durable policies — and is rejected with a clear
+// error on the unordered hash table and on the onefile baseline, which has
+// no persist policy to open a store with.
 func TestRunYCSBScans(t *testing.T) {
 	for _, kind := range core.OrderedKinds() {
 		for _, pol := range []string{"nvtraverse", "izraelevitz", "logfree"} {
-			for _, shards := range []int{0, 4} {
+			for _, shards := range []int{1, 4} {
 				cfg := ycsbCfg("E", shards)
 				cfg.Kind = kind
 				cfg.Policy = pol
@@ -80,17 +82,17 @@ func TestRunYCSBScans(t *testing.T) {
 			}
 		}
 	}
-	for _, shards := range []int{0, 4} {
+	for _, shards := range []int{1, 4} {
 		cfg := ycsbCfg("E", shards)
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("shards=%d: YCSB E on hash accepted", shards)
 		}
 	}
-	cfg := ycsbCfg("E", 0)
+	cfg := ycsbCfg("E", 1)
 	cfg.Kind = core.KindList
 	cfg.Policy = "onefile"
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("YCSB E on onefile accepted")
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "need a persist policy") {
+		t.Fatalf("YCSB E on onefile: err = %v, want the persist policy error", err)
 	}
 }
 
@@ -98,7 +100,7 @@ func TestRunYCSBScans(t *testing.T) {
 // every kind (hash included — RMW needs no order).
 func TestRunYCSBAtomicRMW(t *testing.T) {
 	for _, kind := range core.Kinds() {
-		for _, shards := range []int{0, 2} {
+		for _, shards := range []int{1, 2} {
 			cfg := ycsbCfg("U", shards)
 			cfg.Kind = kind
 			res, err := Run(cfg)
@@ -110,11 +112,11 @@ func TestRunYCSBAtomicRMW(t *testing.T) {
 			}
 		}
 	}
-	cfg := ycsbCfg("U", 0)
+	cfg := ycsbCfg("U", 1)
 	cfg.Kind = core.KindList
 	cfg.Policy = "onefile"
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("YCSB U on onefile accepted")
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "need a persist policy") {
+		t.Fatalf("YCSB U on onefile: err = %v, want the persist policy error", err)
 	}
 }
 
@@ -133,14 +135,20 @@ func TestRunYCSBShardedEngine(t *testing.T) {
 }
 
 func TestRunYCSBUnknownWorkload(t *testing.T) {
-	if _, err := Run(ycsbCfg("Z", 0)); err == nil {
+	if _, err := Run(ycsbCfg("Z", 1)); err == nil {
 		t.Fatal("bogus workload accepted")
 	}
-	// onefile has no policy object, so it cannot back the engine.
+	// onefile has no policy object, so it cannot back a store.
 	cfg := ycsbCfg("A", 2)
 	cfg.Policy = "onefile"
 	if _, err := Run(cfg); err == nil {
-		t.Fatal("onefile engine accepted")
+		t.Fatal("onefile store accepted")
+	}
+	// An empty key range would measure an empty store where every key is 1.
+	cfg = ycsbCfg("A", 0)
+	cfg.Range = 0
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("zero key range accepted")
 	}
 }
 

@@ -459,7 +459,7 @@ func TestReadYourWritesAcrossShards(t *testing.T) {
 	}
 }
 
-// inversionSession is a stub AsyncSession whose ApplyCommitted applies and
+// inversionSession is a stub Session whose ApplyCommitted applies and
 // acknowledges a batch's operations one at a time in REVERSE submission
 // order, pausing between acknowledgements — a deterministic stand-in for
 // the shard engine acknowledging one flush's shard groups in shard-index

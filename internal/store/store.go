@@ -3,12 +3,14 @@
 // a store of one shard is an engine of one shard, whose point operations
 // and scans go straight to the single structure.
 //
-// Callers hold a Session — the per-goroutine operation handle: benchmarks,
-// CLIs, examples and the typed Map facade all target it. The Session is
-// exactly shard.Session (which satisfies the interface structurally).
-// Store stays an interface so callers can wrap it (instrumentation, the
-// replica attachment). Batched Apply, atomic read-modify-write and ordered
-// range scans all work; Scan k-way merges the per-shard ordered streams.
+// Callers hold a Session — the per-goroutine operation handle and the one
+// way to drive a store in process: the YCSB harness, the group-commit
+// batcher, CLIs, examples and the typed Map facade all target it. The
+// Session is exactly shard.Session (which satisfies the interface
+// structurally). Store stays an interface so callers can wrap it
+// (instrumentation, the replica attachment). Batched Apply, atomic
+// read-modify-write and ordered range scans all work; Scan k-way merges the
+// per-shard ordered streams.
 package store
 
 import (
@@ -53,27 +55,25 @@ type Session interface {
 	Scan(lo, hi uint64, fn func(key, value uint64) bool) error
 	// Apply executes a batch with one commit fence per fence group.
 	Apply(ops []Op, dst []OpResult) []OpResult
+	// ApplyCommitted executes a batch like Apply but invokes
+	// committed(idxs, err) the moment the results at those batch indexes
+	// are safe to acknowledge — once per fence group, right after that
+	// group's commit fence lands, and once for scans (reads need no fence).
+	// A non-nil err means the group's commit could not be made durable (the
+	// backend latched a sticky disk failure, see Store.DurableErr) and the
+	// results at idxs must not be acknowledged. idxs aliases internal
+	// scratch and is valid only during the callback. The group-commit
+	// batcher (internal/batcher) builds on it.
+	ApplyCommitted(ops []Op, dst []OpResult, committed func(idxs []int, err error)) []OpResult
 	// MultiGet batch-reads keys.
 	MultiGet(keys []uint64, dst []OpResult) []OpResult
 	// Rand draws from the session's per-goroutine RNG.
 	Rand() uint64
 }
 
-// AsyncSession is the completion-callback extension of Session that the
-// group-commit batcher (internal/batcher) builds on: ApplyCommitted
-// executes a batch like Apply but invokes committed(idxs, err) the moment
-// the results at those batch indexes are safe to acknowledge — once per
-// fence group, right after that group's commit fence lands, and once for
-// scans (reads need no fence). A non-nil err means the group's commit
-// could not be made durable (the backend latched a sticky disk failure,
-// see Store.DurableErr) and the results at idxs must not be acknowledged.
-// idxs aliases internal scratch and is valid only during the callback.
-// The engine's session implements AsyncSession; it is a separate interface
-// only so Session stays implementable by test doubles.
-type AsyncSession interface {
-	Session
-	ApplyCommitted(ops []Op, dst []OpResult, committed func(idxs []int, err error)) []OpResult
-}
+// AsyncSession is an alias of Session, kept for callers that still name
+// it; every Session has ApplyCommitted.
+type AsyncSession = Session
 
 // ReplRole names a store's position in a replication topology.
 type ReplRole uint8
@@ -403,6 +403,5 @@ func (s *EngineStore) MaybeCheckpoint() (int, error) {
 }
 func (s *EngineStore) Close() error { return s.eng.Close() }
 
-// Interface conformance: the engine's session is a store Session as-is,
-// async completion surface included.
-var _ AsyncSession = (*shard.Session)(nil)
+// Interface conformance: the engine's session is a store Session as-is.
+var _ Session = (*shard.Session)(nil)

@@ -17,8 +17,9 @@ type Store = store.Store
 
 // StoreSession is the per-goroutine operation handle of a Store: point
 // ops, atomic read-modify-write (Update, GetOrInsert, atomic Put), ordered
-// range scans (Scan), and batched Apply/MultiGet. The handle is the same
-// for one shard and for many.
+// range scans (Scan), and batched Apply/MultiGet, plus ApplyCommitted, which
+// reports each fence group's results as soon as its commit fence lands.
+// The handle is the same for one shard and for many.
 type StoreSession = store.Session
 
 // ErrUnordered is returned by Scan/RangeScan on kinds without a key order
