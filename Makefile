@@ -99,8 +99,11 @@ repl-smoke:
 # fault-schedule crash tortures. Seeded schedules, no timing dependence.
 # Then the WAL replay fuzzer for a time-boxed 20 s: arbitrary bytes as the
 # live log must never panic replay, never get a bad-checksum frame applied,
-# and be classified torn tail vs mid-log corruption as documented. Then
-# the replication stream fuzzer for 10 s: arbitrary bytes as a primary's
+# and be classified torn tail vs mid-log corruption as documented; then the
+# WAL record decoder for 10 s: arbitrary bytes as one record's payload must
+# never panic it, must decode exactly when the independent reading of the
+# layout does, and every payload it accepts must re-encode byte for byte.
+# Then the replication stream fuzzer for 10 s: arbitrary bytes as a primary's
 # stream must never panic a replica, never get a malformed frame applied or
 # acknowledged, and always end the stream with an error. Last, the two
 # request decoders for 10 s each: arbitrary bytes as a text or binary
@@ -113,6 +116,7 @@ fault-smoke:
 	$(GO) test -count=1 -run 'DegradedOnFsync' ./internal/batcher/
 	$(GO) test -count=1 -run 'TestServerDegraded|TestServerIdleTimeout|TestClientTimeout' ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzReplayWAL -fuzztime 20s -fuzzminimizetime 2s ./internal/pmem/
+	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s -fuzzminimizetime 2s ./internal/pmem/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaStream -fuzztime 10s -fuzzminimizetime 2s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz FuzzTextRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/

@@ -7,7 +7,6 @@ package pmem
 // version bump — does.
 
 import (
-	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -94,23 +93,16 @@ func parseWAL(t testing.TB, path string, off int64) ([]walRec, int64) {
 		pos = len(walMagic)
 	}
 	var out []walRec
+	var lines []walLine
 	for {
-		end, ok := frameOK(b, pos)
+		end, ok := frameIntact(b, pos)
 		if !ok {
 			break
 		}
-		payload := b[pos+walFrameHeader : end]
-		boot := binary.LittleEndian.Uint64(payload)
-		for e := payload[12:]; len(e) >= walEntryBytes; e = e[walEntryBytes:] {
-			r := walRec{
-				boot: boot,
-				idx:  binary.LittleEndian.Uint32(e[8:]),
-				ver:  binary.LittleEndian.Uint64(e[16:]),
-			}
-			for s := range r.vals {
-				r.vals[s] = binary.LittleEndian.Uint64(e[24+8*s:])
-			}
-			out = append(out, r)
+		var boot uint64
+		boot, lines, _ = decodeRecord(lines, b[pos+walFrameHeader:end])
+		for _, l := range lines {
+			out = append(out, walRec{boot: boot, idx: l.idx, ver: l.ver, vals: l.vals})
 		}
 		pos = end
 	}

@@ -106,11 +106,14 @@ func (r *region) stamp(idx uint32, ver uint64) {
 	}
 }
 
-// WALStats counts log appends since the backend went live (reporting hook).
+// WALStats counts log appends since the backend went live or the last
+// Memory.ResetStats (reporting hook).
 type WALStats struct {
 	Records uint64
 	Lines   uint64
 	Bytes   uint64
+	// Syncs counts the fsyncs of commit points (Config.SyncFence).
+	Syncs uint64
 	// Checkpoints counts Checkpoint calls that committed (WALSize resets to
 	// the magic header at each).
 	Checkpoints uint64
@@ -257,7 +260,8 @@ func (m *Memory) Dir() string {
 	return m.durable.dir
 }
 
-// WALStats reports the log appends since the backend went live.
+// WALStats reports the log appends since the backend went live or the
+// last ResetStats.
 func (m *Memory) WALStats() WALStats {
 	if m.durable == nil {
 		return WALStats{}
@@ -644,6 +648,7 @@ func (d *durableMem) flush() error {
 			if err := d.f.Sync(); err != nil {
 				return d.latch(err)
 			}
+			d.wstats.Syncs++
 		}
 	}
 	d.dirty.Store(false)

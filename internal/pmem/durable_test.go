@@ -298,3 +298,28 @@ func TestDurableSpaceNoopWithoutDir(t *testing.T) {
 		t.Fatal("RecoverFiles without Dir must error")
 	}
 }
+
+// TestWALAppendAllocs pins the record encoder's steady state: a fence that
+// appends a record encodes it into the backend's reused scratch buffer and
+// allocates nothing, commit point included.
+func TestWALAppendAllocs(t *testing.T) {
+	m, th, lines := openDurable(t, t.TempDir(), ModeFast, 4)
+	defer m.Close()
+	v := uint64(1)
+	write := func() {
+		for i := range lines {
+			v++
+			th.Store(&lines[i][i], v)
+			th.Store(&lines[i][7], v<<40)
+			th.Flush(&lines[i][0])
+		}
+		th.CommitFence()
+	}
+	write() // grow the scratch buffer and the pending-entry slice once
+	if avg := testing.AllocsPerRun(200, write); avg != 0 {
+		t.Fatalf("a four-line commit allocates %.2f times, want 0", avg)
+	}
+	if st := m.WALStats(); st.Records < 201 {
+		t.Fatalf("%d records appended, want one per commit", st.Records)
+	}
+}

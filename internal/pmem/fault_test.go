@@ -8,9 +8,14 @@ package pmem
 // acknowledged history.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -206,6 +211,92 @@ func TestFaultMidLogCorruptionRefused(t *testing.T) {
 	m2.NewSpace().Lines(0, 2)
 	if _, err := m2.RecoverFiles(); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("RecoverFiles = %v, want ErrWALCorrupt", err)
+	}
+}
+
+// TestFaultWALVersionRefused: a log that does not start with this build's
+// magic but holds bytes after it was written by another format version.
+// Recovery must refuse it with ErrWALVersion naming the file, whether or
+// not what follows parses as frames, and leave the file and CURRENT
+// byte-for-byte untouched. A log holding only a torn magic still recovers
+// empty.
+func TestFaultWALVersionRefused(t *testing.T) {
+	// A record in the fixed-width format the previous magic announced:
+	// u64 boot | u32 count | one 88-byte entry (tag, idx, mask, ver, 8 cells).
+	v1Payload := binary.LittleEndian.AppendUint64(nil, 1)
+	v1Payload = binary.LittleEndian.AppendUint32(v1Payload, 1)
+	v1Payload = append(v1Payload, make([]byte, 88)...)
+	v1Payload[12+16] = 1 // ver
+	v1Payload[12+24] = 7 // cell 0
+	v1Frame := binary.LittleEndian.AppendUint32(nil, uint32(len(v1Payload)))
+	v1Frame = binary.LittleEndian.AppendUint32(v1Frame, crc32.ChecksumIEEE(v1Payload))
+	v1Frame = append(v1Frame, v1Payload...)
+
+	for _, tc := range []struct {
+		name string
+		log  []byte
+	}{
+		{"v1 log with intact frames", append([]byte("NVTWAL1\n"), append(v1Frame, v1Frame...)...)},
+		{"v1 log with a torn frame", append([]byte("NVTWAL1\n"), v1Frame[:30]...)},
+		{"foreign header", append([]byte("GARBAGE!"), 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, th, lines := openDurable(t, dir, ModeFast, 1)
+			commitCell(th, &lines[0][0], 7)
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wal := filepath.Join(dir, "wal-1.log")
+			if err := os.WriteFile(wal, tc.log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			current, err := os.ReadFile(currentPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			m2 := New(Config{Mode: ModeFast, Profile: ProfileZero, Dir: dir})
+			m2.NewSpace().Lines(0, 1)
+			_, err = m2.RecoverFiles()
+			if !errors.Is(err, ErrWALVersion) || !strings.Contains(err.Error(), wal) {
+				t.Fatalf("RecoverFiles = %v, want ErrWALVersion naming %s", err, wal)
+			}
+			if b, err := os.ReadFile(wal); err != nil || !bytes.Equal(b, tc.log) {
+				t.Fatalf("log changed by the refused recovery (err %v)", err)
+			}
+			if b, err := os.ReadFile(currentPath(dir)); err != nil || !bytes.Equal(b, current) {
+				t.Fatalf("CURRENT changed by the refused recovery: %q -> %q (err %v)", current, b, err)
+			}
+		})
+	}
+
+	// A log holding a torn magic recovers empty — and so does a bare old
+	// magic, which is what a checkpoint under the old format leaves.
+	for _, log := range []string{walMagic[:5], "NVTWAL1\n"} {
+		t.Run(fmt.Sprintf("%q recovers empty", log), func(t *testing.T) {
+			dir := t.TempDir()
+			m, th, lines := openDurable(t, dir, ModeFast, 1)
+			commitCell(th, &lines[0][0], 7)
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wal := filepath.Join(dir, "wal-1.log")
+			if err := os.WriteFile(wal, []byte(log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m2, th2, lines2 := openDurable(t, dir, ModeFast, 1)
+			defer m2.Close()
+			if st := m2.ReplayStats(); !st.Truncated || st.Records != 0 {
+				t.Fatalf("replay %+v, want an empty log with the tear reported", st)
+			}
+			if got := th2.Load(&lines2[0][0]); got != 0 {
+				t.Fatalf("cell = %d after an empty log, want 0", got)
+			}
+			if b, err := os.ReadFile(wal); err != nil || string(b) != walMagic {
+				t.Fatalf("log after recovery = %q (err %v), want the bare magic", b, err)
+			}
+		})
 	}
 }
 

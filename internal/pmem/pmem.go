@@ -253,21 +253,29 @@ func (m *Memory) Threads() []*Thread {
 	return *p
 }
 
-// Stats sums the per-thread statistics.
+// Stats sums the per-thread statistics and adds the file backend's WAL
+// counters.
 func (m *Memory) Stats() Stats {
 	var s Stats
 	for _, t := range m.Threads() {
 		s.Add(t.StatsSnapshot())
 	}
+	w := m.WALStats()
+	s.WALRecords, s.WALBytes, s.WALSyncs = w.Records, w.Bytes, w.Syncs
 	return s
 }
 
-// ResetStats clears all per-thread counters. It writes the owner-side
-// counter fields directly, so it must only be called while no thread is
-// mid-operation (measurement harnesses reset between runs, which is
-// exactly that quiescent point).
+// ResetStats clears all per-thread counters and the WAL counters. It
+// writes the owner-side counter fields directly, so it must only be called
+// while no thread is mid-operation (measurement harnesses reset between
+// runs, which is exactly that quiescent point).
 func (m *Memory) ResetStats() {
 	for _, t := range m.Threads() {
 		t.resetStats()
+	}
+	if d := m.durable; d != nil {
+		d.mu.Lock()
+		d.wstats = WALStats{}
+		d.mu.Unlock()
 	}
 }

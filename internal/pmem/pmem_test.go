@@ -91,7 +91,12 @@ func TestFastModeBasics(t *testing.T) {
 }
 
 func TestStatsPerThreadAndReset(t *testing.T) {
-	m := NewFast(ProfileZero)
+	m := New(Config{Mode: ModeFast, Profile: ProfileZero, Dir: t.TempDir(), SyncFence: true})
+	line := m.NewSpace().Lines(0, 1)
+	if _, err := m.RecoverFiles(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
 	a, b := m.NewThread(), m.NewThread()
 	var c Cell
 	a.Flush(&c)
@@ -105,9 +110,20 @@ func TestStatsPerThreadAndReset(t *testing.T) {
 	if m.Stats().Flushes != 2 {
 		t.Fatalf("aggregate stats wrong: %+v", m.Stats())
 	}
+	// The WAL counters are the memory's: one committed write adds a record
+	// and a commit-point fsync to what opening the log cost.
+	before := m.WALStats()
+	commitCell(a, &line[0][0], 1)
+	w := m.WALStats()
+	if w.Records != before.Records+1 || w.Syncs != before.Syncs+1 {
+		t.Fatalf("a commit moved the WAL counters %+v -> %+v, want one record and one fsync", before, w)
+	}
+	if s := m.Stats(); s.WALRecords != w.Records || s.WALBytes != w.Bytes || s.WALSyncs != w.Syncs {
+		t.Fatalf("Stats %+v does not carry WALStats %+v", s, w)
+	}
 	m.ResetStats()
-	if m.Stats() != (Stats{}) {
-		t.Fatalf("reset failed: %+v", m.Stats())
+	if m.Stats() != (Stats{}) || m.WALStats() != (WALStats{}) {
+		t.Fatalf("reset failed: %+v %+v", m.Stats(), m.WALStats())
 	}
 }
 

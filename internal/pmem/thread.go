@@ -15,6 +15,11 @@ import "sync/atomic"
 // — it was clean, its current content already appended to the log or
 // checkpointed (see Thread.Flush). Flushes+FlushesElided is the number of
 // Flush calls the persistence policy made.
+//
+// WALRecords, WALBytes and WALSyncs are the file backend's: records
+// appended to the log, the bytes they framed, and commit-point fsyncs (see
+// WALStats). They belong to the Memory, not to a thread — Memory.Stats adds
+// them to the per-thread sum — and are zero without a file backend.
 type Stats struct {
 	Reads         uint64
 	Writes        uint64
@@ -24,6 +29,9 @@ type Stats struct {
 	FlushesElided uint64
 	Fences        uint64
 	Ops           uint64
+	WALRecords    uint64
+	WALBytes      uint64
+	WALSyncs      uint64
 }
 
 // Add accumulates o into s.
@@ -36,6 +44,9 @@ func (s *Stats) Add(o Stats) {
 	s.FlushesElided += o.FlushesElided
 	s.Fences += o.Fences
 	s.Ops += o.Ops
+	s.WALRecords += o.WALRecords
+	s.WALBytes += o.WALBytes
+	s.WALSyncs += o.WALSyncs
 }
 
 // Sub returns s minus o (for interval measurements).
@@ -49,6 +60,9 @@ func (s Stats) Sub(o Stats) Stats {
 		FlushesElided: s.FlushesElided - o.FlushesElided,
 		Fences:        s.Fences - o.Fences,
 		Ops:           s.Ops - o.Ops,
+		WALRecords:    s.WALRecords - o.WALRecords,
+		WALBytes:      s.WALBytes - o.WALBytes,
+		WALSyncs:      s.WALSyncs - o.WALSyncs,
 	}
 }
 

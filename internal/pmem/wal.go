@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,6 +24,14 @@ import (
 // refuses to open rather than drop acknowledged records.
 var ErrWALCorrupt = errors.New("pmem: WAL corrupted mid-log")
 
+// ErrWALVersion reports a log whose header is not this build's walMagic
+// but which holds bytes after it: a log written by another format version
+// (or not a log at all). No crash mid-append produces that shape — a fresh
+// log's magic is its first write, and a torn magic has nothing after it —
+// so recovery refuses, naming the file and leaving it untouched, rather
+// than misreading it as corruption or truncating it to empty.
+var ErrWALVersion = errors.New("pmem: WAL format version not supported")
+
 // On-disk layout of a durable Memory's directory:
 //
 //	CURRENT            "v1 <gen> <boot>\n" — names the live generation and
@@ -34,16 +43,34 @@ var ErrWALCorrupt = errors.New("pmem: WAL corrupted mid-log")
 //
 //	u32 payloadLen | u32 crc32(payload) | payload
 //
-// and the payload is
+// little-endian, and the payload is
 //
-//	u64 boot | u32 entryCount | entryCount × 88-byte entries
-//	entry: u64 tag | u32 lineIdx | u32 mask | u64 ver | 8 × u64 cell values
+//	uvarint boot | uvarint count | count × entry
+//	entry: uvarint space | uvarint sub | uvarint idx | uvarint ver |
+//	       u8 mask | u8 nz | popcount(nz) × u64 cell value (little-endian)
 //
-// all little-endian. The length/checksum framing is the torn-write defense:
-// a crash mid-append leaves a frame that is short or fails its checksum, and
-// replay stops cleanly at the first such frame, truncating it away — every
+// where (space, sub) is the region's tag, idx the line within it, ver the
+// line's write version at capture, mask the covered cells (0xff for a
+// fast-mode whole-line capture) and nz ⊆ mask the covered cells that are
+// nonzero, their values in ascending slot order. Replay stores every
+// covered cell: the listed value if its bit is in nz, 0 otherwise. A uvarint
+// is the unsigned LEB128 of encoding/binary, at most 10 bytes.
+//
+// A frame is intact only if its length is at most maxFrameLen, its checksum
+// matches AND its payload decodes exactly, which is also what makes the
+// encoding canonical (one payload per record): every uvarint is complete
+// and minimal (a multi-byte uvarint does not end in a zero byte) and fits
+// its field — 32 bits for space, sub and idx, 64 for boot and ver;
+// nz ⊆ mask; every value listed in nz is nonzero; exactly count entries are
+// present; and no bytes follow the last one.
+//
+// The length/checksum framing is the torn-write defense: a crash mid-append
+// leaves a frame that is short or fails its checksum, and replay stops
+// cleanly at the first frame that is not intact, truncating it away — every
 // acknowledged record necessarily lies before it (acknowledgement waits for
-// the flush of its record).
+// the flush of its record). A log that is not walMagic followed by frames
+// is another format's if it holds bytes past the magic's length
+// (ErrWALVersion), and a torn first write — an empty log — if it does not.
 //
 // A checkpoint is
 //
@@ -62,46 +89,157 @@ var ErrWALCorrupt = errors.New("pmem: WAL corrupted mid-log")
 // fenced after it cannot roll the line back (see Checkpoint).
 
 const (
-	walMagic  = "NVTWAL1\n"
+	walMagic  = "NVTWAL2\n"
 	ckptMagic = "NVTCKP2\n"
 
-	walEntryBytes  = 88
 	walFrameHeader = 8
 	// maxFrameLen bounds a frame's declared payload length during replay, so
 	// a corrupt length field cannot provoke a giant allocation. One record
-	// holds one thread's between-fences line set; 1<<24 is ~190k lines.
+	// holds one thread's between-fences line set; an entry is at most 91
+	// bytes (five-byte space, sub and idx, ten-byte ver, mask, nz and eight
+	// values), so 1<<24 is at least ~184k lines.
 	maxFrameLen = 1 << 24
 )
 
 // appendRecordBytes serializes one record (frame header + payload) into buf.
+// It appends in place, so a buf with room to spare allocates nothing.
 func appendRecordBytes(buf []byte, boot uint64, entries []walEntry) []byte {
-	payloadLen := 12 + len(entries)*walEntryBytes
-	need := walFrameHeader + payloadLen
 	start := len(buf)
-	if cap(buf)-start < need {
-		nb := make([]byte, start, start+need)
-		copy(nb, buf)
-		buf = nb
-	}
-	buf = buf[:start+need]
-	payload := buf[start+walFrameHeader:]
-	binary.LittleEndian.PutUint64(payload[0:], boot)
-	binary.LittleEndian.PutUint32(payload[8:], uint32(len(entries)))
-	off := 12
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header, filled below
+	buf = binary.AppendUvarint(buf, boot)
+	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for i := range entries {
 		e := &entries[i]
-		binary.LittleEndian.PutUint64(payload[off:], e.r.tag)
-		binary.LittleEndian.PutUint32(payload[off+8:], e.idx)
-		binary.LittleEndian.PutUint32(payload[off+12:], uint32(e.mask))
-		binary.LittleEndian.PutUint64(payload[off+16:], e.ver)
+		buf = binary.AppendUvarint(buf, e.r.tag>>32)
+		buf = binary.AppendUvarint(buf, uint64(uint32(e.r.tag)))
+		buf = binary.AppendUvarint(buf, uint64(e.idx))
+		buf = binary.AppendUvarint(buf, e.ver)
+		var nz uint8
 		for s := 0; s < CellsPerLine; s++ {
-			binary.LittleEndian.PutUint64(payload[off+24+8*s:], e.vals[s])
+			if e.mask&(1<<s) != 0 && e.vals[s] != 0 {
+				nz |= 1 << s
+			}
 		}
-		off += walEntryBytes
+		buf = append(buf, e.mask, nz)
+		for s := 0; s < CellsPerLine; s++ {
+			if nz&(1<<s) != 0 {
+				buf = binary.LittleEndian.AppendUint64(buf, e.vals[s])
+			}
+		}
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(payloadLen))
+	payload := buf[start+walFrameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
+}
+
+// walLine is one decoded WAL entry: the region tag, the line index, the
+// capture version, the covered-cell mask, and the values of the covered
+// cells (zero outside nz, and outside mask).
+type walLine struct {
+	tag  uint64
+	idx  uint32
+	mask uint8
+	ver  uint64
+	vals [CellsPerLine]uint64
+}
+
+// walDecoder reads the fields of one payload in order. A failed read
+// leaves ok false and every later read returns zero.
+type walDecoder struct {
+	b  []byte
+	ok bool
+}
+
+// uvarint reads one minimal uvarint no wider than max.
+func (r *walDecoder) uvarint(max uint64) uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || v > max || (n > 1 && r.b[n-1] == 0) {
+		r.ok = false
+	}
+	if !r.ok {
+		r.b = nil
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *walDecoder) byte() uint8 {
+	if !r.ok || len(r.b) < 1 {
+		r.ok, r.b = false, nil
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *walDecoder) u64() uint64 {
+	if !r.ok || len(r.b) < 8 {
+		r.ok, r.b = false, nil
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+// decodeRecord decodes one frame payload, appending its entries to dst
+// (reused by the caller across frames). ok is false unless the payload
+// decodes exactly as the layout comment above requires; out then holds
+// nothing the caller may apply.
+func decodeRecord(dst []walLine, payload []byte) (boot uint64, out []walLine, ok bool) {
+	r := walDecoder{b: payload, ok: true}
+	boot = r.uvarint(math.MaxUint64)
+	count := r.uvarint(math.MaxUint64)
+	out = dst[:0]
+	for i := uint64(0); i < count && r.ok; i++ {
+		var l walLine
+		space := r.uvarint(math.MaxUint32)
+		sub := r.uvarint(math.MaxUint32)
+		l.tag = spaceTag(uint32(space), uint32(sub))
+		l.idx = uint32(r.uvarint(math.MaxUint32))
+		l.ver = r.uvarint(math.MaxUint64)
+		l.mask = r.byte()
+		nz := r.byte()
+		if nz&^l.mask != 0 {
+			r.ok = false
+		}
+		for s := 0; s < CellsPerLine && r.ok; s++ {
+			if nz&(1<<s) != 0 {
+				if l.vals[s] = r.u64(); l.vals[s] == 0 {
+					r.ok = false
+				}
+			}
+		}
+		out = append(out, l)
+	}
+	if !r.ok || len(r.b) != 0 {
+		return 0, out[:0], false
+	}
+	return boot, out, true
+}
+
+// frameIntact reports whether an intact frame — a sane length, a matching
+// checksum and a payload that decodes exactly — starts at b[off:], and
+// where it ends.
+func frameIntact(b []byte, off int) (end int, ok bool) {
+	if off+walFrameHeader > len(b) {
+		return 0, false
+	}
+	plen := binary.LittleEndian.Uint32(b[off:])
+	if plen > maxFrameLen || int64(plen) > int64(len(b)-off-walFrameHeader) {
+		return 0, false
+	}
+	end = off + walFrameHeader + int(plen)
+	payload := b[off+walFrameHeader : end]
+	// Decode before the checksum: on garbage the decode fails within a few
+	// bytes, where the checksum would read the whole declared length.
+	if _, _, ok = decodeRecord(nil, payload); !ok {
+		return 0, false
+	}
+	return end, crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(b[off+4:])
 }
 
 func currentPath(dir string) string { return filepath.Join(dir, "CURRENT") }
@@ -266,17 +404,24 @@ func (d *durableMem) replayWAL(gen uint64, guard map[lineGuard][2]uint64, seen m
 	br := bufio.NewReaderSize(f, 1<<16)
 	magic := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
-		// Even the magic is bad (crash during the very first write to a
-		// fresh log): recover to an empty log — unless intact frames follow
-		// the damaged header, which no crash mid-append can produce.
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 			return 0, err // real read failure, not a short file
 		}
-		return torn(0)
+		// A torn magic (crash during the very first write to a fresh log)
+		// has nothing after it: recover to an empty log. Anything longer
+		// was written under another header.
+		if _, err := br.Peek(1); err == nil {
+			return 0, fmt.Errorf("%w: %s starts with %q, want %q", ErrWALVersion, f.Name(), magic, walMagic)
+		} else if err != io.EOF {
+			return 0, err
+		}
+		st.Truncated = true
+		return 0, nil
 	}
 	lastGood = int64(len(walMagic))
 	var hdr [walFrameHeader]byte
 	var payload []byte
+	var lines []walLine
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err == io.EOF {
@@ -289,7 +434,7 @@ func (d *durableMem) replayWAL(gen uint64, guard map[lineGuard][2]uint64, seen m
 		}
 		plen := binary.LittleEndian.Uint32(hdr[:])
 		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if plen < 12 || plen > maxFrameLen || (plen-12)%walEntryBytes != 0 {
+		if plen > maxFrameLen {
 			return torn(lastGood)
 		}
 		if uint32(cap(payload)) < plen {
@@ -305,35 +450,26 @@ func (d *durableMem) replayWAL(gen uint64, guard map[lineGuard][2]uint64, seen m
 		if crc32.ChecksumIEEE(payload) != sum {
 			return torn(lastGood)
 		}
-		boot := binary.LittleEndian.Uint64(payload)
-		count := binary.LittleEndian.Uint32(payload[8:])
-		if uint64(len(payload)) != 12+uint64(count)*walEntryBytes {
+		boot, decoded, ok := decodeRecord(lines, payload)
+		lines = decoded
+		if !ok {
 			return torn(lastGood)
 		}
-		off := 12
-		var vals [CellsPerLine]uint64
-		for i := uint32(0); i < count; i++ {
-			tag := binary.LittleEndian.Uint64(payload[off:])
-			idx := binary.LittleEndian.Uint32(payload[off+8:])
-			mask := uint8(binary.LittleEndian.Uint32(payload[off+12:]))
-			ver := binary.LittleEndian.Uint64(payload[off+16:])
-			for s := 0; s < CellsPerLine; s++ {
-				vals[s] = binary.LittleEndian.Uint64(payload[off+24+8*s:])
-			}
-			off += walEntryBytes
-			d.provided(tag, seen)
-			key := lineGuard{tag: tag, idx: idx}
-			if g, ok := guard[key]; ok && (g[0] > boot || (g[0] == boot && g[1] >= ver)) {
+		for i := range lines {
+			l := &lines[i]
+			d.provided(l.tag, seen)
+			key := lineGuard{tag: l.tag, idx: l.idx}
+			if g, ok := guard[key]; ok && (g[0] > boot || (g[0] == boot && g[1] >= l.ver)) {
 				continue // an already-applied image is at least as new
 			}
 			d.regMu.Lock()
-			r := d.byTag[tag]
+			r := d.byTag[l.tag]
 			d.regMu.Unlock()
 			if r == nil {
 				continue // region gone from this build's layout: skip
 			}
-			if d.storeLine(r, idx, mask, &vals) {
-				guard[key] = [2]uint64{boot, ver}
+			if d.storeLine(r, l.idx, l.mask, &l.vals) {
+				guard[key] = [2]uint64{boot, l.ver}
 				st.Lines++
 			}
 		}
@@ -344,14 +480,14 @@ func (d *durableMem) replayWAL(gen uint64, guard map[lineGuard][2]uint64, seen m
 }
 
 // scanPastBadFrame distinguishes a torn tail from mid-log corruption: the
-// frame at offset bad failed its structure or checksum; if any well-formed
-// frame (sane length fields AND a matching checksum) exists at a LATER
-// offset, the log was not torn there — appends are strictly sequential, so
-// bytes after a crash point cannot exist. That is in-place damage to
-// committed history, and the scan returns ErrWALCorrupt. The re-read goes
-// through ReadAt on the same file handle; a transient read fault that
-// corrupted the streaming pass therefore also lands here rather than
-// silently truncating a healthy log.
+// frame at offset bad is not intact; if any intact frame (sane length, a
+// matching checksum and an exact decode) exists at a LATER offset, the log
+// was not torn there — appends are strictly sequential, so bytes after a
+// crash point cannot exist. That is in-place damage to committed history,
+// and the scan returns ErrWALCorrupt. The re-read goes through ReadAt on
+// the same file handle; a transient read fault that corrupted the
+// streaming pass therefore also lands here rather than silently truncating
+// a healthy log.
 func (d *durableMem) scanPastBadFrame(f vfs.File, bad int64) error {
 	end, err := f.Seek(0, io.SeekEnd)
 	if err != nil || end <= bad+walFrameHeader {
@@ -369,15 +505,7 @@ func (d *durableMem) scanPastBadFrame(f vfs.File, bad int64) error {
 	// Offset 0 is the known-bad frame itself; every later byte offset is a
 	// candidate start (a torn length field misaligns all that follows).
 	for off := 1; off+walFrameHeader <= len(buf); off++ {
-		plen := binary.LittleEndian.Uint32(buf[off:])
-		if plen < 12 || plen > maxFrameLen || (plen-12)%walEntryBytes != 0 {
-			continue
-		}
-		fend := off + walFrameHeader + int(plen)
-		if fend > len(buf) {
-			continue
-		}
-		if crc32.ChecksumIEEE(buf[off+walFrameHeader:fend]) == binary.LittleEndian.Uint32(buf[off+4:]) {
+		if _, ok := frameIntact(buf, off); ok {
 			return fmt.Errorf("%w: bad frame at offset %d, intact frame at offset %d in %s — refusing to truncate committed history",
 				ErrWALCorrupt, bad, bad+int64(off), f.Name())
 		}

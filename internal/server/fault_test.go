@@ -44,22 +44,8 @@ func startFaultServer(t *testing.T, schedule string, scfg Config) (string, *Serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := "unix:" + filepath.Join(t.TempDir(), "nv.sock")
-	srv := New(st, scfg)
-	ln, err := Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-		st.Close()
-	})
-	return addr, srv
+	t.Cleanup(func() { st.Close() }) // runs after the server's cleanup
+	return serveStore(t, st, scfg)
 }
 
 func dialVariant(t *testing.T, addr string, bin bool) *Client {

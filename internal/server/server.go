@@ -651,6 +651,9 @@ func (cs *connState) statRows() []statRow {
 		{"flushes", st.Flushes},
 		{"flushes_elided", st.FlushesElided},
 		{"fences", st.Fences},
+		{"wal_records", st.WALRecords},
+		{"wal_bytes", st.WALBytes},
+		{"wal_syncs", st.WALSyncs},
 		{"batch_ops", bs.Ops},
 		{"batch_flushes", bs.Flushes},
 		{"batch_groups", bs.Groups},

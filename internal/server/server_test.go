@@ -35,6 +35,85 @@ func startServer(t *testing.T, kind core.Kind, shards int, scfg Config) (string,
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr, srv := serveStore(t, st, scfg)
+	return addr, srv, st
+}
+
+// TestServerWALStats: on a durable server that fsyncs at every commit
+// (nvserver -data -sync), STATS reports the WAL. A PUT moves wal_bytes by
+// exactly what its record adds to the log file and wal_syncs by one; a GET
+// of a key nobody is writing moves neither.
+func TestServerWALStats(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Config{
+		Kind: core.KindHash, Profile: pmem.ProfileZero, Shards: 1,
+		SizeHint: 1 << 10, MaxSessions: 16, Dir: dir, SyncFence: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	addr, _ := serveStore(t, st, Config{MaxConns: 8})
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	walSize := func() int64 {
+		names, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.log"))
+		if err != nil || len(names) == 0 {
+			t.Fatalf("no WAL under %s (%v)", dir, err)
+		}
+		var n int64
+		for _, name := range names {
+			fi, err := os.Stat(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
+	}
+	stats := func() map[string]uint64 {
+		s, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if err := cl.Put(5, 1); err != nil { // the key exists from here on
+		t.Fatal(err)
+	}
+
+	s0, size0 := stats(), walSize()
+	if err := cl.Put(5, 2); err != nil {
+		t.Fatal(err)
+	}
+	s1, size1 := stats(), walSize()
+	if d := s1["wal_records"] - s0["wal_records"]; d != 1 {
+		t.Fatalf("an upsert of an existing key appended %d records, want 1", d)
+	}
+	if d := s1["wal_bytes"] - s0["wal_bytes"]; d == 0 || int64(d) != size1-size0 {
+		t.Fatalf("PUT moved wal_bytes by %d, the log file grew by %d", d, size1-size0)
+	}
+	if d := s1["wal_syncs"] - s0["wal_syncs"]; d != 1 {
+		t.Fatalf("PUT moved wal_syncs by %d, want 1", d)
+	}
+
+	if v, ok, err := cl.Get(5); err != nil || !ok || v != 2 {
+		t.Fatalf("GET 5 = %d %v %v", v, ok, err)
+	}
+	s2 := stats()
+	if s2["wal_bytes"] != s1["wal_bytes"] || s2["wal_syncs"] != s1["wal_syncs"] || walSize() != size1 {
+		t.Fatalf("GET of a quiescent key moved wal_bytes %d -> %d, wal_syncs %d -> %d",
+			s1["wal_bytes"], s2["wal_bytes"], s1["wal_syncs"], s2["wal_syncs"])
+	}
+}
+
+// serveStore serves st on a Unix socket in a test temp dir and stops the
+// server with the test (the store stays the caller's).
+func serveStore(t *testing.T, st store.Store, scfg Config) (string, *Server) {
+	t.Helper()
 	addr := "unix:" + filepath.Join(t.TempDir(), "nv.sock")
 	srv := New(st, scfg)
 	ln, err := Listen(addr)
@@ -49,7 +128,7 @@ func startServer(t *testing.T, kind core.Kind, shards int, scfg Config) (string,
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return addr, srv, st
+	return addr, srv
 }
 
 // TestRoundTrips exercises every command synchronously over a Unix socket,

@@ -8,6 +8,7 @@ package store_test
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,7 +178,11 @@ func loggedLines(t *testing.T, dir string) map[[2]uint64]bool {
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no WAL in %s (%v)", dir, err)
 	}
-	const magicLen, frameHeader, entryBytes = 8, 8, 88 // see pmem/wal.go
+	// The record layout of pmem/wal.go: magic, then frames of u32 len |
+	// u32 crc32 | payload; the payload is uvarint boot | uvarint count, and
+	// each entry uvarint space | sub | idx | ver, u8 mask, u8 nz, then one
+	// u64 per bit of nz.
+	const magicLen, frameHeader = 8, 8
 	set := map[[2]uint64]bool{}
 	for _, name := range names {
 		b, err := os.ReadFile(name)
@@ -187,13 +192,27 @@ func loggedLines(t *testing.T, dir string) map[[2]uint64]bool {
 		for pos := magicLen; pos+frameHeader <= len(b); {
 			plen := int(binary.LittleEndian.Uint32(b[pos:]))
 			end := pos + frameHeader + plen
-			if plen < 12 || end > len(b) || crc32.ChecksumIEEE(b[pos+frameHeader:end]) != binary.LittleEndian.Uint32(b[pos+4:]) {
+			if end > len(b) || crc32.ChecksumIEEE(b[pos+frameHeader:end]) != binary.LittleEndian.Uint32(b[pos+4:]) {
 				t.Fatalf("%s: bad frame at offset %d", name, pos)
 			}
-			payload := b[pos+frameHeader : end]
-			for i := 0; i < int(binary.LittleEndian.Uint32(payload[8:])); i++ {
-				e := payload[12+i*entryBytes:]
-				set[[2]uint64{binary.LittleEndian.Uint64(e), uint64(binary.LittleEndian.Uint32(e[8:]))}] = true
+			p := b[pos+frameHeader : end]
+			uvarint := func() uint64 {
+				v, n := binary.Uvarint(p)
+				if n <= 0 {
+					t.Fatalf("%s: bad uvarint in the frame at offset %d", name, pos)
+				}
+				p = p[n:]
+				return v
+			}
+			uvarint() // boot
+			for n := uvarint(); n > 0; n-- {
+				space, sub, idx := uvarint(), uvarint(), uvarint()
+				uvarint() // ver
+				if len(p) < 2 {
+					t.Fatalf("%s: short entry in the frame at offset %d", name, pos)
+				}
+				p = p[2+8*bits.OnesCount8(p[1]):]
+				set[[2]uint64{space<<32 | sub, idx}] = true
 			}
 			pos = end
 		}
