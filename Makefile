@@ -103,6 +103,10 @@ repl-smoke:
 # WAL record decoder for 10 s: arbitrary bytes as one record's payload must
 # never panic it, must decode exactly when the independent reading of the
 # layout does, and every payload it accepts must re-encode byte for byte.
+# Then the checkpoint loader for 10 s (arbitrary bytes as the live
+# checkpoint are loaded exactly when the independent reading accepts them,
+# and then as it reads them) and the CURRENT parser for 5 s (it accepts
+# exactly what writeCurrent renders).
 # Then the replication stream fuzzer for 10 s: arbitrary bytes as a primary's
 # stream must never panic a replica, never get a malformed frame applied or
 # acknowledged, and always end the stream with an error. Last, the two
@@ -117,6 +121,8 @@ fault-smoke:
 	$(GO) test -count=1 -run 'TestServerDegraded|TestServerIdleTimeout|TestClientTimeout' ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzReplayWAL -fuzztime 20s -fuzzminimizetime 2s ./internal/pmem/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s -fuzzminimizetime 2s ./internal/pmem/
+	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s -fuzzminimizetime 2s ./internal/pmem/
+	$(GO) test -run '^$$' -fuzz FuzzReadCurrent -fuzztime 5s -fuzzminimizetime 2s ./internal/pmem/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaStream -fuzztime 10s -fuzzminimizetime 2s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz FuzzTextRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/

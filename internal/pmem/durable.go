@@ -14,7 +14,7 @@ import (
 
 // The durable file backend gives a Memory real on-disk state: every fenced
 // line snapshot of a *registered region* is appended to a write-ahead log,
-// and a periodic checkpoint dumps the regions whole and truncates the log.
+// and a periodic checkpoint writes every line as log records and truncates it.
 // The simulated cost model and the line/fence accounting are untouched —
 // durability rides on the same flush-set captures the simulation already
 // takes — so every structure, the shard engine, the batcher and nvserver
@@ -125,8 +125,8 @@ type ReplayStats struct {
 	// Records and Lines count applied WAL records / line entries.
 	Records uint64
 	Lines   uint64
-	// Bytes is the WAL byte count replayed; CheckpointBytes the checkpoint
-	// payload loaded before it.
+	// Bytes is the WAL byte count replayed; CheckpointBytes the size of the
+	// checkpoint file loaded before it.
 	Bytes           uint64
 	CheckpointBytes uint64
 	// Truncated reports that a torn tail was cut off at the first bad frame.
@@ -457,19 +457,22 @@ func (d *durableMem) lookup(addr uintptr) *region {
 	return nil
 }
 
-// provided invokes the tag's space provider (replay-time materialization);
-// seen dedupes so a provider runs once per tag per replay.
-func (d *durableMem) provided(tag uint64, seen map[uint64]bool) {
-	if seen[tag] {
-		return
+// regionOf returns the tag's registered region, or nil if this build has
+// none. Replay calls it for every tag it meets, and the first call for a
+// tag (seen dedupes) runs the tag's space provider, which materializes it.
+func (d *durableMem) regionOf(tag uint64, seen map[uint64]bool) *region {
+	if !seen[tag] {
+		seen[tag] = true
+		d.regMu.Lock()
+		p := d.providers[uint32(tag>>32)]
+		d.regMu.Unlock()
+		if p != nil {
+			p(uint32(tag))
+		}
 	}
-	seen[tag] = true
 	d.regMu.Lock()
-	p := d.providers[uint32(tag>>32)]
-	d.regMu.Unlock()
-	if p != nil {
-		p(uint32(tag))
-	}
+	defer d.regMu.Unlock()
+	return d.byTag[tag]
 }
 
 // inWriteWindow runs the test hook of the store-then-bump window.

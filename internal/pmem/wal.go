@@ -10,7 +10,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -24,22 +23,23 @@ import (
 // refuses to open rather than drop acknowledged records.
 var ErrWALCorrupt = errors.New("pmem: WAL corrupted mid-log")
 
-// ErrWALVersion reports a log whose header is not this build's walMagic
-// but which holds bytes after it: a log written by another format version
-// (or not a log at all). No crash mid-append produces that shape — a fresh
-// log's magic is its first write, and a torn magic has nothing after it —
-// so recovery refuses, naming the file and leaving it untouched, rather
+// ErrWALVersion reports a log or checkpoint whose header is not this
+// build's magic but which holds bytes after it: a file of another format
+// version (or not one of ours). No crash mid-append produces that shape — a
+// fresh file's magic is its first write, and a torn magic has nothing after
+// it — so recovery refuses, naming the file and leaving it untouched, rather
 // than misreading it as corruption or truncating it to empty.
 var ErrWALVersion = errors.New("pmem: WAL format version not supported")
 
 // On-disk layout of a durable Memory's directory:
 //
-//	CURRENT            "v1 <gen> <boot>\n" — names the live generation and
-//	                   the boot counter; replaced atomically (tmp + rename)
-//	wal-<gen>.log      walMagic, then framed records appended at fences
-//	ckpt-<gen>.snap    ckptMagic + full region dump, written at Checkpoint
+//	CURRENT            "v1 <gen> <boot>\n" exactly — names the live generation
+//	                   and the boot counter; replaced atomically (tmp + rename)
+//	wal-<gen>.log      walMagic, then records appended at fences
+//	ckpt-<gen>.snap    ckptMagic, then records of every registered line, then
+//	                   a seal; written at Checkpoint
 //
-// A WAL record frame is
+// Both files hold the same records. A record frame is
 //
 //	u32 payloadLen | u32 crc32(payload) | payload
 //
@@ -64,33 +64,31 @@ var ErrWALVersion = errors.New("pmem: WAL format version not supported")
 // nz ⊆ mask; every value listed in nz is nonzero; exactly count entries are
 // present; and no bytes follow the last one.
 //
-// The length/checksum framing is the torn-write defense: a crash mid-append
-// leaves a frame that is short or fails its checksum, and replay stops
-// cleanly at the first frame that is not intact, truncating it away — every
-// acknowledged record necessarily lies before it (acknowledgement waits for
-// the flush of its record). A log that is not walMagic followed by frames
-// is another format's if it holds bytes past the magic's length
+// In the log, the length/checksum framing is the torn-write defense: a crash
+// mid-append leaves a frame that is short or fails its checksum, and replay
+// stops cleanly at the first frame that is not intact, truncating it away —
+// every acknowledged record necessarily lies before it (acknowledgement
+// waits for the flush of its record). A log that is not walMagic followed by
+// frames is another format's if it holds bytes past the magic's length
 // (ErrWALVersion), and a torn first write — an empty log — if it does not.
 //
-// A checkpoint is
-//
-//	ckptMagic | u32 regionCount | u64 boot | regionCount × (u64 tag |
-//	u64 size | (size/64) × (u64 ver | 64 content bytes)) |
-//	u32 crc32(everything after the magic)
-//
-// written to a temp file, fsynced and renamed, then a fresh empty WAL for
-// the next generation is created before CURRENT flips — so a crash anywhere
-// in the sequence leaves either the old generation fully live or the new
-// one, never a mix. The per-line versions (read before the line content,
-// the same ordering captureFast relies on) let recovery seed the replay
-// guard: a WAL record that captured a line at a version the checkpoint
-// already covers is skipped, which is what makes checkpointing safe under
-// live traffic — a thread that captured a line before the checkpoint but
-// fenced after it cannot roll the line back (see Checkpoint).
+// A checkpoint holds one entry per registered line (mask 0xff, the version
+// read before the content, as captureFast reads them), region by region and
+// each region's lines in order, ckptRecordLines to a record, sealed by an
+// empty record (count 0). It is written to a temp file, fsynced and renamed,
+// then a fresh empty WAL for the next generation is created before CURRENT
+// flips — so a crash anywhere in the sequence leaves either the old
+// generation fully live or the new one, never a mix, and never a damaged
+// checkpoint: its reader is strict where the log's is tolerant (see
+// loadCheckpoint). The per-line versions seed the replay guard: a WAL record
+// that captured a line at a version the checkpoint already covers is
+// skipped, which is what makes checkpointing safe under live traffic — a
+// thread that captured a line before the checkpoint but fenced after it
+// cannot roll the line back (see Checkpoint).
 
 const (
 	walMagic  = "NVTWAL2\n"
-	ckptMagic = "NVTCKP2\n"
+	ckptMagic = "NVTCKP3\n"
 
 	walFrameHeader = 8
 	// maxFrameLen bounds a frame's declared payload length during replay, so
@@ -98,7 +96,8 @@ const (
 	// holds one thread's between-fences line set; an entry is at most 91
 	// bytes (five-byte space, sub and idx, ten-byte ver, mask, nz and eight
 	// values), so 1<<24 is at least ~184k lines.
-	maxFrameLen = 1 << 24
+	maxFrameLen     = 1 << 24
+	ckptRecordLines = 1024 // lines per checkpoint record: a frame of at most ~93 KB
 )
 
 // appendRecordBytes serializes one record (frame header + payload) into buf.
@@ -250,8 +249,11 @@ func ckptPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("ckpt-%d.snap", gen))
 }
 
-// readCurrent parses CURRENT; ok=false when the file does not exist (fresh
-// directory).
+// currentLine renders CURRENT's content.
+func currentLine(gen, boot uint64) string { return fmt.Sprintf("v1 %d %d\n", gen, boot) }
+
+// readCurrent parses CURRENT, which must be exactly what writeCurrent wrote;
+// ok=false when the file does not exist (fresh directory).
 func readCurrent(fs vfs.FS, dir string) (gen, boot uint64, ok bool, err error) {
 	b, err := fs.ReadFile(currentPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
@@ -260,8 +262,8 @@ func readCurrent(fs vfs.FS, dir string) (gen, boot uint64, ok bool, err error) {
 	if err != nil {
 		return 0, 0, false, err
 	}
-	var v int
-	if _, err := fmt.Sscanf(strings.TrimSpace(string(b)), "v%d %d %d", &v, &gen, &boot); err != nil || v != 1 {
+	// Sscanf stops at the end of its format: the re-render catches the rest.
+	if _, err := fmt.Sscanf(string(b), "v1 %d %d", &gen, &boot); err != nil || currentLine(gen, boot) != string(b) {
 		return 0, 0, false, fmt.Errorf("pmem: malformed CURRENT %q", string(b))
 	}
 	return gen, boot, true, nil
@@ -270,7 +272,7 @@ func readCurrent(fs vfs.FS, dir string) (gen, boot uint64, ok bool, err error) {
 // writeCurrent atomically replaces CURRENT (tmp + rename + dir sync).
 func writeCurrent(fs vfs.FS, dir string, gen, boot uint64) error {
 	tmp := currentPath(dir) + ".tmp"
-	if err := fs.WriteFile(tmp, []byte(fmt.Sprintf("v1 %d %d\n", gen, boot)), 0o644); err != nil {
+	if err := fs.WriteFile(tmp, []byte(currentLine(gen, boot)), 0o644); err != nil {
 		return err
 	}
 	if err := fs.Rename(tmp, currentPath(dir)); err != nil {
@@ -285,92 +287,154 @@ type lineGuard struct {
 	idx uint32
 }
 
-// storeLine writes one replayed line image into its registered region
-// (masked slots only), via atomic stores so tracked-mode construction state
-// and concurrent readers (there are none during recovery, but the cells are
-// atomics) stay well-defined.
-func (d *durableMem) storeLine(r *region, idx uint32, mask uint8, vals *[CellsPerLine]uint64) bool {
-	off := uintptr(idx) << lineShift
+// applyLine writes one replayed line image (its masked slots) into r under
+// the boot-scoped monotonic-version guard, reporting whether it did: only a
+// capture newer than the line's newest applied image advances it. The
+// stores are atomic so that tracked-mode construction state stays
+// well-defined.
+func applyLine(r *region, boot uint64, l *walLine, guard map[lineGuard][2]uint64) bool {
+	key := lineGuard{tag: l.tag, idx: l.idx}
+	if g, ok := guard[key]; ok && (g[0] > boot || (g[0] == boot && g[1] >= l.ver)) {
+		return false // an already-applied image is at least as new
+	}
+	off := uintptr(l.idx) << lineShift
 	if off+LineSize > r.size {
 		return false
 	}
 	p := unsafe.Add(r.ptr, off)
 	for s := 0; s < CellsPerLine; s++ {
-		if mask&(1<<s) != 0 {
-			(*atomic.Uint64)(unsafe.Add(p, s*8)).Store(vals[s])
+		if l.mask&(1<<s) != 0 {
+			(*atomic.Uint64)(unsafe.Add(p, s*8)).Store(l.vals[s])
 		}
 	}
+	guard[key] = [2]uint64{boot, l.ver}
 	return true
 }
 
-// loadCheckpoint reads and applies ckpt-<gen>.snap; missing file is fine
-// (no checkpoint taken yet in this generation). The checkpoint seeds the
-// replay guard with its per-line versions, so WAL records that captured a
-// line the checkpoint already covers are skipped — the other half of the
-// live-checkpoint safety argument (see Checkpoint).
+// readLog streams a log or checkpoint — magic, then frames — calling apply
+// on each intact record in order, up to the end of the file or the first
+// frame that is not intact (bad; a torn magic is one at end 0). end is the
+// offset just past the last intact frame. A wrong magic with bytes after it
+// is ErrWALVersion, naming the file; read errors and apply's end the read.
+func readLog(f vfs.File, magic string, apply func(boot uint64, lines []walLine) error) (end int64, bad bool, err error) {
+	// stop ends the read at a frame that is not intact, unless err is real.
+	stop := func(err error) (int64, bool, error) {
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return 0, false, err
+		}
+		return end, true, nil
+	}
+	br := bufio.NewReaderSize(f, 1<<16)
+	head := make([]byte, len(magic))
+	if _, err := io.ReadFull(br, head); err != nil || string(head) != magic {
+		// A torn magic (a crash during a fresh file's first write) has
+		// nothing after it; anything longer was written under another header.
+		if err == nil {
+			if _, err = br.Peek(1); err == nil {
+				return 0, false, fmt.Errorf("%w: %s starts with %q, want %q", ErrWALVersion, f.Name(), head, magic)
+			}
+		}
+		return stop(err)
+	}
+	end = int64(len(magic))
+	var hdr [walFrameHeader]byte
+	var payload []byte
+	var lines []walLine
+	for {
+		_, err := io.ReadFull(br, hdr[:])
+		if err == io.EOF {
+			return end, false, nil // clean end on a frame boundary
+		}
+		plen := binary.LittleEndian.Uint32(hdr[:])
+		if err != nil || plen > maxFrameLen {
+			return stop(err)
+		}
+		if uint32(cap(payload)) < plen {
+			payload = make([]byte, plen)
+		}
+		payload = payload[:plen]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return stop(err)
+		}
+		boot, decoded, ok := decodeRecord(lines, payload)
+		if lines = decoded; !ok || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
+			return stop(nil)
+		}
+		if err := apply(boot, lines); err != nil {
+			return 0, false, err
+		}
+		end += int64(walFrameHeader) + int64(plen)
+	}
+}
+
+// loadCheckpoint applies ckpt-<gen>.snap; a missing file is fine (no
+// checkpoint taken yet in this generation). It refuses a header other than
+// ckptMagic, a frame that is not intact, a missing seal or anything after
+// it, a region without a registration, and entries that do not cover every
+// registered line exactly once, whole and in order. Every line seeds the
+// replay guard, version 0 included: a record at a version the seed covers
+// carries nothing the content (read after the version) lacks, while
+// applying it could roll the line back below the snapshot.
 func (d *durableMem) loadCheckpoint(gen uint64, guard map[lineGuard][2]uint64, seen map[uint64]bool, st *ReplayStats) error {
-	b, err := d.fs.ReadFile(ckptPath(d.dir, gen))
+	name := ckptPath(d.dir, gen)
+	f, err := d.fs.Open(name)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	if len(b) < len(ckptMagic)+8 || string(b[:len(ckptMagic)]) != ckptMagic {
-		return fmt.Errorf("pmem: checkpoint %s: bad magic", ckptPath(d.dir, gen))
+	defer f.Close()
+	refuse := func(format string, a ...any) error {
+		return fmt.Errorf("pmem: checkpoint %s: %s", name, fmt.Sprintf(format, a...))
 	}
-	body, sum := b[len(ckptMagic):len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return fmt.Errorf("pmem: checkpoint %s: checksum mismatch", ckptPath(d.dir, gen))
-	}
-	if len(body) < 12 {
-		return fmt.Errorf("pmem: checkpoint %s: short header", ckptPath(d.dir, gen))
-	}
-	n := binary.LittleEndian.Uint32(body)
-	ckptBoot := binary.LittleEndian.Uint64(body[4:])
-	body = body[12:]
-	var full [CellsPerLine]uint64
-	for i := uint32(0); i < n; i++ {
-		if len(body) < 16 {
-			return fmt.Errorf("pmem: checkpoint %s: short region header", ckptPath(d.dir, gen))
+	var r *region   // the region being read
+	var next uint32 // its next line
+	var lines uintptr
+	var sealed bool
+	end, bad, err := readLog(f, ckptMagic, func(boot uint64, ls []walLine) error {
+		if sealed {
+			return refuse("a record after the seal")
 		}
-		tag := binary.LittleEndian.Uint64(body)
-		size := binary.LittleEndian.Uint64(body[8:])
-		body = body[16:]
-		const stride = 8 + LineSize // u64 version prefix per line
-		if size%LineSize != 0 || uint64(len(body)) < size/LineSize*stride {
-			return fmt.Errorf("pmem: checkpoint %s: bad region size %d", ckptPath(d.dir, gen), size)
-		}
-		raw := body[:size/LineSize*stride]
-		body = body[size/LineSize*stride:]
-		d.provided(tag, seen)
-		d.regMu.Lock()
-		r := d.byTag[tag]
-		d.regMu.Unlock()
-		if r == nil {
-			return fmt.Errorf("pmem: checkpoint region (space %d, sub %d) has no registration — structure layout mismatch",
-				uint32(tag>>32), uint32(tag))
-		}
-		if uintptr(size) != r.size {
-			return fmt.Errorf("pmem: checkpoint region (space %d, sub %d) size %d != registered %d",
-				uint32(tag>>32), uint32(tag), size, r.size)
-		}
-		for line := uintptr(0); line < r.size/LineSize; line++ {
-			off := line * stride
-			ver := binary.LittleEndian.Uint64(raw[off:])
-			// Seed every line, version 0 included: the checkpoint content
-			// was read after the version, so a record at a version the seed
-			// covers carries nothing the content lacks — while applying it
-			// could roll the line back below the snapshot.
-			guard[lineGuard{tag: tag, idx: uint32(line)}] = [2]uint64{ckptBoot, ver}
-			off += 8
-			for s := 0; s < CellsPerLine; s++ {
-				full[s] = binary.LittleEndian.Uint64(raw[off+uintptr(s)*8:])
+		sealed = len(ls) == 0
+		for i := range ls {
+			l := &ls[i]
+			if r == nil || l.tag != r.tag {
+				if r = d.regionOf(l.tag, seen); r == nil {
+					return refuse("region (space %d, sub %d) has no registration — structure layout mismatch",
+						uint32(l.tag>>32), uint32(l.tag))
+				}
+				next = 0
 			}
-			d.storeLine(r, uint32(line), 0xff, &full)
+			// A line already seeded is a region read twice.
+			_, again := guard[lineGuard{tag: l.tag, idx: l.idx}]
+			if again || l.idx != next || l.mask != 0xff || !applyLine(r, boot, l, guard) {
+				return refuse("entry for line %d (mask %#x) of region (space %d, sub %d), want whole line %d of %d once",
+					l.idx, l.mask, uint32(l.tag>>32), uint32(l.tag), next, r.size/LineSize)
+			}
+			next++
+			lines++
+		}
+		return nil
+	})
+	switch {
+	case err != nil:
+		return err
+	case bad:
+		return refuse("not intact at offset %d", end)
+	case !sealed:
+		return refuse("no seal: truncated at offset %d", end)
+	}
+	var want uintptr
+	if p := d.regions.Load(); p != nil {
+		for _, rg := range *p {
+			want += rg.size / LineSize
 		}
 	}
-	st.CheckpointBytes += uint64(len(b))
+	if lines != want {
+		return refuse("covers %d of the %d registered lines", lines, want)
+	}
+	st.CheckpointBytes += uint64(end)
 	return nil
 }
 
@@ -392,91 +456,29 @@ func (d *durableMem) replayWAL(gen uint64, guard map[lineGuard][2]uint64, seen m
 		return 0, err
 	}
 	defer f.Close()
-	// torn marks a bad frame at lastGood: torn tail if nothing intact
-	// follows, ErrWALCorrupt otherwise.
-	torn := func(lastGood int64) (int64, error) {
-		if err := d.scanPastBadFrame(f, lastGood); err != nil {
-			return 0, err
-		}
-		st.Truncated = true
-		return lastGood, nil
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return 0, err // real read failure, not a short file
-		}
-		// A torn magic (crash during the very first write to a fresh log)
-		// has nothing after it: recover to an empty log. Anything longer
-		// was written under another header.
-		if _, err := br.Peek(1); err == nil {
-			return 0, fmt.Errorf("%w: %s starts with %q, want %q", ErrWALVersion, f.Name(), magic, walMagic)
-		} else if err != io.EOF {
-			return 0, err
-		}
-		st.Truncated = true
-		return 0, nil
-	}
-	lastGood = int64(len(walMagic))
-	var hdr [walFrameHeader]byte
-	var payload []byte
-	var lines []walLine
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return lastGood, nil // clean end on a frame boundary
-			}
-			if err != io.ErrUnexpectedEOF {
-				return 0, err
-			}
-			return torn(lastGood)
-		}
-		plen := binary.LittleEndian.Uint32(hdr[:])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if plen > maxFrameLen {
-			return torn(lastGood)
-		}
-		if uint32(cap(payload)) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err != io.EOF && err != io.ErrUnexpectedEOF {
-				return 0, err
-			}
-			return torn(lastGood)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return torn(lastGood)
-		}
-		boot, decoded, ok := decodeRecord(lines, payload)
-		lines = decoded
-		if !ok {
-			return torn(lastGood)
-		}
+	lastGood, bad, err := readLog(f, walMagic, func(boot uint64, lines []walLine) error {
 		for i := range lines {
-			l := &lines[i]
-			d.provided(l.tag, seen)
-			key := lineGuard{tag: l.tag, idx: l.idx}
-			if g, ok := guard[key]; ok && (g[0] > boot || (g[0] == boot && g[1] >= l.ver)) {
-				continue // an already-applied image is at least as new
-			}
-			d.regMu.Lock()
-			r := d.byTag[l.tag]
-			d.regMu.Unlock()
-			if r == nil {
-				continue // region gone from this build's layout: skip
-			}
-			if d.storeLine(r, l.idx, l.mask, &l.vals) {
-				guard[key] = [2]uint64{boot, l.ver}
+			// A region gone from this build's layout is skipped.
+			if r := d.regionOf(lines[i].tag, seen); r != nil && applyLine(r, boot, &lines[i], guard) {
 				st.Lines++
 			}
 		}
 		st.Records++
-		lastGood += int64(walFrameHeader) + int64(plen)
-		st.Bytes += uint64(walFrameHeader) + uint64(plen)
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
+	if bad {
+		if err := d.scanPastBadFrame(f, lastGood); err != nil {
+			return 0, err
+		}
+		st.Truncated = true
+	}
+	if lastGood > 0 {
+		st.Bytes += uint64(lastGood) - uint64(len(walMagic))
+	}
+	return lastGood, nil
 }
 
 // scanPastBadFrame distinguishes a torn tail from mid-log corruption: the
@@ -706,48 +708,41 @@ func (m *Memory) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(cf, crc), 1<<16)
-	// The magic is outside the checksum; split the writer accordingly.
-	if _, err := io.WriteString(cf, ckptMagic); err != nil {
-		cf.Close()
-		return err
+	bw := bufio.NewWriterSize(cf, 1<<16) // keeps its first write error for Flush
+	bw.WriteString(ckptMagic)
+	es := make([]walEntry, 0, ckptRecordLines)
+	var rec []byte
+	put := func() {
+		rec = appendRecordBytes(rec[:0], d.boot, es)
+		bw.Write(rec)
+		es = es[:0]
 	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(regs)))
-	bw.Write(hdr[:4])
-	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], d.boot)
-	bw.Write(word[:])
 	for _, r := range regs {
-		binary.LittleEndian.PutUint64(hdr[:8], r.tag)
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(r.size))
-		bw.Write(hdr[:])
 		for off := uintptr(0); off < r.size; off += LineSize {
-			// Per line: version first, then content — the capture ordering
-			// the replay-guard seeding depends on.
-			binary.LittleEndian.PutUint64(word[:], m.lineVersion((r.base+off)>>lineShift))
-			bw.Write(word[:])
-			for s := uintptr(0); s < LineSize; s += 8 {
-				binary.LittleEndian.PutUint64(word[:], (*atomic.Uint64)(unsafe.Add(r.ptr, off+s)).Load())
-				bw.Write(word[:])
+			// Version first, then content — the capture ordering the
+			// replay-guard seeding depends on.
+			e := walEntry{r: r, idx: uint32(off >> lineShift), mask: 0xff, ver: m.lineVersion((r.base + off) >> lineShift)}
+			p := unsafe.Add(r.ptr, off)
+			for s := range e.vals {
+				e.vals[s] = (*atomic.Uint64)(unsafe.Add(p, s*8)).Load()
+			}
+			if es = append(es, e); len(es) == ckptRecordLines {
+				put()
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		cf.Close()
-		return err
+	if len(es) > 0 {
+		put()
 	}
-	binary.LittleEndian.PutUint32(word[:4], crc.Sum32())
-	if _, err := cf.Write(word[:4]); err != nil {
-		cf.Close()
-		return err
+	put() // the seal: an empty record
+	err = bw.Flush()
+	if err == nil {
+		err = cf.Sync()
 	}
-	if err := cf.Sync(); err != nil {
-		cf.Close()
-		return err
+	if cerr := cf.Close(); err == nil {
+		err = cerr
 	}
-	if err := cf.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	if err := d.fs.Rename(tmp, ckptPath(d.dir, newGen)); err != nil {

@@ -8,7 +8,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/pmem/vfs"
 )
 
 const fuzzLines = 4
@@ -362,4 +366,193 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatalf("not canonical: %x re-encodes as %x", p, re)
 		}
 	})
+}
+
+// readCkptOracle is the reference reading of a checkpoint for the memory
+// openTwoRegions opens, written from the layout comment: the magic, then
+// intact frames only, the first empty record the last frame, and the
+// entries before it, in file order, one run per registered region — each
+// region exactly once, its lines from 0 to the last in order, each whole
+// (mask 0xff). image lists the lines as openTwoRegions does. ok is false if
+// any of that fails; version reports a wrong header with bytes after it.
+func readCkptOracle(b []byte) (image [6][CellsPerLine]uint64, ok, version bool) {
+	if len(b) < len(ckptMagic) || string(b[:len(ckptMagic)]) != ckptMagic {
+		return image, false, len(b) > len(ckptMagic)
+	}
+	var es []oracleEntry
+	sealed := false
+	for off := len(ckptMagic); off < len(b) && !sealed; {
+		end, ok := frameOK(b, off)
+		if !ok {
+			return image, false, false
+		}
+		_, rec, _ := oracleRecord(b[off+walFrameHeader : end])
+		es = append(es, rec...)
+		sealed = len(rec) == 0 && end == len(b)
+		if len(rec) == 0 && !sealed {
+			return image, false, false // bytes after the seal
+		}
+		off = end
+	}
+	if !sealed {
+		return image, false, false
+	}
+	size, first := [2]int{4, 2}, [2]int{0, 4} // regions (0, 0) and (0, 1)
+	var done [2]bool
+	for len(es) > 0 {
+		sub := es[0].sub
+		if es[0].space != 0 || sub >= 2 || done[sub] || len(es) < size[sub] {
+			return image, false, false
+		}
+		done[sub] = true
+		for x := 0; x < size[sub]; x++ {
+			if e := es[x]; e.space != 0 || e.sub != sub || int(e.idx) != x || e.mask != 0xff {
+				return image, false, false
+			}
+			image[first[sub]+x] = es[x].vals
+		}
+		es = es[size[sub]:]
+	}
+	return image, done[0] && done[1], false
+}
+
+// FuzzLoadCheckpoint feeds RecoverFiles arbitrary bytes as the live
+// generation's checkpoint behind a valid CURRENT. It must never panic, must
+// accept exactly what the oracle reading accepts (refusing another format's
+// header with ErrWALVersion), and an accepted checkpoint must leave every
+// registered line holding the oracle's image.
+func FuzzLoadCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	m, lines, err := openTwoRegions(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	th := m.NewThread()
+	for i := range lines {
+		commitCell(th, &lines[i][i], uint64(10+i))
+	}
+	commitCell(th, &lines[1][7], 1<<40)
+	if err := m.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(ckptPath(dir, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, ok, _ := readCkptOracle(seed); !ok {
+		f.Fatal("the oracle refuses a checkpoint Checkpoint wrote")
+	}
+	seal := EncodeWALRecord(1, nil)
+	sub1 := wholeLines(0, 1, 0, 1)
+	flip := func(at int) []byte {
+		b := append([]byte(nil), seed...)
+		b[at] ^= 0x40
+		return b
+	}
+	again := wholeLines(0, 0, 0, 1)
+	for i := range again {
+		again[i].Ver = 2 // newer, so only the coverage rule refuses it
+	}
+	f.Add(seed)
+	f.Add(ckptFile(3, wholeLines(0, 0, 0, 1), append(wholeLines(0, 0, 2, 3), sub1...))) // lines split across records
+	f.Add(seed[:len(seed)-len(seal)])                                                   // no seal
+	f.Add(seed[:len(seed)-len(seal)-3])                                                 // torn mid-frame
+	f.Add(append(append([]byte(nil), seed...), seal...))
+	f.Add(append(append([]byte(nil), seed...), 0))
+	f.Add(flip(len(ckptMagic) + walFrameHeader + 4))
+	f.Add(flip(3))
+	f.Add(seed[:len(ckptMagic)])
+	f.Add([]byte{})
+	f.Add(ckptFile(1, wholeLines(0, 0, 0, 1, 3), sub1))
+	f.Add(ckptFile(1, wholeLines(0, 0, 0, 2, 1, 3), sub1))
+	f.Add(ckptFile(1, wholeLines(0, 0, 0, 1, 1, 2, 3), sub1))
+	f.Add(ckptFile(1, wholeLines(0, 0, 0, 1, 2, 3, 4), sub1))
+	f.Add(ckptFile(1, wholeLines(0, 0, 0, 1), sub1, again)) // as many lines as registered
+	f.Add(ckptFile(1, wholeLines(0, 0, 0, 1, 2, 3), sub1, wholeLines(1, 0, 0)))
+	f.Add(ckptFile(1, wholeLines(0, 0, 0, 1, 2, 3)))
+	f.Add(ckptFile(1))
+
+	f.Fuzz(func(t *testing.T, ckpt []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(currentPath(dir), []byte(currentLine(1, 0)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ckptPath(dir, 1), ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, lines, err := openTwoRegions(dir)
+		image, ok, version := readCkptOracle(ckpt)
+		if !ok {
+			if err == nil {
+				t.Fatal("RecoverFiles accepted a checkpoint the oracle refuses")
+			}
+			if version && !errors.Is(err, ErrWALVersion) {
+				t.Fatalf("header %q with bytes after it: err = %v, want ErrWALVersion", ckpt[:len(ckptMagic)], err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("RecoverFiles refused a checkpoint the oracle accepts: %v", err)
+		}
+		defer m.Close()
+		for i := range lines {
+			for s := range lines[i] {
+				if got := lines[i][s].raw(); got != image[i][s] {
+					t.Fatalf("line %d slot %d = %#x, the checkpoint holds %#x", i, s, got, image[i][s])
+				}
+			}
+		}
+	})
+}
+
+// FuzzReadCurrent feeds readCurrent arbitrary CURRENT contents: it must
+// accept exactly the contents writeCurrent renders — "v1 ", two decimal
+// uint64s without sign or leading zeros separated by one space, and a
+// newline — and return the rendered numbers.
+func FuzzReadCurrent(f *testing.F) {
+	for _, s := range []string{
+		"v1 1 0\n", "v1 18446744073709551615 1\n", "v1 18446744073709551616 1\n",
+		"v1 5 7junk", "v1 5 7 8 9", "v01 5 7", "v1 5 7", "v1 +5 7\n", "v1 05 7\n",
+		"v1 5  7\n", "v2 5 7\n", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		dir := t.TempDir()
+		if err := os.WriteFile(currentPath(dir), []byte(s), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		gen, boot, ok, err := readCurrent(vfs.OS, dir)
+		want := oracleCurrent(s)
+		if (err == nil) != want || (err == nil && !ok) {
+			t.Fatalf("readCurrent(%q) = ok %v err %v, canonical %v", s, ok, err, want)
+		}
+		if want && currentLine(gen, boot) != s {
+			t.Fatalf("readCurrent(%q) = gen %d boot %d, which renders %q", s, gen, boot, currentLine(gen, boot))
+		}
+	})
+}
+
+// oracleCurrent reports whether s is a CURRENT that writeCurrent renders.
+func oracleCurrent(s string) bool {
+	rest, ok := strings.CutPrefix(s, "v1 ")
+	if !ok {
+		return false
+	}
+	if rest, ok = strings.CutSuffix(rest, "\n"); !ok {
+		return false
+	}
+	fields := strings.Split(rest, " ")
+	if len(fields) != 2 {
+		return false
+	}
+	for _, fd := range fields {
+		if v, err := strconv.ParseUint(fd, 10, 64); err != nil || strconv.FormatUint(v, 10) != fd {
+			return false
+		}
+	}
+	return true
 }
