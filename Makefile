@@ -127,7 +127,9 @@ fault-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTextRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/
 
-# Exercise both CLIs end to end with tiny workloads so they cannot rot.
+# Exercise both CLIs end to end with tiny workloads so they cannot rot:
+# nvcrash runs every kind of crash-round target (single structures, both
+# queues, the stack, the sharded engine).
 bench-smoke:
 	$(GO) run ./cmd/nvbench -list
 	NVBENCH_DUR=5ms $(GO) run ./cmd/nvbench -panel sA -threads 2 -scale 256
@@ -138,7 +140,9 @@ bench-smoke:
 	NVBENCH_DUR=5ms $(GO) run ./cmd/nvbench -json /tmp/nvbench-smoke.json -label smoke
 	$(GO) run ./cmd/nvbench -verifyjson /tmp/nvbench-smoke.json
 	$(GO) run ./cmd/nvcrash -rounds 2 -ops 150 -workers 2 -keys 64
+	$(GO) run ./cmd/nvcrash -kind ellenbst -rounds 2 -ops 150 -workers 2 -keys 64
 	$(GO) run ./cmd/nvcrash -kind queue -rounds 2 -ops 150 -workers 2
+	$(GO) run ./cmd/nvcrash -kind dqueue -rounds 2 -ops 150 -workers 2
 	$(GO) run ./cmd/nvcrash -kind stack -rounds 2 -ops 150 -workers 2
 	$(GO) run ./cmd/nvcrash -shards 4 -batch 4 -rounds 2 -ops 200 -workers 2 -kind hash
 

@@ -92,54 +92,20 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-keys does not apply to %q: ordered containers have no key range", *kind)
 	}
 
-	round := func(r int) crashtest.Result {
-		if ordered {
-			opts := crashtest.OrderOptions{
-				Workers:        *workers,
-				OpsBeforeCrash: *ops,
-				Prefill:        16,
-				EvictProb:      *evict,
-				Seed:           *seed + int64(r),
-			}
-			switch *kind {
-			case "queue":
-				return crashtest.RunQueue(opts, func(mem *pmem.Memory) crashtest.QueueTarget {
-					return queue.New(mem, pol)
-				})
-			case "dqueue":
-				return crashtest.RunQueue(opts, func(mem *pmem.Memory) crashtest.QueueTarget {
-					return queue.NewDurable(mem)
-				})
-			default:
-				return crashtest.RunStack(opts, func(mem *pmem.Memory) crashtest.StackTarget {
-					return stack.New(mem, pol)
-				})
-			}
-		}
-		if *shards > 0 {
-			return crashtest.RunEngine(crashtest.EngineOptions{
-				Shards:         *shards,
-				Kind:           k,
-				Policy:         pol,
-				Workers:        *workers,
-				Keys:           *keys,
-				PrefillEvery:   2,
-				OpsBeforeCrash: *ops,
-				BatchSize:      *batch,
-				UpdateRatio:    80,
-				EvictProb:      *evict,
-				Seed:           *seed + int64(r),
-			})
-		}
-		return crashtest.Run(crashtest.Options{
-			Workers:        *workers,
-			Keys:           *keys,
-			PrefillEvery:   2,
-			OpsBeforeCrash: *ops,
-			UpdateRatio:    80,
-			EvictProb:      *evict,
-			Seed:           *seed + int64(r),
-		}, func(mem *pmem.Memory) crashtest.Set {
+	// Ordered kinds read only -workers, -ops, -evict and -seed (each round
+	// prefills 16 values and adds on 60% of steps).
+	var target crashtest.Target
+	switch {
+	case *kind == "queue":
+		target = crashtest.Queue(func(mem *pmem.Memory) *queue.Queue { return queue.New(mem, pol) })
+	case *kind == "dqueue":
+		target = crashtest.Queue(queue.NewDurable)
+	case *kind == "stack":
+		target = crashtest.Stack(func(mem *pmem.Memory) *stack.Stack { return stack.New(mem, pol) })
+	case *shards > 0:
+		target = crashtest.Engine(*shards, k, pol, *batch)
+	default:
+		target = crashtest.Structure(func(mem *pmem.Memory) crashtest.Set {
 			s, err := core.NewSet(k, mem, pol, core.Params{SizeHint: int(*keys)})
 			if err != nil {
 				panic(err)
@@ -150,7 +116,15 @@ func run(args []string, out io.Writer) error {
 
 	bad := 0
 	for r := 0; r < *rounds; r++ {
-		res := round(r)
+		res := crashtest.Run(crashtest.Options{
+			Workers:        *workers,
+			Keys:           *keys,
+			PrefillEvery:   2,
+			OpsBeforeCrash: *ops,
+			UpdateRatio:    80,
+			EvictProb:      *evict,
+			Seed:           *seed + int64(r),
+		}, target)
 		status := "OK"
 		if len(res.Violations) > 0 {
 			status = "VIOLATED"

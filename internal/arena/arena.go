@@ -10,10 +10,16 @@
 // retiring thread's limbo queue stamped with the current epoch and are
 // recycled once the epoch domain has advanced twice (see package epoch).
 //
-// After a simulated crash the limbo/free metadata is considered lost (it
-// lived in DRAM in the paper's setting too); RebuildFreeLists performs the
-// mark–sweep that a recovery procedure would run to reclaim unreachable
-// slots.
+// Recovery does not rebuild the free lists. A simulated crash (pmem's
+// Crash/FinishCrash/Restart) leaves them and the limbo queues as they
+// were: they are process memory, and they hold only slots that were never
+// published (Free) or whose unlink was persisted before Retire, so reusing
+// them after recovery is safe. A reopen from the durable backend starts a
+// fresh arena with empty lists: replay materializes every chunk the
+// previous boot had grown to and moves the high-water mark past the last
+// of them (ensureChunk), so the slots of those chunks that were free, in
+// limbo or never handed out at the crash stay unused for the new boot's
+// whole life.
 //
 // Allocation is line-aware: the persistence model (package pmem) is
 // cache-line granular, so where nodes land relative to 64-byte lines is
@@ -56,7 +62,7 @@ type retired struct {
 
 type threadState struct {
 	free  []uint64
-	limbo []retired // epoch-ordered (appends use the non-decreasing epoch)
+	limbo []retired // epoch-ordered as long as a thread does not mix Retire and RetireLate
 	nret  uint64
 	_     [24]byte
 }
@@ -237,8 +243,10 @@ func (a *Arena[T]) registerChunk(ci uint64) {
 // ensureChunk is the replay-time provider: it materializes chunk ci if this
 // boot has not grown to it yet, registers it, and advances the high-water
 // mark past it so post-recovery allocations can never collide with replayed
-// live nodes. The skipped slots are reclaimed by the structure's
-// RebuildFreeLists pass after recovery.
+// live nodes. Nothing reclaims the slots it skips: the dead ones among
+// them (free, in limbo or never handed out before the crash) stay unused
+// until the next reopen skips them again, so a boot's first allocation
+// from an empty free list starts a fresh chunk.
 func (a *Arena[T]) ensureChunk(ci uint64) {
 	if ci >= maxChunks {
 		return
@@ -270,9 +278,20 @@ func (a *Arena[T]) Free(tid int, idx uint64) {
 // durability — that the disconnection has already been flushed and fenced:
 // recycling a slot whose unlink could be undone by a crash would corrupt
 // the persistent structure.
-func (a *Arena[T]) Retire(tid int, idx uint64) {
+func (a *Arena[T]) Retire(tid int, idx uint64) { a.retire(tid, idx, a.dom.Epoch()) }
+
+// RetireLate is Retire for a node whose handle a published record may still
+// carry after the unlink, where a thread that enters up to one epoch after
+// the retirement can find the record and act on the handle (a lock-free
+// operation descriptor holding it as a CAS expectation, while the
+// descriptor's owner is still in its critical section). The node stays in
+// limbo one epoch longer than Retire keeps it, which outlasts every such
+// thread.
+func (a *Arena[T]) RetireLate(tid int, idx uint64) { a.retire(tid, idx, a.dom.Epoch()+1) }
+
+func (a *Arena[T]) retire(tid int, idx, epoch uint64) {
 	ts := &a.ts[tid]
-	ts.limbo = append(ts.limbo, retired{epoch: a.dom.Epoch(), idx: idx})
+	ts.limbo = append(ts.limbo, retired{epoch: epoch, idx: idx})
 	ts.nret++
 	if ts.nret%collectInterval == 0 {
 		a.dom.TryAdvance()
@@ -281,7 +300,8 @@ func (a *Arena[T]) Retire(tid int, idx uint64) {
 }
 
 // collect moves reclaimable limbo entries to the free list. Limbo is
-// epoch-ordered, so only a prefix moves.
+// epoch-ordered, so only a prefix moves (out of order, a later entry only
+// waits for the one ahead of it).
 func (a *Arena[T]) collect(tid int) {
 	ts := &a.ts[tid]
 	i := 0
@@ -307,21 +327,21 @@ func (a *Arena[T]) Stats() (allocated, free, limbo uint64) {
 // HighWater returns one past the largest handle ever allocated.
 func (a *Arena[T]) HighWater() uint64 { return a.next.Load() }
 
-// RebuildFreeLists is the post-crash mark–sweep: given the set of handles
-// reachable from the structure's persistent roots, every other allocated
-// slot becomes free again. Must run single-threaded (recovery). All limbo
-// state is discarded — it was volatile.
-func (a *Arena[T]) RebuildFreeLists(live map[uint64]bool) {
+// Released reports whether handle idx sits in some thread's free list or
+// limbo queue, i.e. whether Alloc may hand it out again (quiescent use: a
+// test hook for "nothing reachable was released").
+func (a *Arena[T]) Released(idx uint64) bool {
 	for i := range a.ts {
-		a.ts[i].free = a.ts[i].free[:0]
-		a.ts[i].limbo = a.ts[i].limbo[:0]
-		a.ts[i].nret = 0
-	}
-	hw := a.next.Load()
-	ts := &a.ts[0]
-	for idx := uint64(1); idx < hw; idx++ {
-		if !live[idx] {
-			ts.free = append(ts.free, idx)
+		for _, f := range a.ts[i].free {
+			if f == idx {
+				return true
+			}
+		}
+		for _, r := range a.ts[i].limbo {
+			if r.idx == idx {
+				return true
+			}
 		}
 	}
+	return false
 }

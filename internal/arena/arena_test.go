@@ -83,6 +83,38 @@ func TestRetireRespectsGracePeriod(t *testing.T) {
 	}
 }
 
+// TestRetireLateOutlastsLateEntrant: a reader that enters one epoch after
+// the retirement (while an older reader still pins the domain) must not see
+// a RetireLate handle recycled, though a plain Retire one may be.
+func TestRetireLateOutlastsLateEntrant(t *testing.T) {
+	a, d := newArena(3)
+	late, plain := a.Alloc(0), a.Alloc(0)
+	d.Enter(1)
+	a.Retire(0, plain)
+	a.RetireLate(0, late)
+	d.TryAdvance()
+	d.Exit(1)
+	d.Enter(2) // enters one epoch after the retirement
+	d.TryAdvance()
+	d.TryAdvance() // blocked by thread 2
+	a.collect(0)
+	if !a.Released(plain) || !a.Released(late) {
+		t.Fatalf("retired handles not released: plain %v late %v", a.Released(plain), a.Released(late))
+	}
+	if a.ts[0].free[0] != plain || len(a.ts[0].free) != 1 {
+		t.Fatalf("free list %v, want only the plain handle %d", a.ts[0].free, plain)
+	}
+	d.Exit(2)
+	d.TryAdvance()
+	a.collect(0)
+	if len(a.ts[0].free) != 2 || len(a.ts[0].limbo) != 0 {
+		t.Fatalf("after the late reader left: free %v limbo %v", a.ts[0].free, a.ts[0].limbo)
+	}
+	if live := a.Alloc(1); a.Released(live) {
+		t.Fatalf("allocated handle %d reported released", live)
+	}
+}
+
 func TestStats(t *testing.T) {
 	a, d := newArena(1)
 	i1 := a.Alloc(0)
@@ -94,30 +126,6 @@ func TestStats(t *testing.T) {
 		t.Fatalf("Stats = %d %d %d", alloc, free, limbo)
 	}
 	_ = d
-}
-
-func TestRebuildFreeLists(t *testing.T) {
-	a, _ := newArena(2)
-	var handles []uint64
-	for i := 0; i < 10; i++ {
-		handles = append(handles, a.Alloc(i%2))
-	}
-	live := map[uint64]bool{handles[0]: true, handles[3]: true, handles[7]: true}
-	a.RebuildFreeLists(live)
-	_, free, limbo := a.Stats()
-	if limbo != 0 {
-		t.Fatalf("limbo survives rebuild: %d", limbo)
-	}
-	if free != 7 {
-		t.Fatalf("free after rebuild = %d, want 7", free)
-	}
-	// Everything reallocated must be a dead handle.
-	for i := 0; i < 7; i++ {
-		idx := a.Alloc(0)
-		if live[idx] {
-			t.Fatalf("live handle %d re-allocated", idx)
-		}
-	}
 }
 
 func TestConcurrentAllocRetire(t *testing.T) {

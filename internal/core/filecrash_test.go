@@ -38,13 +38,13 @@ func runFileTorture(t *testing.T, kind core.Kind, pol persist.Policy) {
 			OpsBeforeCrash: 300,
 			Seed:           int64(r)*7919 + int64(len(kind)),
 			Dir:            t.TempDir(),
-		}, func(mem *pmem.Memory) crashtest.Set {
+		}, crashtest.Structure(func(mem *pmem.Memory) crashtest.Set {
 			s, err := core.NewSet(kind, mem, pol, core.Params{SizeHint: 256})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
-		})
+		}))
 		if len(res.Violations) > 0 {
 			for _, v := range res.Violations {
 				t.Errorf("round %d: %s", r, v)

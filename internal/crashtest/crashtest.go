@@ -1,10 +1,11 @@
 // Package crashtest is the durable-linearizability test harness: it runs
-// concurrent workers against a tracked pmem.Memory, injects a crash at an
-// arbitrary point inside operations, rolls back unpersisted writes (with
-// optional random cache evictions), runs the structure's recovery
-// procedure, and then checks that the surviving state is explainable by
-// some linearization of the pre-crash history (Izraelevitz et al.'s
-// durable linearizability, the paper's correctness criterion):
+// concurrent workers against tracked persistent memory, injects a crash at
+// an arbitrary point inside operations, rolls back unpersisted writes (with
+// optional random cache evictions) or reopens the file backend as SIGKILL
+// would leave it, runs the system's recovery procedure, and then checks
+// that the surviving state is explainable by some linearization of the
+// pre-crash history (Izraelevitz et al.'s durable linearizability, the
+// paper's correctness criterion):
 //
 //   - the effect of every completed operation must have survived, and
 //   - operations in flight at the crash either took full effect or none.
@@ -17,12 +18,15 @@
 // flight at the crash, in which case that operation may additionally have
 // taken effect.
 //
-// The harness comes in two layers. Run drives the whole round (one
-// structure on one memory). The History/Check layer underneath is exported
-// so composite systems can record their own histories and reuse the
-// identical checker: RunEngine does so for the sharded engine, which
-// crashes many memories at once and acknowledges batched operations
-// together, and the wire smokes of cmd/nvserver do so over a socket.
+// Run is the one crash round. It owns everything a round does to the
+// system — build, prefill, persist, workers, crash, rollback or reopen,
+// recovery — and a Target supplies only what differs: how to build the
+// system, one worker step, and the check of the recovered state. Structure
+// and Engine are checked per key by Check (the engine also for shard
+// isolation), Queue and Stack by an order-aware check. The History/Check
+// layer is exported on its own so systems driven from outside the process
+// reuse the identical checker: the wire smokes of cmd/nvserver record
+// histories over a socket.
 package crashtest
 
 import (
@@ -84,10 +88,9 @@ type record struct {
 // linearizability check. It is not safe for concurrent use: give each
 // worker its own and hand them all to Check after the workers have joined.
 //
-// Unlike the single-pending-op model Run uses internally, a History admits
-// any number of in-flight operations, which is what batched engines need: a
-// crash in the middle of a batch leaves every unacknowledged operation of
-// the batch in flight at once.
+// A History admits any number of in-flight operations, which is what
+// batched engines need: a crash in the middle of a batch leaves every
+// unacknowledged operation of the batch in flight at once.
 type History struct {
 	completed []record
 	inflight  []record
@@ -103,9 +106,6 @@ func (h *History) Completed(kind OpKind, key, value uint64, ok bool) {
 func (h *History) InFlight(kind OpKind, key, value uint64) {
 	h.inflight = append(h.inflight, record{key: key, kind: kind, value: value})
 }
-
-// InFlightCount reports how many in-flight operations were recorded.
-func (h *History) InFlightCount() int { return len(h.inflight) }
 
 // CheckConfig parameterizes Check.
 type CheckConfig struct {
@@ -142,10 +142,12 @@ type Result struct {
 	DurableErr error
 }
 
-// Options configures one crash round driven by Run.
+// Options configures one crash round (Run). The ordered targets (Queue,
+// Stack) read only Workers, OpsBeforeCrash, EvictProb, Seed, Dir, FS and
+// SyncFence.
 type Options struct {
-	Workers        int     // concurrent worker goroutines
-	Keys           uint64  // keys are drawn from [1, Keys]
+	Workers        int     // concurrent worker goroutines (default 4)
+	Keys           uint64  // keys are drawn from [1, Keys] (default 128)
 	Disjoint       bool    // partition the key space per worker (enables value checking)
 	PrefillEvery   uint64  // prefill every n-th key (0 = no prefill)
 	OpsBeforeCrash uint64  // crash once this many operations completed
@@ -154,20 +156,20 @@ type Options struct {
 	UpdateRatio    int // percent of ops that are updates (rest are finds); default 60
 
 	// Dir, when non-empty, runs the round against the durable file backend:
-	// the structure is built on a file-backed tracked memory, and the crash
+	// the system is built on file-backed tracked memory, and the crash
 	// abandons that memory outright — volatile state and unflushed userspace
-	// WAL buffers die with it, exactly as SIGKILL would take them — before a
-	// fresh memory + structure reopen the directory, replay the log, and
-	// recover. EvictProb is ignored (the file is the only survivor).
+	// WAL buffers die with it, exactly as SIGKILL would take them — before
+	// the target builds the system afresh on the directory, replays the log,
+	// and recovers. EvictProb is ignored (the file is the only survivor).
 	Dir string
 
 	// FS overrides the durable backend's file operations (nil = the real
 	// filesystem): fault-torture rounds pass a vfs.ErrFS so the disk
-	// misbehaves under load. A worker whose backend latches damage records
-	// its current operation as in flight — never acknowledged — and stops,
-	// so the checker holds the harness to exactly the replied ⇒ durable
-	// rule under disk faults. The post-crash reopen reuses the same FS:
-	// one-shot (Nth-call) triggers have fired by then, while byte-count
+	// misbehaves under load. A worker whose step ends with the backend
+	// damaged records the step's writes as in flight — never acknowledged —
+	// and stops, so the checker holds the harness to exactly the replied ⇒
+	// durable rule under disk faults. The post-crash reopen reuses the same
+	// FS: one-shot (Nth-call) triggers have fired by then, while byte-count
 	// and probability triggers keep applying — a schedule can deliberately
 	// torment recovery too. Only meaningful with Dir.
 	FS vfs.FS
@@ -178,18 +180,46 @@ type Options struct {
 	SyncFence bool
 }
 
-type worker struct {
-	th      *pmem.Thread
-	hist    History
-	pending record
-	valid   bool
+// Target is the system a crash round runs against: one set structure
+// (Structure), the sharded engine (Engine), a queue (Queue) or a stack
+// (Stack).
+type Target struct {
+	start func(o *Options) round
 }
 
-// Run executes one crash round against a fresh structure built by factory
-// on a tracked memory, and checks the outcome. The factory receives the
-// memory and must build the structure and return it (prefilling is done by
-// the harness).
-func Run(opts Options, factory func(mem *pmem.Memory) Set) Result {
+// round is a target's side of one crash round. Run calls open, prefill
+// and worker (once per worker, in id order), and after the crash — and
+// the rollback, or a second open for the Dir reopen — recover and check.
+type round interface {
+	// open builds the system on fresh memory (or on o.Dir, replaying what
+	// a crashed predecessor left there) and returns its crashable side.
+	open() (machine, error)
+	// prefill puts the initial contents in, before the history begins.
+	prefill()
+	// worker registers worker id and returns its step: one operation or
+	// one batch, recorded in the worker's history. The step reports how
+	// many operations it acknowledged and how many it left in flight; a
+	// step that leaves any in flight (the crash interrupted it, or its
+	// writes never reached a damaged disk) ends the worker.
+	worker(id int) func() (acked, inflight int)
+	// recover runs the system's recovery procedure.
+	recover()
+	// check verifies the recovered state against the recorded histories.
+	check() (violations []Violation, survivors int)
+}
+
+// machine is the crashable side of a system: one tracked memory, or every
+// shard's memory of an engine at once.
+type machine interface {
+	PersistAll()
+	Crash()
+	FinishCrash(evictProb float64, seed int64)
+	Restart()
+	DurableErr() error
+}
+
+// Run executes one crash round against target and checks the outcome.
+func Run(opts Options, target Target) Result {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
@@ -199,145 +229,82 @@ func Run(opts Options, factory func(mem *pmem.Memory) Set) Result {
 	if opts.UpdateRatio == 0 {
 		opts.UpdateRatio = 60
 	}
-	cfg := pmem.Config{Mode: pmem.ModeTracked, Profile: pmem.ProfileZero,
-		MaxThreads: opts.Workers + 8, Dir: opts.Dir, FS: opts.FS, SyncFence: opts.SyncFence}
-	mem := pmem.New(cfg)
-	ds := factory(mem)
-	mustRecoverFiles(mem)
-
-	setup := mem.NewThread()
-	prefilled := map[uint64]uint64{}
-	if opts.PrefillEvery > 0 {
-		for k := uint64(1); k <= opts.Keys; k += opts.PrefillEvery {
-			v := k * 3
-			ds.Insert(setup, k, v)
-			prefilled[k] = v
-		}
+	r := target.start(&opts)
+	m, err := r.open()
+	if err != nil {
+		return Result{Violations: []Violation{{Detail: err.Error()}}}
 	}
+	r.prefill()
 	// The initial structure resides fully in NVRAM before the measured
 	// history begins (the paper's setting).
-	mem.PersistAll()
+	m.PersistAll()
 
+	steps := make([]func() (int, int), opts.Workers)
+	for i := range steps {
+		steps[i] = r.worker(i)
+	}
+	var down atomic.Bool // set just before the crash: workers stop between steps
 	var completed atomic.Uint64
-	var stopped atomic.Int64
-	workers := make([]*worker, opts.Workers)
+	var inflight, stopped atomic.Int64
 	var wg sync.WaitGroup
-	for i := range workers {
-		w := &worker{th: mem.NewThread()}
-		workers[i] = w
-		lo, hi := uint64(1), opts.Keys
-		if opts.Disjoint {
-			span := opts.Keys / uint64(opts.Workers)
-			if span == 0 {
-				span = 1
-			}
-			lo = uint64(i)*span + 1
-			hi = lo + span - 1
-			if hi > opts.Keys {
-				hi = opts.Keys
-			}
-		}
+	for _, step := range steps {
 		wg.Add(1)
-		go func(w *worker, lo, hi uint64) {
+		go func(step func() (int, int)) {
 			defer wg.Done()
 			defer stopped.Add(1)
-			rng := w.th
-			for !mem.Crashed() && w.th.DurableErr() == nil {
-				k := lo + rng.Rand()%(hi-lo+1)
-				r := int(rng.Rand() % 100)
-				var kind OpKind
-				switch {
-				case r < opts.UpdateRatio/2:
-					kind = OpInsert
-				case r < opts.UpdateRatio:
-					kind = OpDelete
-				default:
-					kind = OpFind
-				}
-				v := rng.Rand() & ((1 << 32) - 1)
-				w.pending = record{key: k, kind: kind, value: v}
-				w.valid = true
-				var ok bool
-				crashed := pmem.RunOp(func() {
-					switch kind {
-					case OpInsert:
-						ok = ds.Insert(w.th, k, v)
-					case OpDelete:
-						ok = ds.Delete(w.th, k)
-					default:
-						_, ok = ds.Find(w.th, k)
-					}
-				})
-				if crashed {
-					// pending stays valid: in flight at the crash.
+			for !down.Load() && m.DurableErr() == nil {
+				acked, lost := step()
+				completed.Add(uint64(acked))
+				if lost > 0 {
+					inflight.Add(int64(lost))
 					return
 				}
-				if kind != OpFind && w.th.DurableErr() != nil {
-					// The write executed in memory but its commit fence
-					// never reached the disk: it was never acknowledged,
-					// so it is in flight — recovery may keep or drop it.
-					return
-				}
-				w.hist.Completed(kind, k, v, ok)
-				w.valid = false
-				completed.Add(1)
 			}
-		}(w, lo, hi)
+		}(step)
 	}
 
 	// Crash once enough operations completed (yield while spinning: on a
 	// single-core host the workers need the CPU). Workers also stop on
 	// their own when the backend latches disk damage, so a fault schedule
 	// that fires before the target count still ends the round.
-	for completed.Load() < opts.OpsBeforeCrash && stopped.Load() < int64(len(workers)) {
+	for completed.Load() < opts.OpsBeforeCrash && stopped.Load() < int64(len(steps)) {
 		runtime.Gosched()
 	}
-	mem.Crash()
+	down.Store(true)
+	m.Crash()
 	wg.Wait()
-	durErr := mem.DurableErr()
-	var rec *pmem.Thread
+	res := Result{Completed: completed.Load(), InFlight: int(inflight.Load()), DurableErr: m.DurableErr()}
 	if opts.Dir == "" {
-		mem.FinishCrash(opts.EvictProb, opts.Seed)
-		mem.Restart()
-		rec = mem.NewThread()
+		m.FinishCrash(opts.EvictProb, opts.Seed)
+		m.Restart()
 	} else {
-		// SIGKILL semantics: abandon the crashed memory without rollback or
-		// Close — anything not flushed at a commit point is simply gone —
-		// and rebuild from the directory. Construction is deterministic, so
-		// the fresh structure's handles address the replayed lines.
-		mem = pmem.New(cfg)
-		ds = factory(mem)
-		mustRecoverFiles(mem)
-		rec = mem.NewThread()
-	}
-	ds.Recover(rec)
-
-	res := Result{Completed: completed.Load(), DurableErr: durErr}
-	hs := make([]*History, 0, len(workers))
-	for _, w := range workers {
-		if w.valid {
-			w.hist.InFlight(w.pending.kind, w.pending.key, w.pending.value)
+		// SIGKILL semantics: the crashed system is abandoned without
+		// rollback or Close — anything not flushed at a commit point is
+		// simply gone — and rebuilt from the directory.
+		if _, err := r.open(); err != nil {
+			res.Violations = []Violation{{Detail: err.Error()}}
+			return res
 		}
-		hs = append(hs, &w.hist)
 	}
-	res.Violations, res.Survivors = Check(ds, rec, hs, CheckConfig{
-		Prefilled:   prefilled,
-		CheckValues: opts.Disjoint,
-	})
-	for _, h := range hs {
-		res.InFlight += len(h.inflight)
-	}
+	r.recover()
+	res.Violations, res.Survivors = r.check()
 	return res
 }
 
-// mustRecoverFiles brings a file-backed memory online (no-op otherwise).
-// Harness code panics on IO errors: a broken test directory is a test bug.
-func mustRecoverFiles(mem *pmem.Memory) {
-	if mem.Durable() {
+// openMemory builds a tracked memory for o, has build construct the system
+// on it, and with o.Dir brings the file backend online. Construction is
+// deterministic, so a system rebuilt on a crashed predecessor's directory
+// has handles that address the replayed lines.
+func openMemory(o *Options, build func(mem *pmem.Memory)) (*pmem.Memory, error) {
+	mem := pmem.New(pmem.Config{Mode: pmem.ModeTracked, Profile: pmem.ProfileZero,
+		MaxThreads: o.Workers + 8, Dir: o.Dir, FS: o.FS, SyncFence: o.SyncFence})
+	build(mem)
+	if o.Dir != "" {
 		if _, err := mem.RecoverFiles(); err != nil {
-			panic("crashtest: " + err.Error())
+			return nil, err
 		}
 	}
+	return mem, nil
 }
 
 type keyState struct {

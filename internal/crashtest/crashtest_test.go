@@ -12,15 +12,15 @@ import (
 	"repro/internal/skiplist"
 )
 
-func listFactory(pol persist.Policy) func(mem *pmem.Memory) Set {
-	return func(mem *pmem.Memory) Set { return list.New(mem, pol) }
+func listFactory(pol persist.Policy) Target {
+	return Structure(func(mem *pmem.Memory) Set { return list.New(mem, pol) })
 }
 
-func tableFactory(pol persist.Policy, buckets int) func(mem *pmem.Memory) Set {
-	return func(mem *pmem.Memory) Set { return hashtable.New(mem, pol, buckets) }
+func tableFactory(pol persist.Policy, buckets int) Target {
+	return Structure(func(mem *pmem.Memory) Set { return hashtable.New(mem, pol, buckets) })
 }
 
-func runRounds(t *testing.T, rounds int, opts Options, f func(mem *pmem.Memory) Set) {
+func runRounds(t *testing.T, rounds int, opts Options, f Target) {
 	t.Helper()
 	for r := 0; r < rounds; r++ {
 		opts.Seed = int64(r + 1)
@@ -158,8 +158,8 @@ func TestAllowedStates(t *testing.T) {
 	}
 }
 
-func skipFactory(pol persist.Policy) func(mem *pmem.Memory) Set {
-	return func(mem *pmem.Memory) Set { return skiplist.New(mem, pol) }
+func skipFactory(pol persist.Policy) Target {
+	return Structure(func(mem *pmem.Memory) Set { return skiplist.New(mem, pol) })
 }
 
 func TestSkiplistNVTraverseDurable(t *testing.T) {
@@ -197,8 +197,8 @@ func TestSkiplistNonePolicyCaught(t *testing.T) {
 	}
 }
 
-func ellenFactory(pol persist.Policy) func(mem *pmem.Memory) Set {
-	return func(mem *pmem.Memory) Set { return ellenbst.New(mem, pol) }
+func ellenFactory(pol persist.Policy) Target {
+	return Structure(func(mem *pmem.Memory) Set { return ellenbst.New(mem, pol) })
 }
 
 func TestEllenBSTNVTraverseDurable(t *testing.T) {
@@ -243,8 +243,8 @@ func TestEllenBSTNonePolicyCaught(t *testing.T) {
 	}
 }
 
-func nmFactory(pol persist.Policy) func(mem *pmem.Memory) Set {
-	return func(mem *pmem.Memory) Set { return nmbst.New(mem, pol) }
+func nmFactory(pol persist.Policy) Target {
+	return Structure(func(mem *pmem.Memory) Set { return nmbst.New(mem, pol) })
 }
 
 func TestNMBSTNVTraverseDurable(t *testing.T) {
@@ -293,9 +293,9 @@ func TestListOriginalParentDurable(t *testing.T) {
 	runRounds(t, 6, Options{
 		Workers: 4, Keys: 64, PrefillEvery: 2,
 		OpsBeforeCrash: 300, UpdateRatio: 80,
-	}, func(mem *pmem.Memory) Set {
+	}, Structure(func(mem *pmem.Memory) Set {
 		return list.NewWithOriginalParent(mem, persist.NVTraverse{})
-	})
+	}))
 }
 
 // TestRepeatedCrashRecoverCycles drives one structure through several

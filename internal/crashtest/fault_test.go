@@ -11,11 +11,12 @@ package crashtest
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/pmem/vfs"
 )
 
-func runFaultRounds(t *testing.T, rounds int, schedule string, syncFence bool) {
+func runFaultRounds(t *testing.T, rounds int, schedule string, syncFence bool, target Target) {
 	t.Helper()
 	for r := 0; r < rounds; r++ {
 		efs, err := vfs.NewErrFS(vfs.OS, schedule, int64(r+1))
@@ -31,7 +32,7 @@ func runFaultRounds(t *testing.T, rounds int, schedule string, syncFence bool) {
 			Dir:            t.TempDir(),
 			FS:             efs,
 			SyncFence:      syncFence,
-		}, listFactory(persist.NVTraverse{}))
+		}, target)
 		if res.DurableErr == nil {
 			t.Fatalf("round %d: schedule %q never fired (completed=%d, injected %v)",
 				r, schedule, res.Completed, efs.Injected())
@@ -55,13 +56,13 @@ func runFaultRounds(t *testing.T, rounds int, schedule string, syncFence bool) {
 // failure injected mid-load must withhold acks — the op in flight at the
 // failure is never acknowledged — and recovery loses zero acked writes.
 func TestFaultTortureFsyncEIO(t *testing.T) {
-	runFaultRounds(t, 3, "sync~wal@25=eio", true)
+	runFaultRounds(t, 3, "sync~wal@25=eio", true, listFactory(persist.NVTraverse{}))
 }
 
 // TestFaultTortureWriteEIO: the WAL append itself fails once (transient
 // EIO); the latch must still be permanent for that process lifetime.
 func TestFaultTortureWriteEIO(t *testing.T) {
-	runFaultRounds(t, 3, "write~wal@60=eio", false)
+	runFaultRounds(t, 3, "write~wal@60=eio", false, listFactory(persist.NVTraverse{}))
 }
 
 // TestFaultTortureENOSPC: the disk fills after 16 KiB of log and STAYS
@@ -69,12 +70,20 @@ func TestFaultTortureWriteEIO(t *testing.T) {
 // same full disk (reads are unaffected; any post-recovery append would
 // fail again).
 func TestFaultTortureENOSPC(t *testing.T) {
-	runFaultRounds(t, 3, "write~wal@b16384=enospc", false)
+	runFaultRounds(t, 3, "write~wal@b16384=enospc", false, listFactory(persist.NVTraverse{}))
 }
 
 // TestFaultTortureShortWrite: a torn userspace write (half the buffer
 // lands); bufio surfaces io.ErrShortWrite and the backend must treat it
 // exactly like any other append failure.
 func TestFaultTortureShortWrite(t *testing.T) {
-	runFaultRounds(t, 3, "write~wal@45=short", false)
+	runFaultRounds(t, 3, "write~wal@45=short", false, listFactory(persist.NVTraverse{}))
+}
+
+// TestFaultTortureEngineFsyncEIO runs the fsync-failure schedule against
+// the sharded engine: the shards share one ErrFS, so the 25th sync across
+// all of them fails, that shard's damage must withhold the ack of the write
+// that saw it, and recovery of all four shards must lose no acked write.
+func TestFaultTortureEngineFsyncEIO(t *testing.T) {
+	runFaultRounds(t, 3, "sync~wal@25=eio", true, Engine(4, core.KindHash, persist.NVTraverse{}, 0))
 }

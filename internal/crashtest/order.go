@@ -26,55 +26,52 @@ package crashtest
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/pmem"
 )
 
-// QueueTarget is the surface the queue torture drives.
-type QueueTarget interface {
+// Queue targets a FIFO queue built by build on a tracked memory; Contents
+// must return the surviving values front to back.
+func Queue[Q interface {
 	Enqueue(t *pmem.Thread, v uint64)
 	Dequeue(t *pmem.Thread) (uint64, bool)
 	Recover(t *pmem.Thread)
-	// Contents returns the surviving values front to back (quiescent).
 	Contents(t *pmem.Thread) []uint64
+}](build func(mem *pmem.Memory) Q) Target {
+	return orderTarget(fifo, func(mem *pmem.Memory) container {
+		q := build(mem)
+		return container{q.Enqueue, q.Dequeue, q.Recover, q.Contents}
+	})
 }
 
-// StackTarget is the surface the stack torture drives.
-type StackTarget interface {
+// Stack targets a LIFO stack built by build on a tracked memory; Contents
+// must return the surviving values top to bottom.
+func Stack[S interface {
 	Push(t *pmem.Thread, v uint64)
 	Pop(t *pmem.Thread) (uint64, bool)
 	Recover(t *pmem.Thread)
-	// Contents returns the surviving values top to bottom (quiescent).
 	Contents(t *pmem.Thread) []uint64
+}](build func(mem *pmem.Memory) S) Target {
+	return orderTarget(lifo, func(mem *pmem.Memory) container {
+		s := build(mem)
+		return container{s.Push, s.Pop, s.Recover, s.Contents}
+	})
 }
 
-// OrderOptions configures one ordered-container crash round.
-type OrderOptions struct {
-	Workers        int     // concurrent worker goroutines
-	OpsBeforeCrash uint64  // crash once this many operations completed
-	AddRatio       int     // percent of ops that add (rest remove); default 60
-	Prefill        int     // values added (and persisted) before the history
-	EvictProb      float64 // probability an unpersisted line survives anyway
-	Seed           int64
+// The ordered rounds' fixed workload: orderPrefill values added (and
+// persisted) before the history, then each step adds with probability
+// addPercent and removes otherwise.
+const (
+	orderPrefill = 16
+	addPercent   = 60
+)
 
-	// Dir runs the round against the durable file backend with SIGKILL
-	// reopen semantics (see Options.Dir).
-	Dir string
-}
-
-func (o *OrderOptions) defaults() {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.AddRatio == 0 {
-		o.AddRatio = 60
-	}
-	if o.OpsBeforeCrash == 0 {
-		o.OpsBeforeCrash = 400
-	}
+// container is a queue or a stack as the order check drives it.
+type container struct {
+	add      func(t *pmem.Thread, v uint64)
+	remove   func(t *pmem.Thread) (uint64, bool)
+	recover  func(t *pmem.Thread)
+	contents func(t *pmem.Thread) []uint64
 }
 
 // mkVal encodes (producer, seq) as a unique value. Producer ids stay small
@@ -101,99 +98,79 @@ type orderWorker struct {
 	inflightRem bool
 }
 
-// runOrder drives one crash round over an abstract add/remove surface.
-// reopened is the post-crash surface a file-backed round recovers into: the
-// rebuilt container's recovery/contents plus a recovery thread of the fresh
-// memory.
-type reopened struct {
-	recoverFn func(t *pmem.Thread)
-	contents  func(t *pmem.Thread) []uint64
-	rec       *pmem.Thread
+func orderTarget(kind orderKind, build func(mem *pmem.Memory) container) Target {
+	return Target{func(o *Options) round {
+		return &orderRound{o: o, kind: kind, build: build, workers: make([]*orderWorker, o.Workers)}
+	}}
 }
 
-func runOrder(opts OrderOptions, prefill func(t *pmem.Thread, v uint64),
-	add func(t *pmem.Thread, v uint64), remove func(t *pmem.Thread) (uint64, bool),
-	recoverFn func(t *pmem.Thread), contents func(t *pmem.Thread) []uint64,
-	mem *pmem.Memory, kind orderKind, reopen func() reopened) Result {
+// orderRound is the round of Queue and Stack. Every added value is unique
+// (the worker id is its producer; the prefill's producer id is Workers).
+type orderRound struct {
+	o         *Options
+	kind      orderKind
+	build     func(mem *pmem.Memory) container
+	mem       *pmem.Memory
+	c         container
+	rec       *pmem.Thread
+	workers   []*orderWorker
+	prefilled []uint64
+}
 
-	setup := mem.NewThread()
-	prefillProducer := opts.Workers // producer id for prefilled values
-	var prefilled []uint64
-	for i := 1; i <= opts.Prefill; i++ {
-		v := mkVal(prefillProducer, uint64(i))
-		prefill(setup, v)
-		prefilled = append(prefilled, v)
-	}
-	mem.PersistAll()
+func (r *orderRound) open() (machine, error) {
+	mem, err := openMemory(r.o, func(mem *pmem.Memory) { r.c = r.build(mem) })
+	r.mem = mem
+	return mem, err
+}
 
-	workers := make([]*orderWorker, opts.Workers)
-	ths := make([]*pmem.Thread, opts.Workers)
-	for i := range workers {
-		workers[i] = &orderWorker{}
-		ths[i] = mem.NewThread()
+func (r *orderRound) prefill() {
+	setup := r.mem.NewThread()
+	for i := 1; i <= orderPrefill; i++ {
+		v := mkVal(r.o.Workers, uint64(i))
+		r.c.add(setup, v)
+		r.prefilled = append(r.prefilled, v)
 	}
-	var completed atomic.Uint64
-	var wg sync.WaitGroup
-	for i := range workers {
-		wg.Add(1)
-		go func(id int, w *orderWorker, th *pmem.Thread) {
-			defer wg.Done()
-			seq := uint64(0)
-			for !mem.Crashed() {
-				if int(th.Rand()%100) < opts.AddRatio {
-					seq++
-					v := mkVal(id, seq)
-					w.inflightAdd = v
-					if pmem.RunOp(func() { add(th, v) }) {
-						return // in flight at the crash
-					}
-					w.inflightAdd = 0
-					w.added = append(w.added, v)
-				} else {
-					var v uint64
-					var ok bool
-					w.inflightRem = true
-					if pmem.RunOp(func() { v, ok = remove(th) }) {
-						return
-					}
-					w.inflightRem = false
-					if ok {
-						w.removed = append(w.removed, v)
-					}
-				}
-				completed.Add(1)
+}
+
+func (r *orderRound) worker(id int) func() (int, int) {
+	w := &orderWorker{}
+	r.workers[id] = w
+	th := r.mem.NewThread()
+	seq := uint64(0)
+	return func() (int, int) {
+		if int(th.Rand()%100) < addPercent {
+			seq++
+			v := mkVal(id, seq)
+			w.inflightAdd = v
+			if pmem.RunOp(func() { r.c.add(th, v) }) {
+				return 0, 1 // in flight at the crash
 			}
-		}(i, workers[i], ths[i])
+			w.inflightAdd = 0
+			w.added = append(w.added, v)
+			return 1, 0
+		}
+		var v uint64
+		var ok bool
+		w.inflightRem = true
+		if pmem.RunOp(func() { v, ok = r.c.remove(th) }) {
+			return 0, 1
+		}
+		w.inflightRem = false
+		if ok {
+			w.removed = append(w.removed, v)
+		}
+		return 1, 0
 	}
-	for completed.Load() < opts.OpsBeforeCrash {
-		runtime.Gosched()
-	}
-	mem.Crash()
-	wg.Wait()
-	var rec *pmem.Thread
-	if reopen == nil {
-		mem.FinishCrash(opts.EvictProb, opts.Seed)
-		mem.Restart()
-		rec = mem.NewThread()
-	} else {
-		ro := reopen()
-		recoverFn, contents, rec = ro.recoverFn, ro.contents, ro.rec
-	}
-	recoverFn(rec)
+}
 
-	res := Result{Completed: completed.Load()}
-	for _, w := range workers {
-		if w.inflightAdd != 0 {
-			res.InFlight++
-		}
-		if w.inflightRem {
-			res.InFlight++
-		}
-	}
-	surv := contents(rec)
-	res.Survivors = len(surv)
-	res.Violations = checkOrder(kind, workers, prefilled, prefillProducer, surv)
-	return res
+func (r *orderRound) recover() {
+	r.rec = r.mem.NewThread()
+	r.c.recover(r.rec)
+}
+
+func (r *orderRound) check() ([]Violation, int) {
+	surv := r.c.contents(r.rec)
+	return checkOrder(r.kind, r.workers, r.prefilled, r.o.Workers, surv), len(surv)
 }
 
 // checkOrder verifies the surviving values against the recorded histories.
@@ -323,54 +300,4 @@ func checkOrder(kind orderKind, workers []*orderWorker, prefilled []uint64,
 			extraMissing, inflightRemovals)})
 	}
 	return violations
-}
-
-// RunQueue executes one crash round against a queue built by factory on a
-// fresh tracked memory and checks FIFO durable linearizability.
-func RunQueue(opts OrderOptions, factory func(mem *pmem.Memory) QueueTarget) Result {
-	opts.defaults()
-	cfg := pmem.Config{Mode: pmem.ModeTracked, Profile: pmem.ProfileZero,
-		MaxThreads: opts.Workers + 8, Dir: opts.Dir}
-	mem := pmem.New(cfg)
-	q := factory(mem)
-	mustRecoverFiles(mem)
-	var reopen func() reopened
-	if opts.Dir != "" {
-		reopen = func() reopened {
-			m2 := pmem.New(cfg)
-			q2 := factory(m2)
-			mustRecoverFiles(m2)
-			return reopened{recoverFn: q2.Recover, contents: q2.Contents, rec: m2.NewThread()}
-		}
-	}
-	return runOrder(opts,
-		func(t *pmem.Thread, v uint64) { q.Enqueue(t, v) },
-		func(t *pmem.Thread, v uint64) { q.Enqueue(t, v) },
-		func(t *pmem.Thread) (uint64, bool) { return q.Dequeue(t) },
-		q.Recover, q.Contents, mem, fifo, reopen)
-}
-
-// RunStack executes one crash round against a stack built by factory on a
-// fresh tracked memory and checks LIFO durable linearizability.
-func RunStack(opts OrderOptions, factory func(mem *pmem.Memory) StackTarget) Result {
-	opts.defaults()
-	cfg := pmem.Config{Mode: pmem.ModeTracked, Profile: pmem.ProfileZero,
-		MaxThreads: opts.Workers + 8, Dir: opts.Dir}
-	mem := pmem.New(cfg)
-	s := factory(mem)
-	mustRecoverFiles(mem)
-	var reopen func() reopened
-	if opts.Dir != "" {
-		reopen = func() reopened {
-			m2 := pmem.New(cfg)
-			s2 := factory(m2)
-			mustRecoverFiles(m2)
-			return reopened{recoverFn: s2.Recover, contents: s2.Contents, rec: m2.NewThread()}
-		}
-	}
-	return runOrder(opts,
-		func(t *pmem.Thread, v uint64) { s.Push(t, v) },
-		func(t *pmem.Thread, v uint64) { s.Push(t, v) },
-		func(t *pmem.Thread) (uint64, bool) { return s.Pop(t) },
-		s.Recover, s.Contents, mem, lifo, reopen)
 }

@@ -373,9 +373,18 @@ func (tr *Tree) insertGet(t *pmem.Thread, key, value uint64, wantValue bool) (ui
 			tr.help(t, pmem.Dirty(sr.pUpdate))
 			continue
 		}
-		// Build the replacement subtree: newInternal over (new leaf, l).
+		// Build the replacement subtree: newInternal over the new leaf and
+		// a copy of l. PODC'10 copies l so that no child field ever holds
+		// the same node twice. With l itself under newInternal, deleting
+		// the new leaf would move l back up to p, and a helper that read
+		// the iflag earlier would then find l where its ichild expects it
+		// and re-link the removed newInternal (ABA: the deleted key is
+		// back).
 		lKey := t.Load(&lN.Key)
+		lValue := t.Load(&lN.Value)
+		pol.ReadData(t, &lN.Value)
 		newLeaf := tr.newLeaf(t, key, value)
+		sibling := tr.newLeaf(t, lKey, lValue)
 		ni := tr.nodes.Alloc(t.ID)
 		niN := tr.node(ni)
 		maxKey := key
@@ -387,9 +396,9 @@ func (tr *Tree) insertGet(t *pmem.Thread, key, value uint64, wantValue bool) (ui
 		t.Store(&niN.Value, 0)
 		if key < lKey {
 			t.Store(&niN.Left, pmem.MakeRef(newLeaf))
-			t.Store(&niN.Right, pmem.MakeRef(sr.l))
+			t.Store(&niN.Right, pmem.MakeRef(sibling))
 		} else {
-			t.Store(&niN.Left, pmem.MakeRef(sr.l))
+			t.Store(&niN.Left, pmem.MakeRef(sibling))
 			t.Store(&niN.Right, pmem.MakeRef(newLeaf))
 		}
 		t.Store(&niN.Update, mkUpdate(stClean, 0))
@@ -399,42 +408,57 @@ func (tr *Tree) insertGet(t *pmem.Thread, key, value uint64, wantValue bool) (ui
 		pol.InitWrite(t, &niN.Left)
 		pol.InitWrite(t, &niN.Right)
 		pol.InitWrite(t, &niN.Update)
-		idx := tr.infos.Alloc(t.ID)
-		inf := tr.info(idx)
-		t.Store(&inf.Kind, kindInsert)
-		t.Store(&inf.GP, pmem.NilRef)
-		t.Store(&inf.P, pmem.MakeRef(sr.p))
-		t.Store(&inf.L, pmem.MakeRef(sr.l))
-		t.Store(&inf.NewInternal, pmem.MakeRef(ni))
-		t.Store(&inf.PUpdate, 0)
-		pol.InitWrite(t, &inf.Kind)
-		pol.InitWrite(t, &inf.GP)
-		pol.InitWrite(t, &inf.P)
-		pol.InitWrite(t, &inf.L)
-		pol.InitWrite(t, &inf.NewInternal)
-		pol.InitWrite(t, &inf.PUpdate)
-		pU := &tr.node(sr.p).Update
-		pol.BeforeCAS(t)
-		ok := t.CAS(pU, sr.pUpdate, mkUpdate(stIFlag, idx)) // iflag
-		pol.Wrote(t, pU)
-		if ok {
-			tr.helpInsert(t, idx)
+		if tr.replaceLeaf(t, sr, ni) {
 			pol.BeforeReturn(t)
-			// The unflag is persisted; nobody dereferences a CLEAN
-			// word's info pointer, so the record may be recycled.
-			tr.infos.Retire(t.ID, idx)
+			tr.nodes.Retire(t.ID, sr.l)
+			tr.retireInfo(t, sr.pUpdate)
 			t.CountOp()
 			return value, true
 		}
-		// Flag failed: recycle the never-published allocations, help
-		// whoever beat us, retry.
+		// Flag failed: recycle the never-published allocations, retry.
 		tr.nodes.Free(t.ID, newLeaf)
+		tr.nodes.Free(t.ID, sibling)
 		tr.nodes.Free(t.ID, ni)
+	}
+}
+
+// replaceLeaf swings sr.p's child from the leaf sr.l to the initialized,
+// unpublished node sub through the insert protocol (iflag, ichild,
+// iunflag). It returns false when the iflag CAS lost, after helping
+// whoever won; sub is still unpublished then. On true the caller fences
+// (BeforeReturn) and only then retires sr.l, which the ichild unlinked, and
+// the record sr.pUpdate names: the iflag replaced that (CLEAN, old) word.
+// The new record stays, since p's word still names it (CLEAN after the
+// iunflag) as the expected value of the next flag CAS on p.
+func (tr *Tree) replaceLeaf(t *pmem.Thread, sr *search, sub uint64) bool {
+	pol := tr.pol
+	idx := tr.infos.Alloc(t.ID)
+	inf := tr.info(idx)
+	t.Store(&inf.Kind, kindInsert)
+	t.Store(&inf.GP, pmem.NilRef)
+	t.Store(&inf.P, pmem.MakeRef(sr.p))
+	t.Store(&inf.L, pmem.MakeRef(sr.l))
+	t.Store(&inf.NewInternal, pmem.MakeRef(sub))
+	t.Store(&inf.PUpdate, 0)
+	pol.InitWrite(t, &inf.Kind)
+	pol.InitWrite(t, &inf.GP)
+	pol.InitWrite(t, &inf.P)
+	pol.InitWrite(t, &inf.L)
+	pol.InitWrite(t, &inf.NewInternal)
+	pol.InitWrite(t, &inf.PUpdate)
+	pU := &tr.node(sr.p).Update
+	pol.BeforeCAS(t)
+	ok := t.CAS(pU, sr.pUpdate, mkUpdate(stIFlag, idx)) // iflag
+	pol.Wrote(t, pU)
+	if !ok {
 		tr.infos.Free(t.ID, idx)
 		cur := t.Load(pU)
 		pol.Read(t, pU)
 		tr.help(t, pmem.Dirty(cur))
+		return false
 	}
+	tr.helpInsert(t, idx)
+	return true
 }
 
 // Delete removes key; false if absent.
@@ -482,14 +506,20 @@ func (tr *Tree) Delete(t *pmem.Thread, key uint64) bool {
 			if tr.helpDelete(t, idx) {
 				pol.BeforeReturn(t)
 				// Disconnection persisted (the fence above): the
-				// spliced internal node, its leaf, and the info
-				// record may be recycled by the operation owner.
+				// spliced internal node and its leaf may be recycled
+				// by the operation owner, and so may the records
+				// whose CLEAN words the dflag (on gp) and the mark (on
+				// p) replaced. idx stays: gp's word names it.
 				tr.nodes.Retire(t.ID, sr.p)
 				tr.nodes.Retire(t.ID, sr.l)
-				tr.infos.Retire(t.ID, idx)
+				tr.retireInfo(t, sr.gpUpdate)
+				tr.retireInfo(t, sr.pUpdate)
 				t.CountOp()
 				return true
 			}
+			// Backtracked: gp's word went (CLEAN, old) → (DFLAG, idx) →
+			// (CLEAN, idx), so old is unnamed and idx lives on in gp.
+			tr.retireInfo(t, sr.gpUpdate)
 			continue
 		}
 		tr.infos.Free(t.ID, idx)
@@ -519,6 +549,29 @@ func (tr *Tree) Find(t *pmem.Thread, key uint64) (uint64, bool) {
 	pol.BeforeReturn(t)
 	t.CountOp()
 	return v, true
+}
+
+// retireInfo retires the Info record named by u, the CLEAN update word a
+// successful flag or mark CAS of the caller's operation replaced. An Info
+// record is named by the update words of the nodes its operation flagged,
+// and each such word keeps naming it after the unflag, as the expected
+// value of the next flag CAS on that node. Recycling it while a word names
+// it lets a stale search's CAS succeed against the record's next life
+// (ABA): the PODC'10 algorithm assumes a garbage collector, which never
+// reuses a record that something still names. So a record is retired only
+// by the owner whose CAS replaced the word naming it.
+//
+// A delete's Info also names the record in p's word it read, as its mark
+// expectation (PUpdate), and a helper that finds the delete flagged after
+// someone else replaced that word still tries the mark. The delete's owner
+// stays in its epoch until the flag is gone, so such a helper enters at
+// most one epoch after the retirement: RetireLate keeps the record out of
+// circulation until it has left. Handle 0 (the initial CLEAN words) is not
+// a record.
+func (tr *Tree) retireInfo(t *pmem.Thread, u uint64) {
+	if idx := infoIdx(u); idx != 0 {
+		tr.infos.RetireLate(t.ID, idx)
+	}
 }
 
 func checkKey(key uint64) {

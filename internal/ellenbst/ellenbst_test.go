@@ -258,6 +258,148 @@ func TestMemoryReclamation(t *testing.T) {
 	}
 }
 
+// TestNamedInfoNeverReleased: an update word keeps naming its Info record
+// after the unflag, as the expected value of the node's next flag CAS, so
+// a named record recycled into another operation lets a stale CAS succeed
+// (ABA). After every operation of a single-threaded churn, no node
+// reachable from the root and no Info record an update word names may sit
+// in a free list or limbo queue.
+func TestNamedInfoNeverReleased(t *testing.T) {
+	tr, th := newTree(persist.NVTraverse{})
+	rng := rand.New(rand.NewSource(1))
+	var walk func(op int, idx uint64)
+	walk = func(op int, idx uint64) {
+		if tr.nodes.Released(idx) {
+			t.Fatalf("op %d: reachable node %d is free or in limbo", op, idx)
+		}
+		n := tr.node(idx)
+		if th.Load(&n.Leaf) == 1 {
+			return
+		}
+		if info := infoIdx(th.Load(&n.Update)); info != 0 && tr.infos.Released(info) {
+			t.Fatalf("op %d: node %d's update word names info %d, which is free or in limbo", op, idx, info)
+		}
+		walk(op, pmem.RefIndex(th.Load(&n.Left)))
+		walk(op, pmem.RefIndex(th.Load(&n.Right)))
+	}
+	for op := 0; op < 2000; op++ {
+		k := uint64(rng.Intn(32)) + 1
+		if rng.Intn(2) == 0 {
+			tr.Insert(th, k, k)
+		} else {
+			tr.Delete(th, k)
+		}
+		walk(op, tr.root)
+	}
+}
+
+// TestCapturedInfoOutlivesItsHelpers replays, one step at a time, the
+// interleaving in which a delete's Info record captures p's update word
+// (CLEAN, X) as its mark expectation, an insert replaces that word and
+// retires X, and a helper that finds the delete still flagged only after
+// the retirement tries the mark late. If X is recycled into p's word before
+// that mark, the stale CAS succeeds and splices p out together with a
+// completed insert. The helper entered at most one epoch after X was
+// retired, so X must stay in limbo for one epoch longer than a record that
+// nothing captured.
+func TestCapturedInfoOutlivesItsHelpers(t *testing.T) {
+	mem := pmem.New(pmem.Config{Mode: pmem.ModeFast, Profile: pmem.ProfileZero, MaxThreads: 8})
+	tr := New(mem, persist.NVTraverse{})
+	setup, thD, thI, thH := mem.NewThread(), mem.NewThread(), mem.NewThread(), mem.NewThread()
+	// Shape: root → n1 → n2{n3{10, 15}, leaf 20}, n2's word (CLEAN, X)
+	// where X is the Info of the insert of 15.
+	for _, k := range []uint64{10, 20, 15} {
+		tr.Insert(setup, k, k)
+	}
+
+	// D: delete 20 up to its dflag on n1, capturing n2's (CLEAN, X).
+	tr.dom.Enter(thD.ID)
+	var sr search
+	tr.traverse(thD, 20, &sr)
+	x := infoIdx(sr.pUpdate)
+	if x == 0 {
+		t.Fatal("n2's word names no Info record")
+	}
+	idxD := tr.infos.Alloc(thD.ID)
+	inf := tr.info(idxD)
+	thD.Store(&inf.Kind, kindDelete)
+	thD.Store(&inf.GP, pmem.MakeRef(sr.gp))
+	thD.Store(&inf.P, pmem.MakeRef(sr.p))
+	thD.Store(&inf.L, pmem.MakeRef(sr.l))
+	thD.Store(&inf.PUpdate, pmem.Dirty(sr.pUpdate))
+	n1U := &tr.node(sr.gp).Update
+	if !thD.CAS(n1U, sr.gpUpdate, mkUpdate(stDFlag, idxD)) {
+		t.Fatal("staging the dflag failed")
+	}
+
+	// I: insert 25 under n2 replaces (CLEAN, X) and retires X.
+	tr.Insert(thI, 25, 25)
+	tr.dom.TryAdvance()
+
+	// H enters and finds D flagged on n1; D then backtracks and leaves.
+	tr.dom.Enter(thH.ID)
+	flagged := thH.Load(n1U)
+	if flagged != mkUpdate(stDFlag, idxD) {
+		t.Fatalf("n1's word = %#x, want D's dflag", flagged)
+	}
+	if tr.helpDelete(thD, idxD) {
+		t.Fatal("D's mark succeeded against a replaced word")
+	}
+	tr.dom.Exit(thD.ID)
+	for i := 0; i < 4; i++ {
+		tr.dom.TryAdvance()
+	}
+
+	// E: delete 20 (now under the insert's new internal) flags n2 as its
+	// grandparent with a fresh Info from I's thread, leaving n2 CLEAN with
+	// it. Were that Info X, H's mark below would match.
+	tr.Delete(thI, 20)
+	if got := infoIdx(thI.Load(&tr.node(sr.p).Update)); got == x {
+		t.Fatalf("Info %d recycled while a helper could still expect it", x)
+	}
+
+	// H helps D late: the mark must fail and nothing may be lost.
+	tr.help(thH, flagged)
+	tr.dom.Exit(thH.ID)
+	for _, k := range []uint64{10, 15, 25} {
+		if _, ok := tr.Find(setup, k); !ok {
+			t.Fatalf("completed insert of %d lost", k)
+		}
+	}
+	if err := tr.Validate(setup); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLateIchildCannotRelink: a helper that read an insert's IFLAG may run
+// the insert's ichild long after the insert finished. If the new leaf has
+// been deleted since, that delete moved the leaf the insert split back up to
+// p. Were that the very leaf the ichild expects (instead of the copy
+// PODC'10 links), the late CAS would re-link the removed subtree and the
+// deleted key would be back.
+func TestLateIchildCannotRelink(t *testing.T) {
+	tr, th := newTree(persist.NVTraverse{})
+	for _, k := range []uint64{10, 20, 15} {
+		tr.Insert(th, k, k)
+	}
+	var sr search
+	tr.traverse(th, 15, &sr)
+	idx := infoIdx(sr.gpUpdate) // the insert of 15 flagged 15's grandparent
+	if state(sr.gpUpdate) != stClean || idx == 0 {
+		t.Fatalf("15's grandparent word = %#x, want the insert's CLEAN word", sr.gpUpdate)
+	}
+	if !tr.Delete(th, 15) {
+		t.Fatal("delete of 15 failed")
+	}
+	tr.helpInsert(th, idx) // the late helper
+	if _, ok := tr.Find(th, 15); ok {
+		t.Fatal("deleted key 15 is back after a late ichild")
+	}
+	if err := tr.Validate(th); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecoverCompletesInFlightOps(t *testing.T) {
 	// Handcraft the three interrupted states (IFLAG, DFLAG, MARK) and check
 	// recovery drives each to completion.

@@ -5,19 +5,17 @@ import (
 	"repro/internal/pmem"
 )
 
-// Update atomically read-modify-writes the value of key in place with a CAS
-// on the leaf's value word. Returns the installed value and true, or
-// (0, false) if key is absent.
+// Update atomically read-modify-writes the value of key. Returns the
+// installed value and true, or (0, false) if key is absent.
 //
-// Leaves are immutable in every field Ellen et al.'s algorithm reasons
-// about (Key, Leaf, the child links); the value word is user data that no
-// coordination step reads, so an in-place CAS cannot interfere with a
-// concurrent insert or delete. A delete that disconnects the leaf while
-// the CAS is in flight overlaps this operation, so the update may be
-// linearized before the deletion (the same argument as list.Update; the
-// epoch critical section keeps the leaf's slot from being recycled until
-// this operation exits). Persistence follows Protocol 2 with WroteData
-// flushing the new value before the commit fence.
+// A leaf's value never changes in place: the update replaces the key's
+// leaf by a new leaf holding fn(old), through the insert's flag protocol
+// (replaceLeaf — an insert whose new subtree is one leaf), so it
+// serializes with every insert and delete that would change p's children,
+// and recovery completes it like any flagged insert. In-place writes are
+// ruled out because an insert pushes a copy of the leaf it splits below the
+// new internal node: a value written into the old leaf after the copy was
+// taken would be lost.
 func (tr *Tree) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (uint64, bool) {
 	checkKey(key)
 	tr.dom.Enter(t.ID)
@@ -33,17 +31,22 @@ func (tr *Tree) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (
 			t.CountOp()
 			return 0, false
 		}
+		if state(sr.pUpdate) != stClean {
+			tr.help(t, pmem.Dirty(sr.pUpdate))
+			continue
+		}
 		old := t.Load(&lN.Value)
 		pol.ReadData(t, &lN.Value)
 		newv := fn(old)
-		pol.BeforeCAS(t)
-		if t.CAS(&lN.Value, old, newv) {
-			pol.WroteData(t, &lN.Value)
+		nl := tr.newLeaf(t, key, newv)
+		if tr.replaceLeaf(t, sr, nl) {
 			pol.BeforeReturn(t)
+			tr.nodes.Retire(t.ID, sr.l)
+			tr.retireInfo(t, sr.pUpdate)
 			t.CountOp()
 			return newv, true
 		}
-		pol.BeforeReturn(t) // lost a value race: retraverse and retry
+		tr.nodes.Free(t.ID, nl) // lost the iflag: retraverse and retry
 	}
 }
 

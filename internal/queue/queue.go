@@ -111,7 +111,7 @@ func (q *Queue) Enqueue(t *pmem.Thread, value uint64) {
 		// loses completed enqueues that linked behind an in-flight
 		// enqueue whose own link CAS was still unfenced at the crash:
 		// rolling that one link back severs every later node. Caught by
-		// crashtest.RunQueue torture.
+		// the crashtest.Queue torture.
 		t.Scratch = t.Scratch[:0]
 		if reach != nil {
 			cells := [...]*pmem.Cell{reach, &lastN.Next}

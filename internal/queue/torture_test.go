@@ -3,8 +3,9 @@ package queue_test
 // Crash torture for both queues under the line-granular crash model: random
 // concurrent enqueues/dequeues, a crash at an arbitrary point (with random
 // whole-line evictions), recovery, then the FIFO durable-linearizability
-// check of crashtest.RunQueue. External test package: the harness factory
-// takes the queue through its exported surface, same as nvcrash does.
+// check of crashtest.Run on a crashtest.Queue target. External test
+// package: the target builds the queue through its exported surface, same
+// as nvcrash does.
 
 import (
 	"testing"
@@ -22,17 +23,15 @@ func tortureRounds(t *testing.T) int {
 	return 8
 }
 
-func runQueueTorture(t *testing.T, name string, factory func(mem *pmem.Memory) crashtest.QueueTarget) {
+func runQueueTorture(t *testing.T, name string, target crashtest.Target) {
 	t.Helper()
 	for r := 0; r < tortureRounds(t); r++ {
-		res := crashtest.RunQueue(crashtest.OrderOptions{
+		res := crashtest.Run(crashtest.Options{
 			Workers:        4,
 			OpsBeforeCrash: 300,
-			AddRatio:       60,
-			Prefill:        16,
 			EvictProb:      0.25,
 			Seed:           int64(r) + 1,
-		}, factory)
+		}, target)
 		if len(res.Violations) > 0 {
 			for _, v := range res.Violations {
 				t.Errorf("%s round %d: %s", name, r, v)
@@ -50,17 +49,15 @@ func runQueueTorture(t *testing.T, name string, factory func(mem *pmem.Memory) c
 // directory: the crash abandons the memory (SIGKILL semantics — unflushed
 // userspace buffers die), and the checker runs on a structure reopened
 // from the files.
-func runQueueTortureFile(t *testing.T, name string, factory func(mem *pmem.Memory) crashtest.QueueTarget) {
+func runQueueTortureFile(t *testing.T, name string, target crashtest.Target) {
 	t.Helper()
 	for r := 0; r < tortureRounds(t); r++ {
-		res := crashtest.RunQueue(crashtest.OrderOptions{
+		res := crashtest.Run(crashtest.Options{
 			Workers:        4,
 			OpsBeforeCrash: 300,
-			AddRatio:       60,
-			Prefill:        16,
 			Seed:           int64(r) + 1,
 			Dir:            t.TempDir(),
-		}, factory)
+		}, target)
 		if len(res.Violations) > 0 {
 			for _, v := range res.Violations {
 				t.Errorf("%s round %d: %s", name, r, v)
@@ -75,25 +72,23 @@ func runQueueTortureFile(t *testing.T, name string, factory func(mem *pmem.Memor
 }
 
 func TestCrashTortureTraversalQueue(t *testing.T) {
-	runQueueTorture(t, "nvtraverse", func(mem *pmem.Memory) crashtest.QueueTarget {
+	runQueueTorture(t, "nvtraverse", crashtest.Queue(func(mem *pmem.Memory) *queue.Queue {
 		return queue.New(mem, persist.NVTraverse{})
-	})
+	}))
 }
 
 func TestCrashTortureTraversalQueueFile(t *testing.T) {
-	runQueueTortureFile(t, "nvtraverse-file", func(mem *pmem.Memory) crashtest.QueueTarget {
+	runQueueTortureFile(t, "nvtraverse-file", crashtest.Queue(func(mem *pmem.Memory) *queue.Queue {
 		return queue.New(mem, persist.NVTraverse{})
-	})
+	}))
 }
 
 func TestCrashTortureTraversalQueueIzraelevitz(t *testing.T) {
-	runQueueTorture(t, "izraelevitz", func(mem *pmem.Memory) crashtest.QueueTarget {
+	runQueueTorture(t, "izraelevitz", crashtest.Queue(func(mem *pmem.Memory) *queue.Queue {
 		return queue.New(mem, persist.Izraelevitz{})
-	})
+	}))
 }
 
 func TestCrashTortureDurableQueue(t *testing.T) {
-	runQueueTorture(t, "durable", func(mem *pmem.Memory) crashtest.QueueTarget {
-		return queue.NewDurable(mem)
-	})
+	runQueueTorture(t, "durable", crashtest.Queue(queue.NewDurable))
 }

@@ -19,17 +19,14 @@ func TestTortureDurableAcrossShardCounts(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4, 8} {
 		for r := 0; r < rounds; r++ {
-			res := crashtest.RunEngine(crashtest.EngineOptions{
-				Shards:         shards,
-				Kind:           core.KindHash,
-				Policy:         persist.NVTraverse{},
+			res := crashtest.Run(crashtest.Options{
 				Workers:        4,
 				Keys:           256,
 				PrefillEvery:   2,
 				OpsBeforeCrash: 400,
 				EvictProb:      0.25,
 				Seed:           int64(shards*100 + r),
-			})
+			}, crashtest.Engine(shards, core.KindHash, persist.NVTraverse{}, 0))
 			if len(res.Violations) > 0 {
 				t.Fatalf("shards=%d round=%d: %d violations, first: %s",
 					shards, r, len(res.Violations), res.Violations[0])
@@ -52,18 +49,14 @@ func TestTortureMidBatch(t *testing.T) {
 	}
 	for _, kind := range []core.Kind{core.KindHash, core.KindSkiplist, core.KindList} {
 		for r := 0; r < rounds; r++ {
-			res := crashtest.RunEngine(crashtest.EngineOptions{
-				Shards:         4,
-				Kind:           kind,
-				Policy:         persist.NVTraverse{},
+			res := crashtest.Run(crashtest.Options{
 				Workers:        4,
 				Keys:           192,
 				PrefillEvery:   2,
 				OpsBeforeCrash: 300,
-				BatchSize:      8,
 				EvictProb:      0.25,
 				Seed:           int64(9000 + r),
-			})
+			}, crashtest.Engine(4, kind, persist.NVTraverse{}, 8))
 			if len(res.Violations) > 0 {
 				t.Fatalf("%s round %d: %d violations, first: %s",
 					kind, r, len(res.Violations), res.Violations[0])
@@ -84,18 +77,14 @@ func TestTortureFileBackend(t *testing.T) {
 	}
 	for _, kind := range []core.Kind{core.KindHash, core.KindSkiplist} {
 		for r := 0; r < rounds; r++ {
-			res := crashtest.RunEngine(crashtest.EngineOptions{
-				Shards:         4,
-				Kind:           kind,
-				Policy:         persist.NVTraverse{},
+			res := crashtest.Run(crashtest.Options{
 				Workers:        4,
 				Keys:           256,
 				PrefillEvery:   2,
 				OpsBeforeCrash: 300,
-				BatchSize:      8,
 				Seed:           int64(4200 + r),
 				Dir:            t.TempDir(),
-			})
+			}, crashtest.Engine(4, kind, persist.NVTraverse{}, 8))
 			if len(res.Violations) > 0 {
 				t.Fatalf("%s round %d: %d violations, first: %s",
 					kind, r, len(res.Violations), res.Violations[0])
@@ -111,17 +100,14 @@ func TestTortureFileBackend(t *testing.T) {
 // teeth: with the persistence-free policy and no eviction luck, completed
 // operations are rolled back wholesale and the checker must notice.
 func TestTortureCatchesNonDurablePolicy(t *testing.T) {
-	res := crashtest.RunEngine(crashtest.EngineOptions{
-		Shards:         4,
-		Kind:           core.KindHash,
-		Policy:         persist.None{},
+	res := crashtest.Run(crashtest.Options{
 		Workers:        4,
 		Keys:           256,
 		PrefillEvery:   0, // nothing prefilled: survivors can only come from ops
 		OpsBeforeCrash: 600,
 		EvictProb:      0,
 		Seed:           5,
-	})
+	}, crashtest.Engine(4, core.KindHash, persist.None{}, 0))
 	if len(res.Violations) == 0 {
 		t.Fatal("policy=none survived an engine crash test: checker is blind")
 	}
@@ -130,18 +116,14 @@ func TestTortureCatchesNonDurablePolicy(t *testing.T) {
 // TestTortureAllPolicies: every durable policy must pass engine torture.
 func TestTortureAllPolicies(t *testing.T) {
 	for _, pol := range []persist.Policy{persist.NVTraverse{}, persist.Izraelevitz{}, persist.LinkAndPersist{}} {
-		res := crashtest.RunEngine(crashtest.EngineOptions{
-			Shards:         4,
-			Kind:           core.KindHash,
-			Policy:         pol,
+		res := crashtest.Run(crashtest.Options{
 			Workers:        4,
 			Keys:           256,
 			PrefillEvery:   2,
 			OpsBeforeCrash: 300,
-			BatchSize:      4,
 			EvictProb:      0.25,
 			Seed:           77,
-		})
+		}, crashtest.Engine(4, core.KindHash, pol, 4))
 		if len(res.Violations) > 0 {
 			t.Fatalf("%s: %d violations, first: %s", pol.Name(), len(res.Violations), res.Violations[0])
 		}

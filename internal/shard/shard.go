@@ -15,7 +15,7 @@
 // batch is acknowledged only after every group's closing fence, so the
 // engine remains durably linearizable at batch granularity: a crash
 // mid-batch leaves each unacknowledged operation either fully applied or
-// fully absent, which crashtest.RunEngine verifies.
+// fully absent, which crashtest.Run verifies on a crashtest.Engine target.
 //
 // A whole-engine Crash/Recover mirrors a machine failure: every shard's
 // memory crashes together, and recovery runs the per-structure recovery

@@ -3,7 +3,7 @@ package stack_test
 // Crash torture for the Treiber stack under the line-granular crash model:
 // random concurrent pushes/pops, a crash at an arbitrary point (with random
 // whole-line evictions), recovery, then the LIFO durable-linearizability
-// check of crashtest.RunStack.
+// check of crashtest.Run on a crashtest.Stack target.
 
 import (
 	"testing"
@@ -24,16 +24,14 @@ func tortureRounds(t *testing.T) int {
 func runStackTorture(t *testing.T, name string, pol persist.Policy) {
 	t.Helper()
 	for r := 0; r < tortureRounds(t); r++ {
-		res := crashtest.RunStack(crashtest.OrderOptions{
+		res := crashtest.Run(crashtest.Options{
 			Workers:        4,
 			OpsBeforeCrash: 300,
-			AddRatio:       60,
-			Prefill:        16,
 			EvictProb:      0.25,
 			Seed:           int64(r) + 1,
-		}, func(mem *pmem.Memory) crashtest.StackTarget {
+		}, crashtest.Stack(func(mem *pmem.Memory) *stack.Stack {
 			return stack.New(mem, pol)
-		})
+		}))
 		if len(res.Violations) > 0 {
 			for _, v := range res.Violations {
 				t.Errorf("%s round %d: %s", name, r, v)
@@ -53,16 +51,14 @@ func runStackTorture(t *testing.T, name string, pol persist.Policy) {
 func runStackTortureFile(t *testing.T, name string, pol persist.Policy) {
 	t.Helper()
 	for r := 0; r < tortureRounds(t); r++ {
-		res := crashtest.RunStack(crashtest.OrderOptions{
+		res := crashtest.Run(crashtest.Options{
 			Workers:        4,
 			OpsBeforeCrash: 300,
-			AddRatio:       60,
-			Prefill:        16,
 			Seed:           int64(r) + 1,
 			Dir:            t.TempDir(),
-		}, func(mem *pmem.Memory) crashtest.StackTarget {
+		}, crashtest.Stack(func(mem *pmem.Memory) *stack.Stack {
 			return stack.New(mem, pol)
-		})
+		}))
 		if len(res.Violations) > 0 {
 			for _, v := range res.Violations {
 				t.Errorf("%s round %d: %s", name, r, v)
