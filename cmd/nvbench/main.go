@@ -15,14 +15,17 @@
 //	nvbench -ycsb U -kind list        # atomic in-place RMW workload
 //	nvbench -panel yE                 # YCSB-E panel: ordered kinds x policies,
 //	                                  # 1-shard + 4-shard store
-//	nvbench -flushstats               # flushes/op per structure, NVTraverse
-//	                                  # vs flush-everything, YCSB A/B/C
+//	nvbench -flushstats               # the claims table: exact flush and fence
+//	                                  # counts, and the paper's findings checked
 //
 // The -scale flag divides the paper's structure sizes (all competitors
 // share the substrate, so relative ordering is preserved); -threads caps
 // the thread sweeps; -dur sets the measurement time per point (the
 // NVBENCH_DUR environment variable overrides every duration). For -ycsb
 // runs, -kind/-policy/-range/-threads/-shards/-batch pick the target.
+// -flushstats takes none of these: its runs are fixed and seeded (see
+// bench.ClaimRuns), and it exits non-zero when a claim fails. The flush
+// ablation panels fA, fB and fC time the same comparison under -panel.
 package main
 
 import (
@@ -56,13 +59,7 @@ func run(args []string, out io.Writer) error {
 		threads = fs.Int("threads", 8, "cap thread sweeps (or thread count for -ycsb)")
 		dur     = fs.Duration("dur", 150*time.Millisecond, "measurement duration per point")
 
-		jsonOut    = fs.String("json", "", "run the baseline suite and write a BenchDoc JSON to this path")
-		jsonCmp    = fs.String("cmp", "", "baseline BenchDoc to compare against (embeds rows + speedups into -json output)")
-		jsonLabel  = fs.String("label", "", "label recorded in the -json document")
-		jsonVerify = fs.String("verifyjson", "", "parse a BenchDoc JSON and assert every row has nonzero ops/s")
-		tolerance  = fs.Float64("tolerance", 0, "with -cmp: fail when a zero-profile panel regressed beyond this fraction (0.35 = fail below 0.65x; 0 disables the gate)")
-
-		flushes = fs.Bool("flushstats", false, "run the flush-accounting ablation (panels fA/fB/fC) and summarize flushes/op")
+		flushes = fs.Bool("flushstats", false, "print the claims table (exact seeded flush/fence counts) and check the paper's findings on it")
 		ycsb    = fs.String("ycsb", "", "run one YCSB workload (A, B, C, D, E, F, U) instead of a panel")
 		shards  = fs.Int("shards", 1, "store shard count for -ycsb")
 		batch   = fs.Int("batch", 0, "read batch size for -ycsb")
@@ -82,58 +79,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	opts := bench.PanelOptions{SizeScale: *scale, ThreadCap: *threads, Duration: *dur}
-
-	if *jsonVerify != "" {
-		doc, err := bench.LoadBenchDoc(*jsonVerify)
-		if err != nil {
-			return err
-		}
-		if err := doc.Verify(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%s: ok (%d rows", *jsonVerify, len(doc.Rows))
-		if len(doc.Speedups) > 0 {
-			fmt.Fprintf(out, ", %d speedups", len(doc.Speedups))
-		}
-		fmt.Fprintln(out, ")")
-		return nil
-	}
-
-	if *jsonOut != "" {
-		rows, err := bench.RunBaseline(*dur, func(line string) { fmt.Fprintln(out, line) })
-		if err != nil {
-			return err
-		}
-		doc := bench.NewBenchDoc(*jsonLabel, rows)
-		if *jsonCmp != "" {
-			base, err := bench.LoadBenchDoc(*jsonCmp)
-			if err != nil {
-				return err
-			}
-			doc.Compare(base)
-			for _, s := range doc.Speedups {
-				fmt.Fprintf(out, "%-12s %10.0f -> %10.0f ops/s  %.2fx\n",
-					s.Panel, s.BaseOpsPerSec, s.NewOpsPerSec, s.Speedup)
-			}
-			if warn := doc.MachineMismatch(); warn != "" {
-				fmt.Fprintf(out, "warning: %s\n", warn)
-			}
-		}
-		if err := doc.WriteFile(*jsonOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *jsonOut)
-		// Gate after writing: the capture exists as an artifact even when a
-		// regression fails the run.
-		if *jsonCmp != "" && *tolerance > 0 {
-			if err := doc.GateRegressions(*tolerance); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "regression gate: ok (zero-profile panels within %.0f%% of %s)\n",
-				*tolerance*100, *jsonCmp)
-		}
-		return nil
-	}
 
 	if *list {
 		for _, p := range bench.Panels(opts) {
@@ -167,23 +112,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *flushes {
-		for _, p := range bench.FlushStatPanels(opts) {
-			fmt.Fprintf(out, "\n== Panel %s: %s ==\n%s\n", p.ID, p.Title, bench.Header())
-			var rs []bench.Result
-			for _, cfg := range p.Configs {
-				res, err := bench.Run(cfg)
-				if err != nil {
-					return fmt.Errorf("panel %s: %w", p.ID, err)
-				}
-				rs = append(rs, res)
-				fmt.Fprintln(out, res.Row())
-			}
-			fmt.Fprintln(out)
-			for _, line := range bench.FlushStatSummary(rs) {
-				fmt.Fprintln(out, line)
-			}
-		}
-		return nil
+		return flushStats(out)
 	}
 
 	var panels []bench.Panel
@@ -218,6 +147,36 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintln(out, res.Row())
 			}
 		}
+	}
+	return nil
+}
+
+// flushStats prints the claims table: every claims run's exact counts, then
+// each of the paper's findings with ok or FAIL. A failed claim is an error.
+func flushStats(out io.Writer) error {
+	counts, err := bench.RunClaimCounts()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "%-32s %9s %7s %9s %9s %8s %8s\n",
+		"run", "flushes", "elided", "fences", "flush/op", "elide/op", "fence/op")
+	for _, r := range bench.ClaimRuns() {
+		c := counts[r.Name()]
+		fmt.Fprintf(out, "%-32s %9d %7d %9d %9.2f %8.2f %8.2f\n", r.Name(),
+			c.Flushes, c.Elided, c.Fences, c.FlushPerOp(), c.ElidePerOp(), c.FencePerOp())
+	}
+	failed := 0
+	fmt.Fprintln(out)
+	for _, cl := range bench.Claims() {
+		if err := cl.Check(counts); err != nil {
+			failed++
+			fmt.Fprintf(out, "FAIL %s\n     %v\n", cl.Finding, err)
+			continue
+		}
+		fmt.Fprintf(out, "ok   %s\n", cl.Finding)
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d of %d claims failed", failed, len(bench.Claims()))
 	}
 	return nil
 }

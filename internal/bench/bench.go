@@ -48,9 +48,7 @@ type Config struct {
 // Result is one benchmark outcome. FlushPerOp counts clwb instructions
 // actually issued per operation; ElidePerOp counts Flush calls the line
 // model coalesced away (see pmem.Stats.FlushesElided) — their sum is the
-// number of Flush calls the persistence policy made. Lat, when non-nil,
-// holds sampled per-operation latencies (every latSampleMask+1-th
-// operation; the timer cost is kept off the other operations).
+// number of Flush calls the persistence policy made.
 type Result struct {
 	Config
 	Ops        uint64
@@ -58,17 +56,7 @@ type Result struct {
 	FlushPerOp float64
 	ElidePerOp float64
 	FencePerOp float64
-	Elapsed    time.Duration
-	Lat        *Histogram
 }
-
-// latSampleMask selects which operations get timed: ops with
-// (count & latSampleMask) == 0, i.e. one in latSampleMask+1. Sampling keeps
-// the two time.Now calls off 31 of 32 operations, which matters on the
-// zero-profile panels where an operation is tens of nanoseconds — measured
-// overhead at 1/32 is under 2% on the fastest panel, and a 100ms run still
-// collects thousands of samples.
-const latSampleMask = 31
 
 // Target is the operation surface the harness drives.
 type Target interface {
@@ -189,76 +177,59 @@ func Run(cfg Config) (Result, error) {
 // be called repeatedly on the same structure (steady-state measurement).
 func Measure(s Target, mem *pmem.Memory, cfg Config) Result {
 	mem.ResetStats()
-	dur := EffectiveDuration(cfg.Duration)
+	// Reuse registered threads beyond the prefill workers.
+	ths := append([]*pmem.Thread(nil), mem.Threads()...)
+	for len(ths) < cfg.Threads {
+		ths = append(ths, mem.NewThread())
+	}
+	return timed(cfg, cfg.Threads, func(i int, stop *atomic.Bool) uint64 {
+		th := ths[i]
+		var ops uint64
+		// Do-while: even if the stop flag wins the race with this
+		// goroutine's first schedule (tiny CI durations), every thread
+		// contributes at least one block, so no run measures zero ops.
+		for {
+			for j := 0; j < 32; j++ {
+				k := th.Rand()%cfg.Range + 1
+				r := int(th.Rand() % 100)
+				switch {
+				case r < cfg.UpdatePct/2:
+					s.Insert(th, k, k)
+				case r < cfg.UpdatePct:
+					s.Delete(th, k)
+				default:
+					s.Find(th, k)
+				}
+				ops++
+			}
+			if stop.Load() {
+				return ops
+			}
+		}
+	}, mem.Stats)
+}
+
+// timed runs worker(i, stop) on n goroutines for cfg's effective duration;
+// each returns its op count once stop is set. The result's per-op counters
+// come from what stats reports afterwards.
+func timed(cfg Config, n int, worker func(i int, stop *atomic.Bool) uint64, stats func() pmem.Stats) Result {
 	var stop atomic.Bool
 	var total atomic.Uint64
-	threads := mem.Threads()
-	hists := make([]*Histogram, cfg.Threads)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < cfg.Threads; i++ {
-		// Reuse registered threads beyond the prefill workers.
-		var th *pmem.Thread
-		if i < len(threads) {
-			th = threads[i]
-		} else {
-			th = mem.NewThread()
-		}
-		hists[i] = &Histogram{}
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(th *pmem.Thread, h *Histogram) {
+		go func(i int) {
 			defer wg.Done()
-			var ops uint64
-			// Do-while: even if the stop flag wins the race with this
-			// goroutine's first schedule (tiny CI durations), every thread
-			// contributes at least one block, so no run measures zero ops.
-			for {
-				for j := 0; j < 32; j++ {
-					k := th.Rand()%cfg.Range + 1
-					r := int(th.Rand() % 100)
-					sample := ops&latSampleMask == 0
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
-					switch {
-					case r < cfg.UpdatePct/2:
-						s.Insert(th, k, k)
-					case r < cfg.UpdatePct:
-						s.Delete(th, k)
-					default:
-						s.Find(th, k)
-					}
-					if sample {
-						h.Record(time.Since(t0))
-					}
-					ops++
-				}
-				if stop.Load() {
-					break
-				}
-			}
-			total.Add(ops)
-		}(th, hists[i])
+			total.Add(worker(i, &stop))
+		}(i)
 	}
-	timer := time.NewTimer(dur)
-	<-timer.C
+	time.Sleep(EffectiveDuration(cfg.Duration))
 	stop.Store(true)
 	wg.Wait()
 	elapsed := time.Since(start)
-	st := mem.Stats()
-	ops := total.Load()
-	lat := &Histogram{}
-	for _, h := range hists {
-		lat.Merge(h)
-	}
-	res := Result{
-		Config:  cfg,
-		Ops:     ops,
-		Mops:    float64(ops) / elapsed.Seconds() / 1e6,
-		Elapsed: elapsed,
-		Lat:     lat,
-	}
+	st, ops := stats(), total.Load()
+	res := Result{Config: cfg, Ops: ops, Mops: float64(ops) / elapsed.Seconds() / 1e6}
 	if ops > 0 {
 		res.FlushPerOp = float64(st.Flushes) / float64(ops)
 		res.ElidePerOp = float64(st.FlushesElided) / float64(ops)

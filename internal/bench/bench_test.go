@@ -67,28 +67,6 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	}
 }
 
-func TestIzraelevitzFlushesFarMoreThanNVTraverse(t *testing.T) {
-	// The paper's central quantitative claim, as a test: on a list whose
-	// traversals are long, the general transformation flushes at least an
-	// order of magnitude more than NVTraverse per operation.
-	nv, err := Run(Config{Kind: core.KindList, Policy: "nvtraverse",
-		Profile: pmem.ProfileZero, Threads: 2, Range: 2048, UpdatePct: 20,
-		Duration: quickDur(30 * time.Millisecond)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	iz, err := Run(Config{Kind: core.KindList, Policy: "izraelevitz",
-		Profile: pmem.ProfileZero, Threads: 2, Range: 2048, UpdatePct: 20,
-		Duration: quickDur(30 * time.Millisecond)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iz.FlushPerOp < 10*nv.FlushPerOp {
-		t.Fatalf("flush/op: izraelevitz %.1f vs nvtraverse %.1f — ratio too small",
-			iz.FlushPerOp, nv.FlushPerOp)
-	}
-}
-
 func TestPanelsComplete(t *testing.T) {
 	ids := map[string]bool{}
 	for _, p := range Panels(DefaultPanelOptions()) {
@@ -125,65 +103,6 @@ func TestRowAndCSVFormat(t *testing.T) {
 	}
 	if len(strings.Split(r.CSV(), ",")) != len(strings.Split(CSVHeader(), ",")) {
 		t.Fatalf("CSV row and header column counts differ")
-	}
-}
-
-// TestFlushAblationNVTraverseWins pins the acceptance criterion of the
-// flush-accounting work: on the skewed YCSB A/B/C workloads, the
-// NVTraverse transformation issues measurably fewer clwbs per operation
-// than the flush-everything transformation, for a traversal-heavy
-// structure (list) and a tree (nmbst).
-func TestFlushAblationNVTraverseWins(t *testing.T) {
-	for _, kind := range []core.Kind{core.KindList, core.KindNMBST} {
-		for _, wl := range []string{"A", "B", "C"} {
-			run := func(policy string) Result {
-				cfg := quickCfg(kind, policy)
-				cfg.Workload = wl
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", kind, policy, wl, err)
-				}
-				if res.Ops == 0 {
-					t.Fatalf("%s/%s/%s: no operations completed", kind, policy, wl)
-				}
-				return res
-			}
-			nv := run("nvtraverse")
-			iz := run("izraelevitz")
-			if iz.FlushPerOp < 1.5*nv.FlushPerOp {
-				t.Errorf("%s YCSB-%s: izraelevitz %.2f flushes/op vs nvtraverse %.2f — not measurably fewer",
-					kind, wl, iz.FlushPerOp, nv.FlushPerOp)
-			}
-			if iz.FencePerOp <= nv.FencePerOp {
-				t.Errorf("%s YCSB-%s: izraelevitz %.2f fences/op vs nvtraverse %.2f",
-					kind, wl, iz.FencePerOp, nv.FencePerOp)
-			}
-		}
-	}
-}
-
-func TestFlushStatPanelsAndSummary(t *testing.T) {
-	o := DefaultPanelOptions()
-	panels := FlushStatPanels(o)
-	if len(panels) != 3 {
-		t.Fatalf("FlushStatPanels = %d panels, want 3 (fA, fB, fC)", len(panels))
-	}
-	for _, p := range panels {
-		if len(p.Configs) == 0 {
-			t.Fatalf("panel %s empty", p.ID)
-		}
-	}
-	rs := []Result{
-		{Config: Config{Kind: core.KindList, Policy: "nvtraverse", Workload: "A"}, FlushPerOp: 4, FencePerOp: 3},
-		{Config: Config{Kind: core.KindList, Policy: "izraelevitz", Workload: "A"}, FlushPerOp: 80, FencePerOp: 81},
-	}
-	sum := FlushStatSummary(rs)
-	if len(sum) != 1 || !strings.Contains(sum[0], "20.0x") {
-		t.Fatalf("FlushStatSummary = %q", sum)
-	}
-	// A lone result without its counterpart produces no line.
-	if got := FlushStatSummary(rs[:1]); len(got) != 0 {
-		t.Fatalf("summary of unpaired result = %q", got)
 	}
 }
 

@@ -47,9 +47,13 @@ func BenchmarkFlushAblationListA(b *testing.B) {
 // the panel plumbing itself stays executable.
 func BenchmarkFlushStatPanelRow(b *testing.B) {
 	o := PanelOptions{SizeScale: 1024, ThreadCap: 2, Duration: 10 * time.Millisecond}
-	panels := FlushStatPanels(o)
-	if len(panels) == 0 {
-		b.Fatal("no flush-stat panels")
+	var panels []Panel
+	for _, id := range []string{"fA", "fB", "fC"} {
+		p, err := PanelByID(o, id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		panels = append(panels, p)
 	}
 	for i := 0; i < b.N; i++ {
 		for _, p := range panels {

@@ -241,57 +241,6 @@ func Panels(o PanelOptions) []Panel {
 	return ps
 }
 
-// FlushStatPanels returns the flush-accounting ablation panels (fA, fB,
-// fC), the suite behind nvbench -flushstats.
-func FlushStatPanels(o PanelOptions) []Panel {
-	var out []Panel
-	for _, p := range Panels(o) {
-		if len(p.ID) == 2 && p.ID[0] == 'f' {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// FlushStatSummary condenses a flush-ablation panel's results into one
-// line per structure: how many times more flushes the flush-everything
-// transformation issues than NVTraverse on the same workload. Results
-// whose counterpart is missing are skipped.
-func FlushStatSummary(rs []Result) []string {
-	type key struct {
-		kind core.Kind
-		wl   string
-	}
-	nv := map[key]Result{}
-	iz := map[key]Result{}
-	var order []key
-	for _, r := range rs {
-		k := key{r.Kind, r.Workload}
-		switch r.Policy {
-		case "nvtraverse":
-			if _, seen := nv[k]; !seen {
-				order = append(order, k)
-			}
-			nv[k] = r
-		case "izraelevitz":
-			iz[k] = r
-		}
-	}
-	var out []string
-	for _, k := range order {
-		n, okN := nv[k]
-		i, okI := iz[k]
-		if !okN || !okI || n.FlushPerOp <= 0 {
-			continue
-		}
-		out = append(out, fmt.Sprintf(
-			"%-9s YCSB-%s: izraelevitz issues %6.1f flushes/op vs nvtraverse %5.1f (%5.1fx), fences %6.1f vs %4.1f",
-			k.kind, k.wl, i.FlushPerOp, n.FlushPerOp, i.FlushPerOp/n.FlushPerOp,
-			i.FencePerOp, n.FencePerOp))
-	}
-	return out
-}
-
 // PanelByID returns the panel with the given ID.
 func PanelByID(o PanelOptions, id string) (Panel, error) {
 	for _, p := range Panels(o) {

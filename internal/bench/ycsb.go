@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -128,152 +127,105 @@ func RunYCSB(cfg Config) (Result, error) {
 // measureWorkload runs the timed phase of a YCSB configuration over the
 // per-worker sessions and assembles the result from the stats snapshot.
 func measureWorkload(cfg Config, wl Workload, sessions []store.Session, stats func() pmem.Stats) Result {
-	dur := EffectiveDuration(cfg.Duration)
-	var stop atomic.Bool
-	var total atomic.Uint64
 	// latest tracks the newest inserted key for the read-latest
 	// distribution; workload D's inserts advance it.
 	var latest atomic.Uint64
 	latest.Store(cfg.Range)
-	hists := make([]*Histogram, len(sessions))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for si, s := range sessions {
-		hists[si] = &Histogram{}
-		wg.Add(1)
-		go func(s store.Session, h *Histogram) {
-			defer wg.Done()
-			var z *Zipf
-			if wl.Theta > 0 {
-				z = NewZipf(cfg.Range, wl.Theta)
+	return timed(cfg, len(sessions), func(i int, stop *atomic.Bool) uint64 {
+		s := sessions[i]
+		var z *Zipf
+		if wl.Theta > 0 {
+			z = NewZipf(cfg.Range, wl.Theta)
+		}
+		key := func() uint64 {
+			r := s.Rand()
+			var k uint64
+			if z != nil {
+				k = z.Next(r)
+			} else {
+				k = r%cfg.Range + 1
 			}
-			key := func() uint64 {
-				r := s.Rand()
-				var k uint64
-				if z != nil {
-					k = z.Next(r)
-				} else {
-					k = r%cfg.Range + 1
+			if wl.ReadLatest {
+				// k is a recency offset: 1 = the newest key.
+				max := latest.Load()
+				if k > max {
+					k = max
 				}
-				if wl.ReadLatest {
-					// k is a recency offset: 1 = the newest key.
-					max := latest.Load()
-					if k > max {
-						k = max
-					}
-					k = max - k + 1
-				}
-				return k
+				k = max - k + 1
 			}
-			// Scan lengths draw from their own Zipf (YCSB E: most scans
-			// short, occasional long ones).
-			var zscan *Zipf
-			if wl.ScanPct > 0 {
-				maxLen := wl.MaxScanLen
-				if maxLen <= 0 {
-					maxLen = 100
-				}
-				zscan = NewZipf(uint64(maxLen), 0.99)
+			return k
+		}
+		// Scan lengths draw from their own Zipf (YCSB E: most scans
+		// short, occasional long ones).
+		var zscan *Zipf
+		if wl.ScanPct > 0 {
+			maxLen := wl.MaxScanLen
+			if maxLen <= 0 {
+				maxLen = 100
 			}
-			batch := cfg.BatchSize
-			var rkeys []uint64
-			var rres []store.OpResult
-			var ops uint64
-			// Do-while (see Measure): every worker contributes at least one
-			// block even when the stop flag wins the first-schedule race.
-			for {
-				n := 32
-				if batch > 1 {
-					n = batch
-				}
-				rkeys = rkeys[:0]
-				for j := 0; j < n; j++ {
-					r := int(s.Rand() % 100)
-					// Sample one in latSampleMask+1 operations into the
-					// latency histogram. Batched reads are deferred into one
-					// MultiGet below, so their per-op latency is not
-					// attributable here and they go unsampled.
-					sample := ops&latSampleMask == 0 && batch <= 1
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
-					switch {
-					case r < wl.ReadPct:
-						if batch > 1 {
-							rkeys = append(rkeys, key())
-						} else {
-							s.Get(key())
-						}
-					case r < wl.ReadPct+wl.UpdatePct:
-						s.Put(key(), s.Rand())
-					case r < wl.ReadPct+wl.UpdatePct+wl.InsertPct:
-						s.Insert(latest.Add(1), s.Rand())
-					case r < wl.ReadPct+wl.UpdatePct+wl.InsertPct+wl.RMWPct:
-						// Read-modify-write, YCSB F style: a read followed
-						// by an upsert of the modified value.
-						k := key()
-						v, _ := s.Get(k)
-						s.Put(k, v+1)
-					case r < wl.ReadPct+wl.UpdatePct+wl.InsertPct+wl.RMWPct+wl.ScanPct:
-						// Range scan, YCSB E style: zipf start key, zipf
-						// item count; the key-space bound assumes the
-						// prefill's every-other-key density, and the scan
-						// stops early once it has seen its item count. Scan
-						// fails only on unordered kinds, which RunYCSB rejects.
-						lo := key()
-						want := int(zscan.Next(s.Rand()))
-						seen := 0
-						_ = s.Scan(lo, lo+4*uint64(want), func(uint64, uint64) bool {
-							seen++
-							return seen < want
-						})
-					default:
-						// Atomic RMW (workload U): an in-place increment
-						// through the structure's critical section, seeding
-						// absent keys with GetOrInsert.
-						k := key()
-						if _, ok := s.Update(k, func(old uint64) uint64 { return old + 1 }); !ok {
-							s.GetOrInsert(k, s.Rand())
-						}
-					}
-					if sample {
-						h.Record(time.Since(t0))
-					}
-					ops++
-				}
-				if len(rkeys) > 0 {
-					rres = s.MultiGet(rkeys, rres)
-				}
-				if stop.Load() {
-					break
-				}
+			zscan = NewZipf(uint64(maxLen), 0.99)
+		}
+		batch := cfg.BatchSize
+		var rkeys []uint64
+		var rres []store.OpResult
+		var ops uint64
+		// Do-while (see Measure): every worker contributes at least one
+		// block even when the stop flag wins the first-schedule race.
+		for {
+			n := 32
+			if batch > 1 {
+				n = batch
 			}
-			total.Add(ops)
-		}(s, hists[si])
-	}
-	timer := time.NewTimer(dur)
-	<-timer.C
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-	st := stats()
-	ops := total.Load()
-	lat := &Histogram{}
-	for _, h := range hists {
-		lat.Merge(h)
-	}
-	res := Result{
-		Config:  cfg,
-		Ops:     ops,
-		Mops:    float64(ops) / elapsed.Seconds() / 1e6,
-		Elapsed: elapsed,
-		Lat:     lat,
-	}
-	if ops > 0 {
-		res.FlushPerOp = float64(st.Flushes) / float64(ops)
-		res.ElidePerOp = float64(st.FlushesElided) / float64(ops)
-		res.FencePerOp = float64(st.Fences) / float64(ops)
-	}
-	return res
+			rkeys = rkeys[:0]
+			for j := 0; j < n; j++ {
+				r := int(s.Rand() % 100)
+				switch {
+				case r < wl.ReadPct:
+					if batch > 1 {
+						rkeys = append(rkeys, key())
+					} else {
+						s.Get(key())
+					}
+				case r < wl.ReadPct+wl.UpdatePct:
+					s.Put(key(), s.Rand())
+				case r < wl.ReadPct+wl.UpdatePct+wl.InsertPct:
+					s.Insert(latest.Add(1), s.Rand())
+				case r < wl.ReadPct+wl.UpdatePct+wl.InsertPct+wl.RMWPct:
+					// Read-modify-write, YCSB F style: a read followed
+					// by an upsert of the modified value.
+					k := key()
+					v, _ := s.Get(k)
+					s.Put(k, v+1)
+				case r < wl.ReadPct+wl.UpdatePct+wl.InsertPct+wl.RMWPct+wl.ScanPct:
+					// Range scan, YCSB E style: zipf start key, zipf
+					// item count; the key-space bound assumes the
+					// prefill's every-other-key density, and the scan
+					// stops early once it has seen its item count. Scan
+					// fails only on unordered kinds, which RunYCSB rejects.
+					lo := key()
+					want := int(zscan.Next(s.Rand()))
+					seen := 0
+					_ = s.Scan(lo, lo+4*uint64(want), func(uint64, uint64) bool {
+						seen++
+						return seen < want
+					})
+				default:
+					// Atomic RMW (workload U): an in-place increment
+					// through the structure's critical section, seeding
+					// absent keys with GetOrInsert.
+					k := key()
+					if _, ok := s.Update(k, func(old uint64) uint64 { return old + 1 }); !ok {
+						s.GetOrInsert(k, s.Rand())
+					}
+				}
+				ops++
+			}
+			if len(rkeys) > 0 {
+				rres = s.MultiGet(rkeys, rres)
+			}
+			if stop.Load() {
+				return ops
+			}
+		}
+	}, stats)
 }

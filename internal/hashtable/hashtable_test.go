@@ -225,3 +225,29 @@ func TestBadBucketCountPanics(t *testing.T) {
 	}()
 	New(mem, persist.None{}, 0)
 }
+
+// TestReachableNeverReleased audits "retired ⇒ unreachable" single-threaded:
+// after every operation of a churn, no node reachable from any bucket's
+// head is free or in limbo (arena.Released), under every policy. Four
+// buckets over 32 keys keep the chains several nodes long.
+func TestReachableNeverReleased(t *testing.T) {
+	for _, pol := range persist.All() {
+		h, th := newTable(pol, 4)
+		rng := rand.New(rand.NewSource(1))
+		for op := 0; op < 2000; op++ {
+			k := uint64(rng.Intn(32)) + 1
+			if rng.Intn(2) == 0 {
+				h.Insert(th, k, k)
+			} else {
+				h.Delete(th, k)
+			}
+			for b := range h.buckets {
+				for idx := h.buckets[b].Head(); idx != 0; idx = pmem.RefIndex(th.Load(&h.sh.Ar.Get(idx).Next)) {
+					if h.sh.Ar.Released(idx) {
+						t.Fatalf("%s, op %d: node %d reachable from bucket %d is free or in limbo", pol.Name(), op, idx, b)
+					}
+				}
+			}
+		}
+	}
+}

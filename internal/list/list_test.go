@@ -402,3 +402,27 @@ func TestLiveHandles(t *testing.T) {
 		t.Fatalf("live = %d, want 6", len(live))
 	}
 }
+
+// TestReachableNeverReleased audits "retired ⇒ unreachable" single-threaded:
+// after every operation of a churn, no node reachable from the head —
+// marked ones not yet unlinked included — is free or in limbo
+// (arena.Released), under every policy.
+func TestReachableNeverReleased(t *testing.T) {
+	for _, pol := range policies() {
+		l, th := newList(pol)
+		rng := rand.New(rand.NewSource(1))
+		for op := 0; op < 2000; op++ {
+			k := uint64(rng.Intn(32)) + 1
+			if rng.Intn(2) == 0 {
+				l.Insert(th, k, k)
+			} else {
+				l.Delete(th, k)
+			}
+			for idx := l.head; idx != 0; idx = pmem.RefIndex(th.Load(&l.node(idx).Next)) {
+				if l.sh.Ar.Released(idx) {
+					t.Fatalf("%s, op %d: reachable node %d is free or in limbo", pol.Name(), op, idx)
+				}
+			}
+		}
+	}
+}

@@ -325,3 +325,35 @@ func TestKeyRangePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestReachableNeverReleased audits "retired ⇒ unreachable" single-threaded:
+// after every operation of a churn, no node reachable from the root R —
+// internal or leaf — is free or in limbo (arena.Released), under every
+// policy.
+func TestReachableNeverReleased(t *testing.T) {
+	for _, pol := range persist.All() {
+		tr, th := newTree(pol)
+		rng := rand.New(rand.NewSource(1))
+		var walk func(op int, idx uint64)
+		walk = func(op int, idx uint64) {
+			if tr.nodes.Released(idx) {
+				t.Fatalf("%s, op %d: reachable node %d is free or in limbo", pol.Name(), op, idx)
+			}
+			n := tr.node(idx)
+			if th.Load(&n.Leaf) == 1 {
+				return
+			}
+			walk(op, pmem.RefIndex(th.Load(&n.Left)))
+			walk(op, pmem.RefIndex(th.Load(&n.Right)))
+		}
+		for op := 0; op < 2000; op++ {
+			k := uint64(rng.Intn(32)) + 1
+			if rng.Intn(2) == 0 {
+				tr.Insert(th, k, k)
+			} else {
+				tr.Delete(th, k)
+			}
+			walk(op, tr.rootR)
+		}
+	}
+}

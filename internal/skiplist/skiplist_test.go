@@ -345,3 +345,29 @@ func TestKeyRangePanics(t *testing.T) {
 	}()
 	l.Insert(th, 0, 0)
 }
+
+// TestReachableNeverReleased audits "retired ⇒ unreachable" single-threaded:
+// after every operation of a churn, no node reachable from the head at any
+// level — a tower still linked above the bottom level included — is free or
+// in limbo (arena.Released), under every policy.
+func TestReachableNeverReleased(t *testing.T) {
+	for _, pol := range persist.All() {
+		l, th := newSkip(pol)
+		rng := rand.New(rand.NewSource(1))
+		for op := 0; op < 2000; op++ {
+			k := uint64(rng.Intn(32)) + 1
+			if rng.Intn(2) == 0 {
+				l.Insert(th, k, k)
+			} else {
+				l.Delete(th, k)
+			}
+			for lvl := 0; lvl < MaxLevel; lvl++ {
+				for idx := l.head; idx != 0; idx = pmem.RefIndex(th.Load(&l.node(idx).Next[lvl])) {
+					if l.ar.Released(idx) {
+						t.Fatalf("%s, op %d: node %d reachable at level %d is free or in limbo", pol.Name(), op, idx, lvl)
+					}
+				}
+			}
+		}
+	}
+}
