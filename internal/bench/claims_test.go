@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 // claimPins are the exact totals of every claims run (claims.go): clwbs
 // issued, flushes coalesced and fences, over the counted op stream — the
@@ -82,6 +86,54 @@ func TestPaperClaims(t *testing.T) {
 	for _, cl := range Claims() {
 		if err := cl.Check(counts); err != nil {
 			t.Errorf("claim failed: %s\n\t%v", cl.Finding, err)
+		}
+	}
+}
+
+// countTuples executes the runs of ts and returns their counts as tuples.
+func countTuples(t *testing.T, ts [][]ClaimRun) [][]Counts {
+	t.Helper()
+	out := make([][]Counts, len(ts))
+	for i, tu := range ts {
+		for _, r := range tu {
+			c, err := r.count()
+			if err != nil {
+				t.Fatalf("%s: %v", r.Name(), err)
+			}
+			out[i] = append(out[i], c)
+		}
+	}
+	return out
+}
+
+// TestIzraelevitzFlushesFarMoreThanNVTraverse is the paper's central
+// quantitative claim on its own: on the list, whose traversals are the
+// longest, the general transformation issues at least an order of magnitude
+// more flushes than NVTraverse, at both claims sizes.
+func TestIzraelevitzFlushesFarMoreThanNVTraverse(t *testing.T) {
+	ts := tuples([]core.Kind{core.KindList}, claimSizes, "", "nvtraverse", "izraelevitz")
+	for i, c := range countTuples(t, ts) {
+		if c[1].Flushes < 10*c[0].Flushes {
+			t.Errorf("%s: izraelevitz %d flushes vs nvtraverse %d, under 10x",
+				ts[i][0].Name(), c[1].Flushes, c[0].Flushes)
+		}
+	}
+}
+
+// TestFlushAblationNVTraverseWins checks the skewed YCSB A/B/C read/update
+// mixes on a traversal-heavy structure (list) and a tree (NM-BST): the
+// flush-everything transformation issues at least 1.5x NVTraverse's clwbs,
+// and more fences.
+func TestFlushAblationNVTraverseWins(t *testing.T) {
+	ts := ycsbTuples()
+	for i, c := range countTuples(t, ts) {
+		if 2*c[1].Flushes < 3*c[0].Flushes {
+			t.Errorf("%s: izraelevitz %d flushes vs nvtraverse %d, under 1.5x",
+				ts[i][0].Name(), c[1].Flushes, c[0].Flushes)
+		}
+		if c[1].Fences <= c[0].Fences {
+			t.Errorf("%s: izraelevitz %d fences vs nvtraverse %d",
+				ts[i][0].Name(), c[1].Fences, c[0].Fences)
 		}
 	}
 }
