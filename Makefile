@@ -24,7 +24,7 @@ short:
 # bench for the YCSB runner, whose workers drive store sessions in parallel,
 # and for the claims runs, which must count the same under the detector.
 race:
-	NVBENCH_DUR=10ms $(GO) test -race -short . ./internal/pmem ./internal/epoch ./internal/core ./internal/store ./internal/list ./internal/skiplist ./internal/ellenbst ./internal/nmbst ./internal/onefile ./internal/queue ./internal/stack ./internal/shard ./internal/crashtest ./internal/batcher ./internal/server ./internal/repl ./internal/wire ./internal/hashtable ./internal/arena ./internal/persist ./internal/bench
+	NVBENCH_DUR=10ms $(GO) test -race -short . ./internal/pmem ./internal/epoch ./internal/core ./internal/store ./internal/list ./internal/skiplist ./internal/ellenbst ./internal/nmbst ./internal/onefile ./internal/queue ./internal/stack ./internal/crashtest ./internal/batcher ./internal/server ./internal/repl ./internal/wire ./internal/hashtable ./internal/arena ./internal/persist ./internal/bench
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/pmem"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -61,7 +60,7 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 	const K, R, shards = 8, 25, 4
 	batched := openEngine(t, shards, K+4)
 	unbatched := openEngine(t, shards, K+4)
-	eng := batched.(*store.EngineStore).Engine()
+	eng := batched.(*store.Engine)
 
 	g := newGate()
 	b := NewSessionPool(gatedSession{batched.NewSession(), g}, PoolConfig{MaxBatch: K})
@@ -82,7 +81,7 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 	var wg sync.WaitGroup
 	submit := func(k uint64) {
 		wg.Add(1)
-		b.Submit(store.Op{Kind: shard.OpInsert, Key: k, Value: k}, cbCompleter{fn: func(res store.OpResult, err error) {
+		b.Submit(store.Op{Kind: store.OpInsert, Key: k, Value: k}, cbCompleter{fn: func(res store.OpResult, err error) {
 			if err != nil || !res.OK {
 				t.Errorf("insert %d: %+v %v", k, res, err)
 			}
@@ -128,7 +127,7 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 	cal := openEngine(t, shards, 4)
 	cb := NewPool(cal, PoolConfig{Workers: 1})
 	cal.ResetStats()
-	if res, err := cb.Do(store.Op{Kind: shard.OpInsert, Key: 1, Value: 1}); err != nil || !res.OK {
+	if res, err := cb.Do(store.Op{Kind: store.OpInsert, Key: 1, Value: 1}); err != nil || !res.OK {
 		t.Fatalf("calibration insert: %+v %v", res, err)
 	}
 	ordering := cal.Stats().Fences - 1

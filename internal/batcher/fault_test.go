@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pmem"
 	"repro/internal/pmem/vfs"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -41,7 +40,7 @@ func openFaultStore(t *testing.T, dir, schedule string, shards int) store.Store 
 func driveUntilDegraded(t *testing.T, do func(store.Op) (store.OpResult, error)) (acked uint64, derr error) {
 	t.Helper()
 	for k := uint64(1); k <= 500; k++ {
-		res, err := do(store.Op{Kind: shard.OpPut, Key: k, Value: k * 10})
+		res, err := do(store.Op{Kind: store.OpPut, Key: k, Value: k * 10})
 		if err != nil {
 			return acked, err
 		}
@@ -68,11 +67,11 @@ func checkDegraded(t *testing.T, st store.Store, acked uint64, derr error,
 	}
 
 	// Degraded is sticky: the next write fails fast with the same class.
-	if _, err := do(store.Op{Kind: shard.OpPut, Key: 9999, Value: 1}); !errors.Is(err, ErrDegraded) {
+	if _, err := do(store.Op{Kind: store.OpPut, Key: 9999, Value: 1}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("write after degradation: %v, want ErrDegraded", err)
 	}
 	// Reads keep serving from the intact in-memory structure.
-	if res, err := do(store.Op{Kind: shard.OpGet, Key: 1}); err != nil || !res.OK || res.Value != 10 {
+	if res, err := do(store.Op{Kind: store.OpGet, Key: 1}); err != nil || !res.OK || res.Value != 10 {
 		t.Fatalf("read on degraded store: %+v %v", res, err)
 	}
 
@@ -100,7 +99,7 @@ func TestPoolDegradedOnFsyncFailure(t *testing.T) {
 
 // TestBatcherDegradedOnFsyncFailure runs the same regression on the sharded
 // engine behind one worker: the verdict must travel through
-// shard.Session.ApplyCommitted's per-group callback as it does through the
+// store.Session.ApplyCommitted's per-group callback as it does through the
 // single-shard pool's.
 func TestBatcherDegradedOnFsyncFailure(t *testing.T) {
 	testDegradedOnFsyncFailure(t, 4)

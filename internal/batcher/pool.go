@@ -3,7 +3,7 @@
 // batches through ApplyCommitted, so the commit fence that durable
 // linearizability demands before every acknowledgement is paid once per
 // shard group per flush instead of once per request — the same amortization
-// shard.Session.Apply performs for one caller's batch, extended across
+// store.Session.Apply performs for one caller's batch, extended across
 // callers.
 //
 // Pool is that stage, and the only one. It runs one worker per shard group,
@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/pmem"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -67,7 +66,7 @@ var (
 // keep serving on a degraded store; everything else is a write whose
 // acknowledgement would promise durability the disk can no longer provide.
 func isReadOp(op store.Op) bool {
-	return op.Kind == shard.OpGet || op.Kind == shard.OpScan
+	return op.Kind == store.OpGet || op.Kind == store.OpScan
 }
 
 // Stats counts pool activity (monotone, read with atomic snapshots).

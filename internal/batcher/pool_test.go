@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pmem"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -26,29 +25,29 @@ func testBasicOps(t *testing.T, cfg PoolConfig) {
 			t.Fatal(err)
 		}
 		p := NewPool(st, cfg)
-		if res, err := p.Do(store.Op{Kind: shard.OpInsert, Key: 10, Value: 100}); err != nil || !res.OK {
+		if res, err := p.Do(store.Op{Kind: store.OpInsert, Key: 10, Value: 100}); err != nil || !res.OK {
 			t.Fatalf("shards=%d insert: %+v %v", shards, res, err)
 		}
-		if res, _ := p.Do(store.Op{Kind: shard.OpInsert, Key: 10, Value: 101}); res.OK {
+		if res, _ := p.Do(store.Op{Kind: store.OpInsert, Key: 10, Value: 101}); res.OK {
 			t.Fatalf("shards=%d duplicate insert succeeded", shards)
 		}
-		if res, _ := p.Do(store.Op{Kind: shard.OpGet, Key: 10}); !res.OK || res.Value != 100 {
+		if res, _ := p.Do(store.Op{Kind: store.OpGet, Key: 10}); !res.OK || res.Value != 100 {
 			t.Fatalf("shards=%d get: %+v", shards, res)
 		}
-		if res, _ := p.Do(store.Op{Kind: shard.OpPut, Key: 11, Value: 42}); !res.OK {
+		if res, _ := p.Do(store.Op{Kind: store.OpPut, Key: 11, Value: 42}); !res.OK {
 			t.Fatalf("shards=%d put: %+v", shards, res)
 		}
-		if res, _ := p.Do(store.Op{Kind: shard.OpUpdate, Key: 11, Fn: func(o uint64) uint64 { return o + 1 }}); !res.OK || res.Value != 43 {
+		if res, _ := p.Do(store.Op{Kind: store.OpUpdate, Key: 11, Fn: func(o uint64) uint64 { return o + 1 }}); !res.OK || res.Value != 43 {
 			t.Fatalf("shards=%d update: %+v", shards, res)
 		}
-		if res, _ := p.Do(store.Op{Kind: shard.OpScan, Key: 1, Hi: 100}); !res.OK || res.Value != 2 {
+		if res, _ := p.Do(store.Op{Kind: store.OpScan, Key: 1, Hi: 100}); !res.OK || res.Value != 2 {
 			t.Fatalf("shards=%d scan: %+v", shards, res)
 		}
-		if res, _ := p.Do(store.Op{Kind: shard.OpDelete, Key: 10}); !res.OK {
+		if res, _ := p.Do(store.Op{Kind: store.OpDelete, Key: 10}); !res.OK {
 			t.Fatalf("shards=%d delete: %+v", shards, res)
 		}
 		p.Close()
-		if _, err := p.Do(store.Op{Kind: shard.OpGet, Key: 10}); err != ErrClosed {
+		if _, err := p.Do(store.Op{Kind: store.OpGet, Key: 10}); err != ErrClosed {
 			t.Fatalf("shards=%d submit after close: %v", shards, err)
 		}
 		sess := st.NewSession()
@@ -77,7 +76,7 @@ func testConcurrentWriters(t *testing.T, cfg PoolConfig) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				k := uint64(w*per + i + 1)
-				if res, err := p.Do(store.Op{Kind: shard.OpPut, Key: k, Value: k * 2}); err != nil || !res.OK {
+				if res, err := p.Do(store.Op{Kind: store.OpPut, Key: k, Value: k * 2}); err != nil || !res.OK {
 					t.Errorf("put %d: %+v %v", k, res, err)
 					return
 				}
@@ -176,7 +175,7 @@ func TestPoolShardAffinityAndOrder(t *testing.T) {
 			for i := 0; i < per; i++ {
 				// Key encodes (writer, seq, parity); value encodes seq.
 				k := uint64(w)<<32 | uint64(i)<<1 | uint64(w%2)
-				if res, err := p.Do(store.Op{Kind: shard.OpPut, Key: k, Value: uint64(i)}); err != nil || !res.OK {
+				if res, err := p.Do(store.Op{Kind: store.OpPut, Key: k, Value: uint64(i)}); err != nil || !res.OK {
 					t.Errorf("put %x: %+v %v", k, res, err)
 					return
 				}
@@ -259,10 +258,10 @@ func TestPoolGroupCommit(t *testing.T) {
 	p := NewSessionPool(s, PoolConfig{MaxBatch: 2 * K})
 	var wg sync.WaitGroup
 	wg.Add(K + 1)
-	p.Submit(store.Op{Kind: shard.OpPut, Key: 1, Value: 1}, countCompleter{&wg})
+	p.Submit(store.Op{Kind: store.OpPut, Key: 1, Value: 1}, countCompleter{&wg})
 	<-s.entered // worker is mid-flush holding exactly op 1
 	for i := 2; i <= K+1; i++ {
-		p.Submit(store.Op{Kind: shard.OpPut, Key: uint64(i), Value: uint64(i)}, countCompleter{&wg})
+		p.Submit(store.Op{Kind: store.OpPut, Key: uint64(i), Value: uint64(i)}, countCompleter{&wg})
 	}
 	s.release <- struct{}{} // release flush 1
 	<-s.entered             // flush 2 must carry the whole backlog
@@ -287,7 +286,7 @@ func TestPoolLoneRequestFlushesAtOnce(t *testing.T) {
 	p := NewSessionPool(s, PoolConfig{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	p.Submit(store.Op{Kind: shard.OpPut, Key: 1, Value: 1}, countCompleter{&wg})
+	p.Submit(store.Op{Kind: store.OpPut, Key: 1, Value: 1}, countCompleter{&wg})
 	<-s.entered // the lone request is being applied: nothing else was submitted
 	s.release <- struct{}{}
 	wg.Wait()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/crashtest"
 	"repro/internal/persist"
 	"repro/internal/pmem"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -89,7 +88,7 @@ func tortureRound(t *testing.T, seed int, evictProb float64, poolWorkers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := st.(*store.EngineStore).Engine()
+	eng := st.(*store.Engine)
 
 	setup := st.NewSession()
 	prefilled := map[uint64]uint64{}
@@ -130,12 +129,12 @@ func tortureRound(t *testing.T, seed int, evictProb float64, poolWorkers int) {
 				slots := make([]*slot, window)
 				for i := range slots {
 					k := rand()%keys + 1
-					kind := shard.OpGet
+					kind := store.OpGet
 					switch r := rand() % 100; {
 					case r < 30:
-						kind = shard.OpInsert
+						kind = store.OpInsert
 					case r < 60:
-						kind = shard.OpDelete
+						kind = store.OpDelete
 					}
 					sl := &slot{
 						op:   store.Op{Kind: kind, Key: k, Value: rand() & ((1 << 32) - 1)},
@@ -152,9 +151,9 @@ func tortureRound(t *testing.T, seed int, evictProb float64, poolWorkers int) {
 					<-sl.done
 					kind := crashtest.OpFind
 					switch sl.op.Kind {
-					case shard.OpInsert:
+					case store.OpInsert:
 						kind = crashtest.OpInsert
-					case shard.OpDelete:
+					case store.OpDelete:
 						kind = crashtest.OpDelete
 					}
 					if sl.err != nil {

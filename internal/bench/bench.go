@@ -9,8 +9,6 @@ package bench
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -272,21 +270,4 @@ func (r Result) CSV() string {
 // CSVHeader matches CSV.
 func CSVHeader() string {
 	return "struct,policy,mem,threads,range,update_pct,workload,shards,mops,flush_per_op,elide_per_op,fence_per_op"
-}
-
-// DefaultThreads caps a paper thread count at something sensible for the
-// host (oversubscribing a bit is fine; 10x is noise).
-func DefaultThreads(paper []int) []int {
-	max := 4 * runtime.NumCPU()
-	var out []int
-	for _, t := range paper {
-		if t <= max {
-			out = append(out, t)
-		}
-	}
-	if len(out) == 0 {
-		out = []int{1}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -106,18 +106,6 @@ func TestRowAndCSVFormat(t *testing.T) {
 	}
 }
 
-func TestDefaultThreads(t *testing.T) {
-	got := DefaultThreads([]int{1, 2, 1 << 20})
-	if len(got) == 0 || got[0] != 1 {
-		t.Fatalf("DefaultThreads = %v", got)
-	}
-	for _, v := range got {
-		if v == 1<<20 {
-			t.Fatalf("absurd thread count survived")
-		}
-	}
-}
-
 func TestZipfBounds(t *testing.T) {
 	z := NewZipf(1000, 0.99)
 	mem := pmem.NewFast(pmem.ProfileZero)

@@ -192,7 +192,7 @@ func Upsert(s Set, t *pmem.Thread, key, value uint64) {
 }
 
 // ApplyUpdate runs Update with fn, treating a nil fn as the batched-op
-// convention "set to value if present" (shard.Op.Fn).
+// convention "set to value if present" (store.Op.Fn).
 func ApplyUpdate(s Set, t *pmem.Thread, key uint64, fn func(old uint64) uint64, value uint64) (uint64, bool) {
 	if fn == nil {
 		fn = func(uint64) uint64 { return value }

@@ -1,12 +1,10 @@
 package crashtest
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/pmem"
-	"repro/internal/shard"
+	"repro/internal/store"
 )
 
 // Structure targets one set structure, built by build on a tracked memory
@@ -21,33 +19,35 @@ func Structure(build func(mem *pmem.Memory) Set) Target {
 	}}
 }
 
-// Engine targets a sharded engine of kind structures under pol. Each worker
-// step is one Apply batch of batch operations (<= 1: single operations), so
-// the crash, which takes every shard's memory at once, can land in the
+// Engine targets a sharded engine of kind structures under pol, opened
+// the way a server opens it: store.Open, which with o.Dir also checks the
+// manifest, replays the files and runs the recovery phase. Each worker
+// step is one Apply batch of batch operations (<= 1: single operations),
+// so the crash, which takes every shard's memory at once, can land in the
 // middle of a batch; recovery runs in parallel across shards, and Check
 // verifies the union state. Because the key space partitions over shards,
 // the union check is exactly the conjunction of the per-shard checks; the
-// round additionally validates each shard structurally and verifies that
+// engine's Validate additionally checks each shard structurally and that
 // no key surfaced on a shard it does not hash to.
 func Engine(shards int, kind core.Kind, pol persist.Policy, batch int) Target {
 	return Target{func(o *Options) round {
-		cfg := shard.Config{
+		cfg := store.Config{
 			Shards:      shards,
 			Kind:        kind,
 			Policy:      pol,
 			Tracked:     true,
-			MaxSessions: o.Workers + 2,
-			Params:      core.Params{SizeHint: int(o.Keys)},
+			MaxSessions: o.Workers + 3,
+			SizeHint:    int(o.Keys),
 			Dir:         o.Dir,
 			FS:          o.FS,
 			SyncFence:   o.SyncFence,
 		}
 		return newKVRound(o, max(batch, 1), func() (kvSystem, error) {
-			eng, err := shard.New(cfg)
-			if err == nil {
-				_, err = eng.RecoverFiles()
+			st, err := store.Open(cfg)
+			if err != nil {
+				return nil, err
 			}
-			return engineSystem{eng}, err
+			return engineSystem{st.(*store.Engine)}, nil
 		})
 	}}
 }
@@ -162,14 +162,10 @@ func (r *kvRound) recover() {
 }
 
 func (r *kvRound) check() ([]Violation, int) {
-	violations, survivors := Check(r.ds, r.rec, r.hs, CheckConfig{
+	return Check(r.ds, r.rec, r.hs, CheckConfig{
 		Prefilled:   r.prefilled,
 		CheckValues: r.o.Disjoint,
 	})
-	if ev, ok := r.ds.(engineView); ok {
-		violations = append(violations, ev.misplaced()...)
-	}
-	return violations, survivors
 }
 
 // memSet is one Set structure on one tracked memory.
@@ -198,23 +194,23 @@ func (s memSet) worker() (func() uint64, func([]record) bool) {
 }
 
 // engineSystem is the sharded engine under test.
-type engineSystem struct{ *shard.Engine }
+type engineSystem struct{ *store.Engine }
 
 func (s engineSystem) view() (Set, *pmem.Thread) {
 	return engineView{eng: s.Engine, sess: s.NewSession()}, nil
 }
 
 // engineKinds maps the checker's operations onto the engine's.
-var engineKinds = [...]shard.OpKind{OpInsert: shard.OpInsert, OpDelete: shard.OpDelete, OpFind: shard.OpGet}
+var engineKinds = [...]store.OpKind{OpInsert: store.OpInsert, OpDelete: store.OpDelete, OpFind: store.OpGet}
 
 func (s engineSystem) worker() (func() uint64, func([]record) bool) {
 	sess := s.NewSession()
-	var ops []shard.Op
-	var results []shard.OpResult
+	var ops []store.Op
+	var results []store.OpResult
 	return sess.Rand, func(batch []record) bool {
 		ops = ops[:0]
 		for _, op := range batch {
-			ops = append(ops, shard.Op{Kind: engineKinds[op.kind], Key: op.key, Value: op.value})
+			ops = append(ops, store.Op{Kind: engineKinds[op.kind], Key: op.key, Value: op.value})
 		}
 		if pmem.RunOp(func() { results = sess.Apply(ops, results) }) {
 			return true
@@ -226,12 +222,13 @@ func (s engineSystem) worker() (func() uint64, func([]record) bool) {
 	}
 }
 
-// engineView adapts a recovered engine session to the Set surface. The
-// thread argument of each method is ignored: the session carries the
-// per-shard threads.
+// engineView adapts a recovered engine to the Set surface. The thread
+// argument of each method is ignored: the session carries the per-shard
+// threads, and the engine's own admin session runs Recover, Contents and
+// Validate.
 type engineView struct {
-	eng  *shard.Engine
-	sess *shard.Session
+	eng  *store.Engine
+	sess store.Session
 }
 
 func (v engineView) Insert(_ *pmem.Thread, key, value uint64) bool { return v.sess.Insert(key, value) }
@@ -239,8 +236,8 @@ func (v engineView) Delete(_ *pmem.Thread, key uint64) bool        { return v.se
 func (v engineView) Find(_ *pmem.Thread, key uint64) (uint64, bool) {
 	return v.sess.Get(key)
 }
-func (v engineView) Recover(_ *pmem.Thread)           { v.eng.Recover(v.sess) }
-func (v engineView) Contents(_ *pmem.Thread) []uint64 { return v.eng.Contents(v.sess) }
+func (v engineView) Recover(_ *pmem.Thread)           { v.eng.Recover() }
+func (v engineView) Contents(_ *pmem.Thread) []uint64 { return v.eng.Contents() }
 
 // RangeScan lets the checker cross-validate the merged engine scan against
 // the recovered contents (ordered kinds only; hash engines report
@@ -249,22 +246,6 @@ func (v engineView) RangeScan(_ *pmem.Thread, lo, hi uint64, fn func(key, value 
 	return v.sess.Scan(lo, hi, fn)
 }
 
-// Validate lets the checker run every shard's structural self-check.
-func (v engineView) Validate(_ *pmem.Thread) error { return v.eng.Validate(v.sess) }
-
-// misplaced is the shard-isolation check: every surviving key must live on
-// the shard it hashes to (Contents of shard i only).
-func (v engineView) misplaced() []Violation {
-	var violations []Violation
-	for i := 0; i < v.eng.NumShards(); i++ {
-		for _, k := range v.eng.ShardSet(i).Contents(v.sess.Thread(i)) {
-			if v.eng.ShardFor(k) != i {
-				violations = append(violations, Violation{
-					Key:    k,
-					Detail: fmt.Sprintf("recovered on shard %d but hashes to shard %d", i, v.eng.ShardFor(k)),
-				})
-			}
-		}
-	}
-	return violations
-}
+// Validate lets the checker run every shard's structural self-check and
+// the engine's shard-isolation check.
+func (v engineView) Validate(_ *pmem.Thread) error { return v.eng.Validate() }

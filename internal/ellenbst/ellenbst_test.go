@@ -1,6 +1,7 @@
 package ellenbst
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -170,6 +171,9 @@ func TestConcurrentStress(t *testing.T) {
 			if err := tr.Validate(th); err != nil {
 				t.Fatal(err)
 			}
+			if err := releasedNamed(tr, th); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -258,30 +262,39 @@ func TestMemoryReclamation(t *testing.T) {
 	}
 }
 
-// TestNamedInfoNeverReleased: an update word keeps naming its Info record
-// after the unflag, as the expected value of the node's next flag CAS, so
-// a named record recycled into another operation lets a stale CAS succeed
-// (ABA). After every operation of a single-threaded churn, no node
-// reachable from the root and no Info record an update word names may sit
-// in a free list or limbo queue.
-func TestNamedInfoNeverReleased(t *testing.T) {
-	tr, th := newTree(persist.NVTraverse{})
-	rng := rand.New(rand.NewSource(1))
-	var walk func(op int, idx uint64)
-	walk = func(op int, idx uint64) {
+// releasedNamed audits "retired ⇒ unreachable" for nodes and Info
+// records: it reports the first node reachable from the root, or Info
+// record a reachable node's update word names, that is free or in limbo
+// (arena.Released). Quiescent use only.
+func releasedNamed(tr *Tree, th *pmem.Thread) error {
+	var walk func(idx uint64) error
+	walk = func(idx uint64) error {
 		if tr.nodes.Released(idx) {
-			t.Fatalf("op %d: reachable node %d is free or in limbo", op, idx)
+			return fmt.Errorf("reachable node %d is free or in limbo", idx)
 		}
 		n := tr.node(idx)
 		if th.Load(&n.Leaf) == 1 {
-			return
+			return nil
 		}
 		if info := infoIdx(th.Load(&n.Update)); info != 0 && tr.infos.Released(info) {
-			t.Fatalf("op %d: node %d's update word names info %d, which is free or in limbo", op, idx, info)
+			return fmt.Errorf("node %d's update word names info %d, which is free or in limbo", idx, info)
 		}
-		walk(op, pmem.RefIndex(th.Load(&n.Left)))
-		walk(op, pmem.RefIndex(th.Load(&n.Right)))
+		if err := walk(pmem.RefIndex(th.Load(&n.Left))); err != nil {
+			return err
+		}
+		return walk(pmem.RefIndex(th.Load(&n.Right)))
 	}
+	return walk(tr.root)
+}
+
+// TestNamedInfoNeverReleased: an update word keeps naming its Info record
+// after the unflag, as the expected value of the node's next flag CAS, so
+// a named record recycled into another operation lets a stale CAS succeed
+// (ABA). The audit runs after every operation of a single-threaded churn;
+// TestConcurrentStress runs it after concurrent traffic.
+func TestNamedInfoNeverReleased(t *testing.T) {
+	tr, th := newTree(persist.NVTraverse{})
+	rng := rand.New(rand.NewSource(1))
 	for op := 0; op < 2000; op++ {
 		k := uint64(rng.Intn(32)) + 1
 		if rng.Intn(2) == 0 {
@@ -289,7 +302,9 @@ func TestNamedInfoNeverReleased(t *testing.T) {
 		} else {
 			tr.Delete(th, k)
 		}
-		walk(op, tr.root)
+		if err := releasedNamed(tr, th); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
 	}
 }
 

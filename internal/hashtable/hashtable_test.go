@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -144,32 +145,39 @@ func TestQuickOracle(t *testing.T) {
 }
 
 func TestConcurrentStress(t *testing.T) {
-	mem := pmem.New(pmem.Config{Mode: pmem.ModeFast, Profile: pmem.ProfileZero, MaxThreads: 16})
-	h := New(mem, persist.NVTraverse{}, 64)
-	const threads = 8
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		th := mem.NewThread()
-		wg.Add(1)
-		go func(th *pmem.Thread) {
-			defer wg.Done()
-			for j := 0; j < 5000; j++ {
-				k := th.Rand()%512 + 1
-				switch th.Rand() % 3 {
-				case 0:
-					h.Insert(th, k, k)
-				case 1:
-					h.Delete(th, k)
-				default:
-					h.Find(th, k)
-				}
+	for _, pol := range persist.All() {
+		t.Run(pol.Name(), func(t *testing.T) {
+			mem := pmem.New(pmem.Config{Mode: pmem.ModeFast, Profile: pmem.ProfileZero, MaxThreads: 16})
+			h := New(mem, pol, 64)
+			const threads = 8
+			var wg sync.WaitGroup
+			for i := 0; i < threads; i++ {
+				th := mem.NewThread()
+				wg.Add(1)
+				go func(th *pmem.Thread) {
+					defer wg.Done()
+					for j := 0; j < 5000; j++ {
+						k := th.Rand()%512 + 1
+						switch th.Rand() % 3 {
+						case 0:
+							h.Insert(th, k, k)
+						case 1:
+							h.Delete(th, k)
+						default:
+							h.Find(th, k)
+						}
+					}
+				}(th)
 			}
-		}(th)
-	}
-	wg.Wait()
-	th := mem.NewThread()
-	if err := h.Validate(th); err != nil {
-		t.Fatal(err)
+			wg.Wait()
+			th := mem.NewThread()
+			if err := h.Validate(th); err != nil {
+				t.Fatal(err)
+			}
+			if err := releasedReachable(h, th); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -226,10 +234,24 @@ func TestBadBucketCountPanics(t *testing.T) {
 	New(mem, persist.None{}, 0)
 }
 
-// TestReachableNeverReleased audits "retired ⇒ unreachable" single-threaded:
-// after every operation of a churn, no node reachable from any bucket's
-// head is free or in limbo (arena.Released), under every policy. Four
-// buckets over 32 keys keep the chains several nodes long.
+// releasedReachable audits "retired ⇒ unreachable": it reports the first
+// node reachable from any bucket's head that is free or in limbo
+// (arena.Released). Quiescent use only.
+func releasedReachable(h *Table, th *pmem.Thread) error {
+	for b := range h.buckets {
+		for idx := h.buckets[b].Head(); idx != 0; idx = pmem.RefIndex(th.Load(&h.sh.Ar.Get(idx).Next)) {
+			if h.sh.Ar.Released(idx) {
+				return fmt.Errorf("node %d reachable from bucket %d is free or in limbo", idx, b)
+			}
+		}
+	}
+	return nil
+}
+
+// TestReachableNeverReleased runs the audit single-threaded after every
+// operation of a churn, under every policy; TestConcurrentStress runs it
+// after concurrent traffic. Four buckets over 32 keys keep the chains
+// several nodes long.
 func TestReachableNeverReleased(t *testing.T) {
 	for _, pol := range persist.All() {
 		h, th := newTable(pol, 4)
@@ -241,12 +263,8 @@ func TestReachableNeverReleased(t *testing.T) {
 			} else {
 				h.Delete(th, k)
 			}
-			for b := range h.buckets {
-				for idx := h.buckets[b].Head(); idx != 0; idx = pmem.RefIndex(th.Load(&h.sh.Ar.Get(idx).Next)) {
-					if h.sh.Ar.Released(idx) {
-						t.Fatalf("%s, op %d: node %d reachable from bucket %d is free or in limbo", pol.Name(), op, idx, b)
-					}
-				}
+			if err := releasedReachable(h, th); err != nil {
+				t.Fatalf("%s, op %d: %v", pol.Name(), op, err)
 			}
 		}
 	}

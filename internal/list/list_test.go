@@ -197,6 +197,9 @@ func TestConcurrentStress(t *testing.T) {
 			if err := l.Validate(th); err != nil {
 				t.Fatal(err)
 			}
+			if err := releasedReachable(l, th); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -403,10 +406,21 @@ func TestLiveHandles(t *testing.T) {
 	}
 }
 
-// TestReachableNeverReleased audits "retired ⇒ unreachable" single-threaded:
-// after every operation of a churn, no node reachable from the head —
-// marked ones not yet unlinked included — is free or in limbo
-// (arena.Released), under every policy.
+// releasedReachable audits "retired ⇒ unreachable": it reports the first
+// node reachable from the head — marked ones not yet unlinked included —
+// that is free or in limbo (arena.Released). Quiescent use only.
+func releasedReachable(l *List, th *pmem.Thread) error {
+	for idx := l.head; idx != 0; idx = pmem.RefIndex(th.Load(&l.node(idx).Next)) {
+		if l.sh.Ar.Released(idx) {
+			return fmt.Errorf("reachable node %d is free or in limbo", idx)
+		}
+	}
+	return nil
+}
+
+// TestReachableNeverReleased runs the audit single-threaded after every
+// operation of a churn, under every policy; TestConcurrentStress runs it
+// after concurrent traffic.
 func TestReachableNeverReleased(t *testing.T) {
 	for _, pol := range policies() {
 		l, th := newList(pol)
@@ -418,10 +432,8 @@ func TestReachableNeverReleased(t *testing.T) {
 			} else {
 				l.Delete(th, k)
 			}
-			for idx := l.head; idx != 0; idx = pmem.RefIndex(th.Load(&l.node(idx).Next)) {
-				if l.sh.Ar.Released(idx) {
-					t.Fatalf("%s, op %d: reachable node %d is free or in limbo", pol.Name(), op, idx)
-				}
+			if err := releasedReachable(l, th); err != nil {
+				t.Fatalf("%s, op %d: %v", pol.Name(), op, err)
 			}
 		}
 	}

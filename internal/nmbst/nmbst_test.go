@@ -1,6 +1,7 @@
 package nmbst
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -170,6 +171,9 @@ func TestConcurrentStress(t *testing.T) {
 			if err := tr.Validate(th); err != nil {
 				t.Fatal(err)
 			}
+			if err := releasedReachable(tr, th); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -326,26 +330,34 @@ func TestKeyRangePanics(t *testing.T) {
 	}
 }
 
-// TestReachableNeverReleased audits "retired ⇒ unreachable" single-threaded:
-// after every operation of a churn, no node reachable from the root R —
-// internal or leaf — is free or in limbo (arena.Released), under every
-// policy.
+// releasedReachable audits "retired ⇒ unreachable": it reports the first
+// node reachable from the root R — internal or leaf — that is free or in
+// limbo (arena.Released). Quiescent use only.
+func releasedReachable(tr *Tree, th *pmem.Thread) error {
+	var walk func(idx uint64) error
+	walk = func(idx uint64) error {
+		if tr.nodes.Released(idx) {
+			return fmt.Errorf("reachable node %d is free or in limbo", idx)
+		}
+		n := tr.node(idx)
+		if th.Load(&n.Leaf) == 1 {
+			return nil
+		}
+		if err := walk(pmem.RefIndex(th.Load(&n.Left))); err != nil {
+			return err
+		}
+		return walk(pmem.RefIndex(th.Load(&n.Right)))
+	}
+	return walk(tr.rootR)
+}
+
+// TestReachableNeverReleased runs the audit single-threaded after every
+// operation of a churn, under every policy; TestConcurrentStress runs it
+// after concurrent traffic.
 func TestReachableNeverReleased(t *testing.T) {
 	for _, pol := range persist.All() {
 		tr, th := newTree(pol)
 		rng := rand.New(rand.NewSource(1))
-		var walk func(op int, idx uint64)
-		walk = func(op int, idx uint64) {
-			if tr.nodes.Released(idx) {
-				t.Fatalf("%s, op %d: reachable node %d is free or in limbo", pol.Name(), op, idx)
-			}
-			n := tr.node(idx)
-			if th.Load(&n.Leaf) == 1 {
-				return
-			}
-			walk(op, pmem.RefIndex(th.Load(&n.Left)))
-			walk(op, pmem.RefIndex(th.Load(&n.Right)))
-		}
 		for op := 0; op < 2000; op++ {
 			k := uint64(rng.Intn(32)) + 1
 			if rng.Intn(2) == 0 {
@@ -353,7 +365,9 @@ func TestReachableNeverReleased(t *testing.T) {
 			} else {
 				tr.Delete(th, k)
 			}
-			walk(op, tr.rootR)
+			if err := releasedReachable(tr, th); err != nil {
+				t.Fatalf("%s, op %d: %v", pol.Name(), op, err)
+			}
 		}
 	}
 }

@@ -31,7 +31,7 @@
 // BeforeReturn issues its fence via pmem.Thread.CommitFence rather than
 // Fence: the fence-before-return exists only to make an operation's effects
 // durable before the operation is acknowledged, so when a caller batches
-// several operations and acknowledges them together (shard.Session batches),
+// several operations and acknowledges them together (store.Session batches),
 // one fence at the end of the batch serves every operation in it. The
 // ordering fences (BeforeCAS, the PostTraverse fence) are never deferred —
 // they keep each operation all-or-nothing across a crash.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -222,14 +221,14 @@ func TestPSyncPayloadRoundTrip(t *testing.T) {
 
 func TestEffectsOf(t *testing.T) {
 	ops := []store.Op{
-		{Kind: shard.OpPut, Key: 1, Value: 10},
-		{Kind: shard.OpInsert, Key: 2, Value: 20},
-		{Kind: shard.OpInsert, Key: 3, Value: 30}, // failed insert
-		{Kind: shard.OpUpdate, Key: 4, Value: 40},
-		{Kind: shard.OpUpdate, Key: 5, Value: 50}, // absent key
-		{Kind: shard.OpDelete, Key: 6},
-		{Kind: shard.OpDelete, Key: 7}, // absent key
-		{Kind: shard.OpGet, Key: 8},
+		{Kind: store.OpPut, Key: 1, Value: 10},
+		{Kind: store.OpInsert, Key: 2, Value: 20},
+		{Kind: store.OpInsert, Key: 3, Value: 30}, // failed insert
+		{Kind: store.OpUpdate, Key: 4, Value: 40},
+		{Kind: store.OpUpdate, Key: 5, Value: 50}, // absent key
+		{Kind: store.OpDelete, Key: 6},
+		{Kind: store.OpDelete, Key: 7}, // absent key
+		{Kind: store.OpGet, Key: 8},
 	}
 	res := []store.OpResult{
 		{}, {OK: true}, {OK: false}, {OK: true, Value: 40}, {OK: false},

@@ -12,7 +12,6 @@ import (
 	"repro/internal/batcher"
 	"repro/internal/persist"
 	"repro/internal/pmem"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -60,7 +59,7 @@ func detachStub(p *Primary, f *feeder) {
 func commitPut(t *testing.T, p *Primary, key uint64) *stubC {
 	t.Helper()
 	c := &stubC{ch: make(chan error, 1)}
-	ops := []store.Op{{Kind: shard.OpPut, Key: key, Value: key}}
+	ops := []store.Op{{Kind: store.OpPut, Key: key, Value: key}}
 	res := []store.OpResult{{}}
 	if !p.CommittedGroup(ops, res, []int{0}, []batcher.Completer{c}) {
 		t.Fatal("WAIT-mode put was not gated")
@@ -153,7 +152,7 @@ func TestNoListenersSkipsLogAndGate(t *testing.T) {
 	p := NewPrimary(st, PrimaryConfig{}) // K = 0, nobody attached
 	defer p.Close()
 	c := &stubC{ch: make(chan error, 1)}
-	ops := []store.Op{{Kind: shard.OpPut, Key: 1, Value: 1}}
+	ops := []store.Op{{Kind: store.OpPut, Key: 1, Value: 1}}
 	if p.CommittedGroup(ops, []store.OpResult{{}}, []int{0}, []batcher.Completer{c}) {
 		t.Fatal("unreplicated group was gated")
 	}
@@ -194,7 +193,7 @@ func TestReadOnlyGroupNotGated(t *testing.T) {
 	p := NewPrimary(st, PrimaryConfig{WaitReplicas: 1})
 	defer p.Close()
 	attachStub(p)
-	ops := []store.Op{{Kind: shard.OpGet, Key: 1}}
+	ops := []store.Op{{Kind: store.OpGet, Key: 1}}
 	if p.CommittedGroup(ops, []store.OpResult{{}}, []int{0}, nil) {
 		t.Fatal("read-only group was gated")
 	}

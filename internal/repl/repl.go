@@ -59,7 +59,6 @@ import (
 	"encoding/binary"
 	"errors"
 
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -135,17 +134,17 @@ type Effect struct {
 func effectsOf(dst []Effect, ops []store.Op, res []store.OpResult, idxs []int) []Effect {
 	for _, i := range idxs {
 		switch ops[i].Kind {
-		case shard.OpPut:
+		case store.OpPut:
 			dst = append(dst, Effect{Kind: effectPut, Key: ops[i].Key, Value: ops[i].Value})
-		case shard.OpInsert:
+		case store.OpInsert:
 			if res[i].OK {
 				dst = append(dst, Effect{Kind: effectPut, Key: ops[i].Key, Value: ops[i].Value})
 			}
-		case shard.OpUpdate:
+		case store.OpUpdate:
 			if res[i].OK {
 				dst = append(dst, Effect{Kind: effectPut, Key: ops[i].Key, Value: res[i].Value})
 			}
-		case shard.OpDelete:
+		case store.OpDelete:
 			if res[i].OK {
 				dst = append(dst, Effect{Kind: effectDel, Key: ops[i].Key})
 			}
@@ -183,7 +182,7 @@ func effectBytes(frame []byte) uint64 { return uint64(len(frame) - batchHeader) 
 // read/write split).
 func isWriteOp(op store.Op) bool {
 	switch op.Kind {
-	case shard.OpGet, shard.OpScan:
+	case store.OpGet, store.OpScan:
 		return false
 	}
 	return true

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/kv"
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -282,7 +281,7 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, shards int) er
 				if k < kv.MinKey || k > kv.MaxKey {
 					return errors.New("repl: snapshot key out of range")
 				}
-				ops = append(ops, store.Op{Kind: shard.OpPut, Key: k, Value: binary.LittleEndian.Uint64(payload[12+16*i:])})
+				ops = append(ops, store.Op{Kind: store.OpPut, Key: k, Value: binary.LittleEndian.Uint64(payload[12+16*i:])})
 			}
 			if err := r.apply(ops, &res); err != nil {
 				return err
@@ -315,12 +314,12 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, shards int) er
 			ops = ops[:0]
 			for i := 0; i < n; i++ {
 				e := payload[16+17*i:]
-				k := store.Op{Kind: shard.OpPut, Key: binary.LittleEndian.Uint64(e[1:]), Value: binary.LittleEndian.Uint64(e[9:])}
+				k := store.Op{Kind: store.OpPut, Key: binary.LittleEndian.Uint64(e[1:]), Value: binary.LittleEndian.Uint64(e[9:])}
 				switch {
 				case e[0] > effectDel || k.Key < kv.MinKey || k.Key > kv.MaxKey:
 					return errors.New("repl: malformed batch effect")
 				case e[0] == effectDel:
-					k.Kind = shard.OpDelete
+					k.Kind = store.OpDelete
 				}
 				ops = append(ops, k)
 			}
@@ -395,7 +394,7 @@ func (r *Replica) wipe() error {
 		}
 		ops = ops[:0]
 		for _, k := range keys[start:end] {
-			ops = append(ops, store.Op{Kind: shard.OpDelete, Key: k})
+			ops = append(ops, store.Op{Kind: store.OpDelete, Key: k})
 		}
 		if err := r.apply(ops, &res); err != nil {
 			return err

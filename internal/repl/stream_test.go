@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/batcher"
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -163,7 +162,7 @@ func capturedStream(t testing.TB) ([]byte, []uint64) {
 	defer st.Close()
 	sess := st.NewSession()
 	var res []store.OpResult
-	res = sess.Apply([]store.Op{{Kind: shard.OpPut, Key: 1, Value: 10}, {Kind: shard.OpPut, Key: 2, Value: 20}}, res)
+	res = sess.Apply([]store.Op{{Kind: store.OpPut, Key: 1, Value: 10}, {Kind: store.OpPut, Key: 2, Value: 20}}, res)
 	p := NewPrimary(st, PrimaryConfig{})
 	defer p.Close()
 	f := &feeder{acked: make([]uint64, 2), next: make([]uint64, 2), wake: make(chan struct{}, 1)}
@@ -177,7 +176,7 @@ func capturedStream(t testing.TB) ([]byte, []uint64) {
 		t.Fatal(err)
 	}
 	// One key per fence group: a group never spans shards.
-	for _, op := range []store.Op{{Kind: shard.OpPut, Key: 3, Value: 30}, {Kind: shard.OpDelete, Key: 1}, {Kind: shard.OpPut, Key: 4, Value: 40}} {
+	for _, op := range []store.Op{{Kind: store.OpPut, Key: 3, Value: 30}, {Kind: store.OpDelete, Key: 1}, {Kind: store.OpPut, Key: 4, Value: 40}} {
 		ops := []store.Op{op}
 		res = sess.Apply(ops, res)
 		p.CommittedGroup(ops, res, []int{0}, make([]batcher.Completer, 1))

@@ -6,7 +6,7 @@
 // worker through a bounded ring, so the commit fence durable
 // linearizability demands before an acknowledgement is paid once per shard
 // group per flush across all connections — the network-level analogue of
-// shard.Session.Apply's per-batch amortization, without a central queue.
+// store.Session.Apply's per-batch amortization, without a central queue.
 //
 // # Protocols
 //
@@ -60,7 +60,6 @@ import (
 
 	"repro/internal/batcher"
 	"repro/internal/repl"
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -566,13 +565,13 @@ func (cs *connState) exec(req request) bool {
 		v, found := cs.sess.Get(req.key)
 		cs.reply(reply{kind: replyValue, v: v, ok: found})
 	case cmdPut:
-		cs.submitWrite(store.Op{Kind: shard.OpPut, Key: req.key, Value: req.val}, replyOK)
+		cs.submitWrite(store.Op{Kind: store.OpPut, Key: req.key, Value: req.val}, replyOK)
 	case cmdInsert:
-		cs.submitWrite(store.Op{Kind: shard.OpInsert, Key: req.key, Value: req.val}, replyBool)
+		cs.submitWrite(store.Op{Kind: store.OpInsert, Key: req.key, Value: req.val}, replyBool)
 	case cmdDel:
-		cs.submitWrite(store.Op{Kind: shard.OpDelete, Key: req.key}, replyBool)
+		cs.submitWrite(store.Op{Kind: store.OpDelete, Key: req.key}, replyBool)
 	case cmdUpdate:
-		cs.submitWrite(store.Op{Kind: shard.OpUpdate, Key: req.key, Value: req.val}, replyValue)
+		cs.submitWrite(store.Op{Kind: store.OpUpdate, Key: req.key, Value: req.val}, replyValue)
 	case cmdScan:
 		items, err := cs.collectScan(req.key, req.val, min(req.max, maxScan))
 		if err != nil {

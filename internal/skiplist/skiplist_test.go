@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -165,6 +166,9 @@ func TestConcurrentStress(t *testing.T) {
 			wg.Wait()
 			th := mem.NewThread()
 			if err := l.Validate(th); err != nil {
+				t.Fatal(err)
+			}
+			if err := releasedReachable(l, th); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -346,10 +350,24 @@ func TestKeyRangePanics(t *testing.T) {
 	l.Insert(th, 0, 0)
 }
 
-// TestReachableNeverReleased audits "retired ⇒ unreachable" single-threaded:
-// after every operation of a churn, no node reachable from the head at any
-// level — a tower still linked above the bottom level included — is free or
-// in limbo (arena.Released), under every policy.
+// releasedReachable audits "retired ⇒ unreachable": it reports the first
+// node reachable from the head at any level — a tower still linked above
+// the bottom level included — that is free or in limbo (arena.Released).
+// Quiescent use only.
+func releasedReachable(l *List, th *pmem.Thread) error {
+	for lvl := 0; lvl < MaxLevel; lvl++ {
+		for idx := l.head; idx != 0; idx = pmem.RefIndex(th.Load(&l.node(idx).Next[lvl])) {
+			if l.ar.Released(idx) {
+				return fmt.Errorf("node %d reachable at level %d is free or in limbo", idx, lvl)
+			}
+		}
+	}
+	return nil
+}
+
+// TestReachableNeverReleased runs the audit single-threaded after every
+// operation of a churn, under every policy; TestConcurrentStress runs it
+// after concurrent traffic.
 func TestReachableNeverReleased(t *testing.T) {
 	for _, pol := range persist.All() {
 		l, th := newSkip(pol)
@@ -361,12 +379,8 @@ func TestReachableNeverReleased(t *testing.T) {
 			} else {
 				l.Delete(th, k)
 			}
-			for lvl := 0; lvl < MaxLevel; lvl++ {
-				for idx := l.head; idx != 0; idx = pmem.RefIndex(th.Load(&l.node(idx).Next[lvl])) {
-					if l.ar.Released(idx) {
-						t.Fatalf("%s, op %d: node %d reachable at level %d is free or in limbo", pol.Name(), op, idx, lvl)
-					}
-				}
+			if err := releasedReachable(l, th); err != nil {
+				t.Fatalf("%s, op %d: %v", pol.Name(), op, err)
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-package shard
+package store
 
 import (
 	"testing"
@@ -13,17 +13,11 @@ import (
 // allocations so the engine's read path cannot silently regress.
 func TestSessionGetAllocs(t *testing.T) {
 	pol, _ := persist.ByName("nvtraverse")
-	eng, err := New(Config{
-		Shards:  4,
-		Kind:    core.KindHash,
-		Policy:  pol,
-		Profile: pmem.ProfileZero,
-		Params:  core.Params{SizeHint: 1 << 10},
-	})
+	st, err := Open(Config{Shards: 4, Kind: core.KindHash, Policy: pol, Profile: pmem.ProfileZero, SizeHint: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := eng.NewSession()
+	s := st.NewSession()
 	for k := uint64(1); k <= 1024; k += 2 {
 		s.Insert(k, k)
 	}

@@ -1,4 +1,4 @@
-package shard_test
+package store_test
 
 import (
 	"testing"

@@ -1,14 +1,18 @@
 package store_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/persist"
+	"repro/internal/pmem"
+	"repro/internal/pmem/vfs"
 	"repro/internal/store"
 )
 
@@ -197,5 +201,98 @@ func TestStoreManifestRecordsShardsUsed(t *testing.T) {
 	}
 	if _, err := store.Open(store.Config{Kind: core.KindSkiplist, Dir: bare}); err == nil || !strings.Contains(err.Error(), "refusing to open") {
 		t.Fatalf("bare-structure directory: want manifest mismatch, got %v", err)
+	}
+}
+
+// TestFailedOpenLeavesNoManifest: a configuration Open refuses must not
+// leave a manifest naming it, or the directory refuses every valid open
+// after it.
+func TestFailedOpenLeavesNoManifest(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := store.Open(store.Config{Kind: core.Kind("bogus"), Dir: dir}); err == nil {
+		t.Fatal("bogus kind accepted")
+	}
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("valid open after a refused one: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openCounter is a vfs.FS that counts the files it has open.
+type openCounter struct {
+	vfs.FS
+	open atomic.Int64
+}
+
+func (c *openCounter) track(f vfs.File, err error) (vfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	c.open.Add(1)
+	return &countedFile{File: f, c: c}, nil
+}
+
+func (c *openCounter) Create(name string) (vfs.File, error) { return c.track(c.FS.Create(name)) }
+func (c *openCounter) Open(name string) (vfs.File, error)   { return c.track(c.FS.Open(name)) }
+func (c *openCounter) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	return c.track(c.FS.OpenFile(name, flag, perm))
+}
+
+type countedFile struct {
+	vfs.File
+	c      *openCounter
+	closed bool
+}
+
+func (f *countedFile) Close() error {
+	if !f.closed {
+		f.closed = true
+		f.c.open.Add(-1)
+	}
+	return f.File.Close()
+}
+
+// TestFailedOpenClosesFiles: shards replay in parallel, so when one shard's
+// log is refused the others are already live with their logs open. Open
+// must close them before it returns the error.
+func TestFailedOpenClosesFiles(t *testing.T) {
+	dir := t.TempDir()
+	cfg := store.Config{Kind: core.KindHash, Shards: 2, SizeHint: 256, Dir: dir}
+	st, err := store.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := st.NewSession()
+	for k := uint64(1); k <= 64; k++ {
+		s.Put(k, k)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logs, _ := filepath.Glob(filepath.Join(dir, "shard-1", "wal-*.log"))
+	if len(logs) != 1 {
+		t.Fatalf("shard-1 logs: %v", logs)
+	}
+	f, err := os.OpenFile(logs[0], os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte("NVTWAL1\n"), 0) // the previous log format's magic
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := &openCounter{FS: vfs.OS}
+	cfg.FS = fs
+	if _, err := store.Open(cfg); !errors.Is(err, pmem.ErrWALVersion) {
+		t.Fatalf("Open = %v, want ErrWALVersion", err)
+	}
+	if n := fs.open.Load(); n != 0 {
+		t.Fatalf("a failed Open left %d files open", n)
 	}
 }

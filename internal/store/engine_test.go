@@ -1,26 +1,26 @@
-package shard
+package store
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/persist"
 	"repro/internal/pmem"
 )
 
-func newFast(t *testing.T, shards int, kind core.Kind) *Engine {
+// openEngine opens a store and returns its engine.
+func openEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	e, err := New(Config{
-		Shards:  shards,
-		Kind:    kind,
-		Policy:  persist.NVTraverse{},
-		Profile: pmem.ProfileZero,
-		Params:  core.Params{SizeHint: 4096},
-	})
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return st.(*Engine)
+}
+
+func newFast(t *testing.T, shards int, kind core.Kind) *Engine {
+	t.Helper()
+	return openEngine(t, Config{Shards: shards, Kind: kind, Profile: pmem.ProfileZero, SizeHint: 4096})
 }
 
 func TestShardForIsDeterministicAndInRange(t *testing.T) {
@@ -73,10 +73,10 @@ func TestEngineBasicOps(t *testing.T) {
 		if !s.Delete(5) || s.Delete(5) {
 			t.Fatalf("%s: delete semantics wrong", kind)
 		}
-		if got := len(e.Contents(s)); got != 200 { // 200 inserted - 1 deleted + 1 put
+		if got := len(e.Contents()); got != 200 { // 200 inserted - 1 deleted + 1 put
 			t.Fatalf("%s: Contents = %d keys, want 200", kind, got)
 		}
-		if err := e.Validate(s); err != nil {
+		if err := e.Validate(); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestBatchingSavesFences(t *testing.T) {
 				s.Insert(op.Key, op.Value)
 			}
 		}
-		return e.Stats().Total
+		return e.Stats()
 	}
 	single := run(false)
 	batched := run(true)
@@ -167,16 +167,16 @@ func TestStatsSurfaceFlushCoalescing(t *testing.T) {
 	for k := uint64(1); k <= 256; k++ {
 		s.Insert(k, k)
 	}
-	st := e.Stats()
-	if st.Total.Flushes == 0 || st.Total.FlushesElided == 0 {
-		t.Fatalf("flush accounting not surfaced: %+v", st.Total)
+	total := e.Stats()
+	if total.Flushes == 0 || total.FlushesElided == 0 {
+		t.Fatalf("flush accounting not surfaced: %+v", total)
 	}
 	var sum uint64
-	for _, ps := range st.PerShard {
-		sum += ps.FlushesElided
+	for i := 0; i < e.Shards(); i++ {
+		sum += e.ShardMemory(i).Stats().FlushesElided
 	}
-	if sum != st.Total.FlushesElided {
-		t.Fatalf("per-shard elided %d != total %d", sum, st.Total.FlushesElided)
+	if sum != total.FlushesElided {
+		t.Fatalf("per-shard elided %d != total %d", sum, total.FlushesElided)
 	}
 }
 
@@ -186,41 +186,30 @@ func TestStatsAggregation(t *testing.T) {
 	for k := uint64(1); k <= 100; k++ {
 		s.Insert(k, k)
 	}
-	st := e.Stats()
-	if len(st.PerShard) != 4 {
-		t.Fatalf("PerShard has %d entries", len(st.PerShard))
-	}
+	total := e.Stats()
 	var sum pmem.Stats
 	touched := 0
-	for _, ps := range st.PerShard {
+	for i := 0; i < e.Shards(); i++ {
+		ps := e.ShardMemory(i).Stats()
 		sum.Add(ps)
 		if ps.Writes > 0 {
 			touched++
 		}
 	}
-	if sum != st.Total {
-		t.Fatalf("Total %+v != sum of shards %+v", st.Total, sum)
+	if sum != total {
+		t.Fatalf("Stats %+v != sum of shards %+v", total, sum)
 	}
 	if touched < 3 {
 		t.Fatalf("only %d/4 shards touched by 100 keys", touched)
 	}
 	e.ResetStats()
-	if got := e.Stats().Total; got.Writes != 0 || got.Flushes != 0 {
+	if got := e.Stats(); got.Writes != 0 || got.Flushes != 0 {
 		t.Fatalf("ResetStats left %+v", got)
 	}
 }
 
 func TestEngineCrashRecoverRoundTrip(t *testing.T) {
-	e, err := New(Config{
-		Shards:  8,
-		Kind:    core.KindSkiplist,
-		Policy:  persist.NVTraverse{},
-		Tracked: true,
-		Params:  core.Params{SizeHint: 1024},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := openEngine(t, Config{Shards: 8, Kind: core.KindSkiplist, Tracked: true, SizeHint: 1024})
 	s := e.NewSession()
 	for k := uint64(1); k <= 512; k++ {
 		s.Insert(k, k*7)
@@ -230,27 +219,36 @@ func TestEngineCrashRecoverRoundTrip(t *testing.T) {
 	e.Crash()
 	e.FinishCrash(0, 42)
 	e.Restart()
+	e.Recover()
 	rec := e.NewSession()
-	e.Recover(rec)
 	for k := uint64(1); k <= 512; k++ {
 		if v, ok := rec.Get(k); !ok || v != k*7 {
 			t.Fatalf("key %d lost or corrupted across crash: %d,%v", k, v, ok)
 		}
 	}
-	if err := e.Validate(rec); err != nil {
+	if err := e.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestValidateCatchesMisplacedKey: Validate's shard-isolation check
+// reports a key that sits on a shard it does not hash to.
+func TestValidateCatchesMisplacedKey(t *testing.T) {
+	e := newFast(t, 4, core.KindHash)
+	const k = 1
+	wrong := (e.ShardFor(k) + 1) % 4
+	e.shards[wrong].set.Insert(e.admin.th[wrong], k, k)
+	if err := e.Validate(); err == nil || !strings.Contains(err.Error(), "hashes to shard") {
+		t.Fatalf("Validate = %v, want a misplaced-key error", err)
+	}
+}
+
 func TestDefaultsAndParamsSplit(t *testing.T) {
-	e, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
+	e := openEngine(t, Config{})
+	if e.Shards() != 1 || e.Kind() != core.KindHash {
+		t.Fatalf("defaults wrong: shards=%d kind=%s", e.Shards(), e.Kind())
 	}
-	if e.NumShards() != 1 || e.Kind() != core.KindHash {
-		t.Fatalf("defaults wrong: shards=%d kind=%s", e.NumShards(), e.Kind())
-	}
-	if _, err := New(Config{Kind: core.Kind("bogus")}); err == nil {
+	if _, err := Open(Config{Kind: core.Kind("bogus")}); err == nil {
 		t.Fatal("bogus kind accepted")
 	}
 }

@@ -1,4 +1,4 @@
-package shard
+package store
 
 import (
 	"errors"
@@ -9,17 +9,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kv"
-	"repro/internal/persist"
 )
 
-func newEngine(t *testing.T, shards int, kind core.Kind) *Engine {
+func newScanEngine(t *testing.T, shards int, kind core.Kind) *Engine {
 	t.Helper()
-	eng, err := New(Config{Shards: shards, Kind: kind, Policy: persist.NVTraverse{},
-		MaxSessions: 16, Params: core.Params{SizeHint: 1024}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return openEngine(t, Config{Shards: shards, Kind: kind, MaxSessions: 16, SizeHint: 1024})
 }
 
 // TestScanMergesShards: the merged engine scan must return the same
@@ -30,7 +24,7 @@ func TestScanMergesShards(t *testing.T) {
 	for _, shards := range []int{1, 4, 7} {
 		// 2,048 keys in the second input: at least four chunks per shard.
 		for _, last := range []uint64{500, 3 * 32 * scanChunk} {
-			eng := newEngine(t, shards, core.KindSkiplist)
+			eng := newScanEngine(t, shards, core.KindSkiplist)
 			s := eng.NewSession()
 			var want []uint64
 			for k := uint64(1); k <= last; k += 3 {
@@ -80,12 +74,8 @@ func TestScanMergesShards(t *testing.T) {
 // the shards hold.
 func TestScanWorkBoundedByReply(t *testing.T) {
 	const shards, keys = 4, 100_000
-	eng, err := New(Config{Shards: shards, Kind: core.KindSkiplist, Policy: persist.NVTraverse{},
-		Params: core.Params{SizeHint: keys}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := eng.NewSession()
+	eng := openEngine(t, Config{Shards: shards, Kind: core.KindSkiplist, SizeHint: keys})
+	s := eng.newSession()
 	for k := uint64(1); k <= keys; k++ {
 		s.Put(k, k)
 	}
@@ -113,7 +103,7 @@ func TestScanWorkBoundedByReply(t *testing.T) {
 
 // TestScanUnorderedEngine: a hash-sharded hash engine has no key order.
 func TestScanUnorderedEngine(t *testing.T) {
-	eng := newEngine(t, 4, core.KindHash)
+	eng := newScanEngine(t, 4, core.KindHash)
 	s := eng.NewSession()
 	s.Insert(1, 1)
 	err := s.Scan(1, 10, func(uint64, uint64) bool { return true })
@@ -124,7 +114,7 @@ func TestScanUnorderedEngine(t *testing.T) {
 
 // TestApplyUpdateAndScan drives the new batched op kinds through Apply.
 func TestApplyUpdateAndScan(t *testing.T) {
-	eng := newEngine(t, 4, core.KindList)
+	eng := newScanEngine(t, 4, core.KindList)
 	s := eng.NewSession()
 	for k := uint64(10); k <= 20; k++ {
 		s.Insert(k, k)
@@ -157,7 +147,7 @@ func TestApplyUpdateAndScan(t *testing.T) {
 // value, and the key must never transiently vanish (the old delete+insert
 // upsert violated both).
 func TestPutAtomic(t *testing.T) {
-	eng := newEngine(t, 2, core.KindSkiplist)
+	eng := newScanEngine(t, 2, core.KindSkiplist)
 	setup := eng.NewSession()
 	setup.Put(5, 1)
 	const (

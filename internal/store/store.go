@@ -1,16 +1,29 @@
-// Package store is the unified durable-store surface of the repository —
-// Store API v2. Its one backend is the hash-sharded engine (shard.Engine);
-// a store of one shard is an engine of one shard, whose point operations
-// and scans go straight to the single structure.
+// Package store is the durable key-value store of the repository — Store
+// API v2 — built on one backend: the hash-sharded Engine, N independent
+// (pmem.Memory, core.Set) shards. Open is its only constructor; a store
+// of one shard is an engine of one shard, whose point operations and scans
+// go straight to the single structure.
+//
+// Sharding serves two system goals the paper's single-structure
+// microbenchmarks do not exercise. First, scale: shards share no cache
+// lines and no fences, so throughput scales with shard count until the
+// workload's skew concentrates traffic on few shards. Second, batching:
+// a Session executes a batch grouped per shard with
+// pmem.Thread.BeginBatch/EndBatch around each shard group, so the
+// fence-before-return that durable linearizability demands is paid once
+// per shard group rather than once per operation. A group is acknowledged
+// only after its closing fence, so the engine stays durably linearizable
+// at batch granularity: a crash mid-batch leaves each unacknowledged
+// operation either fully applied or fully absent, which crashtest.Run
+// verifies on a crashtest.Engine target.
 //
 // Callers hold a Session — the per-goroutine operation handle and the one
 // way to drive a store in process: the YCSB harness, the group-commit
-// batcher, CLIs, examples and the typed Map facade all target it. The
-// Session is exactly shard.Session (which satisfies the interface
-// structurally). Store stays an interface so callers can wrap it
-// (instrumentation, the replica attachment). Batched Apply, atomic
-// read-modify-write and ordered range scans all work; Scan k-way merges the
-// per-shard ordered streams.
+// batcher, CLIs, examples and the typed Map facade all target it. Store
+// stays an interface so callers can wrap it (instrumentation, the replica
+// attachment). A whole-engine Crash/Recover mirrors a machine failure:
+// every shard's memory crashes together, and recovery runs the
+// per-structure recovery procedures of all shards in parallel.
 package store
 
 import (
@@ -18,21 +31,48 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/pmem"
 	"repro/internal/pmem/vfs"
-	"repro/internal/shard"
 )
 
-// Op and OpResult are the batched-operation vocabulary, shared with the
-// engine.
-type (
-	Op       = shard.Op
-	OpResult = shard.OpResult
+// OpKind names a batched operation.
+type OpKind uint8
+
+// The batched operation vocabulary. OpPut is an atomic upsert; OpInsert
+// and OpDelete keep the underlying structures' set semantics (fail if
+// present/absent), which is what the crash-test checker models. OpUpdate
+// is the atomic read-modify-write (Op.Fn, or "set to Op.Value if present"
+// when Fn is nil); OpScan counts the keys of [Op.Key, Op.Hi] across all
+// shards.
+const (
+	OpGet OpKind = iota
+	OpPut
+	OpInsert
+	OpDelete
+	OpUpdate
+	OpScan
 )
+
+// Op is one operation of a batch.
+type Op struct {
+	Kind       OpKind
+	Key, Value uint64
+	// Hi is OpScan's inclusive upper bound ([Key, Hi]).
+	Hi uint64
+	// Fn is OpUpdate's transform over the present value. A nil Fn makes
+	// OpUpdate a conditional overwrite: set to Value if the key is present.
+	Fn func(old uint64) uint64
+}
+
+// OpResult is the outcome of one batch operation: the value for gets, and
+// whether the operation succeeded (found / inserted / deleted).
+type OpResult struct {
+	Value uint64
+	OK    bool
+}
 
 // Session is the per-goroutine handle on a Store. One goroutine at a time;
 // scans' fn must not re-enter the same session.
@@ -92,7 +132,7 @@ const (
 // unreplicated store reports, so callers never branch on topology: lag is
 // zero, no replicas are connected, no quorum is required. A store serving
 // as a replication primary or replica reports live figures (the repl
-// package attaches itself through SetReplSource on the concrete types).
+// package attaches itself through Engine.SetReplSource).
 type ReplStats struct {
 	// Role is the store's current topology role.
 	Role ReplRole
@@ -285,6 +325,10 @@ func checkManifest(dir string, cfg Config) error {
 }
 
 // Open builds the sharded engine for cfg; Shards ≤ 0 opens one shard.
+// With Dir it builds the shards (no file IO), then checks or writes the
+// manifest, then replays the files and runs the recovery phase, so a
+// refused configuration leaves the directory as it found it. On error
+// every file Open opened is closed.
 func Open(cfg Config) (Store, error) {
 	if cfg.Kind == "" {
 		cfg.Kind = core.KindHash
@@ -298,110 +342,25 @@ func Open(cfg Config) (Store, error) {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 64
 	}
-	if cfg.Dir != "" {
-		if err := checkManifest(cfg.Dir, cfg); err != nil {
-			return nil, err
-		}
-	}
-	eng, err := shard.New(shard.Config{
-		Shards:      cfg.Shards,
-		Kind:        cfg.Kind,
-		Policy:      cfg.Policy,
-		Profile:     cfg.Profile,
-		Tracked:     cfg.Tracked,
-		MaxSessions: cfg.MaxSessions,
-		Params:      core.Params{SizeHint: cfg.SizeHint, Buckets: cfg.Buckets},
-		Dir:         cfg.Dir,
-		SyncFence:   cfg.SyncFence,
-		FS:          cfg.FS,
-	})
+	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	replay, err := eng.RecoverFiles()
-	if err != nil {
-		return nil, fmt.Errorf("store: recover %s: %w", cfg.Dir, err)
+	if e.durable {
+		if err := checkManifest(cfg.Dir, cfg); err != nil {
+			return nil, err
+		}
+		if e.replay, err = e.recoverFiles(); err != nil {
+			e.Close()
+			return nil, fmt.Errorf("store: recover %s: %w", cfg.Dir, err)
+		}
 	}
-	st := &EngineStore{eng: eng, admin: eng.NewSession(), replay: replay, ckptBytes: cfg.CkptBytes}
-	st.repl.waitK = cfg.WaitReplicas
-	if eng.Durable() {
+	e.admin = e.newSession()
+	if e.durable {
 		// The paper's recovery phase runs on every durable open: on a
 		// fresh directory it is a no-op scan, after a crash it rebuilds
 		// the auxiliary state the replayed image needs.
-		st.Recover()
+		e.Recover()
 	}
-	return st, nil
+	return e, nil
 }
-
-// replSource is the live-stats indirection behind Repl(): the repl
-// package attaches a primary's or replica's stats function through
-// SetReplSource, and until one is attached Repl reports the zero value
-// (plus the configured quorum).
-type replSource struct {
-	waitK int
-	fn    atomic.Pointer[func() ReplStats]
-}
-
-func (r *replSource) set(fn func() ReplStats) { r.fn.Store(&fn) }
-
-func (r *replSource) stats() ReplStats {
-	if p := r.fn.Load(); p != nil {
-		st := (*p)()
-		if st.WaitReplicas == 0 {
-			st.WaitReplicas = r.waitK
-		}
-		return st
-	}
-	return ReplStats{WaitReplicas: r.waitK}
-}
-
-// EngineStore is the sharded backend.
-type EngineStore struct {
-	eng       *shard.Engine
-	admin     *shard.Session
-	replay    pmem.ReplayStats
-	ckptBytes int64
-	repl      replSource
-}
-
-// Engine exposes the backing engine (crash testing, per-shard inspection).
-func (s *EngineStore) Engine() *shard.Engine { return s.eng }
-
-func (s *EngineStore) NewSession() Session           { return s.eng.NewSession() }
-func (s *EngineStore) Kind() core.Kind               { return s.eng.Kind() }
-func (s *EngineStore) Shards() int                   { return s.eng.NumShards() }
-func (s *EngineStore) Ordered() bool                 { return core.Ordered(s.eng.Kind()) }
-func (s *EngineStore) Recover()                      { s.eng.Recover(s.admin) }
-func (s *EngineStore) Contents() []uint64            { return s.eng.Contents(s.admin) }
-func (s *EngineStore) Stats() pmem.Stats             { return s.eng.Stats().Total }
-func (s *EngineStore) ResetStats()                   { s.eng.ResetStats() }
-func (s *EngineStore) Durable() bool                 { return s.eng.Durable() }
-func (s *EngineStore) DurableErr() error             { return s.eng.DurableErr() }
-func (s *EngineStore) ReplayStats() pmem.ReplayStats { return s.replay }
-func (s *EngineStore) ShardFor(key uint64) int       { return s.eng.ShardFor(key) }
-func (s *EngineStore) Repl() ReplStats               { return s.repl.stats() }
-func (s *EngineStore) Boot() uint64                  { return s.eng.Boot() }
-
-// SetReplSource attaches a live replication stats source (internal/repl).
-func (s *EngineStore) SetReplSource(fn func() ReplStats) { s.repl.set(fn) }
-func (s *EngineStore) Checkpoint() error                 { return s.eng.Checkpoint() }
-func (s *EngineStore) MaybeCheckpoint() (int, error) {
-	if s.ckptBytes <= 0 || !s.eng.Durable() {
-		return 0, nil
-	}
-	ran := 0
-	for i := 0; i < s.eng.NumShards(); i++ {
-		ok, err := s.eng.ShardMemory(i).CheckpointIfOver(s.ckptBytes)
-		if ok {
-			ran++
-		}
-		if err != nil {
-			return ran, err
-		}
-	}
-	return ran, nil
-}
-func (s *EngineStore) Close() error { return s.eng.Close() }
-
-// Interface conformance: the engine's session is a store Session as-is.
-var _ Session = (*shard.Session)(nil)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/persist"
-	"repro/internal/shard"
 )
 
 // driveStore exercises the whole Session surface against one store; the
@@ -60,11 +59,11 @@ func driveStore(t *testing.T, st Store) {
 		}
 	}
 	res := h.Apply([]Op{
-		{Kind: shard.OpGet, Key: 50},
-		{Kind: shard.OpUpdate, Key: 50, Fn: func(old uint64) uint64 { return old * 2 }},
-		{Kind: shard.OpInsert, Key: 300, Value: 3},
-		{Kind: shard.OpDelete, Key: 300},
-		{Kind: shard.OpScan, Key: 1, Hi: 100},
+		{Kind: OpGet, Key: 50},
+		{Kind: OpUpdate, Key: 50, Fn: func(old uint64) uint64 { return old * 2 }},
+		{Kind: OpInsert, Key: 300, Value: 3},
+		{Kind: OpDelete, Key: 300},
+		{Kind: OpScan, Key: 1, Hi: 100},
 	}, nil)
 	if !res[0].OK || res[0].Value != 501 {
 		t.Fatalf("Apply get = %+v", res[0])
@@ -82,8 +81,8 @@ func driveStore(t *testing.T, st Store) {
 		// Scans run before the batch's keyed operations on every backend:
 		// the insert in the same batch must not be visible to the scan.
 		res2 := h.Apply([]Op{
-			{Kind: shard.OpInsert, Key: 400, Value: 4},
-			{Kind: shard.OpScan, Key: 400, Hi: 400},
+			{Kind: OpInsert, Key: 400, Value: 4},
+			{Kind: OpScan, Key: 400, Hi: 400},
 		}, nil)
 		if !res2[0].OK || res2[1].Value != 0 {
 			t.Fatalf("Apply scan ordering: %+v", res2)

@@ -33,7 +33,7 @@ import (
 	"repro/internal/persist"
 	"repro/internal/pmem"
 	"repro/internal/queue"
-	"repro/internal/shard"
+	"repro/internal/store"
 )
 
 // Re-exported structure kinds.
@@ -82,8 +82,8 @@ func NewQueue(mem *Memory, pol persist.Policy) *Queue {
 
 // Op and OpResult form StoreSession.Apply's batched operation surface.
 type (
-	Op       = shard.Op
-	OpResult = shard.OpResult
+	Op       = store.Op
+	OpResult = store.OpResult
 )
 
 // Batched operation kinds for StoreSession.Apply.
@@ -91,10 +91,10 @@ type (
 // overwrite with Op.Value when Fn is nil); OpScan counts the keys of
 // [Op.Key, Op.Hi].
 const (
-	OpGet    = shard.OpGet
-	OpPut    = shard.OpPut
-	OpInsert = shard.OpInsert
-	OpDelete = shard.OpDelete
-	OpUpdate = shard.OpUpdate
-	OpScan   = shard.OpScan
+	OpGet    = store.OpGet
+	OpPut    = store.OpPut
+	OpInsert = store.OpInsert
+	OpDelete = store.OpDelete
+	OpUpdate = store.OpUpdate
+	OpScan   = store.OpScan
 )

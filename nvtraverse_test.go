@@ -41,7 +41,7 @@ func TestFacadeQueue(t *testing.T) {
 // crashes, rolls back to its persisted state and restarts, then the
 // store's recovery phase runs.
 func crash(st Store, seed int64) {
-	eng := st.(*store.EngineStore).Engine()
+	eng := st.(*store.Engine)
 	eng.Crash()
 	eng.FinishCrash(0, seed)
 	eng.Restart()
