@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race fmt vet staticcheck nvlint lint apicheck benchmark-smoke crash-smoke repl-smoke fault-smoke bench-smoke bench-ci ci
+.PHONY: build test short race fmt vet staticcheck nvlint lint apicheck benchmark-smoke crash-smoke repl-smoke fault-smoke bench-smoke bench-ci soak ci
 
 build:
 	$(GO) build ./...
@@ -112,8 +112,12 @@ repl-smoke:
 # exactly what writeCurrent renders).
 # Then the replication stream fuzzer for 10 s: arbitrary bytes as a primary's
 # stream must never panic a replica, never get a malformed frame applied or
-# acknowledged, and always end the stream with an error. Last, the two
-# request decoders for 10 s each: arbitrary bytes as a text or binary
+# acknowledged, and always end the stream with an error. Then the two
+# parsers on the replication link for 5 s each: the PSYNC attach payload
+# (accepted exactly when its length matches its count, re-encoded byte for
+# byte) and the replica's watermark file (accepted exactly as it is
+# written; any other file leaves the replica's positions alone). Last, the
+# two request decoders for 10 s each: arbitrary bytes as a text or binary
 # client stream must never panic the server's codec, must end in a framing
 # error exactly where framing is lost, and every request decoded must
 # survive a client re-encode unchanged.
@@ -127,6 +131,8 @@ fault-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s -fuzzminimizetime 2s ./internal/pmem/
 	$(GO) test -run '^$$' -fuzz FuzzReadCurrent -fuzztime 5s -fuzzminimizetime 2s ./internal/pmem/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaStream -fuzztime 10s -fuzzminimizetime 2s ./internal/repl/
+	$(GO) test -run '^$$' -fuzz FuzzPSync -fuzztime 5s -fuzzminimizetime 2s ./internal/repl/
+	$(GO) test -run '^$$' -fuzz FuzzWatermark -fuzztime 5s -fuzzminimizetime 2s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz FuzzTextRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/server/
 
@@ -147,6 +153,17 @@ bench-smoke:
 	$(GO) run ./cmd/nvcrash -kind dqueue -rounds 2 -ops 150 -workers 2
 	$(GO) run ./cmd/nvcrash -kind stack -rounds 2 -ops 150 -workers 2
 	$(GO) run ./cmd/nvcrash -shards 4 -batch 4 -rounds 2 -ops 200 -workers 2 -kind hash
+
+# Soak, kept out of ci (about 25 minutes on 2 vCPUs at the defaults): build
+# the test binaries once, then run every structure's TestConcurrentStress,
+# the crashtest package, the store tortures and the server package
+# SOAK_RUNS times each, and TestLonePutRoundTrips under -race
+# SOAK_RACE_RUNS times, beside two busy loops the script starts and stops
+# itself; it prints runs and failures per test and fails on any failure.
+SOAK_RUNS ?= 200
+SOAK_RACE_RUNS ?= 1000
+soak:
+	GO=$(GO) bash scripts/soak.sh $(SOAK_RUNS) $(SOAK_RACE_RUNS)
 
 # Run the Go benchmarks once (panels + flush accounting smoke), then the
 # YCSB-E panel once end to end: every ordered kind x durable policy,

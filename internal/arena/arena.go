@@ -327,21 +327,18 @@ func (a *Arena[T]) Stats() (allocated, free, limbo uint64) {
 // HighWater returns one past the largest handle ever allocated.
 func (a *Arena[T]) HighWater() uint64 { return a.next.Load() }
 
-// Released reports whether handle idx sits in some thread's free list or
-// limbo queue, i.e. whether Alloc may hand it out again (quiescent use: a
-// test hook for "nothing reachable was released").
-func (a *Arena[T]) Released(idx uint64) bool {
+// Released returns the handles that sit in some thread's free list or
+// limbo queue, i.e. those Alloc may hand out again. Quiescent use only: the
+// structures' Validate checks that none of them is still reachable.
+func (a *Arena[T]) Released() map[uint64]bool {
+	out := make(map[uint64]bool)
 	for i := range a.ts {
 		for _, f := range a.ts[i].free {
-			if f == idx {
-				return true
-			}
+			out[f] = true
 		}
 		for _, r := range a.ts[i].limbo {
-			if r.idx == idx {
-				return true
-			}
+			out[r.idx] = true
 		}
 	}
-	return false
+	return out
 }

@@ -98,8 +98,8 @@ func TestRetireLateOutlastsLateEntrant(t *testing.T) {
 	d.TryAdvance()
 	d.TryAdvance() // blocked by thread 2
 	a.collect(0)
-	if !a.Released(plain) || !a.Released(late) {
-		t.Fatalf("retired handles not released: plain %v late %v", a.Released(plain), a.Released(late))
+	if rel := a.Released(); !rel[plain] || !rel[late] {
+		t.Fatalf("retired handles not released: plain %v late %v", rel[plain], rel[late])
 	}
 	if a.ts[0].free[0] != plain || len(a.ts[0].free) != 1 {
 		t.Fatalf("free list %v, want only the plain handle %d", a.ts[0].free, plain)
@@ -110,7 +110,7 @@ func TestRetireLateOutlastsLateEntrant(t *testing.T) {
 	if len(a.ts[0].free) != 2 || len(a.ts[0].limbo) != 0 {
 		t.Fatalf("after the late reader left: free %v limbo %v", a.ts[0].free, a.ts[0].limbo)
 	}
-	if live := a.Alloc(1); a.Released(live) {
+	if live := a.Alloc(1); a.Released()[live] {
 		t.Fatalf("allocated handle %d reported released", live)
 	}
 }

@@ -463,9 +463,11 @@ func (w *poolWorker) flush() bool {
 		}
 		w.flushFn = func() { w.sess.ApplyCommitted(w.ops, w.dst, w.committedFn) }
 	}
-	crashed := pmem.RunOp(w.flushFn)
+	// Count the flush before running it: the committed callback replies,
+	// and a STATS that follows a reply must already see its flush.
 	p.flushes.Add(1)
 	p.ops.Add(uint64(len(w.reqs)))
+	crashed := pmem.RunOp(w.flushFn)
 	if crashed {
 		for i := range w.reqs {
 			if c := w.reqs[i].c; c != nil {

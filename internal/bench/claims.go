@@ -28,7 +28,7 @@ import (
 
 // The claims runs: every kind under the three durable policies at two
 // sizes, the ensureReachable ablation, and the YCSB read/update mixes on
-// the list and the NM-BST. Every run is claimOps operations after the
+// the list, the NM-BST and the Ellen BST. Every run is claimOps operations after the
 // prefill, every random choice drawn from generators seeded with claimSeed.
 // Sized so that all runs take about half a second, and under half a minute
 // with the race detector on two CPUs.
@@ -187,19 +187,20 @@ func claimRun(kind core.Kind, policy string, size uint64, wl string) ClaimRun {
 func ClaimRuns() []ClaimRun {
 	ts := tuples(core.Kinds(), claimSizes, "", "nvtraverse", "izraelevitz", "logfree")
 	ts = append(ts, tuples([]core.Kind{core.KindList}, []uint64{claimSmall}, "+origparent", "nvtraverse")...)
+	ts = append(ts, ycsbTuples(core.KindList, core.KindNMBST)...)
+	ts = append(ts, ycsbTuples(core.KindEllenBST)...)
 	var rs []ClaimRun
-	for _, t := range append(ts, ycsbTuples()...) {
+	for _, t := range ts {
 		rs = append(rs, t...)
 	}
 	return rs
 }
 
-// ycsbTuples pairs NVTraverse's and Izraelevitz's YCSB runs on the list and
-// the NM-BST.
-func ycsbTuples() [][]ClaimRun {
+// ycsbTuples pairs NVTraverse's and Izraelevitz's YCSB runs on kinds.
+func ycsbTuples(kinds ...core.Kind) [][]ClaimRun {
 	var ts [][]ClaimRun
 	for _, wl := range []string{"A", "B", "C"} {
-		ts = append(ts, tuples([]core.Kind{core.KindList, core.KindNMBST}, []uint64{claimSmall}, wl, "nvtraverse", "izraelevitz")...)
+		ts = append(ts, tuples(kinds, []uint64{claimSmall}, wl, "nvtraverse", "izraelevitz")...)
 	}
 	return ts
 }
@@ -316,7 +317,7 @@ func Claims() []Claim {
 				return c[1].Flushes >= c[0].Flushes && float64(c[1].Flushes) <= 1.05*float64(c[0].Flushes) && c[1].Fences == c[0].Fences
 			}),
 		relation("On the YCSB A/B/C read/update mixes Izraelevitz issues at least 1.5x NVTraverse's flushes and more fences (list, NM-BST)",
-			ycsbTuples(),
+			ycsbTuples(core.KindList, core.KindNMBST),
 			func(c []Counts) bool { return ratio(c[0], c[1]) >= 1.5 && c[1].Fences > c[0].Fences }),
 	}
 }

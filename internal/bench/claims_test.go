@@ -60,6 +60,12 @@ var claimPins = []struct {
 	{"nmbst/izraelevitz/256/A", 27757, 0, 30862},
 	{"nmbst/izraelevitz/256/B", 24557, 0, 26692},
 	{"nmbst/izraelevitz/256/C", 22327, 0, 24327},
+	{"ellenbst/nvtraverse/256/A", 13436, 15244, 7218},
+	{"ellenbst/nvtraverse/256/B", 8273, 5406, 4377},
+	{"ellenbst/nvtraverse/256/C", 7065, 4000, 4000},
+	{"ellenbst/izraelevitz/256/A", 66125, 0, 71246},
+	{"ellenbst/izraelevitz/256/B", 48739, 0, 51088},
+	{"ellenbst/izraelevitz/256/C", 43589, 0, 45589},
 }
 
 // TestPaperClaims runs the claims table once: every run's counts must
@@ -125,7 +131,7 @@ func TestIzraelevitzFlushesFarMoreThanNVTraverse(t *testing.T) {
 // flush-everything transformation issues at least 1.5x NVTraverse's clwbs,
 // and more fences.
 func TestFlushAblationNVTraverseWins(t *testing.T) {
-	ts := ycsbTuples()
+	ts := ycsbTuples(core.KindList, core.KindNMBST)
 	for i, c := range countTuples(t, ts) {
 		if 2*c[1].Flushes < 3*c[0].Flushes {
 			t.Errorf("%s: izraelevitz %d flushes vs nvtraverse %d, under 1.5x",

@@ -69,7 +69,12 @@ type Set interface {
 // ErrUnordered is returned by RangeScan on kinds without a key order.
 var ErrUnordered = kv.ErrUnordered
 
-// Validator is implemented by structures with a structural self-check.
+// Validator is implemented by structures with a structural self-check
+// (quiescent use): key order, shape, no cycle, and the reclamation audit
+// retired ⇒ unreachable — no node reachable from the roots, and no
+// descriptor a reachable node names, is free or in limbo in its arena.
+// crashtest.Check runs it after every recovery (on the sharded engine
+// through Engine.Validate).
 type Validator interface {
 	Validate(t *pmem.Thread) error
 }

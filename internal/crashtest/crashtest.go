@@ -53,7 +53,7 @@ type Set interface {
 }
 
 // Validator is an optional structural self-check (sortedness, no cycles,
-// no marked nodes after recovery, ...).
+// no marked nodes after recovery, no reachable node free or in limbo, ...).
 type Validator interface {
 	Validate(t *pmem.Thread) error
 }

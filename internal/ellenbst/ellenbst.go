@@ -146,12 +146,6 @@ func New(mem *pmem.Memory, pol persist.Policy) *Tree {
 func (tr *Tree) node(idx uint64) *Node { return tr.nodes.Get(idx) }
 func (tr *Tree) info(idx uint64) *Info { return tr.infos.Get(idx) }
 
-// Nodes exposes the node arena (tests, recovery sweeps).
-func (tr *Tree) Nodes() *arena.Arena[Node] { return tr.nodes }
-
-// Root returns the root handle (tests, recovery).
-func (tr *Tree) Root() uint64 { return tr.root }
-
 func (tr *Tree) newLeaf(t *pmem.Thread, key, value uint64) uint64 {
 	idx := tr.nodes.Alloc(t.ID)
 	n := tr.nodes.Get(idx)

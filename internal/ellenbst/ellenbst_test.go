@@ -1,8 +1,8 @@
 package ellenbst
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -171,9 +171,6 @@ func TestConcurrentStress(t *testing.T) {
 			if err := tr.Validate(th); err != nil {
 				t.Fatal(err)
 			}
-			if err := releasedNamed(tr, th); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -254,7 +251,7 @@ func TestMemoryReclamation(t *testing.T) {
 		tr.Insert(th, k, k)
 		tr.Delete(th, k)
 	}
-	if hw := tr.Nodes().HighWater(); hw > 8192 {
+	if hw := tr.nodes.HighWater(); hw > 8192 {
 		t.Fatalf("node arena grew to %d handles over an 8-key churn", hw)
 	}
 	if hw := tr.infos.HighWater(); hw > 8192 {
@@ -262,36 +259,12 @@ func TestMemoryReclamation(t *testing.T) {
 	}
 }
 
-// releasedNamed audits "retired ⇒ unreachable" for nodes and Info
-// records: it reports the first node reachable from the root, or Info
-// record a reachable node's update word names, that is free or in limbo
-// (arena.Released). Quiescent use only.
-func releasedNamed(tr *Tree, th *pmem.Thread) error {
-	var walk func(idx uint64) error
-	walk = func(idx uint64) error {
-		if tr.nodes.Released(idx) {
-			return fmt.Errorf("reachable node %d is free or in limbo", idx)
-		}
-		n := tr.node(idx)
-		if th.Load(&n.Leaf) == 1 {
-			return nil
-		}
-		if info := infoIdx(th.Load(&n.Update)); info != 0 && tr.infos.Released(info) {
-			return fmt.Errorf("node %d's update word names info %d, which is free or in limbo", idx, info)
-		}
-		if err := walk(pmem.RefIndex(th.Load(&n.Left))); err != nil {
-			return err
-		}
-		return walk(pmem.RefIndex(th.Load(&n.Right)))
-	}
-	return walk(tr.root)
-}
-
 // TestNamedInfoNeverReleased: an update word keeps naming its Info record
 // after the unflag, as the expected value of the node's next flag CAS, so
 // a named record recycled into another operation lets a stale CAS succeed
-// (ABA). The audit runs after every operation of a single-threaded churn;
-// TestConcurrentStress runs it after concurrent traffic.
+// (ABA). Validate's retired ⇒ unreachable audit runs after every
+// operation of a single-threaded churn; TestConcurrentStress runs it after
+// concurrent traffic.
 func TestNamedInfoNeverReleased(t *testing.T) {
 	tr, th := newTree(persist.NVTraverse{})
 	rng := rand.New(rand.NewSource(1))
@@ -302,9 +275,51 @@ func TestNamedInfoNeverReleased(t *testing.T) {
 		} else {
 			tr.Delete(th, k)
 		}
-		if err := releasedNamed(tr, th); err != nil {
+		if err := tr.Validate(th); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
+	}
+}
+
+// TestValidateCatchesDamage: Validate fails on a reachable node that is
+// free, on a named Info record that is free, and on a cycle in a child
+// word, while Contents and CountMarked still return on the cycle.
+func TestValidateCatchesDamage(t *testing.T) {
+	build := func() (*Tree, *pmem.Thread) {
+		tr, th := newTree(persist.NVTraverse{})
+		for _, k := range []uint64{40, 20, 60, 10, 30, 50, 70} {
+			tr.Insert(th, k, k)
+		}
+		return tr, th
+	}
+	tr, th := build()
+	tr.nodes.Free(th.ID, pmem.RefIndex(th.Load(&tr.node(tr.root).Right)))
+	if err := tr.Validate(th); err == nil || !strings.Contains(err.Error(), "free or in limbo") {
+		t.Fatalf("Validate with a leaf freed = %v", err)
+	}
+
+	// The first insert linked its split leaf under the root, so the
+	// root's update word names that insert's Info record.
+	tr, th = build()
+	info := infoIdx(th.Load(&tr.node(tr.root).Update))
+	if info == 0 {
+		t.Fatal("root's update word names no Info record")
+	}
+	tr.infos.Free(th.ID, info)
+	if err := tr.Validate(th); err == nil || !strings.Contains(err.Error(), "names info") {
+		t.Fatalf("Validate with a named Info freed = %v", err)
+	}
+
+	// An internal node that is its own left child breaks no key range
+	// before the walk's step bound catches it.
+	tr, th = build()
+	inner := pmem.RefIndex(th.Load(&tr.node(tr.root).Left))
+	th.Store(&tr.node(inner).Left, pmem.MakeRef(inner))
+	if err := tr.Validate(th); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("Validate with a cycle = %v", err)
+	}
+	if len(tr.Contents(th)) != 0 || tr.CountMarked(th) != 0 {
+		t.Fatalf("Contents %v, CountMarked %d on a cycle", tr.Contents(th), tr.CountMarked(th))
 	}
 }
 

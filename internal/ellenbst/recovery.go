@@ -13,154 +13,131 @@ import (
 // record — records are flushed and fenced before the flag CAS — so the
 // descriptor is always intact. Single-threaded; every repair is persisted.
 //
-//nvcheck:ignore fencereturn -- single-threaded recovery: each repair fences where it happens (recoverNode), and repair-free paths have nothing to persist, so no trailing fence is wanted
+//nvcheck:ignore fencereturn -- single-threaded recovery: each repair fences where it happens (in the walk's visitor), and repair-free paths have nothing to persist, so no trailing fence is wanted
 func (tr *Tree) Recover(t *pmem.Thread) {
 	tr.dom.Enter(t.ID)
 	defer tr.dom.Exit(t.ID)
-	tr.recoverNode(t, tr.root)
+	// The walk reads a node's children after visiting it, so it descends
+	// into what the repairs left. A cycle ends the walk early; Validate
+	// reports it.
+	_ = tr.walk(t, func(_ uint64, _ *Node, update, _, _ uint64) error {
+		switch state(update) {
+		case stIFlag:
+			tr.helpInsert(t, infoIdx(update))
+			t.Fence()
+		case stDFlag:
+			tr.helpDelete(t, infoIdx(update))
+			t.Fence()
+		case stMark:
+			// p is marked: its gp still carries the DFLAG (marking
+			// precedes splicing); completing from the descriptor
+			// splices p out.
+			tr.helpMarked(t, infoIdx(update))
+			t.Fence()
+		}
+		return nil
+	})
 }
 
-func (tr *Tree) recoverNode(t *pmem.Thread, idx uint64) {
-	n := tr.node(idx)
-	if t.Load(&n.Leaf) == 1 {
-		return
+// walk visits every node reachable from the root depth first, left
+// subtree before right, so leaves arrive in key order. With each node it
+// passes the node's update word (0 for a leaf), through which the Info
+// record the word names is reachable, and the key range [lo, hi) the path
+// from the root allows. A node's children are read after it is visited.
+// The walk stops at the first error visit returns, and fails after
+// 2*HighWater steps: only a cycle is that long. Quiescent use only.
+func (tr *Tree) walk(t *pmem.Thread, visit func(idx uint64, n *Node, update, lo, hi uint64) error) error {
+	type frame struct{ idx, lo, hi uint64 }
+	limit := 2 * tr.nodes.HighWater()
+	stack := []frame{{idx: tr.root, hi: ^uint64(0)}}
+	for steps := uint64(0); len(stack) > 0; steps++ {
+		if steps > limit {
+			return fmt.Errorf("ellenbst: cycle suspected after %d steps", steps)
+		}
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := tr.node(f.idx)
+		var update uint64
+		leaf := t.Load(&n.Leaf) == 1
+		if !leaf {
+			update = t.Load(&n.Update)
+		}
+		if err := visit(f.idx, n, update, f.lo, f.hi); err != nil {
+			return err
+		}
+		if leaf {
+			continue
+		}
+		k := t.Load(&n.Key)
+		if r := pmem.RefIndex(t.Load(&n.Right)); r != 0 {
+			stack = append(stack, frame{r, k, f.hi})
+		}
+		if l := pmem.RefIndex(t.Load(&n.Left)); l != 0 {
+			stack = append(stack, frame{l, f.lo, k})
+		}
 	}
-	u := pmem.Dirty(t.Load(&n.Update))
-	switch state(u) {
-	case stIFlag:
-		tr.helpInsert(t, infoIdx(u))
-		t.Fence()
-	case stDFlag:
-		tr.helpDelete(t, infoIdx(u))
-		t.Fence()
-	case stMark:
-		// p is marked: its gp still carries the DFLAG (marking precedes
-		// splicing); completing from the descriptor splices p out.
-		tr.helpMarked(t, infoIdx(u))
-		t.Fence()
-	}
-	// Children may have changed by the repairs above: read them after.
-	left := pmem.RefIndex(t.Load(&n.Left))
-	right := pmem.RefIndex(t.Load(&n.Right))
-	if left != 0 {
-		tr.recoverNode(t, left)
-	}
-	if right != 0 {
-		tr.recoverNode(t, right)
-	}
+	return nil
 }
 
 // Contents returns the user keys of all leaves, in order (quiescent use).
 func (tr *Tree) Contents(t *pmem.Thread) []uint64 {
 	var out []uint64
-	tr.walkLeaves(t, tr.root, func(idx uint64) {
-		k := t.Load(&tr.node(idx).Key)
-		if k < Inf1 {
-			out = append(out, k)
+	// A cycle ends the walk early; Validate reports it.
+	_ = tr.walk(t, func(_ uint64, n *Node, _, _, _ uint64) error {
+		if t.Load(&n.Leaf) == 1 {
+			if k := t.Load(&n.Key); k < Inf1 {
+				out = append(out, k)
+			}
 		}
+		return nil
 	})
 	return out
 }
 
-func (tr *Tree) walkLeaves(t *pmem.Thread, idx uint64, f func(uint64)) {
-	n := tr.node(idx)
-	if t.Load(&n.Leaf) == 1 {
-		f(idx)
-		return
-	}
-	if l := pmem.RefIndex(t.Load(&n.Left)); l != 0 {
-		tr.walkLeaves(t, l, f)
-	}
-	if r := pmem.RefIndex(t.Load(&n.Right)); r != 0 {
-		tr.walkLeaves(t, r, f)
-	}
-}
-
 // Validate checks the external-BST invariants (quiescent use): every
 // internal node has two children; left-subtree keys < node key <= right-
-// subtree keys; leaf keys strictly increase left to right; both sentinel
-// leaves are in place.
+// subtree keys; leaf keys strictly increase left to right; no cycle; and
+// retired ⇒ unreachable: no reachable node, and no Info record a reachable
+// update word names, is free or in limbo (arena.Released).
 func (tr *Tree) Validate(t *pmem.Thread) error {
+	nodes, infos := tr.nodes.Released(), tr.infos.Released()
 	var last uint64
-	var count int
-	var err error
-	var walk func(idx uint64, lo, hi uint64)
-	walk = func(idx uint64, lo, hi uint64) {
-		if err != nil {
-			return
+	leaves := 0
+	return tr.walk(t, func(idx uint64, n *Node, update, lo, hi uint64) error {
+		if nodes[idx] {
+			return fmt.Errorf("ellenbst: reachable node %d is free or in limbo", idx)
 		}
-		count++
-		if count > 1<<22 {
-			err = fmt.Errorf("ellenbst: cycle suspected")
-			return
-		}
-		n := tr.node(idx)
 		k := t.Load(&n.Key)
 		if t.Load(&n.Leaf) == 1 {
 			if k < lo || k >= hi {
-				err = fmt.Errorf("ellenbst: leaf key %d outside (%d, %d]", k, lo, hi)
-				return
+				return fmt.Errorf("ellenbst: leaf key %d outside [%d, %d)", k, lo, hi)
 			}
-			if count > 1 && k < last {
-				err = fmt.Errorf("ellenbst: leaf keys out of order: %d after %d", k, last)
-				return
+			if leaves++; leaves > 1 && k <= last {
+				return fmt.Errorf("ellenbst: leaf keys out of order: %d after %d", k, last)
 			}
 			last = k
-			return
+			return nil
 		}
-		left := pmem.RefIndex(t.Load(&n.Left))
-		right := pmem.RefIndex(t.Load(&n.Right))
-		if left == 0 || right == 0 {
-			err = fmt.Errorf("ellenbst: internal node %d missing a child", idx)
-			return
+		if info := infoIdx(update); info != 0 && infos[info] {
+			return fmt.Errorf("ellenbst: node %d's update word names info %d, which is free or in limbo", idx, info)
 		}
-		walk(left, lo, k)
-		walk(right, k, hi)
-	}
-	walk(tr.root, 0, ^uint64(0))
-	return err
+		if pmem.RefIndex(t.Load(&n.Left)) == 0 || pmem.RefIndex(t.Load(&n.Right)) == 0 {
+			return fmt.Errorf("ellenbst: internal node %d missing a child", idx)
+		}
+		return nil
+	})
 }
 
 // CountMarked counts reachable internal nodes whose update word is MARK
 // (0 after recovery: marked nodes are disconnected). Quiescent use.
 func (tr *Tree) CountMarked(t *pmem.Thread) int {
-	n := 0
-	var walk func(idx uint64)
-	walk = func(idx uint64) {
-		nd := tr.node(idx)
-		if t.Load(&nd.Leaf) == 1 {
-			return
+	count := 0
+	// A cycle ends the walk early; Validate reports it.
+	_ = tr.walk(t, func(_ uint64, _ *Node, update, _, _ uint64) error {
+		if state(update) == stMark {
+			count++
 		}
-		if state(pmem.Dirty(t.Load(&nd.Update))) == stMark {
-			n++
-		}
-		if l := pmem.RefIndex(t.Load(&nd.Left)); l != 0 {
-			walk(l)
-		}
-		if r := pmem.RefIndex(t.Load(&nd.Right)); r != 0 {
-			walk(r)
-		}
-	}
-	walk(tr.root)
-	return n
-}
-
-// LiveHandles accumulates every reachable node handle for the post-crash
-// arena sweep.
-func (tr *Tree) LiveHandles(t *pmem.Thread, live map[uint64]bool) {
-	var walk func(idx uint64)
-	walk = func(idx uint64) {
-		live[idx] = true
-		n := tr.node(idx)
-		if t.Load(&n.Leaf) == 1 {
-			return
-		}
-		if l := pmem.RefIndex(t.Load(&n.Left)); l != 0 {
-			walk(l)
-		}
-		if r := pmem.RefIndex(t.Load(&n.Right)); r != 0 {
-			walk(r)
-		}
-	}
-	walk(tr.root)
+		return nil
+	})
+	return count
 }

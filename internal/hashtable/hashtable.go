@@ -37,9 +37,6 @@ func New(mem *pmem.Memory, pol persist.Policy, nbuckets int) *Table {
 	return tab
 }
 
-// Shared exposes the substrate.
-func (h *Table) Shared() *list.Shared { return h.sh }
-
 // Buckets reports the bucket count.
 func (h *Table) Buckets() int { return len(h.buckets) }
 
@@ -95,14 +92,10 @@ func (h *Table) Contents(t *pmem.Thread) []uint64 {
 	return out
 }
 
-// Validate checks every bucket's invariants (quiescent use only).
+// Validate checks every bucket's invariants, retired ⇒ unreachable
+// included (quiescent use only).
 func (h *Table) Validate(t *pmem.Thread) error {
-	for i := range h.buckets {
-		if err := h.buckets[i].Validate(t); err != nil {
-			return err
-		}
-	}
-	return nil
+	return list.ValidateAll(t, h.buckets)
 }
 
 // CountMarked sums marked reachable nodes over buckets (0 after recovery).
@@ -112,11 +105,4 @@ func (h *Table) CountMarked(t *pmem.Thread) int {
 		n += h.buckets[i].CountMarked(t)
 	}
 	return n
-}
-
-// LiveHandles accumulates reachable handles for the post-crash sweep.
-func (h *Table) LiveHandles(t *pmem.Thread, live map[uint64]bool) {
-	for i := range h.buckets {
-		h.buckets[i].LiveHandles(t, live)
-	}
 }

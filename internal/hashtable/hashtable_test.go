@@ -1,8 +1,8 @@
 package hashtable
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -174,9 +174,6 @@ func TestConcurrentStress(t *testing.T) {
 			if err := h.Validate(th); err != nil {
 				t.Fatal(err)
 			}
-			if err := releasedReachable(h, th); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -234,24 +231,10 @@ func TestBadBucketCountPanics(t *testing.T) {
 	New(mem, persist.None{}, 0)
 }
 
-// releasedReachable audits "retired ⇒ unreachable": it reports the first
-// node reachable from any bucket's head that is free or in limbo
-// (arena.Released). Quiescent use only.
-func releasedReachable(h *Table, th *pmem.Thread) error {
-	for b := range h.buckets {
-		for idx := h.buckets[b].Head(); idx != 0; idx = pmem.RefIndex(th.Load(&h.sh.Ar.Get(idx).Next)) {
-			if h.sh.Ar.Released(idx) {
-				return fmt.Errorf("node %d reachable from bucket %d is free or in limbo", idx, b)
-			}
-		}
-	}
-	return nil
-}
-
-// TestReachableNeverReleased runs the audit single-threaded after every
-// operation of a churn, under every policy; TestConcurrentStress runs it
-// after concurrent traffic. Four buckets over 32 keys keep the chains
-// several nodes long.
+// TestReachableNeverReleased runs Validate's retired ⇒ unreachable audit
+// single-threaded after every operation of a churn, under every policy;
+// TestConcurrentStress runs it after concurrent traffic. Four buckets over
+// 32 keys keep the chains several nodes long.
 func TestReachableNeverReleased(t *testing.T) {
 	for _, pol := range persist.All() {
 		h, th := newTable(pol, 4)
@@ -263,9 +246,39 @@ func TestReachableNeverReleased(t *testing.T) {
 			} else {
 				h.Delete(th, k)
 			}
-			if err := releasedReachable(h, th); err != nil {
+			if err := h.Validate(th); err != nil {
 				t.Fatalf("%s, op %d: %v", pol.Name(), op, err)
 			}
 		}
+	}
+}
+
+// TestValidateCatchesDamage: Validate fails on a node reachable from a
+// bucket that is free, and on a cycle in a bucket's next word, while
+// Contents and CountMarked still return on the cycle.
+func TestValidateCatchesDamage(t *testing.T) {
+	h, th := newTable(persist.NVTraverse{}, 4)
+	for k := uint64(1); k <= 16; k++ {
+		h.Insert(th, k, k)
+	}
+	second := pmem.RefIndex(th.Load(&h.sh.Ar.Get(h.buckets[2].Head()).Next))
+	h.sh.Ar.Free(th.ID, second)
+	if err := h.Validate(th); err == nil || !strings.Contains(err.Error(), "free or in limbo") {
+		t.Fatalf("Validate with a bucket node freed = %v", err)
+	}
+
+	h, th = newTable(persist.NVTraverse{}, 4)
+	for k := uint64(1); k <= 16; k++ {
+		h.Insert(th, k, k)
+	}
+	// A marked node linked to itself breaks no key order: only the walk's
+	// step bound catches it.
+	first := pmem.RefIndex(th.Load(&h.sh.Ar.Get(h.buckets[1].Head()).Next))
+	th.Store(&h.sh.Ar.Get(first).Next, pmem.WithMark(pmem.MakeRef(first)))
+	if err := h.Validate(th); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("Validate with a cycle = %v", err)
+	}
+	if len(h.Contents(th)) != 12 || h.CountMarked(th) == 0 {
+		t.Fatalf("Contents %v, CountMarked %d on a cycle", h.Contents(th), h.CountMarked(th))
 	}
 }

@@ -120,9 +120,6 @@ func NewOn(sh *Shared, t *pmem.Thread) *List {
 	return &List{sh: sh, head: h}
 }
 
-// Shared exposes the substrate (tests, recovery, hash table).
-func (l *List) Shared() *Shared { return l.sh }
-
 // Head returns the head sentinel handle.
 func (l *List) Head() uint64 { return l.head }
 

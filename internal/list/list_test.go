@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -197,9 +198,6 @@ func TestConcurrentStress(t *testing.T) {
 			if err := l.Validate(th); err != nil {
 				t.Fatal(err)
 			}
-			if err := releasedReachable(l, th); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -265,7 +263,7 @@ func TestMemoryReclamation(t *testing.T) {
 		l.Insert(th, k, k)
 		l.Delete(th, k)
 	}
-	if hw := l.Shared().Ar.HighWater(); hw > 4096 {
+	if hw := l.sh.Ar.HighWater(); hw > 4096 {
 		t.Fatalf("arena grew to %d handles over an 8-key churn", hw)
 	}
 }
@@ -394,33 +392,9 @@ func findHandle(t *testing.T, l *List, th *pmem.Thread, key uint64) uint64 {
 	return 0
 }
 
-func TestLiveHandles(t *testing.T) {
-	l, th := newList(persist.NVTraverse{})
-	for k := uint64(1); k <= 5; k++ {
-		l.Insert(th, k, k)
-	}
-	live := map[uint64]bool{}
-	l.LiveHandles(th, live)
-	if len(live) != 6 { // 5 keys + head sentinel
-		t.Fatalf("live = %d, want 6", len(live))
-	}
-}
-
-// releasedReachable audits "retired ⇒ unreachable": it reports the first
-// node reachable from the head — marked ones not yet unlinked included —
-// that is free or in limbo (arena.Released). Quiescent use only.
-func releasedReachable(l *List, th *pmem.Thread) error {
-	for idx := l.head; idx != 0; idx = pmem.RefIndex(th.Load(&l.node(idx).Next)) {
-		if l.sh.Ar.Released(idx) {
-			return fmt.Errorf("reachable node %d is free or in limbo", idx)
-		}
-	}
-	return nil
-}
-
-// TestReachableNeverReleased runs the audit single-threaded after every
-// operation of a churn, under every policy; TestConcurrentStress runs it
-// after concurrent traffic.
+// TestReachableNeverReleased runs Validate's retired ⇒ unreachable audit
+// single-threaded after every operation of a churn, under every policy;
+// TestConcurrentStress runs it after concurrent traffic.
 func TestReachableNeverReleased(t *testing.T) {
 	for _, pol := range policies() {
 		l, th := newList(pol)
@@ -432,9 +406,37 @@ func TestReachableNeverReleased(t *testing.T) {
 			} else {
 				l.Delete(th, k)
 			}
-			if err := releasedReachable(l, th); err != nil {
+			if err := l.Validate(th); err != nil {
 				t.Fatalf("%s, op %d: %v", pol.Name(), op, err)
 			}
 		}
+	}
+}
+
+// TestValidateCatchesDamage: Validate fails on a reachable node that is
+// free, and on a cycle in a next word, while Contents and CountMarked
+// still return on the cycle. The cycle is a marked node linked to itself,
+// which only the walk's step bound can catch: no key order is broken.
+func TestValidateCatchesDamage(t *testing.T) {
+	l, th := newList(persist.NVTraverse{})
+	for k := uint64(1); k <= 8; k++ {
+		l.Insert(th, k, k)
+	}
+	l.sh.Ar.Free(th.ID, findHandle(t, l, th, 5))
+	if err := l.Validate(th); err == nil || !strings.Contains(err.Error(), "free or in limbo") {
+		t.Fatalf("Validate with node 5 freed = %v", err)
+	}
+
+	l, th = newList(persist.NVTraverse{})
+	for k := uint64(1); k <= 8; k++ {
+		l.Insert(th, k, k)
+	}
+	last := findHandle(t, l, th, 8)
+	th.Store(&l.node(last).Next, pmem.WithMark(pmem.MakeRef(last)))
+	if err := l.Validate(th); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("Validate with a cycle = %v", err)
+	}
+	if len(l.Contents(th)) != 7 || l.CountMarked(th) == 0 {
+		t.Fatalf("Contents %v, CountMarked %d on a cycle", l.Contents(th), l.CountMarked(th))
 	}
 }

@@ -1,6 +1,7 @@
 package list
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/pmem"
@@ -15,13 +16,7 @@ import (
 func (l *List) Recover(t *pmem.Thread) {
 	l.sh.Dom.Enter(t.ID)
 	defer l.sh.Dom.Exit(t.ID)
-	l.disconnectFrom(t, l.head)
-}
-
-// disconnectFrom trims all marked nodes reachable from head. Exported to
-// the hash table, which runs it per bucket.
-func (l *List) disconnectFrom(t *pmem.Thread, head uint64) {
-	prev := head
+	prev := l.head
 	for {
 		prevN := l.node(prev)
 		pn := t.Load(&prevN.Next)
@@ -47,84 +42,105 @@ func (l *List) disconnectFrom(t *pmem.Thread, head uint64) {
 	}
 }
 
+// walk visits every node reachable from the head sentinel in list order,
+// the head and marked nodes included, passing each node's raw next word.
+// It stops at the first error visit returns, and fails after 2*HighWater
+// steps: only a cycle is that long. Quiescent use only.
+func (l *List) walk(t *pmem.Thread, visit func(idx uint64, n *Node, next uint64) error) error {
+	limit := 2 * l.sh.Ar.HighWater()
+	for idx, steps := l.head, uint64(0); idx != 0; steps++ {
+		if steps > limit {
+			return fmt.Errorf("list: cycle suspected after %d steps", steps)
+		}
+		n := l.node(idx)
+		next := t.Load(&n.Next)
+		if err := visit(idx, n, next); err != nil {
+			return err
+		}
+		idx = pmem.RefIndex(next)
+	}
+	return nil
+}
+
 // Contents returns the unmarked keys in list order. Quiescent use only
 // (tests and checkers).
 func (l *List) Contents(t *pmem.Thread) []uint64 {
 	var out []uint64
-	cur := pmem.RefIndex(t.Load(&l.node(l.head).Next))
-	for cur != 0 {
-		n := l.node(cur)
-		nx := t.Load(&n.Next)
-		if !pmem.Marked(nx) {
+	// A cycle ends the walk early; Validate reports it.
+	_ = l.walk(t, func(idx uint64, n *Node, next uint64) error {
+		if idx != l.head && !pmem.Marked(next) {
 			out = append(out, t.Load(&n.Key))
 		}
-		cur = pmem.RefIndex(nx)
-	}
+		return nil
+	})
 	return out
-}
-
-// LiveHandles adds every handle reachable from the head (marked or not,
-// plus the head itself) to live; used by the post-crash arena sweep.
-func (l *List) LiveHandles(t *pmem.Thread, live map[uint64]bool) {
-	cur := l.head
-	for cur != 0 {
-		live[cur] = true
-		cur = pmem.RefIndex(t.Load(&l.node(cur).Next))
-	}
-}
-
-// Validate checks structural invariants: strictly sorted unmarked keys and
-// termination (no cycles within 2*highwater steps). Quiescent use only.
-func (l *List) Validate(t *pmem.Thread) error {
-	limit := 2 * l.sh.Ar.HighWater()
-	var steps uint64
-	var last uint64 // head key is 0; user keys start at 1
-	cur := pmem.RefIndex(t.Load(&l.node(l.head).Next))
-	for cur != 0 {
-		if steps++; steps > limit {
-			return fmt.Errorf("list: cycle suspected after %d steps", steps)
-		}
-		n := l.node(cur)
-		nx := t.Load(&n.Next)
-		k := t.Load(&n.Key)
-		if !pmem.Marked(nx) {
-			if k <= last {
-				return fmt.Errorf("list: keys out of order: %d after %d", k, last)
-			}
-			last = k
-		}
-		cur = pmem.RefIndex(nx)
-	}
-	return nil
 }
 
 // CountMarked returns how many reachable nodes are marked (0 after a
 // successful recovery). Quiescent use only.
 func (l *List) CountMarked(t *pmem.Thread) int {
-	n := 0
-	cur := pmem.RefIndex(t.Load(&l.node(l.head).Next))
-	for cur != 0 {
-		nx := t.Load(&l.node(cur).Next)
-		if pmem.Marked(nx) {
-			n++
+	count := 0
+	// A cycle ends the walk early; Validate reports it.
+	_ = l.walk(t, func(_ uint64, _ *Node, next uint64) error {
+		if pmem.Marked(next) {
+			count++
 		}
-		cur = pmem.RefIndex(nx)
+		return nil
+	})
+	return count
+}
+
+// Validate checks structural invariants: strictly sorted unmarked keys,
+// termination (no cycle), and retired ⇒ unreachable — no reachable node,
+// marked ones not yet unlinked included, is free or in limbo
+// (arena.Released), so no slot Alloc may hand out again is still linked.
+// Quiescent use only.
+func (l *List) Validate(t *pmem.Thread) error {
+	return l.validate(t, l.sh.Ar.Released())
+}
+
+// ValidateAll runs Validate on lists that share one substrate (a hash
+// table's buckets), collecting the released handles once.
+func ValidateAll(t *pmem.Thread, lists []List) error {
+	released := lists[0].sh.Ar.Released()
+	for i := range lists {
+		if err := lists[i].validate(t, released); err != nil {
+			return fmt.Errorf("bucket %d: %w", i, err)
+		}
 	}
-	return n
+	return nil
+}
+
+func (l *List) validate(t *pmem.Thread, released map[uint64]bool) error {
+	var last uint64 // head key is 0; user keys start at 1
+	return l.walk(t, func(idx uint64, n *Node, next uint64) error {
+		if released[idx] {
+			return fmt.Errorf("list: reachable node %d is free or in limbo", idx)
+		}
+		if idx == l.head || pmem.Marked(next) {
+			return nil
+		}
+		k := t.Load(&n.Key)
+		if k <= last {
+			return fmt.Errorf("list: keys out of order: %d after %d", k, last)
+		}
+		last = k
+		return nil
+	})
 }
 
 // DebugMark sets the deletion mark on key's node without physically
 // deleting it, simulating a delete whose physical phase was lost in a
 // crash. Test hook; quiescent use only. Returns false if key is absent.
 func (l *List) DebugMark(t *pmem.Thread, key uint64) bool {
-	cur := pmem.RefIndex(t.Load(&l.node(l.head).Next))
-	for cur != 0 {
-		n := l.node(cur)
-		nx := t.Load(&n.Next)
-		if t.Load(&n.Key) == key && !pmem.Marked(nx) {
-			return t.CAS(&n.Next, nx, pmem.WithMark(nx))
+	errFound := errors.New("found")
+	marked := false
+	_ = l.walk(t, func(idx uint64, n *Node, next uint64) error {
+		if idx == l.head || pmem.Marked(next) || t.Load(&n.Key) != key {
+			return nil
 		}
-		cur = pmem.RefIndex(nx)
-	}
-	return false
+		marked = t.CAS(&n.Next, next, pmem.WithMark(next))
+		return errFound
+	})
+	return marked
 }

@@ -118,9 +118,6 @@ func (tr *Tree) newNode(t *pmem.Thread, key, leaf, value, left, right uint64) ui
 
 func (tr *Tree) node(idx uint64) *Node { return tr.nodes.Get(idx) }
 
-// Nodes exposes the node arena (tests, recovery sweeps).
-func (tr *Tree) Nodes() *arena.Arena[Node] { return tr.nodes }
-
 // childCellToward returns n's child cell on the side where key routes.
 func (tr *Tree) childCellToward(t *pmem.Thread, idx uint64, key uint64) *pmem.Cell {
 	n := tr.node(idx)

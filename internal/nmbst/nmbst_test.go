@@ -1,8 +1,8 @@
 package nmbst
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -171,9 +171,6 @@ func TestConcurrentStress(t *testing.T) {
 			if err := tr.Validate(th); err != nil {
 				t.Fatal(err)
 			}
-			if err := releasedReachable(tr, th); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -249,7 +246,7 @@ func TestMemoryReclamation(t *testing.T) {
 		tr.Insert(th, k, k)
 		tr.Delete(th, k)
 	}
-	if hw := tr.Nodes().HighWater(); hw > 8192 {
+	if hw := tr.nodes.HighWater(); hw > 8192 {
 		t.Fatalf("arena grew to %d handles over an 8-key churn", hw)
 	}
 }
@@ -330,30 +327,9 @@ func TestKeyRangePanics(t *testing.T) {
 	}
 }
 
-// releasedReachable audits "retired ⇒ unreachable": it reports the first
-// node reachable from the root R — internal or leaf — that is free or in
-// limbo (arena.Released). Quiescent use only.
-func releasedReachable(tr *Tree, th *pmem.Thread) error {
-	var walk func(idx uint64) error
-	walk = func(idx uint64) error {
-		if tr.nodes.Released(idx) {
-			return fmt.Errorf("reachable node %d is free or in limbo", idx)
-		}
-		n := tr.node(idx)
-		if th.Load(&n.Leaf) == 1 {
-			return nil
-		}
-		if err := walk(pmem.RefIndex(th.Load(&n.Left))); err != nil {
-			return err
-		}
-		return walk(pmem.RefIndex(th.Load(&n.Right)))
-	}
-	return walk(tr.rootR)
-}
-
-// TestReachableNeverReleased runs the audit single-threaded after every
-// operation of a churn, under every policy; TestConcurrentStress runs it
-// after concurrent traffic.
+// TestReachableNeverReleased runs Validate's retired ⇒ unreachable audit
+// single-threaded after every operation of a churn, under every policy;
+// TestConcurrentStress runs it after concurrent traffic.
 func TestReachableNeverReleased(t *testing.T) {
 	for _, pol := range persist.All() {
 		tr, th := newTree(pol)
@@ -365,9 +341,39 @@ func TestReachableNeverReleased(t *testing.T) {
 			} else {
 				tr.Delete(th, k)
 			}
-			if err := releasedReachable(tr, th); err != nil {
+			if err := tr.Validate(th); err != nil {
 				t.Fatalf("%s, op %d: %v", pol.Name(), op, err)
 			}
 		}
+	}
+}
+
+// TestValidateCatchesDamage: Validate fails on a reachable node that is
+// free, and on a cycle in a child word, while Contents and CountFlagged
+// still return on the cycle.
+func TestValidateCatchesDamage(t *testing.T) {
+	build := func() (*Tree, *pmem.Thread) {
+		tr, th := newTree(persist.NVTraverse{})
+		for _, k := range []uint64{40, 20, 60, 10, 30, 50, 70} {
+			tr.Insert(th, k, k)
+		}
+		return tr, th
+	}
+	tr, th := build()
+	tr.nodes.Free(th.ID, pmem.RefIndex(th.Load(&tr.node(tr.rootR).Right)))
+	if err := tr.Validate(th); err == nil || !strings.Contains(err.Error(), "free or in limbo") {
+		t.Fatalf("Validate with a leaf freed = %v", err)
+	}
+
+	// An internal node that is its own left child breaks no key range
+	// before the walk's step bound catches it.
+	tr, th = build()
+	inner := pmem.RefIndex(th.Load(&tr.node(tr.rootS).Left))
+	th.Store(&tr.node(inner).Left, pmem.MakeRef(inner))
+	if err := tr.Validate(th); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("Validate with a cycle = %v", err)
+	}
+	if len(tr.Contents(th)) != 0 || tr.CountFlagged(th) != 0 {
+		t.Fatalf("Contents %v, CountFlagged %d on a cycle", tr.Contents(th), tr.CountFlagged(th))
 	}
 }

@@ -1,6 +1,7 @@
 package nmbst
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/pmem"
@@ -16,14 +17,22 @@ import (
 func (tr *Tree) Recover(t *pmem.Thread) {
 	tr.dom.Enter(t.ID)
 	defer tr.dom.Exit(t.ID)
-	// Repeatedly sweep for flagged leaves and complete their deletions.
-	// Each completed deletion removes at least one flagged leaf, so this
+	// Repeatedly find a flagged leaf and complete its deletion. Each
+	// completed deletion removes at least one flagged leaf, so this
 	// terminates; the defensive cap turns an unexpected stuck state into a
 	// leftover flag (which online helping also tolerates) rather than an
 	// unbounded recovery.
+	errFound := errors.New("flagged leaf found")
 	for rounds := 0; rounds < 1<<20; rounds++ {
-		key, found := tr.findFlagged(t, tr.rootR)
-		if !found {
+		var key uint64
+		err := tr.walk(t, func(_, edge uint64, n *Node, _, _ uint64) error {
+			if pmem.Marked(edge) && t.Load(&n.Leaf) == 1 {
+				key = t.Load(&n.Key)
+				return errFound
+			}
+			return nil
+		})
+		if !errors.Is(err, errFound) {
 			break
 		}
 		sr := &tr.trs[t.ID].sr
@@ -36,49 +45,56 @@ func (tr *Tree) Recover(t *pmem.Thread) {
 	}
 	// Clear stray tags (an interrupted cleanup may have tagged a sibling
 	// edge whose swing never happened; with no flag left, the tag would
-	// freeze the edge forever).
-	tr.clearTags(t, tr.rootR)
+	// freeze the edge forever). The walk reads a node's children after
+	// visiting it; a cycle ends it early, and Validate reports the cycle.
+	_ = tr.walk(t, func(_, _ uint64, n *Node, _, _ uint64) error {
+		if t.Load(&n.Leaf) == 1 {
+			return nil
+		}
+		for _, c := range []*pmem.Cell{&n.Left, &n.Right} {
+			if ev := t.Load(c); pmem.Tagged(ev) {
+				t.Store(c, pmem.Dirty(ev)&^pmem.TagBit)
+				t.Flush(c)
+				t.Fence()
+			}
+		}
+		return nil
+	})
 }
 
-// findFlagged returns the key of some reachable flagged leaf.
-func (tr *Tree) findFlagged(t *pmem.Thread, idx uint64) (uint64, bool) {
-	n := tr.node(idx)
-	if t.Load(&n.Leaf) == 1 {
-		return 0, false
-	}
-	for _, c := range []*pmem.Cell{&n.Left, &n.Right} {
-		ev := t.Load(c)
-		child := pmem.RefIndex(ev)
-		if child == 0 {
+// walk visits every node reachable from the root R depth first, left
+// subtree before right, so leaves arrive in key order. With each node it
+// passes the raw edge word that leads to it (0 for R), whose FLAG bit
+// marks a leaf for deletion, and the key range [lo, hi) the path from R
+// allows. A node's children are read after it is visited. The walk stops
+// at the first error visit returns, and fails after 2*HighWater steps:
+// only a cycle is that long. Quiescent use only.
+func (tr *Tree) walk(t *pmem.Thread, visit func(idx, edge uint64, n *Node, lo, hi uint64) error) error {
+	type frame struct{ idx, edge, lo, hi uint64 }
+	limit := 2 * tr.nodes.HighWater()
+	stack := []frame{{idx: tr.rootR, hi: ^uint64(0)}}
+	for steps := uint64(0); len(stack) > 0; steps++ {
+		if steps > limit {
+			return fmt.Errorf("nmbst: cycle suspected after %d steps", steps)
+		}
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := tr.node(f.idx)
+		if err := visit(f.idx, f.edge, n, f.lo, f.hi); err != nil {
+			return err
+		}
+		if t.Load(&n.Leaf) == 1 {
 			continue
 		}
-		if pmem.Marked(ev) && t.Load(&tr.node(child).Leaf) == 1 {
-			return t.Load(&tr.node(child).Key), true
+		k := t.Load(&n.Key)
+		if r := t.Load(&n.Right); pmem.RefIndex(r) != 0 {
+			stack = append(stack, frame{pmem.RefIndex(r), r, k, f.hi})
 		}
-		if k, ok := tr.findFlagged(t, child); ok {
-			return k, ok
-		}
-	}
-	return 0, false
-}
-
-func (tr *Tree) clearTags(t *pmem.Thread, idx uint64) {
-	n := tr.node(idx)
-	if t.Load(&n.Leaf) == 1 {
-		return
-	}
-	for _, c := range []*pmem.Cell{&n.Left, &n.Right} {
-		ev := t.Load(c)
-		if pmem.Tagged(ev) {
-			t.Store(c, pmem.Dirty(ev)&^pmem.TagBit)
-			t.Flush(c)
-			t.Fence()
-			ev = t.Load(c)
-		}
-		if child := pmem.RefIndex(ev); child != 0 {
-			tr.clearTags(t, child)
+		if l := t.Load(&n.Left); pmem.RefIndex(l) != 0 {
+			stack = append(stack, frame{pmem.RefIndex(l), l, f.lo, k})
 		}
 	}
+	return nil
 }
 
 // Contents returns the user keys of unflagged leaves, in order (quiescent
@@ -88,99 +104,49 @@ func (tr *Tree) clearTags(t *pmem.Thread, idx uint64) {
 // Find gives, which ignores flags — so flags are ignored here too.
 func (tr *Tree) Contents(t *pmem.Thread) []uint64 {
 	var out []uint64
-	var walk func(idx uint64)
-	walk = func(idx uint64) {
-		n := tr.node(idx)
+	// A cycle ends the walk early; Validate reports it.
+	_ = tr.walk(t, func(_, _ uint64, n *Node, _, _ uint64) error {
 		if t.Load(&n.Leaf) == 1 {
 			if k := t.Load(&n.Key); k < Inf0 {
 				out = append(out, k)
 			}
-			return
 		}
-		if l := pmem.RefIndex(t.Load(&n.Left)); l != 0 {
-			walk(l)
-		}
-		if r := pmem.RefIndex(t.Load(&n.Right)); r != 0 {
-			walk(r)
-		}
-	}
-	walk(tr.rootR)
+		return nil
+	})
 	return out
 }
 
-// CountFlagged counts reachable flagged leaf edges (0 after recovery).
+// CountFlagged counts reachable flagged edges (0 after recovery).
 func (tr *Tree) CountFlagged(t *pmem.Thread) int {
-	cnt := 0
-	var walk func(idx uint64)
-	walk = func(idx uint64) {
-		n := tr.node(idx)
-		if t.Load(&n.Leaf) == 1 {
-			return
+	count := 0
+	// A cycle ends the walk early; Validate reports it.
+	_ = tr.walk(t, func(_, edge uint64, _ *Node, _, _ uint64) error {
+		if pmem.Marked(edge) {
+			count++
 		}
-		for _, c := range []*pmem.Cell{&n.Left, &n.Right} {
-			ev := t.Load(c)
-			if pmem.Marked(ev) {
-				cnt++
-			}
-			if child := pmem.RefIndex(ev); child != 0 {
-				walk(child)
-			}
-		}
-	}
-	walk(tr.rootR)
-	return cnt
+		return nil
+	})
+	return count
 }
 
-// Validate checks external-BST shape and key order (quiescent use only).
+// Validate checks external-BST shape and key order, no cycle, and
+// retired ⇒ unreachable: no node reachable from R, internal or leaf, is
+// free or in limbo (arena.Released). Quiescent use only.
 func (tr *Tree) Validate(t *pmem.Thread) error {
-	var err error
-	var count int
-	var walk func(idx uint64, lo, hi uint64)
-	walk = func(idx uint64, lo, hi uint64) {
-		if err != nil {
-			return
+	released := tr.nodes.Released()
+	return tr.walk(t, func(idx, _ uint64, n *Node, lo, hi uint64) error {
+		if released[idx] {
+			return fmt.Errorf("nmbst: reachable node %d is free or in limbo", idx)
 		}
-		count++
-		if count > 1<<22 {
-			err = fmt.Errorf("nmbst: cycle suspected")
-			return
-		}
-		n := tr.node(idx)
-		k := t.Load(&n.Key)
 		if t.Load(&n.Leaf) == 1 {
-			if k < lo || k >= hi {
-				err = fmt.Errorf("nmbst: leaf key %d outside [%d, %d)", k, lo, hi)
+			if k := t.Load(&n.Key); k < lo || k >= hi {
+				return fmt.Errorf("nmbst: leaf key %d outside [%d, %d)", k, lo, hi)
 			}
-			return
+			return nil
 		}
-		left := pmem.RefIndex(t.Load(&n.Left))
-		right := pmem.RefIndex(t.Load(&n.Right))
-		if left == 0 || right == 0 {
-			err = fmt.Errorf("nmbst: internal node %d missing a child", idx)
-			return
+		if pmem.RefIndex(t.Load(&n.Left)) == 0 || pmem.RefIndex(t.Load(&n.Right)) == 0 {
+			return fmt.Errorf("nmbst: internal node %d missing a child", idx)
 		}
-		walk(left, lo, k)
-		walk(right, k, hi)
-	}
-	walk(tr.rootR, 0, ^uint64(0))
-	return err
-}
-
-// LiveHandles accumulates reachable handles for the post-crash sweep.
-func (tr *Tree) LiveHandles(t *pmem.Thread, live map[uint64]bool) {
-	var walk func(idx uint64)
-	walk = func(idx uint64) {
-		live[idx] = true
-		n := tr.node(idx)
-		if t.Load(&n.Leaf) == 1 {
-			return
-		}
-		if l := pmem.RefIndex(t.Load(&n.Left)); l != 0 {
-			walk(l)
-		}
-		if r := pmem.RefIndex(t.Load(&n.Right)); r != 0 {
-			walk(r)
-		}
-	}
-	walk(tr.rootR)
+		return nil
+	})
 }

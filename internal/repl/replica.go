@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -413,19 +414,10 @@ func (r *Replica) saveWatermark() {
 		return
 	}
 	r.mu.Lock()
-	var sb strings.Builder
-	sb.WriteString("v1 ")
-	sb.WriteString(strconv.FormatUint(r.runID, 10))
-	sb.WriteString(" ")
-	sb.WriteString(strconv.Itoa(len(r.acked)))
-	for _, s := range r.acked {
-		sb.WriteString(" ")
-		sb.WriteString(strconv.FormatUint(s, 10))
-	}
-	sb.WriteString("\n")
+	data := formatWatermark(r.runID, r.acked)
 	r.mu.Unlock()
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(sb.String()), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return
 	}
 	os.Rename(tmp, path)
@@ -440,20 +432,45 @@ func (r *Replica) loadWatermark() {
 	if err != nil {
 		return
 	}
+	if runID, acked, ok := parseWatermark(data); ok {
+		r.runID, r.acked = runID, acked
+	}
+}
+
+// formatWatermark renders the watermark file's contents.
+func formatWatermark(runID uint64, acked []uint64) []byte {
+	b := append([]byte("v1 "), strconv.FormatUint(runID, 10)...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(acked)), 10)
+	for _, s := range acked {
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, s, 10)
+	}
+	return append(b, '\n')
+}
+
+// parseWatermark reads exactly what formatWatermark writes: anything else
+// (another version, a count that does not match, a number with a sign or
+// a leading zero, extra spaces or a missing newline) is refused.
+func parseWatermark(data []byte) (runID uint64, acked []uint64, ok bool) {
 	fields := strings.Fields(string(data))
 	if len(fields) < 3 || fields[0] != "v1" {
-		return
+		return 0, nil, false
 	}
 	runID, err1 := strconv.ParseUint(fields[1], 10, 64)
 	n, err2 := strconv.Atoi(fields[2])
 	if err1 != nil || err2 != nil || n < 0 || len(fields) != 3+n {
-		return
+		return 0, nil, false
 	}
-	acked := make([]uint64, n)
+	acked = make([]uint64, n)
 	for i := range acked {
+		var err error
 		if acked[i], err = strconv.ParseUint(fields[3+i], 10, 64); err != nil {
-			return
+			return 0, nil, false
 		}
 	}
-	r.runID, r.acked = runID, acked
+	if !bytes.Equal(formatWatermark(runID, acked), data) {
+		return 0, nil, false
+	}
+	return runID, acked, true
 }

@@ -43,9 +43,11 @@ func (l *List) Recover(t *pmem.Thread) {
 		t.Store(&headN.Next[i], pmem.NilRef)
 		tails[i] = l.head
 	}
-	cur := pmem.RefIndex(t.Load(&headN.Next[0]))
-	for cur != 0 {
-		n := l.node(cur)
+	// A level-0 cycle ends the rebuild early; Validate reports it.
+	_ = l.walk(t, 1, func(_ int, idx uint64, n *Node, _ uint64) error {
+		if idx == l.head {
+			return nil
+		}
 		lvl := t.Load(&n.Level)
 		if lvl < 1 || lvl > MaxLevel {
 			lvl = 1 // defensive: height is volatile metadata
@@ -53,99 +55,93 @@ func (l *List) Recover(t *pmem.Thread) {
 		}
 		for i := uint64(1); i < lvl; i++ {
 			t.Store(&n.Next[i], pmem.NilRef)
-			t.Store(&l.node(tails[i]).Next[i], pmem.MakeRef(cur))
-			tails[i] = cur
+			t.Store(&l.node(tails[i]).Next[i], pmem.MakeRef(idx))
+			tails[i] = idx
 		}
-		cur = pmem.RefIndex(t.Load(&n.Next[0]))
-	}
+		return nil
+	})
 }
 
-// Contents returns the unmarked level-0 keys in order (quiescent use).
-func (l *List) Contents(t *pmem.Thread) []uint64 {
-	var out []uint64
-	cur := pmem.RefIndex(t.Load(&l.node(l.head).Next[0]))
-	for cur != 0 {
-		n := l.node(cur)
-		nx := t.Load(&n.Next[0])
-		if !pmem.Marked(nx) {
-			out = append(out, t.Load(&n.Key))
-		}
-		cur = pmem.RefIndex(nx)
-	}
-	return out
-}
-
-// CountMarked counts marked reachable level-0 nodes (quiescent use).
-func (l *List) CountMarked(t *pmem.Thread) int {
-	n := 0
-	cur := pmem.RefIndex(t.Load(&l.node(l.head).Next[0]))
-	for cur != 0 {
-		nx := t.Load(&l.node(cur).Next[0])
-		if pmem.Marked(nx) {
-			n++
-		}
-		cur = pmem.RefIndex(nx)
-	}
-	return n
-}
-
-// Validate checks the level-0 order, cycle-freedom, and that every index
-// edge connects nodes in key order and every indexed node is level-0
-// reachable (quiescent use).
-func (l *List) Validate(t *pmem.Thread) error {
+// walk visits every node reachable from the head sentinel on levels 0 to
+// levels-1, level 0 first and each level in list order from the head,
+// marked nodes included, passing the node's raw next word at that level.
+// Towers still linked above level 0 are reached at every level they are
+// linked at. It stops at the first error visit returns, and fails after
+// 2*HighWater steps on one level: only a cycle is that long. Quiescent
+// use only.
+func (l *List) walk(t *pmem.Thread, levels int, visit func(lvl int, idx uint64, n *Node, next uint64) error) error {
 	limit := 2 * l.ar.HighWater()
-	reachable := map[uint64]bool{l.head: true}
-	var steps uint64
-	var last uint64
-	cur := pmem.RefIndex(t.Load(&l.node(l.head).Next[0]))
-	for cur != 0 {
-		if steps++; steps > limit {
-			return fmt.Errorf("skiplist: level-0 cycle suspected")
-		}
-		n := l.node(cur)
-		nx := t.Load(&n.Next[0])
-		k := t.Load(&n.Key)
-		if !pmem.Marked(nx) {
-			if k <= last {
-				return fmt.Errorf("skiplist: level-0 keys out of order: %d after %d", k, last)
+	for lvl := 0; lvl < levels; lvl++ {
+		for idx, steps := l.head, uint64(0); idx != 0; steps++ {
+			if steps > limit {
+				return fmt.Errorf("skiplist: level-%d cycle suspected", lvl)
 			}
-			last = k
-		}
-		reachable[cur] = true
-		cur = pmem.RefIndex(nx)
-	}
-	for i := 1; i < MaxLevel; i++ {
-		steps = 0
-		prevKey := uint64(0)
-		cur = pmem.RefIndex(t.Load(&l.node(l.head).Next[i]))
-		for cur != 0 {
-			if steps++; steps > limit {
-				return fmt.Errorf("skiplist: level-%d cycle suspected", i)
+			n := l.node(idx)
+			next := t.Load(&n.Next[lvl])
+			if err := visit(lvl, idx, n, next); err != nil {
+				return err
 			}
-			if !reachable[cur] {
-				return fmt.Errorf("skiplist: level-%d indexes unreachable node %d", i, cur)
-			}
-			n := l.node(cur)
-			nx := t.Load(&n.Next[i])
-			k := t.Load(&n.Key)
-			if !pmem.Marked(nx) && !pmem.Marked(t.Load(&n.Next[0])) {
-				if k < prevKey {
-					return fmt.Errorf("skiplist: level-%d keys out of order: %d after %d", i, k, prevKey)
-				}
-				prevKey = k
-			}
-			cur = pmem.RefIndex(nx)
+			idx = pmem.RefIndex(next)
 		}
 	}
 	return nil
 }
 
-// LiveHandles adds every level-0 reachable handle (plus the sentinel) for
-// the post-crash arena sweep.
-func (l *List) LiveHandles(t *pmem.Thread, live map[uint64]bool) {
-	cur := l.head
-	for cur != 0 {
-		live[cur] = true
-		cur = pmem.RefIndex(t.Load(&l.node(cur).Next[0]))
-	}
+// Contents returns the unmarked level-0 keys in order (quiescent use).
+func (l *List) Contents(t *pmem.Thread) []uint64 {
+	var out []uint64
+	// A cycle ends the walk early; Validate reports it.
+	_ = l.walk(t, 1, func(_ int, idx uint64, n *Node, next uint64) error {
+		if idx != l.head && !pmem.Marked(next) {
+			out = append(out, t.Load(&n.Key))
+		}
+		return nil
+	})
+	return out
+}
+
+// CountMarked counts marked reachable level-0 nodes (quiescent use).
+func (l *List) CountMarked(t *pmem.Thread) int {
+	count := 0
+	// A cycle ends the walk early; Validate reports it.
+	_ = l.walk(t, 1, func(_ int, _ uint64, _ *Node, next uint64) error {
+		if pmem.Marked(next) {
+			count++
+		}
+		return nil
+	})
+	return count
+}
+
+// Validate checks the level-0 order, cycle-freedom at every level, that
+// every index edge connects nodes in key order and every indexed node is
+// level-0 reachable, and retired ⇒ unreachable: no node reachable at any
+// level is free or in limbo (arena.Released). Quiescent use.
+func (l *List) Validate(t *pmem.Thread) error {
+	released := l.ar.Released()
+	reachable := map[uint64]bool{}
+	var last uint64
+	return l.walk(t, MaxLevel, func(lvl int, idx uint64, n *Node, next uint64) error {
+		if released[idx] {
+			return fmt.Errorf("skiplist: node %d reachable at level %d is free or in limbo", idx, lvl)
+		}
+		if idx == l.head {
+			last = 0 // each level starts at the head
+			return nil
+		}
+		if lvl == 0 {
+			reachable[idx] = true
+		} else if !reachable[idx] {
+			return fmt.Errorf("skiplist: level-%d indexes unreachable node %d", lvl, idx)
+		}
+		if pmem.Marked(next) || pmem.Marked(t.Load(&n.Next[0])) {
+			return nil
+		}
+		k := t.Load(&n.Key)
+		if k < last || (lvl == 0 && k == last) {
+			return fmt.Errorf("skiplist: level-%d keys out of order: %d after %d", lvl, k, last)
+		}
+		last = k
+		return nil
+	})
 }

@@ -109,12 +109,6 @@ func New(mem *pmem.Memory, pol persist.Policy) *List {
 
 func (l *List) node(idx uint64) *Node { return l.ar.Get(idx) }
 
-// Arena exposes the node pool (tests, recovery sweeps).
-func (l *List) Arena() *arena.Arena[Node] { return l.ar }
-
-// Head returns the sentinel handle (tests, recovery).
-func (l *List) Head() uint64 { return l.head }
-
 // randomLevel draws a geometric(1/2) tower height in [1, MaxLevel].
 func randomLevel(t *pmem.Thread) uint64 {
 	r := t.Rand()

@@ -1,8 +1,8 @@
 package skiplist
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -166,9 +166,6 @@ func TestConcurrentStress(t *testing.T) {
 			wg.Wait()
 			th := mem.NewThread()
 			if err := l.Validate(th); err != nil {
-				t.Fatal(err)
-			}
-			if err := releasedReachable(l, th); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -335,7 +332,7 @@ func TestMemoryReclamation(t *testing.T) {
 		l.Insert(th, k, k)
 		l.Delete(th, k)
 	}
-	if hw := l.Arena().HighWater(); hw > 4096 {
+	if hw := l.ar.HighWater(); hw > 4096 {
 		t.Fatalf("arena grew to %d handles over an 8-key churn", hw)
 	}
 }
@@ -350,24 +347,9 @@ func TestKeyRangePanics(t *testing.T) {
 	l.Insert(th, 0, 0)
 }
 
-// releasedReachable audits "retired ⇒ unreachable": it reports the first
-// node reachable from the head at any level — a tower still linked above
-// the bottom level included — that is free or in limbo (arena.Released).
-// Quiescent use only.
-func releasedReachable(l *List, th *pmem.Thread) error {
-	for lvl := 0; lvl < MaxLevel; lvl++ {
-		for idx := l.head; idx != 0; idx = pmem.RefIndex(th.Load(&l.node(idx).Next[lvl])) {
-			if l.ar.Released(idx) {
-				return fmt.Errorf("node %d reachable at level %d is free or in limbo", idx, lvl)
-			}
-		}
-	}
-	return nil
-}
-
-// TestReachableNeverReleased runs the audit single-threaded after every
-// operation of a churn, under every policy; TestConcurrentStress runs it
-// after concurrent traffic.
+// TestReachableNeverReleased runs Validate's retired ⇒ unreachable audit
+// single-threaded after every operation of a churn, under every policy;
+// TestConcurrentStress runs it after concurrent traffic.
 func TestReachableNeverReleased(t *testing.T) {
 	for _, pol := range persist.All() {
 		l, th := newSkip(pol)
@@ -379,9 +361,52 @@ func TestReachableNeverReleased(t *testing.T) {
 			} else {
 				l.Delete(th, k)
 			}
-			if err := releasedReachable(l, th); err != nil {
+			if err := l.Validate(th); err != nil {
 				t.Fatalf("%s, op %d: %v", pol.Name(), op, err)
 			}
 		}
+	}
+}
+
+// TestValidateCatchesDamage: Validate fails on a reachable node that is
+// free, also when it is reachable only above level 0, and on a cycle in a
+// next word, while Contents and CountMarked still return on the cycle.
+func TestValidateCatchesDamage(t *testing.T) {
+	build := func() (*List, *pmem.Thread) {
+		l, th := newSkip(persist.NVTraverse{})
+		for k := uint64(1); k <= 64; k++ {
+			l.Insert(th, k, k)
+		}
+		return l, th
+	}
+	l, th := build()
+	l.ar.Free(th.ID, pmem.RefIndex(th.Load(&l.node(l.head).Next[0])))
+	if err := l.Validate(th); err == nil || !strings.Contains(err.Error(), "free or in limbo") {
+		t.Fatalf("Validate with a level-0 node freed = %v", err)
+	}
+
+	// A tower unlinked from level 0 but still indexed above it.
+	l, th = build()
+	tower := pmem.RefIndex(th.Load(&l.node(l.head).Next[1]))
+	pred := l.head
+	for pmem.RefIndex(th.Load(&l.node(pred).Next[0])) != tower {
+		pred = pmem.RefIndex(th.Load(&l.node(pred).Next[0]))
+	}
+	th.Store(&l.node(pred).Next[0], th.Load(&l.node(tower).Next[0]))
+	l.ar.Free(th.ID, tower)
+	if err := l.Validate(th); err == nil || !strings.Contains(err.Error(), "free or in limbo") {
+		t.Fatalf("Validate with a level-1 tower freed = %v", err)
+	}
+
+	// A marked node linked to itself breaks no key order: only the walk's
+	// step bound catches it.
+	l, th = build()
+	first := pmem.RefIndex(th.Load(&l.node(l.head).Next[0]))
+	th.Store(&l.node(first).Next[0], pmem.WithMark(pmem.MakeRef(first)))
+	if err := l.Validate(th); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("Validate with a cycle = %v", err)
+	}
+	if len(l.Contents(th)) != 0 || l.CountMarked(th) == 0 {
+		t.Fatalf("Contents %v, CountMarked %d on a cycle", l.Contents(th), l.CountMarked(th))
 	}
 }
