@@ -45,14 +45,18 @@ func (tr *Tree) Recover(t *pmem.Thread) {
 // record the word names is reachable, and the key range [lo, hi) the path
 // from the root allows. A node's children are read after it is visited.
 // The walk stops at the first error visit returns, and fails after
-// 2*HighWater steps: only a cycle is that long. Quiescent use only.
+// 2*HighWater steps: only a cycle is that long. HighWater is read again
+// when the bound is passed, so a tree that grows during the walk is not
+// cut short. Quiescent use only.
 func (tr *Tree) walk(t *pmem.Thread, visit func(idx uint64, n *Node, update, lo, hi uint64) error) error {
 	type frame struct{ idx, lo, hi uint64 }
 	limit := 2 * tr.nodes.HighWater()
 	stack := []frame{{idx: tr.root, hi: ^uint64(0)}}
 	for steps := uint64(0); len(stack) > 0; steps++ {
 		if steps > limit {
-			return fmt.Errorf("ellenbst: cycle suspected after %d steps", steps)
+			if limit = 2 * tr.nodes.HighWater(); steps > limit {
+				return fmt.Errorf("ellenbst: cycle suspected after %d steps", steps)
+			}
 		}
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -440,3 +440,27 @@ func TestValidateCatchesDamage(t *testing.T) {
 		t.Fatalf("Contents %v, CountMarked %d on a cycle", l.Contents(th), l.CountMarked(th))
 	}
 }
+
+// TestWalkFollowsGrowth: a list that grows past twice its size while it is
+// walked is walked to its end, not reported as a cycle.
+func TestWalkFollowsGrowth(t *testing.T) {
+	l, th := newList(persist.NVTraverse{})
+	writer := l.sh.Mem.NewThread()
+	l.Insert(th, 1, 1)
+	l.Insert(th, 2, 2)
+	var seen []uint64
+	err := l.walk(th, func(idx uint64, n *Node, _ uint64) error {
+		if idx == l.head {
+			return nil
+		}
+		k := th.Load(&n.Key)
+		seen = append(seen, k)
+		if k < 64 {
+			l.Insert(writer, k+2, k+2)
+		}
+		return nil
+	})
+	if err != nil || len(seen) != 65 {
+		t.Fatalf("walk of a growing list: err %v, %d keys seen, want 65", err, len(seen))
+	}
+}

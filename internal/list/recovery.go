@@ -45,12 +45,16 @@ func (l *List) Recover(t *pmem.Thread) {
 // walk visits every node reachable from the head sentinel in list order,
 // the head and marked nodes included, passing each node's raw next word.
 // It stops at the first error visit returns, and fails after 2*HighWater
-// steps: only a cycle is that long. Quiescent use only.
+// steps: only a cycle is that long. HighWater is read again when the
+// bound is passed, so a list that grows during the walk is not cut short.
+// Quiescent use only.
 func (l *List) walk(t *pmem.Thread, visit func(idx uint64, n *Node, next uint64) error) error {
 	limit := 2 * l.sh.Ar.HighWater()
 	for idx, steps := l.head, uint64(0); idx != 0; steps++ {
 		if steps > limit {
-			return fmt.Errorf("list: cycle suspected after %d steps", steps)
+			if limit = 2 * l.sh.Ar.HighWater(); steps > limit {
+				return fmt.Errorf("list: cycle suspected after %d steps", steps)
+			}
 		}
 		n := l.node(idx)
 		next := t.Load(&n.Next)

@@ -68,14 +68,18 @@ func (tr *Tree) Recover(t *pmem.Thread) {
 // marks a leaf for deletion, and the key range [lo, hi) the path from R
 // allows. A node's children are read after it is visited. The walk stops
 // at the first error visit returns, and fails after 2*HighWater steps:
-// only a cycle is that long. Quiescent use only.
+// only a cycle is that long. HighWater is read again when the bound is
+// passed, so a tree that grows during the walk is not cut short.
+// Quiescent use only.
 func (tr *Tree) walk(t *pmem.Thread, visit func(idx, edge uint64, n *Node, lo, hi uint64) error) error {
 	type frame struct{ idx, edge, lo, hi uint64 }
 	limit := 2 * tr.nodes.HighWater()
 	stack := []frame{{idx: tr.rootR, hi: ^uint64(0)}}
 	for steps := uint64(0); len(stack) > 0; steps++ {
 		if steps > limit {
-			return fmt.Errorf("nmbst: cycle suspected after %d steps", steps)
+			if limit = 2 * tr.nodes.HighWater(); steps > limit {
+				return fmt.Errorf("nmbst: cycle suspected after %d steps", steps)
+			}
 		}
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -67,14 +67,17 @@ func (l *List) Recover(t *pmem.Thread) {
 // marked nodes included, passing the node's raw next word at that level.
 // Towers still linked above level 0 are reached at every level they are
 // linked at. It stops at the first error visit returns, and fails after
-// 2*HighWater steps on one level: only a cycle is that long. Quiescent
-// use only.
+// 2*HighWater steps on one level: only a cycle is that long. HighWater
+// is read again when the bound is passed, so a list that grows during the
+// walk is not cut short. Quiescent use only.
 func (l *List) walk(t *pmem.Thread, levels int, visit func(lvl int, idx uint64, n *Node, next uint64) error) error {
 	limit := 2 * l.ar.HighWater()
 	for lvl := 0; lvl < levels; lvl++ {
 		for idx, steps := l.head, uint64(0); idx != 0; steps++ {
 			if steps > limit {
-				return fmt.Errorf("skiplist: level-%d cycle suspected", lvl)
+				if limit = 2 * l.ar.HighWater(); steps > limit {
+					return fmt.Errorf("skiplist: level-%d cycle suspected", lvl)
+				}
 			}
 			n := l.node(idx)
 			next := t.Load(&n.Next[lvl])

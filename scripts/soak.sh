@@ -7,14 +7,14 @@
 # Usage: scripts/soak.sh [runs] [race-runs]
 #   runs       runs of each suite below (default 200)
 #   race-runs  runs of TestLonePutRoundTrips under -race (default 1000)
-# Environment: GO (go tool), SOAK_BATCH (runs per process, default 25),
-# SOAK_TIMEOUT (per process, default 600s). A batch that fails keeps its
-# output in an nvsoak-fail-* file under $TMPDIR, whose path is printed.
+# Environment: GO (go tool). Each test process runs up to 25 runs under a
+# 600 s timeout. A batch that fails keeps its output in an nvsoak-fail-*
+# file under $TMPDIR, whose path is printed.
 set -u
 runs=${1:-200}
 race_runs=${2:-1000}
-batch=${SOAK_BATCH:-25}
-timeout=${SOAK_TIMEOUT:-600s}
+batch=25
+timeout=600s
 go=${GO:-go}
 root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=${TMPDIR:-/tmp}
