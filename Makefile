@@ -109,7 +109,9 @@ repl-smoke:
 # Then the checkpoint loader for 10 s (arbitrary bytes as the live
 # checkpoint are loaded exactly when the independent reading accepts them,
 # and then as it reads them) and the CURRENT parser for 5 s (it accepts
-# exactly what writeCurrent renders).
+# exactly what writeCurrent renders), then the store's MANIFEST.json reader
+# for 5 s (it accepts exactly what formatManifest renders, and a store opens
+# only on its own manifest).
 # Then the replication stream fuzzer for 10 s: arbitrary bytes as a primary's
 # stream must never panic a replica, never get a malformed frame applied or
 # acknowledged, and always end the stream with an error. Then the two
@@ -130,6 +132,7 @@ fault-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s -fuzzminimizetime 2s ./internal/pmem/
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s -fuzzminimizetime 2s ./internal/pmem/
 	$(GO) test -run '^$$' -fuzz FuzzReadCurrent -fuzztime 5s -fuzzminimizetime 2s ./internal/pmem/
+	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime 5s -fuzzminimizetime 2s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaStream -fuzztime 10s -fuzzminimizetime 2s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz FuzzPSync -fuzztime 5s -fuzzminimizetime 2s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz FuzzWatermark -fuzztime 5s -fuzzminimizetime 2s ./internal/repl/
@@ -156,10 +159,11 @@ bench-smoke:
 
 # Soak, kept out of ci (about 25 minutes on 2 vCPUs at the defaults): build
 # the test binaries once, then run every structure's TestConcurrentStress,
-# the crashtest package, the store tortures and the server package
-# SOAK_RUNS times each, and TestLonePutRoundTrips under -race
-# SOAK_RACE_RUNS times, beside two busy loops the script starts and stops
-# itself; it prints runs and failures per test and fails on any failure.
+# the crashtest package, the store tortures, the server package and the
+# two-replica full resync SOAK_RUNS times each, and TestLonePutRoundTrips
+# under -race SOAK_RACE_RUNS times, beside two busy loops the script starts
+# and stops itself; it prints runs and failures per test and fails on any
+# failure.
 SOAK_RUNS ?= 200
 SOAK_RACE_RUNS ?= 1000
 soak:

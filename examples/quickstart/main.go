@@ -58,7 +58,12 @@ func main() {
 		return true
 	})
 	fmt.Printf("scan [1,2000]: %d keys, value sum %d\n", count, sum)
-	fmt.Printf("size = %d\n", len(st.Contents()))
+	size := 0
+	h.Scan(1, 1<<61-1, func(uint64, uint64) bool {
+		size++
+		return true
+	})
+	fmt.Printf("size = %d\n", size)
 
 	stats := st.Stats()
 	fmt.Printf("ops=%d flushes=%d fences=%d (%.2f flushes/op — constant, not per-node)\n",

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crashtest"
+	"repro/internal/kv"
 	"repro/internal/persist"
 	"repro/internal/pmem"
 	"repro/internal/store"
@@ -15,7 +16,7 @@ import (
 
 // storeView adapts a recovered store to the crashtest.Set surface. The
 // thread argument of each method is ignored: the sessions carry their own
-// threads.
+// threads, and the contents are read through a whole-range scan.
 type storeView struct {
 	st   store.Store
 	sess store.Session
@@ -26,8 +27,16 @@ func (v storeView) Delete(_ *pmem.Thread, key uint64) bool        { return v.ses
 func (v storeView) Find(_ *pmem.Thread, key uint64) (uint64, bool) {
 	return v.sess.Get(key)
 }
-func (v storeView) Recover(_ *pmem.Thread)           { v.st.Recover() }
-func (v storeView) Contents(_ *pmem.Thread) []uint64 { return v.st.Contents() }
+func (v storeView) Recover(_ *pmem.Thread) { v.st.Recover() }
+
+func (v storeView) Contents(_ *pmem.Thread) []uint64 {
+	var keys []uint64
+	v.sess.Scan(kv.MinKey, kv.MaxKey, func(k, _ uint64) bool {
+		keys = append(keys, k)
+		return true
+	})
+	return keys
+}
 
 // TestBatcherCrashTorture is the server-path crash torture: concurrent
 // clients pipeline windows of operations through a one-worker pool — every

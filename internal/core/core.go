@@ -53,7 +53,8 @@ type Set interface {
 	GetOrInsert(t *pmem.Thread, key, value uint64) (v uint64, inserted bool)
 	// RangeScan visits every present key in [lo, hi] ascending, calling
 	// fn(key, value) until fn returns false or the range is exhausted.
-	// Unordered kinds return ErrUnordered. The scan is not an atomic
+	// Unordered kinds scan only the whole range [kv.MinKey, kv.MaxKey], in
+	// no key order, and return ErrUnordered on any narrower one. The scan is not an atomic
 	// snapshot: each key's presence is decided when its link is read, so
 	// keys mutated concurrently may or may not appear, while untouched
 	// keys are reported exactly. fn must not call operations of this
@@ -97,8 +98,8 @@ func Kinds() []Kind {
 }
 
 // Ordered reports whether the kind maintains a key order — i.e. whether
-// RangeScan works on it. Four of the five kinds are ordered; only the hash
-// table is not.
+// RangeScan takes any range, not only the whole key range. Four of the
+// five kinds are ordered; only the hash table is not.
 func Ordered(kind Kind) bool {
 	return kind != KindHash
 }

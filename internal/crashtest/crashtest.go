@@ -30,12 +30,15 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
+	"repro/internal/kv"
 	"repro/internal/pmem"
 	"repro/internal/pmem/vfs"
 )
@@ -52,17 +55,12 @@ type Set interface {
 	Contents(t *pmem.Thread) []uint64
 }
 
-// Validator is an optional structural self-check (sortedness, no cycles,
-// no marked nodes after recovery, no reachable node free or in limbo, ...).
-type Validator interface {
-	Validate(t *pmem.Thread) error
-}
-
 // Scanner is the optional range-scan surface (Store API v2). When the
-// structure under test implements it and the scan does not report
-// "unordered", the checker additionally requires the post-recovery
-// full-range scan to observe exactly the recovered contents — every
-// durably committed key, no resurrected ones.
+// structure under test implements it, the checker additionally requires
+// the post-recovery full-range scan to observe exactly the recovered
+// contents — every durably committed key, no resurrected ones — in
+// ascending order unless the structure refuses a narrower range with
+// kv.ErrUnordered.
 type Scanner interface {
 	RangeScan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint64) bool) error
 }
@@ -407,42 +405,39 @@ func Check(ds Set, rec *pmem.Thread, hs []*History, cfg CheckConfig) ([]Violatio
 		}
 	}
 
-	if v, ok := ds.(Validator); ok {
+	if v, ok := ds.(core.Validator); ok {
 		if err := v.Validate(rec); err != nil {
 			violations = append(violations,
 				Violation{0, "structural: " + err.Error()})
 		}
 	}
 
-	// Scan/contents agreement: the full-range scan of a recovered ordered
-	// structure must report exactly the recovered key set, in ascending
-	// order — a durably committed key missing from the scan (or a deleted
-	// key resurfacing in it) is a recovery bug even when per-key membership
-	// looks right.
+	// Scan/contents agreement: the full-range scan of a recovered structure
+	// must report exactly the recovered key set, in ascending order on an
+	// ordered kind — a durably committed key missing from the scan (or a
+	// deleted key resurfacing in it) is a recovery bug even when per-key
+	// membership looks right. An unordered kind, which refuses a narrower
+	// range, is compared as a sorted set.
 	if sc, ok := ds.(Scanner); ok {
 		var scanned []uint64
-		err := sc.RangeScan(rec, 1, 1<<61-1, func(k, _ uint64) bool {
+		err := sc.RangeScan(rec, kv.MinKey, kv.MaxKey, func(k, _ uint64) bool {
 			scanned = append(scanned, k)
 			return true
 		})
 		if err == nil {
-			want := append([]uint64(nil), ds.Contents(rec)...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if !sort.SliceIsSorted(scanned, func(i, j int) bool { return scanned[i] < scanned[j] }) {
+			want := slices.Sorted(slices.Values(ds.Contents(rec)))
+			if errors.Is(sc.RangeScan(rec, kv.MinKey, kv.MinKey, func(uint64, uint64) bool { return false }), kv.ErrUnordered) {
+				slices.Sort(scanned)
+			} else if !slices.IsSorted(scanned) {
 				violations = append(violations, Violation{0, "scan: keys out of order"})
 			}
-			if len(scanned) != len(want) {
-				violations = append(violations, Violation{0, fmt.Sprintf(
-					"scan: %d keys, contents has %d", len(scanned), len(want))})
-			} else {
-				for i := range want {
-					if scanned[i] != want[i] {
-						violations = append(violations, Violation{want[i], fmt.Sprintf(
-							"scan/contents diverge at position %d: scan %d, contents %d",
-							i, scanned[i], want[i])})
-						break
-					}
+			if !slices.Equal(scanned, want) {
+				i := 0
+				for i < min(len(scanned), len(want)) && scanned[i] == want[i] {
+					i++
 				}
+				violations = append(violations, Violation{0, fmt.Sprintf(
+					"scan: %d keys, contents has %d; they diverge at position %d", len(scanned), len(want), i)})
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package crashtest
 
 import (
 	"repro/internal/core"
+	"repro/internal/kv"
 	"repro/internal/persist"
 	"repro/internal/pmem"
 	"repro/internal/store"
@@ -224,8 +225,8 @@ func (s engineSystem) worker() (func() uint64, func([]record) bool) {
 
 // engineView adapts a recovered engine to the Set surface. The thread
 // argument of each method is ignored: the session carries the per-shard
-// threads, and the engine's own admin session runs Recover, Contents and
-// Validate.
+// threads and reads the contents through a whole-range scan, and the
+// engine's own admin session runs Recover and Validate.
 type engineView struct {
 	eng  *store.Engine
 	sess store.Session
@@ -236,12 +237,15 @@ func (v engineView) Delete(_ *pmem.Thread, key uint64) bool        { return v.se
 func (v engineView) Find(_ *pmem.Thread, key uint64) (uint64, bool) {
 	return v.sess.Get(key)
 }
-func (v engineView) Recover(_ *pmem.Thread)           { v.eng.Recover() }
-func (v engineView) Contents(_ *pmem.Thread) []uint64 { return v.eng.Contents() }
+func (v engineView) Recover(_ *pmem.Thread) { v.eng.Recover() }
 
-// RangeScan lets the checker cross-validate the merged engine scan against
-// the recovered contents (ordered kinds only; hash engines report
-// ErrUnordered and the checker skips the comparison).
+func (v engineView) Contents(_ *pmem.Thread) (keys []uint64) {
+	v.sess.Scan(kv.MinKey, kv.MaxKey, func(k, _ uint64) bool { keys = append(keys, k); return true })
+	return keys
+}
+
+// RangeScan lets the checker cross-validate the engine scan against the
+// recovered contents.
 func (v engineView) RangeScan(_ *pmem.Thread, lo, hi uint64, fn func(key, value uint64) bool) error {
 	return v.sess.Scan(lo, hi, fn)
 }

@@ -69,11 +69,16 @@ func (h *Table) GetOrInsert(t *pmem.Thread, key, value uint64) (uint64, bool) {
 	return h.bucket(key).GetOrInsert(t, key, value)
 }
 
-// RangeScan is unsupported: the hashed key space has no order to scan in.
-// Callers that need ordered iteration pick an ordered kind (list, skiplist,
-// ellenbst, nmbst).
-func (h *Table) RangeScan(_ *pmem.Thread, _, _ uint64, _ func(key, value uint64) bool) error {
-	return kv.ErrUnordered
+// RangeScan accepts only the whole key range [kv.MinKey, kv.MaxKey], the
+// one range a hashed key space can bound: it walks the buckets in turn,
+// each in its own epoch (list.ScanAll), in no key order. Any other range
+// returns kv.ErrUnordered; ordered iteration needs an ordered kind.
+func (h *Table) RangeScan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint64) bool) error {
+	if lo, hi, _ = kv.ClampKeyRange(lo, hi); lo != kv.MinKey || hi != kv.MaxKey {
+		return kv.ErrUnordered
+	}
+	list.ScanAll(t, h.buckets, fn)
+	return nil
 }
 
 // Recover runs the disconnect function on every bucket (paper §4 recovery).

@@ -9,8 +9,9 @@ package kv
 import "errors"
 
 // ErrUnordered is returned by RangeScan on structures without a key order
-// (the hash table): a range query over a hashed key space would have to
-// visit every bucket and still could not stream keys in order.
+// (the hash table) for any range narrower than [MinKey, MaxKey]: a hashed
+// key space has no order to bound a range by. The whole range is scanned,
+// bucket by bucket, in no key order.
 var ErrUnordered = errors.New("kv: structure kind is unordered: range scans are unsupported")
 
 // Key-space bounds shared by every structure: user keys live in

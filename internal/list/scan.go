@@ -73,6 +73,29 @@ func (l *List) RangeScan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint6
 	if !ok {
 		return nil
 	}
+	l.scan(t, lo, hi, fn)
+	l.sh.Pol.BeforeReturn(t)
+	t.CountOp()
+	return nil
+}
+
+// ScanAll runs RangeScan's walk over the whole key range on each of lists
+// (a hash table's buckets) in turn, each in its own epoch with its own
+// PostTraverse, until fn returns false. The walks together are one
+// operation: one commit fence and one op count at the end.
+func ScanAll(t *pmem.Thread, lists []List, fn func(key, value uint64) bool) {
+	for i := range lists {
+		if !lists[i].scan(t, kv.MinKey, kv.MaxKey, fn) {
+			break
+		}
+	}
+	lists[0].sh.Pol.BeforeReturn(t)
+	t.CountOp()
+}
+
+// scan is RangeScan's walk of [lo, hi] inside one epoch, through its
+// PostTraverse; it reports whether fn asked for more.
+func (l *List) scan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint64) bool) bool {
 	l.sh.Dom.Enter(t.ID)
 	defer l.sh.Dom.Exit(t.ID)
 	pol := l.sh.Pol
@@ -80,7 +103,7 @@ func (l *List) RangeScan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint6
 	l.traverse(t, l.head, lo, tr)
 	// tr.cells already covers the entry region (parent link, left, marked,
 	// right); the walk below appends every further link it reads.
-	cur := tr.right
+	cur, more := tr.right, true
 	for cur != 0 {
 		n := l.node(cur)
 		k := t.Load(&n.Key)
@@ -94,13 +117,12 @@ func (l *List) RangeScan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint6
 			v := t.Load(&n.Value)
 			pol.ReadData(t, &n.Value)
 			if !fn(k, v) {
+				more = false
 				break
 			}
 		}
 		cur = pmem.RefIndex(nx)
 	}
 	pol.PostTraverse(t, tr.cells)
-	pol.BeforeReturn(t)
-	t.CountOp()
-	return nil
+	return more
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/batcher"
+	"repro/internal/kv"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -417,15 +418,12 @@ func (p *Primary) ServeConn(c net.Conn, br *bufio.Reader, sess store.Session, ps
 			}
 		}
 	}
-	if full {
-		// Positions are assigned during the snapshot below; park the
-		// feeder at "caught up to nothing" so lag accounting stays sane
-		// meanwhile.
-		f.acked = make([]uint64, shards)
-		f.next = make([]uint64, shards)
-	} else {
-		f.acked = append([]uint64(nil), acked...)
-		f.next = make([]uint64, shards)
+	// A full resync's positions are assigned during the snapshot below;
+	// until then the feeder is parked at "caught up to nothing" so lag
+	// accounting stays sane.
+	f.acked, f.next = make([]uint64, shards), make([]uint64, shards)
+	if !full {
+		copy(f.acked, acked)
 		for sh := range f.next {
 			f.next[sh] = acked[sh] + 1
 		}
@@ -440,24 +438,24 @@ func (p *Primary) ServeConn(c net.Conn, br *bufio.Reader, sess store.Session, ps
 	}()
 
 	bw := bufio.NewWriterSize(c, 64<<10)
-	var buf []byte
 	var hello [13]byte
 	binary.LittleEndian.PutUint64(hello[:8], p.runID)
 	binary.LittleEndian.PutUint32(hello[8:12], uint32(shards))
 	if full {
 		hello[12] = 1
 	}
-	buf = wire.AppendFrame(buf[:0], frameHello, hello[:])
-	if _, err := bw.Write(buf); err != nil {
+	if _, err := bw.Write(wire.AppendFrame(nil, frameHello, hello[:])); err != nil {
+		return err
+	}
+	// HELLO goes out at once, so a resyncing replica wipes while the
+	// snapshot is read; streamTo flushes whatever follows.
+	if err := bw.Flush(); err != nil {
 		return err
 	}
 	if full {
 		if err := p.sendSnapshot(bw, sess, f); err != nil {
 			return err
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
 	}
 
 	// Split: this goroutine reads cumulative acks, a writer goroutine
@@ -475,6 +473,11 @@ func (p *Primary) ServeConn(c net.Conn, br *bufio.Reader, sess store.Session, ps
 // head: every effect at or below the cut is in the snapshot, effects
 // above it re-apply idempotently from the stream. The cut doubles as the
 // replica's starting position.
+//
+// The contents are read by one whole-range Scan on the feeder's own
+// session, so each structure walk runs inside its epoch. The scan only
+// collects pairs; the frames are written once it returns, so a stalled
+// replica never holds a walk open and pins reclamation on this store.
 func (p *Primary) sendSnapshot(bw *bufio.Writer, sess store.Session, f *feeder) error {
 	p.mu.Lock()
 	cut := make([]uint64, len(p.logs))
@@ -483,35 +486,26 @@ func (p *Primary) sendSnapshot(bw *bufio.Writer, sess store.Session, f *feeder) 
 	}
 	p.mu.Unlock()
 
-	keys := p.st.Contents()
-	var res []store.OpResult
+	var pairs []byte // 16 bytes each: key, value
+	if err := sess.Scan(kv.MinKey, kv.MaxKey, func(k, v uint64) bool {
+		pairs = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(pairs, k), v)
+		return true
+	}); err != nil {
+		return err
+	}
 	var buf []byte
-	for start := 0; start < len(keys); start += snapChunk {
-		end := start + snapChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[start:end]
-		res = sess.MultiGet(chunk, res)
-		body := make([]byte, 4, 4+16*len(chunk)) // u32 count, set below
-		for i, k := range chunk {
-			if !res[i].OK {
-				continue // deleted since Contents; the stream will say so
-			}
-			body = binary.LittleEndian.AppendUint64(body, k)
-			body = binary.LittleEndian.AppendUint64(body, res[i].Value)
-		}
-		binary.LittleEndian.PutUint32(body, uint32((len(body)-4)/16))
-		buf = wire.AppendFrame(buf[:0], frameSnapKV, body)
-		if _, err := bw.Write(buf); err != nil {
+	for len(pairs) > 0 {
+		chunk := pairs[:min(len(pairs), 16*snapChunk)]
+		pairs = pairs[len(chunk):]
+		buf = binary.LittleEndian.AppendUint32(wire.AppendHeader(buf[:0], frameSnapKV, 4+len(chunk)), uint32(len(chunk)/16))
+		if _, err := bw.Write(append(buf, chunk...)); err != nil {
 			return err
 		}
 	}
-	body := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+8*len(cut)), uint32(len(cut)))
+	buf = binary.LittleEndian.AppendUint32(wire.AppendHeader(buf[:0], frameSnapEnd, 4+8*len(cut)), uint32(len(cut)))
 	for _, s := range cut {
-		body = binary.LittleEndian.AppendUint64(body, s)
+		buf = binary.LittleEndian.AppendUint64(buf, s)
 	}
-	buf = wire.AppendFrame(buf[:0], frameSnapEnd, body)
 	if _, err := bw.Write(buf); err != nil {
 		return err
 	}

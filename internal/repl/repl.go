@@ -27,8 +27,8 @@
 // the stream from its recorded vector when the per-shard logs still
 // retain it; otherwise — first attach, primary restart, or a replica so
 // far behind its position fell off the bounded log — the primary ships a
-// full snapshot (a recovery-style scan of the live store) cut at a known
-// log position and the replica resumes tailing from the cut.
+// full snapshot (a whole-range session Scan of the live store) cut at a
+// known log position and the replica resumes tailing from the cut.
 //
 // # Replicated effects
 //

@@ -269,35 +269,27 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, shards int) er
 		}
 		switch op {
 		case frameSnapKV:
-			if len(payload) < 4 {
-				return errors.New("repl: malformed snapshot frame")
-			}
-			n := int(binary.LittleEndian.Uint32(payload))
-			if len(payload) != 4+16*n {
+			if len(payload) < 4 || len(payload) != 4+16*int(binary.LittleEndian.Uint32(payload)) {
 				return errors.New("repl: malformed snapshot frame")
 			}
 			ops = ops[:0]
-			for i := 0; i < n; i++ {
-				k := binary.LittleEndian.Uint64(payload[4+16*i:])
+			for i := 4; i < len(payload); i += 16 {
+				k := binary.LittleEndian.Uint64(payload[i:])
 				if k < kv.MinKey || k > kv.MaxKey {
 					return errors.New("repl: snapshot key out of range")
 				}
-				ops = append(ops, store.Op{Kind: store.OpPut, Key: k, Value: binary.LittleEndian.Uint64(payload[12+16*i:])})
+				ops = append(ops, store.Op{Kind: store.OpPut, Key: k, Value: binary.LittleEndian.Uint64(payload[i+8:])})
 			}
 			if err := r.apply(ops, &res); err != nil {
 				return err
 			}
 		case frameSnapEnd:
-			if len(payload) < 4 {
-				return errors.New("repl: malformed snapshot cut")
-			}
-			n := int(binary.LittleEndian.Uint32(payload))
-			if n != shards || len(payload) != 4+8*n {
+			if len(payload) != 4+8*shards || int(binary.LittleEndian.Uint32(payload)) != shards {
 				return errors.New("repl: malformed snapshot cut")
 			}
 			// Confirm the bootstrap position so the primary's lag and
 			// quorum accounting see this replica as caught up to the cut.
-			for sh := 0; sh < n; sh++ {
+			for sh := 0; sh < shards; sh++ {
 				pos[sh] = binary.LittleEndian.Uint64(payload[4+8*sh:])
 				dirty[sh] = true
 			}
@@ -385,21 +377,20 @@ func (r *Replica) apply(ops []store.Op, res *[]store.OpResult) error {
 // bootstrap on a non-empty store: stale state from an earlier primary
 // run must not survive under the new image).
 func (r *Replica) wipe() error {
-	keys := r.st.Contents()
+	var ops []store.Op // collected first: a scan's fn must not re-enter the session
+	if err := r.sess.Scan(kv.MinKey, kv.MaxKey, func(k, _ uint64) bool {
+		ops = append(ops, store.Op{Kind: store.OpDelete, Key: k})
+		return true
+	}); err != nil {
+		return err
+	}
 	var res []store.OpResult
-	ops := make([]store.Op, 0, r.cfg.ApplyBatch)
-	for start := 0; start < len(keys); start += r.cfg.ApplyBatch {
-		end := start + r.cfg.ApplyBatch
-		if end > len(keys) {
-			end = len(keys)
-		}
-		ops = ops[:0]
-		for _, k := range keys[start:end] {
-			ops = append(ops, store.Op{Kind: store.OpDelete, Key: k})
-		}
-		if err := r.apply(ops, &res); err != nil {
+	for len(ops) > 0 {
+		n := min(len(ops), r.cfg.ApplyBatch)
+		if err := r.apply(ops[:n], &res); err != nil {
 			return err
 		}
+		ops = ops[n:]
 	}
 	return nil
 }

@@ -239,14 +239,15 @@ func Listen(addr string) (net.Listener, error) {
 	return net.Listen(network, address)
 }
 
-// Serve accepts connections on ln until Close. It returns nil after Close,
-// or the accept error.
+// Serve accepts connections on ln until Close. It returns nil after Close
+// (also when called after Close, which closes ln at once), or the accept
+// error.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
-		return errors.New("server: closed")
+		return nil
 	}
 	s.listeners[ln] = struct{}{}
 	s.mu.Unlock()

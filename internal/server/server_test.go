@@ -744,6 +744,29 @@ func TestListenSocketOwnership(t *testing.T) {
 	ln2.Close()
 }
 
+// TestServeAfterClose: Serve on a closed server returns nil, as after a
+// Close that lands while it runs, and closes the listener it was given.
+func TestServeAfterClose(t *testing.T) {
+	st, err := store.Open(store.Config{Kind: core.KindHash, Profile: pmem.ProfileZero, SizeHint: 64, MaxSessions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st, Config{MaxConns: 1})
+	srv.Close()
+	path := filepath.Join(t.TempDir(), "nv.sock")
+	ln, err := Listen("unix:" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln); err != nil {
+		t.Fatalf("Serve after Close = %v, want nil", err)
+	}
+	if c, err := net.Dial("unix", path); err == nil {
+		c.Close()
+		t.Fatal("listener still accepts after Serve on a closed server")
+	}
+}
+
 // rawText dials addr without a Client, for tests that must put exact
 // text request lines on the wire.
 func rawText(t *testing.T, addr string) (net.Conn, *bufio.Reader) {

@@ -23,7 +23,7 @@ type Engine struct {
 	kind      core.Kind
 	durable   bool
 	shards    []engineShard
-	admin     *session // Recover, Contents and Validate (quiescent use)
+	admin     *session // Recover and Validate (quiescent use)
 	replay    pmem.ReplayStats
 	ckptBytes int64
 	waitK     int
@@ -168,9 +168,6 @@ func (e *Engine) Repl() ReplStats {
 // SetReplSource attaches a live replication stats source (internal/repl).
 func (e *Engine) SetReplSource(fn func() ReplStats) { e.replFn.Store(&fn) }
 
-// ShardMemory returns shard i's memory (tests, per-shard inspection).
-func (e *Engine) ShardMemory(i int) *pmem.Memory { return e.shards[i].mem }
-
 // DurableErr reports the first shard's sticky durable-backend damage, or
 // nil if every shard is healthy.
 func (e *Engine) DurableErr() error {
@@ -271,14 +268,6 @@ func (e *Engine) Recover() {
 	})
 }
 
-func (e *Engine) Contents() []uint64 {
-	var out []uint64
-	for i := range e.shards {
-		out = append(out, e.shards[i].set.Contents(e.admin.th[i])...)
-	}
-	return out
-}
-
 // Validate runs every shard's structural self-check and the
 // shard-isolation check: every present key lives on the shard it hashes
 // to. Quiescent use only.
@@ -356,11 +345,21 @@ func (s *session) GetOrInsert(key, value uint64) (v uint64, inserted bool) {
 // stream. Each shard is read through a cursor of scanChunk pairs that
 // refills by RangeScan from just past its last key, so the work is bounded
 // by what fn consumes, not by the width of [lo, hi]. One shard scans its
-// structure directly.
+// structure directly; an unordered kind's shards scan one after another.
 func (s *session) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 	e := s.eng
 	if len(e.shards) == 1 {
 		return e.shards[0].set.RangeScan(s.th[0], lo, hi, fn)
+	}
+	if !e.Ordered() {
+		more := true
+		visit := func(k, v uint64) bool { more = fn(k, v); return more }
+		for i := 0; i < len(e.shards) && more; i++ {
+			if err := e.shards[i].set.RangeScan(s.th[i], lo, hi, visit); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if s.bufs == nil {
 		s.bufs = make([][]kvPair, len(e.shards))

@@ -73,8 +73,8 @@ func TestEngineBasicOps(t *testing.T) {
 		if !s.Delete(5) || s.Delete(5) {
 			t.Fatalf("%s: delete semantics wrong", kind)
 		}
-		if got := len(e.Contents()); got != 200 { // 200 inserted - 1 deleted + 1 put
-			t.Fatalf("%s: Contents = %d keys, want 200", kind, got)
+		if got := countKeys(t, s); got != 200 { // 200 inserted - 1 deleted + 1 put
+			t.Fatalf("%s: whole-range scan = %d keys, want 200", kind, got)
 		}
 		if err := e.Validate(); err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -173,7 +173,7 @@ func TestStatsSurfaceFlushCoalescing(t *testing.T) {
 	}
 	var sum uint64
 	for i := 0; i < e.Shards(); i++ {
-		sum += e.ShardMemory(i).Stats().FlushesElided
+		sum += e.shards[i].mem.Stats().FlushesElided
 	}
 	if sum != total.FlushesElided {
 		t.Fatalf("per-shard elided %d != total %d", sum, total.FlushesElided)
@@ -190,7 +190,7 @@ func TestStatsAggregation(t *testing.T) {
 	var sum pmem.Stats
 	touched := 0
 	for i := 0; i < e.Shards(); i++ {
-		ps := e.ShardMemory(i).Stats()
+		ps := e.shards[i].mem.Stats()
 		sum.Add(ps)
 		if ps.Writes > 0 {
 			touched++

@@ -101,14 +101,95 @@ func TestScanWorkBoundedByReply(t *testing.T) {
 	}
 }
 
-// TestScanUnorderedEngine: a hash-sharded hash engine has no key order.
+// TestScanUnorderedEngine: a hash-sharded hash engine has no key order,
+// so it refuses a narrow range; the whole range runs shard after shard and
+// stops where fn does.
 func TestScanUnorderedEngine(t *testing.T) {
 	eng := newScanEngine(t, 4, core.KindHash)
 	s := eng.NewSession()
-	s.Insert(1, 1)
+	for k := uint64(1); k <= 10; k++ {
+		s.Insert(k, k)
+	}
 	err := s.Scan(1, 10, func(uint64, uint64) bool { return true })
 	if !errors.Is(err, kv.ErrUnordered) {
 		t.Fatalf("Scan err = %v, want ErrUnordered", err)
+	}
+	calls := 0
+	if err := s.Scan(kv.MinKey, kv.MaxKey, func(uint64, uint64) bool {
+		calls++
+		return calls < 3
+	}); err != nil || calls != 3 {
+		t.Fatalf("whole-range scan stopped after %d calls (err %v), want 3", calls, err)
+	}
+}
+
+// TestWholeScanUnderChurn: a whole-range Scan on every kind, at 1 and 4
+// shards, while two writers churn the odd keys 1..127, returns no key
+// twice, ascending on ordered kinds, and every even key 2..128 — present
+// for the whole scan — with its value.
+func TestWholeScanUnderChurn(t *testing.T) {
+	scans := 200
+	if testing.Short() {
+		scans = 50
+	}
+	for _, kind := range core.Kinds() {
+		for _, shards := range []int{1, 4} {
+			eng := newScanEngine(t, shards, kind)
+			s := eng.NewSession()
+			for k := uint64(2); k <= 128; k += 2 {
+				s.Insert(k, k*10)
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				ws := eng.NewSession()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						k := 2*(ws.Rand()%64) + 1
+						switch ws.Rand() % 3 {
+						case 0:
+							ws.Insert(k, k)
+						case 1:
+							ws.Delete(k)
+						default:
+							ws.Put(k, ws.Rand())
+						}
+					}
+				}()
+			}
+			for i := 0; i < scans; i++ {
+				seen := map[uint64]bool{}
+				last := uint64(0)
+				err := s.Scan(kv.MinKey, kv.MaxKey, func(k, v uint64) bool {
+					if seen[k] {
+						t.Errorf("%s/%d shards: key %d returned twice", kind, shards, k)
+					}
+					if core.Ordered(kind) && k <= last {
+						t.Errorf("%s/%d shards: key %d after %d", kind, shards, k, last)
+					}
+					if k%2 == 0 && v != k*10 {
+						t.Errorf("%s/%d shards: key %d value %d, want %d", kind, shards, k, v, k*10)
+					}
+					seen[k], last = true, k
+					return true
+				})
+				if err != nil {
+					t.Fatalf("%s/%d shards: %v", kind, shards, err)
+				}
+				for k := uint64(2); k <= 128; k += 2 {
+					if !seen[k] {
+						t.Errorf("%s/%d shards: scan %d missed key %d", kind, shards, i, k)
+					}
+				}
+				if t.Failed() {
+					break
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+		}
 	}
 }
 

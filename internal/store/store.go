@@ -27,6 +27,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -90,8 +91,10 @@ type Session interface {
 	Update(key uint64, fn func(old uint64) uint64) (uint64, bool)
 	// GetOrInsert atomically returns the present value or inserts value.
 	GetOrInsert(key, value uint64) (v uint64, inserted bool)
-	// Scan visits every present key in [lo, hi] ascending; ErrUnordered on
-	// kinds without a key order. See core.Set.RangeScan for consistency.
+	// Scan visits every present key in [lo, hi] ascending; kinds without a
+	// key order scan only [kv.MinKey, kv.MaxKey], in no key order, and
+	// return ErrUnordered on any narrower range. See core.Set.RangeScan for
+	// consistency.
 	Scan(lo, hi uint64, fn func(key, value uint64) bool) error
 	// Apply executes a batch with one commit fence per fence group.
 	Apply(ops []Op, dst []OpResult) []OpResult
@@ -166,13 +169,11 @@ type Store interface {
 	Kind() core.Kind
 	// Shards reports the shard count (at least 1).
 	Shards() int
-	// Ordered reports whether Scan works on this store.
+	// Ordered reports whether Scan takes any range; see Session.Scan.
 	Ordered() bool
 	// Recover runs the paper's recovery phase (after a crash, before any
 	// other operation; quiescent).
 	Recover()
-	// Contents returns every present key (quiescent use only).
-	Contents() []uint64
 	// Stats aggregates the persistence-instruction counters.
 	Stats() pmem.Stats
 	// ResetStats clears the counters. Call it only while no session is
@@ -281,8 +282,23 @@ type manifest struct {
 
 const manifestName = "MANIFEST.json"
 
+// formatManifest renders the manifest file's contents.
+func formatManifest(m manifest) []byte {
+	buf, _ := json.MarshalIndent(m, "", "  ") // strings and ints: cannot fail
+	return append(buf, '\n')
+}
+
+// parseManifest reads exactly what formatManifest writes: anything else
+// (other spacing or key order, unknown or missing fields, a missing
+// newline) is refused.
+func parseManifest(data []byte) (m manifest, ok bool) {
+	ok = json.Unmarshal(data, &m) == nil && bytes.Equal(formatManifest(m), data)
+	return m, ok
+}
+
 // checkManifest writes cfg's manifest into dir on first open, and on later
 // opens verifies the directory was built with the same layout parameters.
+// A manifest not in the exact form formatManifest writes is refused too.
 func checkManifest(dir string, cfg Config) error {
 	want := manifest{
 		Version:  1,
@@ -298,12 +314,8 @@ func checkManifest(dir string, cfg Config) error {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		buf, err := json.MarshalIndent(want, "", "  ")
-		if err != nil {
-			return fmt.Errorf("store: manifest: %w", err)
-		}
 		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(tmp, formatManifest(want), 0o644); err != nil {
 			return fmt.Errorf("store: manifest: %w", err)
 		}
 		if err := os.Rename(tmp, path); err != nil {
@@ -314,9 +326,9 @@ func checkManifest(dir string, cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
-	var got manifest
-	if err := json.Unmarshal(data, &got); err != nil {
-		return fmt.Errorf("store: manifest %s: %w", path, err)
+	got, ok := parseManifest(data)
+	if !ok {
+		return fmt.Errorf("store: %s is not a manifest this store writes; refusing to open", path)
 	}
 	if got != want {
 		return fmt.Errorf("store: %s was built with %+v; refusing to open as %+v", dir, got, want)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Soak: run the concurrency and crash tests many times each beside two busy
-# loops, so rare interleavings get the CPU contention that exposes them, and
-# report runs and failures per test. The busy loops are two shell processes
-# this script starts and kills; it changes no machine setting.
+# Soak: run the concurrency, crash and resync tests many times each beside
+# two busy loops, so rare interleavings get the CPU contention that exposes
+# them, and report runs and failures per test. The busy loops are two shell
+# processes this script starts and kills; it changes no machine setting.
 #
 # Usage: scripts/soak.sh [runs] [race-runs]
 #   runs       runs of each suite below (default 200)
@@ -40,6 +40,7 @@ suites=(
 	"crashtest|internal/crashtest|.||$runs"
 	"store|internal/store|^TestTorture||$runs"
 	"server|internal/server|.||$runs"
+	"repl|internal/repl|^TestConcurrentFullResync\$||$runs"
 	"server-race|internal/server|^TestLonePutRoundTrips\$|-race|$race_runs"
 )
 

@@ -16,14 +16,17 @@ import (
 type Store = store.Store
 
 // StoreSession is the per-goroutine operation handle of a Store: point
-// ops, atomic read-modify-write (Update, GetOrInsert, atomic Put), ordered
-// range scans (Scan), and batched Apply/MultiGet, plus ApplyCommitted, which
-// reports each fence group's results as soon as its commit fence lands.
-// The handle is the same for one shard and for many.
+// ops, atomic read-modify-write (Update, GetOrInsert, atomic Put), range
+// scans (Scan: any range in key order on an ordered kind, only the whole
+// key range on the hash kind), and batched Apply/MultiGet, plus
+// ApplyCommitted, which reports each fence group's results as soon as its
+// commit fence lands. Scan is the one way to read a whole live store. The
+// handle is the same for one shard and for many.
 type StoreSession = store.Session
 
 // ErrUnordered is returned by Scan/RangeScan on kinds without a key order
-// (the hash table).
+// (the hash table) for any range narrower than the whole key space, which
+// they scan in no key order.
 var ErrUnordered = core.ErrUnordered
 
 // openConfig is the full Open configuration: the store.Config core plus
@@ -173,5 +176,6 @@ func (r *replicaStore) Close() error {
 // HashMap, EllenBST, NMBST, Skiplist).
 type Kind = core.Kind
 
-// Ordered reports whether a kind supports range scans.
+// Ordered reports whether a kind supports range scans narrower than the
+// whole key range.
 func Ordered(kind Kind) bool { return core.Ordered(kind) }
