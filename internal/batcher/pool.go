@@ -26,12 +26,13 @@
 // (ApplyCommitted fires per fence group), so a reply implies durability — a
 // crash can only lose requests that were never acknowledged. A worker
 // applies its ring in FIFO order, so requests on one key are applied in the
-// order they were submitted. Read-your-writes across workers is the
-// caller's (the server connection's) WaitGroup over all its outstanding
-// submissions, which is worker-agnostic: a completion from any worker
-// counts it down. After every flush a worker probes the store's automatic
-// checkpoint threshold (MaybeCheckpoint), so on durable stores the WAL
-// stays bounded under live traffic with no background ticker.
+// order they were submitted, and a read submitted behind a write to its key
+// observes it. Read-your-writes across workers is the caller's (the server
+// connection's) count of all its outstanding submissions, which is
+// worker-agnostic: a completion from any worker counts it down. After every
+// flush a worker probes the store's automatic checkpoint threshold
+// (MaybeCheckpoint), so on durable stores the WAL stays bounded under live
+// traffic with no background ticker.
 package batcher
 
 import (
@@ -73,6 +74,9 @@ func isReadOp(op store.Op) bool {
 type Stats struct {
 	// Ops is the number of requests applied.
 	Ops uint64
+	// Reads is the number of those requests that were reads (OpGet,
+	// OpScan).
+	Reads uint64
 	// Flushes is the number of batches applied.
 	Flushes uint64
 	// Groups is the number of completion groups (one per shard fence group
@@ -173,6 +177,7 @@ type Pool struct {
 	crashed atomic.Bool
 
 	ops     atomic.Uint64
+	reads   atomic.Uint64
 	flushes atomic.Uint64
 	groups  atomic.Uint64
 	ckptErr atomic.Pointer[error]
@@ -315,6 +320,7 @@ func (p *Pool) Close() {
 func (p *Pool) Stats() Stats {
 	return Stats{
 		Ops:     p.ops.Load(),
+		Reads:   p.reads.Load(),
 		Flushes: p.flushes.Load(),
 		Groups:  p.groups.Load(),
 	}
@@ -414,9 +420,13 @@ func (w *poolWorker) flush() bool {
 	p := w.p
 	ops := w.ops[:0]
 	cs := w.cs[:0]
+	reads := 0
 	for i := range w.reqs {
 		ops = append(ops, w.reqs[i].op)
 		cs = append(cs, w.reqs[i].c)
+		if isReadOp(w.reqs[i].op) {
+			reads++
+		}
 	}
 	w.ops = ops
 	w.cs = cs
@@ -467,6 +477,9 @@ func (w *poolWorker) flush() bool {
 	// and a STATS that follows a reply must already see its flush.
 	p.flushes.Add(1)
 	p.ops.Add(uint64(len(w.reqs)))
+	if reads > 0 {
+		p.reads.Add(uint64(reads))
+	}
 	crashed := pmem.RunOp(w.flushFn)
 	if crashed {
 		for i := range w.reqs {

@@ -46,6 +46,10 @@ func testBasicOps(t *testing.T, cfg PoolConfig) {
 		if res, _ := p.Do(store.Op{Kind: store.OpDelete, Key: 10}); !res.OK {
 			t.Fatalf("shards=%d delete: %+v", shards, res)
 		}
+		// Published before the completions fire: each Do has returned.
+		if ps := p.Stats(); ps.Ops != 7 || ps.Reads != 2 {
+			t.Fatalf("shards=%d stats %+v, want 7 ops of which 2 reads (the get and the scan)", shards, ps)
+		}
 		p.Close()
 		if _, err := p.Do(store.Op{Kind: store.OpGet, Key: 10}); err != ErrClosed {
 			t.Fatalf("shards=%d submit after close: %v", shards, err)

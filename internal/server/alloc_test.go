@@ -71,8 +71,9 @@ func TestBinaryWritePathAllocs(t *testing.T) {
 	}
 }
 
-// TestBinaryReadPathAllocs: GET — await outstanding writes, decode, engine
-// lookup, VALUE/NIL frame — at zero allocations per op, hit and miss.
+// TestBinaryReadPathAllocs: GET with nothing outstanding — decode, inline
+// engine lookup, VALUE/NIL frame — at zero allocations per op, hit and
+// miss.
 func TestBinaryReadPathAllocs(t *testing.T) {
 	cs, stop := allocHarness(t)
 	defer stop()
@@ -89,6 +90,44 @@ func TestBinaryReadPathAllocs(t *testing.T) {
 		get(100021, binTagNil) // miss path must be clean too
 	}); avg != 0 {
 		t.Errorf("binary GET path: %v allocs per 2 gets, want 0", avg)
+	}
+}
+
+// TestBinaryPipelinedGetAllocs: a pipelined PUT k then GET k — the GET
+// submitted behind the outstanding PUT onto k's worker ring, applied after
+// it, completed from the group's committed callback — at zero allocations
+// per op.
+func TestBinaryPipelinedGetAllocs(t *testing.T) {
+	cs, stop := allocHarness(t)
+	defer stop()
+	put, get := make([]byte, 16), make([]byte, 8)
+	pair := func(k uint64) {
+		binary.LittleEndian.PutUint64(put, k)
+		binary.LittleEndian.PutUint64(put[8:], k*7)
+		binary.LittleEndian.PutUint64(get, k)
+		cs.exec(parseBin(binOpPut, put, nil))
+		cs.exec(parseBin(binOpGet, get, nil))
+		for _, wantTag := range []byte{binTagOK, binTagValue} {
+			sl := <-cs.order
+			<-sl.ready
+			if len(sl.buf) < 5 || sl.buf[4] != wantTag {
+				t.Fatalf("reply % x, want tag %d", sl.buf, wantTag)
+			}
+			if wantTag == binTagValue && binary.LittleEndian.Uint64(sl.buf[5:]) != k*7 {
+				t.Fatalf("GET %d after its PUT: reply % x, want value %d", k, sl.buf, k*7)
+			}
+			cs.free <- sl
+		}
+	}
+	for i := uint64(1); i <= 128; i++ { // warm worker scratch and slot buffers
+		pair(i%512 + 1)
+	}
+	before := cs.srv.pool.Stats().Reads
+	if avg := testing.AllocsPerRun(200, func() { pair(137) }); avg != 0 {
+		t.Errorf("binary PUT + pipelined GET: %v allocs per pair, want 0", avg)
+	}
+	if cs.srv.pool.Stats().Reads == before {
+		t.Errorf("no GET of 201 rode the ring behind its PUT: the path under test never ran")
 	}
 }
 

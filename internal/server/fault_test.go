@@ -259,14 +259,16 @@ func TestDeadlinesPerBurst(t *testing.T) {
 		} else if want := strings.Repeat("+OK\r\n", n); string(replies) != want {
 			t.Fatalf("text replies %q", replies)
 		}
+		// The reader arms once it reaches its next socket wait, which may
+		// come after the replies arrive: count once the handler is gone.
+		client.Close()
+		<-done
 		if arms := cc.readArms.Load(); arms < 1 || arms > 2 {
 			t.Errorf("bin=%v: %d read-deadline updates for one burst of %d requests, want 1 or 2", bin, arms, n)
 		}
 		if arms, writes := cc.writeArms.Load(), cc.writes.Load(); arms != writes || writes > n {
 			t.Errorf("bin=%v: %d write-deadline updates for %d socket writes (%d replies), want one per write", bin, arms, writes, n)
 		}
-		client.Close()
-		<-done
 	}
 }
 

@@ -43,7 +43,12 @@
 // order, and a reply to a write is sent only after the commit fence
 // covering it has landed (reply-after-fence; see DESIGN.md). Within one
 // connection, a read observes every write the same connection issued
-// before it, even when those writes landed on different pool workers.
+// before it. A GET on a connection with nothing in the pool runs inline on
+// the connection's session; behind outstanding requests it rides its key's
+// worker ring, which applies in FIFO order, so every earlier write to that
+// key is applied first and the reader goroutine never waits for a commit.
+// MGET, SCAN, STATS and PROMOTE span shards and wait for every outstanding
+// request instead.
 package server
 
 import (
@@ -53,6 +58,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -337,27 +343,30 @@ func (s *Server) putSession(sess store.Session) { s.sessions <- sess }
 
 // slot is one in-order reply. A connection owns Pipeline slots, recycled
 // through the free channel; the writer goroutine sends buf once the ready
-// token arrives. Write slots are completed by the pool (slot implements
-// batcher.Completer); read replies send their own token synchronously.
+// token arrives. Slots submitted to the pool (writes, and GETs behind
+// outstanding requests) are completed by it (slot implements
+// batcher.Completer); inline replies send their own token synchronously.
 type slot struct {
 	cs    *connState
 	ready chan struct{} // capacity 1: one token per completion
 	buf   []byte
-	kind  replyKind // how a completed write renders
+	kind  replyKind // how a completed request renders
 }
 
-// Complete renders the committed write's result into the slot's reused
+// Complete renders the committed request's result into the slot's reused
 // buffer and releases the writer (reply-after-fence: the pool calls this
 // only after the covering commit fence landed, or with an error when it
-// never will).
+// never will). The request leaves the connection's in-flight count before
+// its reply is released, so a client that has read every reply finds its
+// next GET inline.
 func (sl *slot) Complete(res store.OpResult, err error) {
 	r := reply{kind: sl.kind, ok: res.OK, v: res.Value}
 	if err != nil {
 		r = reply{kind: replyErr, msg: wireErrMsg(err)}
 	}
 	sl.buf = sl.cs.codec.appendReply(sl.buf[:0], r)
+	sl.cs.pooled.done()
 	sl.ready <- struct{}{}
-	sl.cs.writes.Done()
 }
 
 // handle runs one connection: a reader goroutine (this one) decodes and
@@ -456,14 +465,15 @@ type connState struct {
 	// writer in request order. Together they bound the pipeline window.
 	free  chan *slot
 	order chan *slot
-	// writes counts the connection's outstanding (submitted, not yet
-	// committed) writes. Reads wait for it to drain: the pool acknowledges
-	// writes per worker flush and per shard group, not in submission order,
-	// so waiting on only the most recent write would let a read run while an
-	// earlier write on another worker is still unexecuted. Add and Wait both
-	// happen on the reader goroutine only (Done comes from slot.Complete on
-	// a worker), which satisfies the WaitGroup reuse rule.
-	writes sync.WaitGroup
+	// pooled counts the connection's requests in the pool (submitted, not
+	// yet completed). A GET reads it: at zero every earlier write has been
+	// applied and the GET runs inline; otherwise the GET is submitted too,
+	// behind any earlier write to its key on that key's worker ring.
+	// MGET, SCAN, STATS and PROMOTE wait for it to drain: the pool
+	// acknowledges per worker flush and per shard group, not in submission
+	// order, so waiting on only the most recent write would let a read run
+	// while an earlier write on another worker is still unexecuted.
+	pooled inflight
 	// scratch buffers reused across requests.
 	res     []store.OpResult
 	scanBuf []scanKV
@@ -481,6 +491,7 @@ func newConnState(s *Server, sess store.Session, pipeline int, cd codec) *connSt
 		free:  make(chan *slot, pipeline),
 		order: make(chan *slot, pipeline),
 	}
+	cs.pooled.wake = make(chan struct{}, 1)
 	for i := 0; i < pipeline; i++ {
 		cs.free <- &slot{cs: cs, ready: make(chan struct{}, 1)}
 	}
@@ -524,10 +535,7 @@ func (cs *connState) reply(r reply) {
 
 func (cs *connState) replyErr(msg string) { cs.reply(reply{kind: replyErr, msg: msg}) }
 
-// submitWrite enqueues a reply slot for op in request order and submits it
-// to the pool; the slot renders the result as kind once the covering
-// fence lands. The slot enters the order queue before Submit so replies
-// cannot reorder, whatever worker the key routes to.
+// submitWrite submits op to the pool unless the server is a replica.
 func (cs *connState) submitWrite(op store.Op, kind replyKind) {
 	if cs.srv.readOnly.Load() {
 		// Replica mode: the store's contents belong to the primary's
@@ -536,25 +544,65 @@ func (cs *connState) submitWrite(op store.Op, kind replyKind) {
 		cs.replyErr(wireErrMsg(errReadOnly))
 		return
 	}
+	cs.submit(op, kind)
+}
+
+// submit enqueues a reply slot for op in request order and submits it to
+// the pool; the slot renders the result as kind once the covering fence
+// lands. The slot enters the order queue before Submit so replies cannot
+// reorder, whatever worker the key routes to.
+func (cs *connState) submit(op store.Op, kind replyKind) {
 	sl := <-cs.free
 	sl.kind = kind
 	cs.order <- sl
-	cs.writes.Add(1)
+	cs.pooled.add()
 	cs.srv.pool.Submit(op, sl)
 }
 
-// awaitWrites blocks until every write this connection has submitted has
-// committed or failed (read-your-writes ordering). Waiting on all
-// outstanding writes — not just the most recent — matters because the pool
-// acknowledges writes per worker and per shard group, not in submission
-// order.
+// awaitWrites blocks until every request this connection has submitted to
+// the pool has committed or failed (read-your-writes ordering for reads
+// that span shards). Waiting on all outstanding requests — not just the
+// most recent — matters because the pool acknowledges per worker and per
+// shard group, not in submission order.
 func (cs *connState) awaitWrites() {
-	cs.writes.Wait()
+	cs.pooled.wait()
+}
+
+// inflight counts requests in the pool: a WaitGroup whose count the
+// reader can also test. The reader goroutine alone calls add, idle and
+// wait; completions call done from pool workers. A zero count read by idle
+// happens after every completion, so every earlier request was applied.
+type inflight struct {
+	n    atomic.Int64  // the count, plus readerWaiting while the reader waits
+	wake chan struct{} // capacity 1: the done that empties n wakes wait
+}
+
+// readerWaiting marks inflight.n while the reader is blocked in wait; it
+// sits above any count a connection's pipeline window can reach.
+const readerWaiting = 1 << 32
+
+func (f *inflight) add()       { f.n.Add(1) }
+func (f *inflight) idle() bool { return f.n.Load() == 0 }
+
+func (f *inflight) done() {
+	if f.n.Add(-1) == readerWaiting {
+		f.wake <- struct{}{}
+	}
+}
+
+// wait blocks until the count is zero. No add runs meanwhile (only the
+// reader adds), so exactly one done can empty the count and wake it.
+func (f *inflight) wait() {
+	if f.n.Add(readerWaiting) != readerWaiting {
+		<-f.wake
+	}
+	f.n.Add(-readerWaiting)
 }
 
 // exec runs one decoded request, whichever protocol carried it; false
-// closes the connection. A write goes to the pool by value and its slot
-// renders the reply, so the write path allocates nothing.
+// closes the connection. A write, or a GET behind outstanding requests,
+// goes to the pool by value and its slot renders the reply, so neither
+// path allocates.
 func (cs *connState) exec(req request) bool {
 	switch req.cmd {
 	case cmdBad:
@@ -562,7 +610,13 @@ func (cs *connState) exec(req request) bool {
 	case cmdPing:
 		cs.reply(reply{kind: replyPong})
 	case cmdGet:
-		cs.awaitWrites()
+		if !cs.pooled.idle() {
+			// Behind this connection's outstanding requests the GET takes
+			// its key's worker ring: the worker applies it after every
+			// earlier write to the key, and the reader moves on.
+			cs.submit(store.Op{Kind: store.OpGet, Key: req.key}, replyValue)
+			break
+		}
 		v, found := cs.sess.Get(req.key)
 		cs.reply(reply{kind: replyValue, v: v, ok: found})
 	case cmdPut:
@@ -644,6 +698,7 @@ func (cs *connState) statRows() []statRow {
 	st := cs.srv.st.Stats()
 	bs := cs.srv.pool.Stats()
 	rs := cs.srv.st.Repl()
+	cpu, allocs, gcs := procStats()
 	return []statRow{
 		{"ops", st.Ops},
 		{"reads", st.Reads},
@@ -655,6 +710,7 @@ func (cs *connState) statRows() []statRow {
 		{"wal_bytes", st.WALBytes},
 		{"wal_syncs", st.WALSyncs},
 		{"batch_ops", bs.Ops},
+		{"batch_reads", bs.Reads},
 		{"batch_flushes", bs.Flushes},
 		{"batch_groups", bs.Groups},
 		{"pool_workers", uint64(cs.srv.pool.Workers())},
@@ -667,7 +723,29 @@ func (cs *connState) statRows() []statRow {
 		{"repl_last_ack", rs.LastAckSeq},
 		{"repl_applied_groups", rs.AppliedGroups},
 		{"repl_applied_ops", rs.AppliedOps},
+		{"cpu_ns", cpu},
+		{"heap_allocs", allocs},
+		{"gc_cycles", gcs},
 	}
+}
+
+// procStats reads the process's CPU time (user plus system, getrusage)
+// and, from runtime/metrics, its heap allocations and completed GC cycles,
+// each counted since the process started.
+func procStats() (cpuNS, allocs, gcs uint64) {
+	var ru syscall.Rusage
+	if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) == nil {
+		cpuNS = uint64(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	s := [...]metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s[:])
+	if s[0].Value.Kind() == metrics.KindUint64 {
+		allocs = s[0].Value.Uint64()
+	}
+	if s[1].Value.Kind() == metrics.KindUint64 {
+		gcs = s[1].Value.Uint64()
+	}
+	return cpuNS, allocs, gcs
 }
 
 // degraded01 renders the degraded state as a stats value: 1 once the

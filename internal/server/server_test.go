@@ -327,9 +327,8 @@ func testPipelining(t *testing.T, opts ...DialOption) {
 	}
 
 	// Phase 2: alternating PUT/GET pairs pipelined in one burst. Each GET
-	// must observe the connection's preceding PUT (read-your-writes), which
-	// forces the server to hold the GET until the PUT's fence lands — the
-	// ordering cost of reading your own pipelined writes.
+	// must observe the connection's preceding PUT (read-your-writes): with
+	// the PUT outstanding, the GET rides the PUT's worker ring behind it.
 	for i := uint64(1); i <= 50; i++ {
 		if err := cl.SendPut(i, i*7); err != nil {
 			t.Fatal(err)
@@ -539,12 +538,14 @@ func TestReadYourWritesAcrossShards(t *testing.T) {
 }
 
 // inversionSession is a stub Session whose ApplyCommitted applies and
-// acknowledges a batch's operations one at a time in REVERSE submission
-// order, pausing between acknowledgements — a deterministic stand-in for
-// the shard engine acknowledging one flush's shard groups in shard-index
-// order while later groups are still unexecuted. With entered/release set,
-// every flush announces itself on entered and waits at release first, so a
-// test can queue a known backlog behind a running flush.
+// acknowledges a batch one key at a time, the keys in REVERSE order of
+// their first submission, pausing between acknowledgements — a
+// deterministic stand-in for the shard engine acknowledging one flush's
+// shard groups in shard-index order while later groups are still
+// unexecuted. Like a shard group, one key's operations apply in submission
+// order; OpGet reads, every other op puts. With entered/release set, every
+// flush announces itself on entered and waits at release first, so a test
+// can queue a known backlog behind a running flush.
 type inversionSession struct {
 	mu    sync.Mutex
 	m     map[uint64]uint64
@@ -574,8 +575,15 @@ func (s *inversionSession) Scan(uint64, uint64, func(uint64, uint64) bool) error
 func (s *inversionSession) Apply(ops []store.Op, dst []store.OpResult) []store.OpResult {
 	return s.ApplyCommitted(ops, dst, nil)
 }
-func (s *inversionSession) MultiGet([]uint64, []store.OpResult) []store.OpResult { return nil }
-func (s *inversionSession) Rand() uint64                                         { return 0 }
+func (s *inversionSession) MultiGet(keys []uint64, dst []store.OpResult) []store.OpResult {
+	dst = dst[:0]
+	for _, k := range keys {
+		v, ok := s.Get(k)
+		dst = append(dst, store.OpResult{Value: v, OK: ok})
+	}
+	return dst
+}
+func (s *inversionSession) Rand() uint64 { return 0 }
 
 func (s *inversionSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, committed func(idxs []int, err error)) []store.OpResult {
 	if cap(dst) < len(ops) {
@@ -586,13 +594,29 @@ func (s *inversionSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, 
 		s.entered <- struct{}{}
 		<-s.release
 	}
-	for i := len(ops) - 1; i >= 0; i-- {
-		s.Put(ops[i].Key, ops[i].Value)
-		dst[i] = store.OpResult{Value: ops[i].Value, OK: true}
-		if committed != nil {
-			committed([]int{i}, nil)
+	var keys []uint64
+	groups := make(map[uint64][]int)
+	for i, op := range ops {
+		if _, ok := groups[op.Key]; !ok {
+			keys = append(keys, op.Key)
 		}
-		if i > 0 {
+		groups[op.Key] = append(groups[op.Key], i)
+	}
+	for j := len(keys) - 1; j >= 0; j-- {
+		g := groups[keys[j]]
+		for _, i := range g {
+			if ops[i].Kind == store.OpGet {
+				v, ok := s.Get(ops[i].Key)
+				dst[i] = store.OpResult{Value: v, OK: ok}
+				continue
+			}
+			s.Put(ops[i].Key, ops[i].Value)
+			dst[i] = store.OpResult{Value: ops[i].Value, OK: true}
+		}
+		if committed != nil {
+			committed(g, nil)
+		}
+		if j > 0 {
 			time.Sleep(s.pause)
 		}
 	}
@@ -623,17 +647,21 @@ func drainReplies(cs *connState, n int) []string {
 // and the store acknowledges b's write long before a's is even applied
 // (inversionSession's reverse-order acks). A read that waited only on the
 // connection's most recent write would run between the two
-// acknowledgements and miss a; the server must hold the GET until every
-// outstanding write has committed. The two PUTs share one flush because
-// they queue while a priming write's flush is held at the gate: what
-// arrives during a flush rides the next one together.
+// acknowledgements and miss a. The two PUTs share one flush because they
+// queue while a priming write's flush is held at the gate: what arrives
+// during a flush rides the next one together. The GET finds a's write
+// outstanding, so it rides a's worker ring into a third flush, applied
+// after it.
 func TestAwaitWritesWaitsForAllOutstanding(t *testing.T) {
 	sess := &inversionSession{
 		m: make(map[uint64]uint64), pause: 100 * time.Millisecond,
 		entered: make(chan struct{}), release: make(chan struct{}),
 	}
 	p := batcher.NewSessionPool(sess, batcher.PoolConfig{})
-	defer p.Close()
+	defer func() {
+		p.Close()
+		close(sess.entered) // stops the gatekeeper below
+	}()
 	srv := &Server{pool: p}
 	cs := newConnState(srv, sess, 16, &textCodec{})
 
@@ -643,8 +671,13 @@ func TestAwaitWritesWaitsForAllOutstanding(t *testing.T) {
 	execText(cs, "PUT 8 24")
 	sess.release <- struct{}{} // the priming flush lands
 	<-sess.entered             // the next flush took both PUTs
-	sess.release <- struct{}{}
-	execText(cs, "GET 7") // blocks until read-your-writes holds
+	go func() {                // from here on every flush passes the gate
+		sess.release <- struct{}{}
+		for range sess.entered {
+			sess.release <- struct{}{}
+		}
+	}()
+	execText(cs, "GET 7")
 
 	want := []string{"+OK\r\n", "+OK\r\n", "+OK\r\n", "$21\r\n"}
 	for i, got := range drainReplies(cs, len(want)) {
@@ -652,8 +685,64 @@ func TestAwaitWritesWaitsForAllOutstanding(t *testing.T) {
 			t.Fatalf("reply %d = %q, want %q (stale read: GET ran before the earlier write was applied)", i, got, want[i])
 		}
 	}
-	if ps := p.Stats(); ps.Flushes != 2 || ps.Ops != 3 {
-		t.Fatalf("%d ops in %d flushes, want PUT 7 and PUT 8 sharing the second of 2 flushes", ps.Ops, ps.Flushes)
+	// The GET finds PUT 7 outstanding unless the reader stalls through the
+	// stub's 100 ms pause; either way the PUTs shared the second flush.
+	if ps := p.Stats(); ps.Reads > 1 || ps.Ops != 3+ps.Reads || ps.Flushes != 2+ps.Reads {
+		t.Fatalf("%d ops (%d reads) in %d flushes, want PUT 7 and PUT 8 sharing the second flush and a pooled GET in a third", ps.Ops, ps.Reads, ps.Flushes)
+	}
+}
+
+// TestGetRidesRingBehindHeldFlush pins the GET that does not wait: while
+// the pool's only flush is held at the gate, a pipelined PUT 7, GET 7,
+// PUT 8 all reach the worker's ring without blocking the reader, ride the
+// next flush together, and reply in request order with the GET observing
+// the PUT before it.
+func TestGetRidesRingBehindHeldFlush(t *testing.T) {
+	sess := &inversionSession{
+		m:       make(map[uint64]uint64),
+		entered: make(chan struct{}), release: make(chan struct{}),
+	}
+	p := batcher.NewSessionPool(sess, batcher.PoolConfig{})
+	defer func() {
+		p.Close()
+		close(sess.entered) // stops the gate drain on the failure path
+	}()
+	srv := &Server{pool: p}
+	cs := newConnState(srv, sess, 16, &textCodec{})
+
+	execText(cs, "PUT 1 1") // priming write: flushes alone, at once
+	<-sess.entered          // ... and is held mid-flush
+	queued := make(chan struct{})
+	go func() {
+		execText(cs, "PUT 7 21")
+		execText(cs, "GET 7")
+		execText(cs, "PUT 8 24")
+		close(queued)
+	}()
+	select {
+	case <-queued:
+	case <-time.After(5 * time.Second):
+		// Open the gate for good so the reader and the pool can finish.
+		close(sess.release)
+		go func() {
+			for range sess.entered {
+			}
+		}()
+		<-queued
+		t.Fatal("GET 7 blocked the reader while the flush was held: it waited for the earlier write instead of riding the ring")
+	}
+	sess.release <- struct{}{} // the priming flush lands
+	<-sess.entered             // the next flush took all three
+	sess.release <- struct{}{}
+
+	want := []string{"+OK\r\n", "+OK\r\n", "$21\r\n", "+OK\r\n"}
+	for i, got := range drainReplies(cs, len(want)) {
+		if got != want[i] {
+			t.Fatalf("reply %d = %q, want %q", i, got, want[i])
+		}
+	}
+	if ps := p.Stats(); ps.Flushes != 2 || ps.Ops != 4 || ps.Reads != 1 {
+		t.Fatalf("%d ops (%d reads) in %d flushes, want PUT 7, GET 7 and PUT 8 sharing the second of 2 flushes", ps.Ops, ps.Reads, ps.Flushes)
 	}
 }
 
@@ -676,9 +765,11 @@ func (s *slowSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, commi
 // TestAwaitWritesAcrossWorkers is the shard-affine version of the same
 // ordering hazard: two writes route to two different pool workers, the
 // second worker acknowledges long before the first has applied anything,
-// and a pipelined read of the first key must still observe it. The
-// connection's WaitGroup over all outstanding writes is worker-agnostic —
-// this pins exactly that (run under -race as part of the race target).
+// and a pipelined read of the first key must still observe it — the GET
+// rides the first key's worker ring behind its write. An MGET spans
+// workers, so it keeps the barrier: it waits for every outstanding request
+// of the connection, whichever worker holds it (run under -race as part of
+// the race target).
 func TestAwaitWritesAcrossWorkers(t *testing.T) {
 	slow := &slowSession{
 		inversionSession: inversionSession{m: make(map[uint64]uint64)},
@@ -698,13 +789,18 @@ func TestAwaitWritesAcrossWorkers(t *testing.T) {
 
 	execText(cs, "PUT 2 42") // worker 0 (slow)
 	execText(cs, "PUT 3 9")  // worker 1 (fast, acks first)
-	execText(cs, "GET 2")    // must wait for worker 0 too
+	execText(cs, "GET 2")    // rides worker 0's ring behind PUT 2
+	execText(cs, "PUT 4 8")  // worker 0 (slow)
+	execText(cs, "MGET 4")   // waits for every outstanding request
 
-	want := []string{"+OK\r\n", "+OK\r\n", "$42\r\n"}
+	want := []string{"+OK\r\n", "+OK\r\n", "$42\r\n", "+OK\r\n", "*1\r\n$8\r\n"}
 	for i, got := range drainReplies(cs, len(want)) {
 		if got != want[i] {
 			t.Fatalf("reply %d = %q, want %q (read ran before the slow worker's write committed)", i, got, want[i])
 		}
+	}
+	if ps := p.Stats(); ps.Ops != 4 || ps.Reads != 1 {
+		t.Fatalf("pool applied %d ops (%d reads), want the three PUTs and the GET", ps.Ops, ps.Reads)
 	}
 }
 
