@@ -60,8 +60,7 @@ func run(args []string, out io.Writer) error {
 		waitK     = fs.Int("wait", 0, "write quorum: acknowledge a write only after this many replicas confirmed it (0 = never wait)")
 		waitTO    = fs.Duration("wait-timeout", time.Second, "fail WAIT-gated writes after this long without quorum")
 
-		maxBatch = fs.Int("maxbatch", 64, "group-commit: cap on one worker flush (a flush takes what queued during the previous one; a lone write flushes at once)")
-		idleTO   = fs.Duration("idle-timeout", 5*time.Minute, "close connections idle for this long (0 = never)")
+		idleTO = fs.Duration("idle-timeout", 5*time.Minute, "close connections idle for this long (0 = never)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -83,7 +82,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-replica-of serves read-only; it is incompatible with -wait")
 	}
 	return runServe(out, *listen, *serveFor, *kind, *policy, *profile, *shards, *size,
-		*maxConns, *dataDir, *syncWAL, *ckptB, *idleTO, *maxBatch,
+		*maxConns, *dataDir, *syncWAL, *ckptB, *idleTO,
 		*replicaOf, *waitK, *waitTO)
 }
 
@@ -91,8 +90,9 @@ func run(args []string, out io.Writer) error {
 // open replays any existing WAL/checkpoint, so a restarted server resumes
 // exactly the acknowledged state of its predecessor. The session budget
 // covers the connections plus the shard-affine pool workers (one per
-// shard) and the admin session.
-func openStore(kind, policy, profile string, shards, size, maxConns int, dataDir string, syncWAL bool, ckptBytes int64) (store.Store, error) {
+// shard) and the admin session. The write quorum waitK is the store's: the
+// server's replication primary reads it from there.
+func openStore(kind, policy, profile string, shards, size, maxConns int, dataDir string, syncWAL bool, ckptBytes int64, waitK int) (store.Store, error) {
 	pol, ok := persist.ByName(policy)
 	if !ok {
 		return nil, fmt.Errorf("unknown policy %q", policy)
@@ -105,30 +105,28 @@ func openStore(kind, policy, profile string, shards, size, maxConns int, dataDir
 		return nil, err
 	}
 	return store.Open(store.Config{
-		Kind:        core.Kind(kind),
-		Policy:      pol,
-		Profile:     prof,
-		Shards:      shards,
-		SizeHint:    size,
-		MaxSessions: maxConns + shards + 4,
-		Dir:         dataDir,
-		SyncFence:   syncWAL,
-		CkptBytes:   ckptBytes,
+		Kind:         core.Kind(kind),
+		Policy:       pol,
+		Profile:      prof,
+		Shards:       shards,
+		SizeHint:     size,
+		MaxSessions:  maxConns + shards + 4,
+		Dir:          dataDir,
+		SyncFence:    syncWAL,
+		CkptBytes:    ckptBytes,
+		WaitReplicas: waitK,
 	})
 }
 
 func runServe(out io.Writer, listen string, serveFor time.Duration,
 	kind, policy, profile string, shards, size, maxConns int,
-	dataDir string, syncWAL bool, ckptBytes int64, idleTO time.Duration, maxBatch int,
+	dataDir string, syncWAL bool, ckptBytes int64, idleTO time.Duration,
 	replicaOf string, waitK int, waitTO time.Duration) error {
-	st, err := openStore(kind, policy, profile, shards, size, maxConns, dataDir, syncWAL, ckptBytes)
+	st, err := openStore(kind, policy, profile, shards, size, maxConns, dataDir, syncWAL, ckptBytes, waitK)
 	if err != nil {
 		return err
 	}
-	srv := server.New(st, server.Config{
-		MaxConns: maxConns, MaxBatch: maxBatch, IdleTimeout: idleTO,
-		WaitReplicas: waitK, WaitTimeout: waitTO,
-	})
+	srv := server.New(st, server.Config{MaxConns: maxConns, IdleTimeout: idleTO, WaitTimeout: waitTO})
 	if replicaOf != "" {
 		// A durable replica keeps its stream position next to the WAL so a
 		// restart resumes tailing instead of re-copying the snapshot.

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"os"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,33 +10,36 @@ import (
 	"repro/internal/server"
 )
 
+// serveInProcess runs serve mode in-process with args and a 1 s -serve-for
+// limit, and returns a client on its socket, the run's result channel and
+// its output. It dials until the server answers: the socket file exists
+// from bind on, but connections are refused until listen.
+func serveInProcess(t *testing.T, args ...string) (*server.Client, chan error, *strings.Builder) {
+	t.Helper()
+	addr := "unix:" + filepath.Join(t.TempDir(), "nv.sock")
+	serveOut := &strings.Builder{}
+	serveErr := make(chan error, 1)
+	go func() {
+		serveErr <- run(append([]string{"-listen", addr, "-serve-for", "1s"}, args...), serveOut)
+	}()
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		cl, err := server.Dial(addr)
+		if err == nil {
+			return cl, serveErr, serveOut
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never answered: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestServeAndLoad runs serve mode with a -serve-for limit in-process,
 // round-trips a PUT and a GET through a client, and checks the server
 // stops on its own and shuts down cleanly.
 func TestServeAndLoad(t *testing.T) {
-	addr := "unix:" + filepath.Join(t.TempDir(), "nv.sock")
-	var serveOut strings.Builder
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- run([]string{"-listen", addr, "-serve-for", "1s",
-			"-kind", "skiplist", "-shards", "2", "-size", "2048"}, &serveOut)
-	}()
-	// Wait for the socket to appear.
-	sockPath := strings.TrimPrefix(addr, "unix:")
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if _, err := os.Stat(sockPath); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server socket never appeared")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cl, err := server.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl, serveErr, serveOut := serveInProcess(t, "-kind", "skiplist", "-shards", "2", "-size", "2048")
 	if err := cl.Put(42, 4242); err != nil {
 		t.Fatalf("put: %v", err)
 	}
@@ -49,6 +52,27 @@ func TestServeAndLoad(t *testing.T) {
 	}
 	if !strings.HasSuffix(serveOut.String(), "shut down cleanly\n") {
 		t.Fatalf("serve output:\n%s", serveOut.String())
+	}
+}
+
+// TestWaitFlagReachesPrimary: -wait 1 with no replica attached makes every
+// write fail typed once -wait-timeout passes, and STATS reports the quorum
+// — the flag reaches the replication primary through the store's config.
+func TestWaitFlagReachesPrimary(t *testing.T) {
+	cl, serveErr, serveOut := serveInProcess(t, "-wait", "1", "-wait-timeout", "50ms")
+	if err := cl.Put(1, 1); !errors.Is(err, server.ErrWait) {
+		t.Fatalf("PUT with no replica under -wait 1: %v, want server.ErrWait", err)
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st["repl_wait_k"] != 1 {
+		t.Fatalf("repl_wait_k %d, want 1", st["repl_wait_k"])
+	}
+	cl.Close()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
 }
 
@@ -79,7 +103,7 @@ func TestBadFlags(t *testing.T) {
 	mustRefuse(t, "-shards", "0") // the engine has at least one shard
 	mustRefuse(t, "-sync")
 	mustRefuse(t, "-ckpt-bytes", "4096")
-	for _, gone := range []string{"-load", "-selftest", "-crashsmoke", "-rate", "-maxdelay"} {
+	for _, gone := range []string{"-load", "-selftest", "-crashsmoke", "-rate", "-maxdelay", "-maxbatch"} {
 		err := mustRefuse(t, gone, "1")
 		if !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%s: %v, want an undefined-flag error", gone, err)

@@ -26,22 +26,23 @@ func openEngine(t *testing.T, shards, sessions int) store.Store {
 	return st
 }
 
-// The TestBatcher* cases drive the stage in its one-worker shape (Workers: 1
-// over a sharded store): one session serves every shard, so a single flush
-// spans several shard fence groups and acknowledges them group by group —
-// the path a per-shard worker, whose flushes hold one group each, never
-// takes. The TestPool* cases cover the default shard-affine shape.
+// The TestBatcher* cases drive the stage in its one-worker shape (a
+// sharded store behind oneWorker): one session serves every shard, so a
+// single flush spans several shard fence groups and acknowledges them
+// group by group — the path a per-shard worker, whose flushes hold one
+// group each, never takes. The TestPool* cases cover the production
+// shard-affine shape.
 
 // TestBatcherBasicOps round-trips the operation vocabulary through one
 // worker on both backends.
 func TestBatcherBasicOps(t *testing.T) {
-	testBasicOps(t, PoolConfig{Workers: 1, MaxBatch: 4})
+	testBasicOps(t, oneWorker)
 }
 
 // TestBatcherConcurrentWriters hammers one worker's ring from many
 // goroutines.
 func TestBatcherConcurrentWriters(t *testing.T) {
-	testConcurrentWriters(t, PoolConfig{Workers: 1, MaxBatch: 16})
+	testConcurrentWriters(t, oneWorker)
 }
 
 // TestGroupCommitFenceAccounting is the fence-accounting pin for group
@@ -63,7 +64,7 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 	eng := batched.(*store.Engine)
 
 	g := newGate()
-	b := NewSessionPool(gatedSession{batched.NewSession(), g}, PoolConfig{MaxBatch: K})
+	b := NewPool(&sessionStore{Store: batched, sessions: []store.Session{gatedSession{batched.NewSession(), g}}}, PoolConfig{})
 	key := func(r, w int) uint64 { return uint64(r*K+w) + 1 }
 	const warmup = uint64(R*K) + 1
 
@@ -125,7 +126,7 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 	// a lone request is a one-op flush, which pays the ordering fences plus
 	// exactly one group fence.
 	cal := openEngine(t, shards, 4)
-	cb := NewPool(cal, PoolConfig{Workers: 1})
+	cb := NewPool(cal, PoolConfig{})
 	cal.ResetStats()
 	if res, err := cb.Do(store.Op{Kind: store.OpInsert, Key: 1, Value: 1}); err != nil || !res.OK {
 		t.Fatalf("calibration insert: %+v %v", res, err)

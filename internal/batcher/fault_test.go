@@ -108,7 +108,7 @@ func TestBatcherDegradedOnFsyncFailure(t *testing.T) {
 func testDegradedOnFsyncFailure(t *testing.T, shards int) {
 	dir := t.TempDir()
 	st := openFaultStore(t, dir, "sync~wal@8=eio", shards)
-	p := NewPool(st, PoolConfig{Workers: 1, MaxBatch: 4})
+	p := NewPool(oneWorker(st), PoolConfig{})
 	acked, derr := driveUntilDegraded(t, p.Do)
 	if p.DegradedErr() == nil {
 		t.Fatal("pool does not report degradation")

@@ -6,14 +6,17 @@
 // store.Session.Apply performs for one caller's batch, extended across
 // callers.
 //
-// Pool is that stage, and the only one. It runs one worker per shard group,
-// each owning its own store session and a bounded ring (a buffered channel
-// of by-value requests — no allocation per submission); Submit routes an
-// operation by its key's shard straight to the session that owns it, with
-// no central queue and no shared pending list.
+// Pool is that stage, and the only one, and NewPool its only constructor.
+// It runs one worker per store shard, each owning its own store session
+// and a bounded ring of ringSize requests (a buffered channel of by-value
+// requests — no allocation per submission); Submit routes an operation by
+// store.Store.ShardFor straight to the session that owns its key, with no
+// central queue and no shared pending list. Nothing about it is tunable:
+// the ring, the batch cap and the worker count are fixed, and tests that
+// need other sessions hand NewPool a store that returns them.
 //
 // There is one batching rule and no clock in it: a worker takes what its
-// ring holds, capped at MaxBatch, and flushes it now. A request that finds
+// ring holds, capped at maxBatch, and flushes it now. A request that finds
 // the worker idle is applied and fenced at once and pays exactly its own
 // apply and one commit fence; requests that arrive while a flush is running
 // queue behind it and ride the next flush together. The previous flush —
@@ -63,12 +66,14 @@ var (
 	ErrDegraded = errors.New("batcher: store degraded, write not durable")
 )
 
-// isReadOp reports whether op needs no durability to acknowledge. Reads
-// keep serving on a degraded store; everything else is a write whose
-// acknowledgement would promise durability the disk can no longer provide.
-func isReadOp(op store.Op) bool {
-	return op.Kind == store.OpGet || op.Kind == store.OpScan
-}
+const (
+	// ringSize is each worker's ring capacity. A full ring applies
+	// backpressure: Submit blocks until the worker drains.
+	ringSize = 1024
+	// maxBatch caps one flush. Batches form from ring backlog only: a
+	// flush takes what queued while the previous one ran.
+	maxBatch = 64
+)
 
 // Stats counts pool activity (monotone, read with atomic snapshots).
 type Stats struct {
@@ -115,18 +120,8 @@ type GroupSink interface {
 	CommittedGroup(ops []store.Op, res []store.OpResult, idxs []int, cs []Completer) bool
 }
 
-// PoolConfig tunes the worker pool.
+// PoolConfig wires the worker pool into its caller.
 type PoolConfig struct {
-	// Workers is the number of shard-affine workers (default: the store's
-	// shard count, at least 1). Each owns one session; keys route to
-	// workers by shard, so more workers than shards gains nothing.
-	Workers int
-	// Ring is each worker's bounded ring capacity (default 1024). A full
-	// ring applies backpressure: Submit blocks until the worker drains.
-	Ring int
-	// MaxBatch caps one flush (default 64). Batches form from ring backlog
-	// only: a flush takes what queued while the previous one ran.
-	MaxBatch int
 	// OnCommit, when non-nil, observes every durable fence group at its
 	// commit point and may defer the group's write acknowledgements until
 	// replication confirms it (see GroupSink). The replication primary
@@ -159,12 +154,8 @@ type poolWorker struct {
 
 // Pool is the shard-affine group-commit stage. Submit from any goroutine.
 type Pool struct {
-	st  store.Store // nil when built over explicit sessions
+	st  store.Store
 	cfg PoolConfig
-
-	// shardFor routes keys to workers (modulo the worker count); nil routes
-	// everything to worker 0.
-	shardFor func(key uint64) int
 
 	workers []*poolWorker
 	wg      sync.WaitGroup
@@ -188,53 +179,15 @@ type Pool struct {
 	degraded atomic.Pointer[error]
 }
 
-// NewPool starts a pool over st with one new session per worker.
+// NewPool starts a pool over st: one worker per shard, each with a new
+// session of st.
 func NewPool(st store.Store, cfg PoolConfig) *Pool {
-	if cfg.Workers <= 0 {
-		cfg.Workers = st.Shards()
-	}
-	sessions := make([]store.Session, cfg.Workers)
-	for i := range sessions {
-		sessions[i] = st.NewSession()
-	}
-	return newPool(st, sessions, cfg)
-}
-
-// NewSessionPool starts a single-worker pool that owns sess — the
-// session-injection constructor tests use to pair the pool with a stub
-// session. The caller must not use sess afterwards.
-func NewSessionPool(sess store.Session, cfg PoolConfig) *Pool {
-	cfg.Workers = 1
-	return newPool(nil, []store.Session{sess}, cfg)
-}
-
-// NewSessionsPool starts one worker per provided session, routing key k to
-// worker shardFor(k) % len(sessions) (nil shardFor routes everything to
-// worker 0). Test seam for multi-worker ordering scenarios over stub
-// sessions; NewPool is the production constructor.
-func NewSessionsPool(sessions []store.Session, shardFor func(key uint64) int, cfg PoolConfig) *Pool {
-	cfg.Workers = len(sessions)
-	p := newPool(nil, sessions, cfg)
-	p.shardFor = shardFor
-	return p
-}
-
-func newPool(st store.Store, sessions []store.Session, cfg PoolConfig) *Pool {
-	if cfg.Ring <= 0 {
-		cfg.Ring = 1024
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
 	p := &Pool{st: st, cfg: cfg}
-	if st != nil {
-		p.shardFor = st.ShardFor
-	}
-	for _, sess := range sessions {
+	for range st.Shards() {
 		w := &poolWorker{
 			p:    p,
-			sess: sess,
-			ring: make(chan poolReq, cfg.Ring),
+			sess: st.NewSession(),
+			ring: make(chan poolReq, ringSize),
 		}
 		p.workers = append(p.workers, w)
 		p.wg.Add(1)
@@ -250,7 +203,7 @@ func (p *Pool) Workers() int { return len(p.workers) }
 // blocking when the ring is full (bounded-queue backpressure). c.Complete
 // runs exactly once; see Completer for where.
 func (p *Pool) Submit(op store.Op, c Completer) {
-	if err := p.DegradedErr(); err != nil && !isReadOp(op) {
+	if err := p.DegradedErr(); err != nil && !op.Kind.Read() {
 		// Fail-fast for writes on a degraded store; reads still ride the
 		// workers — a degraded store keeps serving them.
 		c.Complete(store.OpResult{}, err)
@@ -267,10 +220,7 @@ func (p *Pool) Submit(op store.Op, c Completer) {
 		}
 		return
 	}
-	w := p.workers[0]
-	if len(p.workers) > 1 && p.shardFor != nil {
-		w = p.workers[p.shardFor(op.Key)%len(p.workers)]
-	}
+	w := p.workers[p.st.ShardFor(op.Key)]
 	// The send happens under the read lock: Close cannot close the ring
 	// before every in-flight Submit has released it. A blocked send drains
 	// eventually — the worker consumes its ring until the ring closes, even
@@ -383,23 +333,21 @@ func (w *poolWorker) run() {
 			w.p.crashed.Store(true)
 			continue
 		}
-		if st := w.p.st; st != nil {
-			if _, err := st.MaybeCheckpoint(); err != nil {
-				// Copy before taking the address: &err directly would make
-				// the variable escape and cost one allocation per flush even
-				// on the nil path.
-				e := err
-				w.p.ckptErr.CompareAndSwap(nil, &e)
-			}
+		if _, err := w.p.st.MaybeCheckpoint(); err != nil {
+			// Copy before taking the address: &err directly would make the
+			// variable escape and cost one allocation per flush even on the
+			// nil path.
+			e := err
+			w.p.ckptErr.CompareAndSwap(nil, &e)
 		}
 	}
 }
 
 // drain moves queued requests from the ring into the batch without
-// blocking, up to MaxBatch. A ring closed mid-drain just ends the batch;
+// blocking, up to maxBatch. A ring closed mid-drain just ends the batch;
 // the next blocking receive in run sees the close.
 func (w *poolWorker) drain() {
-	for len(w.reqs) < w.p.cfg.MaxBatch {
+	for len(w.reqs) < maxBatch {
 		select {
 		case r, ok := <-w.ring:
 			if !ok {
@@ -424,7 +372,7 @@ func (w *poolWorker) flush() bool {
 	for i := range w.reqs {
 		ops = append(ops, w.reqs[i].op)
 		cs = append(cs, w.reqs[i].c)
-		if isReadOp(w.reqs[i].op) {
+		if w.reqs[i].op.Kind.Read() {
 			reads++
 		}
 	}
@@ -456,13 +404,13 @@ func (w *poolWorker) flush() bool {
 				if c == nil {
 					continue
 				}
-				if gated && !isReadOp(w.reqs[i].op) {
+				if gated && !w.reqs[i].op.Kind.Read() {
 					// The sink owns this completion now.
 					w.reqs[i].c = nil
 					continue
 				}
 				w.reqs[i].c = nil
-				if gerr != nil && !isReadOp(w.reqs[i].op) {
+				if gerr != nil && !w.reqs[i].op.Kind.Read() {
 					// The group's fence did not reach the disk: withhold
 					// the acknowledgement. Reads never needed it.
 					c.Complete(store.OpResult{}, gerr)

@@ -9,13 +9,60 @@ import (
 	"repro/internal/store"
 )
 
+// sessionStore is the test seam for the pool's sessions: it embeds a real
+// store (whose MaybeCheckpoint, Repl and the rest the pool may call) but
+// tells NewPool there is one shard per entry of sessions, hands worker i
+// sessions[i], and routes key k to worker shardFor(k) (worker 0 when
+// shardFor is nil).
+type sessionStore struct {
+	store.Store
+	sessions []store.Session
+	shardFor func(key uint64) int
+	next     int
+}
+
+func (s *sessionStore) Shards() int { return len(s.sessions) }
+
+func (s *sessionStore) NewSession() store.Session {
+	s.next++
+	return s.sessions[s.next-1]
+}
+
+func (s *sessionStore) ShardFor(key uint64) int {
+	if s.shardFor == nil {
+		return 0
+	}
+	return s.shardFor(key)
+}
+
+// stubStore builds a pool store over stub sessions, embedding an empty
+// in-memory store.
+func stubStore(t *testing.T, shardFor func(uint64) int, sessions ...store.Session) store.Store {
+	t.Helper()
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sessionStore{Store: st, sessions: sessions, shardFor: shardFor}
+}
+
+// oneWorker presents st to NewPool as a single shard, so one worker's
+// session serves every shard of st and one flush spans several shard fence
+// groups, acknowledging them group by group.
+func oneWorker(st store.Store) store.Store {
+	return &sessionStore{Store: st, sessions: []store.Session{st.NewSession()}}
+}
+
+func asIs(st store.Store) store.Store { return st }
+
 // TestPoolBasicOps round-trips the operation vocabulary through Pool.Do on
 // one shard and on four (one worker per shard).
 func TestPoolBasicOps(t *testing.T) {
-	testBasicOps(t, PoolConfig{MaxBatch: 4})
+	testBasicOps(t, asIs)
 }
 
-func testBasicOps(t *testing.T, cfg PoolConfig) {
+// testBasicOps runs the vocabulary through a pool over pool(st).
+func testBasicOps(t *testing.T, pool func(store.Store) store.Store) {
 	for _, shards := range []int{1, 4} {
 		st, err := store.Open(store.Config{
 			Kind: core.KindSkiplist, Profile: pmem.ProfileZero,
@@ -24,7 +71,7 @@ func testBasicOps(t *testing.T, cfg PoolConfig) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewPool(st, cfg)
+		p := NewPool(pool(st), PoolConfig{})
 		if res, err := p.Do(store.Op{Kind: store.OpInsert, Key: 10, Value: 100}); err != nil || !res.OK {
 			t.Fatalf("shards=%d insert: %+v %v", shards, res, err)
 		}
@@ -64,14 +111,14 @@ func testBasicOps(t *testing.T, cfg PoolConfig) {
 // TestPoolConcurrentRings hammers the per-worker rings from many goroutines
 // (run under -race as part of the race target).
 func TestPoolConcurrentRings(t *testing.T) {
-	testConcurrentWriters(t, PoolConfig{MaxBatch: 16, Ring: 64})
+	testConcurrentWriters(t, asIs)
 }
 
 // testConcurrentWriters verifies exact op accounting and every write
-// landing under concurrent submitters.
-func testConcurrentWriters(t *testing.T, cfg PoolConfig) {
+// landing under concurrent submitters, through a pool over pool(st).
+func testConcurrentWriters(t *testing.T, pool func(store.Store) store.Store) {
 	st := openEngine(t, 4, 12)
-	p := NewPool(st, cfg)
+	p := NewPool(pool(st), PoolConfig{})
 	const workers, per = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -165,11 +212,7 @@ func (s *orderSession) Rand() uint64 { return 0 }
 // ring is FIFO and a worker applies batches in ring order).
 func TestPoolShardAffinityAndOrder(t *testing.T) {
 	s0, s1 := newOrderSession(), newOrderSession()
-	p := NewSessionsPool(
-		[]store.Session{s0, s1},
-		func(key uint64) int { return int(key % 2) },
-		PoolConfig{MaxBatch: 8},
-	)
+	p := NewPool(stubStore(t, func(key uint64) int { return int(key % 2) }, s0, s1), PoolConfig{})
 	const writers, per = 4, 100
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -259,7 +302,7 @@ func (c countCompleter) Complete(store.OpResult, error) { c.wg.Done() }
 func TestPoolGroupCommit(t *testing.T) {
 	const K = 8
 	s := &gateSession{orderSession: newOrderSession(), gate: newGate()}
-	p := NewSessionPool(s, PoolConfig{MaxBatch: 2 * K})
+	p := NewPool(stubStore(t, nil, s), PoolConfig{})
 	var wg sync.WaitGroup
 	wg.Add(K + 1)
 	p.Submit(store.Op{Kind: store.OpPut, Key: 1, Value: 1}, countCompleter{&wg})
@@ -287,7 +330,7 @@ func TestPoolGroupCommit(t *testing.T) {
 // clock involved, and completes as a flush of one.
 func TestPoolLoneRequestFlushesAtOnce(t *testing.T) {
 	s := &gateSession{orderSession: newOrderSession(), gate: newGate()}
-	p := NewSessionPool(s, PoolConfig{})
+	p := NewPool(stubStore(t, nil, s), PoolConfig{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	p.Submit(store.Op{Kind: store.OpPut, Key: 1, Value: 1}, countCompleter{&wg})
@@ -301,5 +344,31 @@ func TestPoolLoneRequestFlushesAtOnce(t *testing.T) {
 	}
 	if len(s.batches) != 1 || s.batches[0] != 1 {
 		t.Fatalf("batch sizes %v, want [1]", s.batches)
+	}
+}
+
+// TestPoolFlushCap pins the batch cap: a backlog of maxBatch+8 requests
+// queued behind a held flush leaves the ring as one flush of maxBatch and
+// one of the 8 left over.
+func TestPoolFlushCap(t *testing.T) {
+	s := &gateSession{orderSession: newOrderSession(), gate: newGate()}
+	p := NewPool(stubStore(t, nil, s), PoolConfig{})
+	var wg sync.WaitGroup
+	wg.Add(maxBatch + 9)
+	p.Submit(store.Op{Kind: store.OpPut, Key: 1, Value: 1}, countCompleter{&wg})
+	<-s.entered // worker is mid-flush holding exactly op 1
+	for i := 0; i < maxBatch+8; i++ {
+		k := uint64(i + 2)
+		p.Submit(store.Op{Kind: store.OpPut, Key: k, Value: k}, countCompleter{&wg})
+	}
+	for range 2 {
+		s.release <- struct{}{}
+		<-s.entered
+	}
+	s.release <- struct{}{}
+	wg.Wait()
+	p.Close()
+	if len(s.batches) != 3 || s.batches[0] != 1 || s.batches[1] != maxBatch || s.batches[2] != 8 {
+		t.Fatalf("batch sizes %v, want [1 %d 8]", s.batches, maxBatch)
 	}
 }

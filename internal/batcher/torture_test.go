@@ -39,15 +39,16 @@ func (v storeView) Contents(_ *pmem.Thread) []uint64 {
 }
 
 // TestBatcherCrashTorture is the server-path crash torture: concurrent
-// clients pipeline windows of operations through a one-worker pool — every
-// flush spans several shard groups, so a crash lands between one group's
-// acknowledgement and the next group's fence — against a tracked engine, the engine crashes mid-traffic, and the
-// crashtest checker verifies durable linearizability of the recovered
-// state against the recorded histories. The load-bearing property is the
-// reply-after-fence rule: every request whose callback reported success was
-// covered by a commit fence before the crash, so it must have survived —
-// replied ⇒ durable. Requests that got ErrCrashed were never acknowledged
-// and are in-flight: the checker allows them to have taken effect or not.
+// clients pipeline windows of operations through the pool of a one-shard
+// tracked engine — one worker, as production runs it — the engine crashes
+// mid-traffic, and the crashtest checker verifies durable linearizability
+// of the recovered state against the recorded histories. The load-bearing
+// property is the reply-after-fence rule: every request whose callback
+// reported success was covered by a commit fence before the crash, so it
+// must have survived — replied ⇒ durable. Requests that got ErrCrashed
+// were never acknowledged and are in-flight: the checker allows them to
+// have taken effect or not. A crash between two shard groups of one flush
+// is the engine's own torture (internal/store TestTortureMidBatch).
 func TestBatcherCrashTorture(t *testing.T) {
 	rounds := 6
 	if testing.Short() {
@@ -59,9 +60,10 @@ func TestBatcherCrashTorture(t *testing.T) {
 	}
 }
 
-// TestPoolCrashTorture runs the same torture through shard-affine
-// workers: the reply-after-fence rule must hold per worker, and a crash
-// must fail every unacknowledged request across all workers' rings.
+// TestPoolCrashTorture runs the same torture over four shards, through
+// four shard-affine workers: the reply-after-fence rule must hold per
+// worker, and a crash must fail every unacknowledged request across all
+// workers' rings.
 func TestPoolCrashTorture(t *testing.T) {
 	rounds := 6
 	if testing.Short() {
@@ -69,7 +71,7 @@ func TestPoolCrashTorture(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		evict := []float64{0, 0.5, 1}[round%3]
-		tortureRound(t, round, evict, 2)
+		tortureRound(t, round, evict, 4)
 	}
 }
 
@@ -79,7 +81,7 @@ type cbCompleter struct{ fn func(store.OpResult, error) }
 
 func (c cbCompleter) Complete(res store.OpResult, err error) { c.fn(res, err) }
 
-func tortureRound(t *testing.T, seed int, evictProb float64, poolWorkers int) {
+func tortureRound(t *testing.T, seed int, evictProb float64, shards int) {
 	const (
 		workers        = 4
 		window         = 4
@@ -89,7 +91,7 @@ func tortureRound(t *testing.T, seed int, evictProb float64, poolWorkers int) {
 	st, err := store.Open(store.Config{
 		Kind:        core.KindHash,
 		Policy:      persist.NVTraverse{},
-		Shards:      4,
+		Shards:      shards,
 		Tracked:     true,
 		SizeHint:    keys,
 		MaxSessions: 8,
@@ -107,7 +109,7 @@ func tortureRound(t *testing.T, seed int, evictProb float64, poolWorkers int) {
 	}
 	eng.PersistAll()
 
-	p := NewPool(st, PoolConfig{Workers: poolWorkers, MaxBatch: 8})
+	p := NewPool(st, PoolConfig{})
 	submit := func(op store.Op, cb func(store.OpResult, error)) { p.Submit(op, cbCompleter{fn: cb}) }
 	var completed atomic.Uint64
 	histories := make([]*crashtest.History, workers)

@@ -198,12 +198,17 @@ func Upsert(s Set, t *pmem.Thread, key, value uint64) {
 }
 
 // ApplyUpdate runs Update with fn, treating a nil fn as the batched-op
-// convention "set to value if present" (store.Op.Fn).
+// convention "set to value if present" (store.Op.Fn). That case borrows a
+// pooled constFn as Upsert does, so a wire UPDATE allocates nothing.
 func ApplyUpdate(s Set, t *pmem.Thread, key uint64, fn func(old uint64) uint64, value uint64) (uint64, bool) {
-	if fn == nil {
-		fn = func(uint64) uint64 { return value }
+	if fn != nil {
+		return s.Update(t, key, fn)
 	}
-	return s.Update(t, key, fn)
+	b := constFnPool.Get().(*constFn)
+	b.v = value
+	v, ok := s.Update(t, key, b.fn)
+	constFnPool.Put(b)
+	return v, ok
 }
 
 // SortedContents returns the structure's contents sorted ascending,

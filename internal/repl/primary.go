@@ -15,13 +15,12 @@ import (
 	"repro/internal/wire"
 )
 
-// PrimaryConfig tunes a replication primary.
+// PrimaryConfig tunes a replication primary. The write quorum K is the
+// store's (store.Config.WaitReplicas, read through Store.Repl): with K > 0
+// every write acknowledgement waits until K replicas confirmed its fence
+// group (replied ⇒ replicated); 0 streams best-effort and never delays an
+// ack.
 type PrimaryConfig struct {
-	// WaitReplicas is the write quorum K: with K > 0 every write
-	// acknowledgement waits until K replicas confirmed its fence group
-	// (replied ⇒ replicated); 0 streams best-effort and never delays an
-	// ack.
-	WaitReplicas int
 	// WaitTimeout bounds how long a WAIT-mode write waits for its quorum
 	// before failing with ErrQuorum (default 2s).
 	WaitTimeout time.Duration
@@ -44,6 +43,7 @@ const (
 type Primary struct {
 	st  store.Store
 	cfg PrimaryConfig
+	k   int // write quorum, fixed at NewPrimary
 	// runID names this primary instance in replica watermarks: the
 	// durable boot counter when the store is file-backed (stream
 	// positions die with the process, and so does the boot), a random
@@ -53,27 +53,66 @@ type Primary struct {
 	mu     sync.Mutex
 	logs   []*shardLog
 	feeds  map[*feeder]struct{}
-	gates  [][]*gate // per shard, FIFO in sequence order
+	waits  []waitQueue // per shard: withheld write acknowledgements
 	closed bool
 	// effects is CommittedGroup's scratch: a group's effects live here
 	// only until they are encoded into the frame the log keeps.
 	effects []Effect
 
-	// gateWake kicks the timeout monitor when the first gate registers.
-	gateWake chan struct{}
+	// waitWake kicks the timeout monitor when waiters register.
+	waitWake chan struct{}
 	done     chan struct{}
 
 	lastAck uint64 // highest summed ack vector any replica reached
 }
 
-// gate is one fence group's withheld write acknowledgements: the
-// completers and results of every write in the group, released when
-// WaitReplicas replicas acknowledge (shard, seq) or the deadline passes.
-type gate struct {
+// waiter is one withheld WAIT-mode write acknowledgement: the write's
+// completer and committed result, released when K replicas acknowledge
+// its group (shard, seq), or failed with ErrQuorum once deadline passes.
+type waiter struct {
 	seq      uint64
-	cs       []batcher.Completer
-	res      []store.OpResult
+	c        batcher.Completer
+	res      store.OpResult
 	deadline time.Time
+}
+
+// waitQueue is one shard's waiters in sequence order, so deadlines are
+// monotone too: release and expiry both pop from the front. The backing
+// array is reused, so a steady WAIT load allocates nothing here.
+type waitQueue struct {
+	q    []waiter
+	head int
+}
+
+func (w *waitQueue) len() int         { return len(w.q) - w.head }
+func (w *waitQueue) at(i int) *waiter { return &w.q[w.head+i] }
+func (w *waitQueue) push(x waiter)    { w.q = append(w.q, x) }
+
+// popTo moves the first n waiters onto dst. The array compacts once its
+// popped prefix outgrows the live rest, keeping pops amortized O(1).
+func (w *waitQueue) popTo(dst []waiter, n int) []waiter {
+	dst = append(dst, w.q[w.head:w.head+n]...)
+	clear(w.q[w.head : w.head+n]) // do not pin completers
+	w.head += n
+	if w.head > len(w.q)/2 {
+		live := copy(w.q, w.q[w.head:])
+		clear(w.q[live:])
+		w.q, w.head = w.q[:live], 0
+	}
+	return dst
+}
+
+// complete finishes every waiter in ws, with its committed result when
+// err is nil, and clears ws so the scratch it lives in pins nothing.
+func complete(ws []waiter, err error) {
+	for i := range ws {
+		if err != nil {
+			ws[i].c.Complete(store.OpResult{}, err)
+		} else {
+			ws[i].c.Complete(ws[i].res, nil)
+		}
+	}
+	clear(ws)
 }
 
 // feeder is one attached replica link, owned by its ServeConn call.
@@ -83,6 +122,8 @@ type feeder struct {
 	next  []uint64 // per-shard next position to stream, writer-side only
 	wake  chan struct{}
 	gone  bool
+	// released is onAck's scratch; only the link's ack reader uses it.
+	released []waiter
 }
 
 // NewPrimary builds the primary side over st. Wire it into the serving
@@ -97,11 +138,12 @@ func NewPrimary(st store.Store, cfg PrimaryConfig) *Primary {
 	p := &Primary{
 		st:       st,
 		cfg:      cfg,
+		k:        st.Repl().WaitReplicas,
 		runID:    st.Boot(),
 		logs:     make([]*shardLog, shards),
 		feeds:    make(map[*feeder]struct{}),
-		gates:    make([][]*gate, shards),
-		gateWake: make(chan struct{}, 1),
+		waits:    make([]waitQueue, shards),
+		waitWake: make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
 	for i := range p.logs {
@@ -119,11 +161,11 @@ func NewPrimary(st store.Store, cfg PrimaryConfig) *Primary {
 	if src, ok := st.(interface{ SetReplSource(func() store.ReplStats) }); ok {
 		src.SetReplSource(p.Stats)
 	}
-	go p.expireGates()
+	go p.expireWaiters()
 	return p
 }
 
-// Close fails every pending WAIT gate with ErrQuorum, disconnects every
+// Close fails every pending WAIT write with ErrQuorum, disconnects every
 // replica link and stops the monitor. Idempotent.
 func (p *Primary) Close() {
 	p.mu.Lock()
@@ -132,10 +174,10 @@ func (p *Primary) Close() {
 		return
 	}
 	p.closed = true
-	var pending []*gate
-	for sh := range p.gates {
-		pending = append(pending, p.gates[sh]...)
-		p.gates[sh] = nil
+	var pending []waiter
+	for sh := range p.waits {
+		q := &p.waits[sh]
+		pending = q.popTo(pending, q.len())
 	}
 	for f := range p.feeds {
 		f.gone = true
@@ -145,9 +187,7 @@ func (p *Primary) Close() {
 	}
 	p.mu.Unlock()
 	close(p.done)
-	for _, g := range pending {
-		g.fail(ErrQuorum)
-	}
+	complete(pending, ErrQuorum)
 }
 
 // CommittedGroup is the batcher.GroupSink surface: called at each fence
@@ -159,7 +199,7 @@ func (p *Primary) CommittedGroup(ops []store.Op, res []store.OpResult, idxs []in
 	// callbacks carry no writes and nothing to replicate.
 	firstWrite := -1
 	for _, i := range idxs {
-		if isWriteOp(ops[i]) {
+		if !ops[i].Kind.Read() {
 			firstWrite = i
 			break
 		}
@@ -174,7 +214,7 @@ func (p *Primary) CommittedGroup(ops []store.Op, res []store.OpResult, idxs []in
 		p.mu.Unlock()
 		return false
 	}
-	stream := len(p.feeds) > 0 || p.cfg.WaitReplicas > 0
+	stream := len(p.feeds) > 0 || p.k > 0
 	if !stream {
 		// Nobody is listening and no quorum is required: return before
 		// extracting effects so an unreplicated server's write path stays
@@ -197,8 +237,7 @@ func (p *Primary) CommittedGroup(ops []store.Op, res []store.OpResult, idxs []in
 		default:
 		}
 	}
-	k := p.cfg.WaitReplicas
-	if k <= 0 {
+	if p.k <= 0 {
 		p.mu.Unlock()
 		return false
 	}
@@ -209,43 +248,31 @@ func (p *Primary) CommittedGroup(ops []store.Op, res []store.OpResult, idxs []in
 		p.mu.Unlock()
 		return false
 	}
-	g := &gate{seq: seq, deadline: time.Now().Add(p.cfg.WaitTimeout)}
-	for _, i := range idxs {
-		if isWriteOp(ops[i]) {
-			g.cs = append(g.cs, cs[i])
-			g.res = append(g.res, res[i])
-		}
-	}
 	// Acks are cumulative per shard, so a replica that already confirmed
 	// this position (possible when the committed callback raced an eager
 	// ack) counts immediately.
-	if p.ackCountLocked(shardOf, seq) >= k {
+	if p.ackCountLocked(shardOf, seq) >= p.k {
 		p.mu.Unlock()
-		g.release()
+		for _, i := range idxs {
+			if !ops[i].Kind.Read() {
+				cs[i].Complete(res[i], nil)
+			}
+		}
 		return true
 	}
-	p.gates[shardOf] = append(p.gates[shardOf], g)
+	deadline := time.Now().Add(p.cfg.WaitTimeout)
+	q := &p.waits[shardOf]
+	for _, i := range idxs {
+		if !ops[i].Kind.Read() {
+			q.push(waiter{seq: seq, c: cs[i], res: res[i], deadline: deadline})
+		}
+	}
 	select {
-	case p.gateWake <- struct{}{}:
+	case p.waitWake <- struct{}{}:
 	default:
 	}
 	p.mu.Unlock()
 	return true
-}
-
-// release completes every withheld write with its committed result.
-func (g *gate) release() {
-	for i, c := range g.cs {
-		c.Complete(g.res[i], nil)
-	}
-}
-
-// fail completes every withheld write with err (the write is durable on
-// the primary; only the replication confirmation is missing).
-func (g *gate) fail(err error) {
-	for _, c := range g.cs {
-		c.Complete(store.OpResult{}, err)
-	}
 }
 
 // ackCountLocked counts replicas that acknowledged shard through seq.
@@ -260,8 +287,8 @@ func (p *Primary) ackCountLocked(shardOf int, seq uint64) int {
 }
 
 // onAck records a replica's cumulative acknowledgement and releases every
-// gate the new quorum covers. Gates release strictly in per-shard
-// sequence order — acks are cumulative, so a later gate's quorum implies
+// waiter the new quorum covers. Waiters release strictly in per-shard
+// sequence order — acks are cumulative, so a later group's quorum implies
 // the earlier one's.
 func (p *Primary) onAck(f *feeder, shardOf int, seq uint64) {
 	p.mu.Lock()
@@ -279,39 +306,40 @@ func (p *Primary) onAck(f *feeder, shardOf int, seq uint64) {
 	if sum > p.lastAck {
 		p.lastAck = sum
 	}
-	var ready []*gate
-	k := p.cfg.WaitReplicas
-	q := p.gates[shardOf]
-	for len(q) > 0 && p.ackCountLocked(shardOf, q[0].seq) >= k {
-		ready = append(ready, q[0])
-		q = q[1:]
+	q := &p.waits[shardOf]
+	n := 0
+	for ; n < q.len(); n++ {
+		// A group's writes share one seq: count its acks once.
+		if w := q.at(n); (n == 0 || w.seq != q.at(n-1).seq) && p.ackCountLocked(shardOf, w.seq) < p.k {
+			break
+		}
 	}
-	p.gates[shardOf] = q
+	f.released = q.popTo(f.released[:0], n)
 	p.mu.Unlock()
-	for _, g := range ready {
-		g.release()
-	}
+	complete(f.released, nil)
 }
 
-// expireGates is the quorum timeout monitor: a single goroutine that
-// fails overdue gates with ErrQuorum. Deadlines are monotone per shard
-// (gates register in commit order with a fixed timeout), so expiry pops
+// expireWaiters is the quorum timeout monitor: a single goroutine that
+// fails overdue waiters with ErrQuorum. Deadlines are monotone per shard
+// (waiters register in commit order with a fixed timeout), so expiry pops
 // from the front like release does.
-func (p *Primary) expireGates() {
+func (p *Primary) expireWaiters() {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
+	var overdue []waiter
 	for {
 		p.mu.Lock()
 		var next time.Time
-		for _, q := range p.gates {
-			if len(q) > 0 && (next.IsZero() || q[0].deadline.Before(next)) {
-				next = q[0].deadline
+		for sh := range p.waits {
+			q := &p.waits[sh]
+			if q.len() > 0 && (next.IsZero() || q.at(0).deadline.Before(next)) {
+				next = q.at(0).deadline
 			}
 		}
 		p.mu.Unlock()
 		if next.IsZero() {
 			select {
-			case <-p.gateWake:
+			case <-p.waitWake:
 				continue
 			case <-p.done:
 				return
@@ -324,7 +352,7 @@ func (p *Primary) expireGates() {
 		timer.Reset(d)
 		select {
 		case <-timer.C:
-		case <-p.gateWake:
+		case <-p.waitWake:
 			if !timer.Stop() {
 				<-timer.C
 			}
@@ -333,22 +361,18 @@ func (p *Primary) expireGates() {
 			return
 		}
 		now := time.Now()
-		var overdue []*gate
 		p.mu.Lock()
-		for sh, q := range p.gates {
+		for sh := range p.waits {
+			q := &p.waits[sh]
 			n := 0
-			for n < len(q) && !q[n].deadline.After(now) {
+			for n < q.len() && !q.at(n).deadline.After(now) {
 				n++
 			}
-			if n > 0 {
-				overdue = append(overdue, q[:n]...)
-				p.gates[sh] = q[n:]
-			}
+			overdue = q.popTo(overdue, n)
 		}
 		p.mu.Unlock()
-		for _, g := range overdue {
-			g.fail(ErrQuorum)
-		}
+		complete(overdue, ErrQuorum)
+		overdue = overdue[:0]
 	}
 }
 
@@ -358,7 +382,7 @@ func (p *Primary) Stats() store.ReplStats {
 	defer p.mu.Unlock()
 	st := store.ReplStats{
 		Role:         store.RolePrimary,
-		WaitReplicas: p.cfg.WaitReplicas,
+		WaitReplicas: p.k,
 		LastAckSeq:   p.lastAck,
 	}
 	for f := range p.feeds {

@@ -15,11 +15,13 @@ import (
 	"repro/internal/store"
 )
 
-func quorumStore(t *testing.T, shards int) store.Store {
+// quorumStore opens the store a primary under test reads its write quorum
+// k from.
+func quorumStore(t *testing.T, shards, k int) store.Store {
 	t.Helper()
 	st, err := store.Open(store.Config{
 		Kind: "hash", Policy: persist.NVTraverse{}, Profile: pmem.ProfileZero,
-		Shards: shards, SizeHint: 1 << 10, MaxSessions: 8,
+		Shards: shards, SizeHint: 1 << 10, MaxSessions: 8, WaitReplicas: k,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +81,8 @@ func waitErr(t *testing.T, c *stubC, within time.Duration) error {
 }
 
 func TestQuorumReverseOrderAck(t *testing.T) {
-	st := quorumStore(t, 2)
-	p := NewPrimary(st, PrimaryConfig{WaitReplicas: 1, WaitTimeout: 5 * time.Second})
+	st := quorumStore(t, 2, 1)
+	p := NewPrimary(st, PrimaryConfig{WaitTimeout: 5 * time.Second})
 	defer p.Close()
 	f := attachStub(p)
 
@@ -105,8 +107,8 @@ func TestQuorumReverseOrderAck(t *testing.T) {
 }
 
 func TestQuorumSlowReplicaTimesOutThenHeals(t *testing.T) {
-	st := quorumStore(t, 1)
-	p := NewPrimary(st, PrimaryConfig{WaitReplicas: 1, WaitTimeout: 30 * time.Millisecond})
+	st := quorumStore(t, 1, 1)
+	p := NewPrimary(st, PrimaryConfig{WaitTimeout: 30 * time.Millisecond})
 	defer p.Close()
 	f := attachStub(p)
 
@@ -127,8 +129,8 @@ func TestQuorumSlowReplicaTimesOutThenHeals(t *testing.T) {
 }
 
 func TestQuorumReplicaDeathMidBatch(t *testing.T) {
-	st := quorumStore(t, 1)
-	p := NewPrimary(st, PrimaryConfig{WaitReplicas: 2, WaitTimeout: 30 * time.Millisecond})
+	st := quorumStore(t, 1, 2)
+	p := NewPrimary(st, PrimaryConfig{WaitTimeout: 30 * time.Millisecond})
 	defer p.Close()
 	f1 := attachStub(p)
 	f2 := attachStub(p)
@@ -148,7 +150,7 @@ func TestQuorumReplicaDeathMidBatch(t *testing.T) {
 }
 
 func TestNoListenersSkipsLogAndGate(t *testing.T) {
-	st := quorumStore(t, 1)
+	st := quorumStore(t, 1, 0)
 	p := NewPrimary(st, PrimaryConfig{}) // K = 0, nobody attached
 	defer p.Close()
 	c := &stubC{ch: make(chan error, 1)}
@@ -177,8 +179,8 @@ func TestNoListenersSkipsLogAndGate(t *testing.T) {
 }
 
 func TestCloseFailsPendingGates(t *testing.T) {
-	st := quorumStore(t, 1)
-	p := NewPrimary(st, PrimaryConfig{WaitReplicas: 1, WaitTimeout: time.Hour})
+	st := quorumStore(t, 1, 1)
+	p := NewPrimary(st, PrimaryConfig{WaitTimeout: time.Hour})
 	attachStub(p)
 	c := commitPut(t, p, 3)
 	p.Close()
@@ -189,8 +191,8 @@ func TestCloseFailsPendingGates(t *testing.T) {
 }
 
 func TestReadOnlyGroupNotGated(t *testing.T) {
-	st := quorumStore(t, 1)
-	p := NewPrimary(st, PrimaryConfig{WaitReplicas: 1})
+	st := quorumStore(t, 1, 1)
+	p := NewPrimary(st, PrimaryConfig{})
 	defer p.Close()
 	attachStub(p)
 	ops := []store.Op{{Kind: store.OpGet, Key: 1}}

@@ -41,9 +41,10 @@
 //
 // # WAIT quorum
 //
-// With WaitReplicas K > 0 the primary takes ownership of each group's
-// write completions (GroupSink contract) and releases them only once K
-// replicas have acknowledged the group — replied ⇒ replicated. When the
+// With a write quorum K > 0 (store.Config.WaitReplicas) the primary takes
+// ownership of each group's write completions (GroupSink contract) and
+// releases them only once K replicas have acknowledged the group —
+// replied ⇒ replicated. When the
 // quorum cannot confirm within WaitTimeout (replica death, a falling-
 // behind replica, a broken link), the waiting writes fail with the typed
 // ErrQuorum instead of blocking forever: the same degraded-mode shape the
@@ -111,7 +112,7 @@ const snapChunk = 512
 
 var (
 	// ErrQuorum fails a WAIT-mode write whose fence group was not
-	// confirmed by WaitReplicas replicas within WaitTimeout. The write IS
+	// confirmed by K replicas within WaitTimeout. The write IS
 	// durable on the primary — only the replication confirmation is
 	// missing — and the condition is not sticky: writes succeed again
 	// once enough replicas catch up.
@@ -176,17 +177,6 @@ func appendBatchFrame(dst []byte, sh int, seq uint64, effects []Effect) []byte {
 // effectBytes is the effect payload size of an encoded batch frame: the
 // unit of the primary's lag-bytes accounting.
 func effectBytes(frame []byte) uint64 { return uint64(len(frame) - batchHeader) }
-
-// isWriteOp reports whether a batch operation needs a replication
-// acknowledgement before a WAIT-mode reply (mirrors the batcher's
-// read/write split).
-func isWriteOp(op store.Op) bool {
-	switch op.Kind {
-	case store.OpGet, store.OpScan:
-		return false
-	}
-	return true
-}
 
 // PSyncPayload encodes the attach request a replica sends as the payload
 // of an OpPSync request frame.

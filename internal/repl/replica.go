@@ -23,13 +23,6 @@ type ReplicaConfig struct {
 	// Primary is the primary server's address ("unix:/path",
 	// "tcp:host:port", or bare "host:port").
 	Primary string
-	// DialTimeout bounds each (re)connection attempt (default 5s).
-	DialTimeout time.Duration
-	// Reconnect is the pause between attach attempts after a link
-	// failure (default 250ms). The replica keeps serving reads from its
-	// last applied state while disconnected — that is the staleness
-	// contract.
-	Reconnect time.Duration
 	// WatermarkPath, when non-empty, persists the replica's stream
 	// position (primary run identity + per-shard acknowledged sequences)
 	// so a restarted replica can tail instead of full-resyncing. Written
@@ -37,10 +30,19 @@ type ReplicaConfig struct {
 	// a snapshot, never correctness, because batch application is
 	// idempotent.
 	WatermarkPath string
-	// ApplyBatch caps how many snapshot effects apply under one fence
-	// group during bootstrap (default 256).
-	ApplyBatch int
 }
+
+const (
+	// dialTimeout bounds each (re)connection attempt.
+	dialTimeout = 5 * time.Second
+	// reconnectPause is the pause between attach attempts after a link
+	// failure. The replica keeps serving reads from its last applied state
+	// while disconnected — that is the staleness contract.
+	reconnectPause = 250 * time.Millisecond
+	// wipeBatch caps how many deletes of a full-resync wipe apply under
+	// one fence group.
+	wipeBatch = 256
+)
 
 // Replica tails a primary's replication stream into a local store and
 // keeps it applying across link failures until Close. Reads against the
@@ -72,15 +74,6 @@ type Replica struct {
 func StartReplica(st store.Store, cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Primary == "" {
 		return nil, errors.New("repl: replica needs a primary address")
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.Reconnect <= 0 {
-		cfg.Reconnect = 250 * time.Millisecond
-	}
-	if cfg.ApplyBatch <= 0 {
-		cfg.ApplyBatch = 256
 	}
 	r := &Replica{
 		st:   st,
@@ -151,7 +144,7 @@ func (r *Replica) run() {
 		select {
 		case <-r.done:
 			return
-		case <-time.After(r.cfg.Reconnect):
+		case <-time.After(reconnectPause):
 		}
 	}
 }
@@ -159,7 +152,7 @@ func (r *Replica) run() {
 // attachOnce runs one connection lifetime: dial, then sync over the link.
 func (r *Replica) attachOnce() error {
 	network, address := wire.SplitAddr(r.cfg.Primary)
-	c, err := net.DialTimeout(network, address, r.cfg.DialTimeout)
+	c, err := net.DialTimeout(network, address, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -233,7 +226,7 @@ func (r *Replica) syncOn(c net.Conn) error {
 // whole in br is applied first, and only when the next read could block
 // does the loop publish the new positions, write one ack per shard it
 // touched and flush. That holds whatever frame kind ends the burst, so a
-// WAIT gate on the primary never waits on a replica that is itself
+// WAIT write on the primary never waits on a replica that is itself
 // waiting. A malformed frame ends the stream before anything it carries
 // is applied or acknowledged.
 func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, shards int) error {
@@ -386,7 +379,7 @@ func (r *Replica) wipe() error {
 	}
 	var res []store.OpResult
 	for len(ops) > 0 {
-		n := min(len(ops), r.cfg.ApplyBatch)
+		n := min(len(ops), wipeBatch)
 		if err := r.apply(ops[:n], &res); err != nil {
 			return err
 		}

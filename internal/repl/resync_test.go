@@ -95,7 +95,7 @@ func testConcurrentFullResync(t *testing.T, kind core.Kind) {
 		for k := uint64(1); k <= keys+300; k += 3 {
 			stale.Put(k, k+7)
 		}
-		r, err := StartReplica(st, ReplicaConfig{Primary: "unix:" + ln.Addr().String(), Reconnect: 10 * time.Millisecond})
+		r, err := StartReplica(st, ReplicaConfig{Primary: "unix:" + ln.Addr().String()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,6 @@ func newTestReplica(t testing.TB, shards int) *Replica {
 	return &Replica{
 		st:    st,
 		sess:  st.NewSession(),
-		cfg:   ReplicaConfig{ApplyBatch: 256},
 		acked: make([]uint64, shards),
 		done:  make(chan struct{}),
 	}

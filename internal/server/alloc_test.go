@@ -31,9 +31,9 @@ func allocHarness(t *testing.T) (*connState, func()) {
 	}
 	// A lone write flushes at once, so each measured iteration spans a
 	// complete submit → fence → complete round trip.
-	srv := New(st, Config{MaxConns: 2, MaxBatch: 4})
+	srv := New(st, Config{MaxConns: 2})
 	sess := st.NewSession()
-	cs := newConnState(srv, sess, 8, &binCodec{})
+	cs := newConnState(srv, sess, &binCodec{})
 	for k := uint64(1); k <= 512; k++ {
 		sess.Insert(k, k)
 	}
@@ -68,6 +68,26 @@ func TestBinaryWritePathAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { put(137) }); avg != 0 {
 		t.Errorf("binary PUT path: %v allocs per op, want 0", avg)
+	}
+}
+
+// TestBinaryUpdatePathAllocs: UPDATE of an existing key ("set to value if
+// present") — decode, submit, the engine's in-place update, group commit,
+// VALUE frame — at zero allocations per op.
+func TestBinaryUpdatePathAllocs(t *testing.T) {
+	cs, stop := allocHarness(t)
+	defer stop()
+	payload := make([]byte, 16)
+	update := func(k uint64) {
+		binary.LittleEndian.PutUint64(payload, k)
+		binary.LittleEndian.PutUint64(payload[8:], k*11)
+		roundTrip(t, cs, binOpUpdate, payload, binTagValue)
+	}
+	for i := uint64(1); i <= 128; i++ { // warm worker scratch and slot buffers
+		update(i%512 + 1)
+	}
+	if avg := testing.AllocsPerRun(200, func() { update(137) }); avg != 0 {
+		t.Errorf("binary UPDATE path: %v allocs per op, want 0", avg)
 	}
 }
 

@@ -50,6 +50,21 @@ func startReplicaServer(t *testing.T, primaryAddr string, kind core.Kind, shards
 	return addr, srv
 }
 
+// startWaitPrimary serves a fresh 2-shard hash store whose write quorum
+// (store.Config.WaitReplicas) is k, failing unconfirmed writes after
+// timeout.
+func startWaitPrimary(t *testing.T, k int, timeout time.Duration) (string, *Server) {
+	t.Helper()
+	st, err := store.Open(store.Config{
+		Kind: core.KindHash, Policy: persist.NVTraverse{}, Profile: pmem.ProfileZero,
+		Shards: 2, SizeHint: 1 << 12, MaxSessions: 16, WaitReplicas: k,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveStore(t, st, Config{MaxConns: 8, WaitTimeout: timeout})
+}
+
 // waitForKey polls a client until key reads back with want.
 func waitForKey(t *testing.T, cl *Client, key, want uint64) {
 	t.Helper()
@@ -161,9 +176,7 @@ func TestReplicationStreamAndSnapshot(t *testing.T) {
 // no replica a write fails typed after the quorum timeout (durable but
 // unconfirmed), and succeeds once a replica is attached and confirming.
 func TestWaitQuorumOverWire(t *testing.T) {
-	paddr, _, _ := startServer(t, core.KindHash, 2, Config{
-		WaitReplicas: 1, WaitTimeout: 150 * time.Millisecond,
-	})
+	paddr, _ := startWaitPrimary(t, 1, 150*time.Millisecond)
 	pcl, err := Dial(paddr)
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +221,7 @@ func TestWaitQuorumOverWire(t *testing.T) {
 // replica: every write the primary acknowledged under WAIT must be
 // present on the promoted replica, which must accept writes afterwards.
 func TestPromoteFailover(t *testing.T) {
-	paddr, psrv, _ := startServer(t, core.KindHash, 2, Config{
-		WaitReplicas: 1, WaitTimeout: 2 * time.Second,
-	})
+	paddr, psrv := startWaitPrimary(t, 1, 2*time.Second)
 	raddr, _ := startReplicaServer(t, paddr, core.KindHash, 2, "")
 	rcl, err := Dial(raddr)
 	if err != nil {

@@ -76,13 +76,6 @@ type Config struct {
 	// the store while open; default 64). Excess connections are refused
 	// with an error reply.
 	MaxConns int
-	// Pipeline bounds the per-connection reply queue: a client may have at
-	// most this many requests outstanding before the server stops reading
-	// its socket (default 128).
-	Pipeline int
-	// MaxBatch caps one worker flush (default 64; see
-	// batcher.PoolConfig.MaxBatch).
-	MaxBatch int
 	// IdleTimeout closes a connection that has delivered no complete
 	// request for this long (0 = no limit). The clock re-arms whenever the
 	// server is about to wait on the socket for the rest of the next frame —
@@ -94,16 +87,16 @@ type Config struct {
 	// limit): a client that stops reading cannot pin a handler forever once
 	// its kernel buffer fills.
 	WriteTimeout time.Duration
-	// WaitReplicas is the replication write quorum K: with K > 0 a write
-	// is acknowledged only after K replicas confirmed its fence group
-	// (replied ⇒ replicated; see internal/repl). 0 inherits the store's
-	// configured quorum (store.Config.WaitReplicas), which defaults to
-	// best-effort streaming.
-	WaitReplicas int
 	// WaitTimeout bounds a WAIT-mode write's wait for its replica quorum
-	// before it fails with a typed quorum error (default 2s).
+	// before it fails with a typed quorum error (default 2s). The quorum K
+	// itself is the store's (store.Config.WaitReplicas).
 	WaitTimeout time.Duration
 }
+
+// pipeline bounds the per-connection reply queue: a client may have at
+// most this many requests outstanding before the server stops reading its
+// socket.
+const pipeline = 128
 
 // Server serves the store protocol. One Server may serve many listeners.
 type Server struct {
@@ -138,22 +131,10 @@ func New(st store.Store, cfg Config) *Server {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 64
 	}
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 128
-	}
-	if cfg.WaitReplicas == 0 {
-		cfg.WaitReplicas = st.Repl().WaitReplicas
-	}
-	prim := repl.NewPrimary(st, repl.PrimaryConfig{
-		WaitReplicas: cfg.WaitReplicas,
-		WaitTimeout:  cfg.WaitTimeout,
-	})
+	prim := repl.NewPrimary(st, repl.PrimaryConfig{WaitTimeout: cfg.WaitTimeout})
 	return &Server{
-		st: st,
-		pool: batcher.NewPool(st, batcher.PoolConfig{
-			MaxBatch: cfg.MaxBatch,
-			OnCommit: prim,
-		}),
+		st:        st,
+		pool:      batcher.NewPool(st, batcher.PoolConfig{OnCommit: prim}),
 		cfg:       cfg,
 		prim:      prim,
 		listeners: make(map[net.Listener]struct{}),
@@ -197,7 +178,7 @@ func (s *Server) Promote() {
 		r.Close()
 	}
 	s.readOnly.Store(false)
-	if src, ok := s.st.(interface{ SetReplSource(func() store.ReplStats) }); ok && s.prim != nil {
+	if src, ok := s.st.(interface{ SetReplSource(func() store.ReplStats) }); ok {
 		src.SetReplSource(s.prim.Stats)
 	}
 }
@@ -309,12 +290,10 @@ func (s *Server) Close() {
 	if replica != nil {
 		replica.Close()
 	}
-	if s.prim != nil {
-		// Fail pending WAIT gates now, before waiting on the handlers:
-		// their writer goroutines drain queued replies, and a gate held to
-		// its full quorum timeout would stall shutdown for nothing.
-		s.prim.Close()
-	}
+	// Fail pending WAIT writes now, before waiting on the handlers: their
+	// writer goroutines drain queued replies, and a write held to its full
+	// quorum timeout would stall shutdown for nothing.
+	s.prim.Close()
 	s.handlers.Wait()
 	s.pool.Close()
 }
@@ -341,7 +320,7 @@ func (s *Server) getSession() (store.Session, bool) {
 
 func (s *Server) putSession(sess store.Session) { s.sessions <- sess }
 
-// slot is one in-order reply. A connection owns Pipeline slots, recycled
+// slot is one in-order reply. A connection owns pipeline slots, recycled
 // through the free channel; the writer goroutine sends buf once the ready
 // token arrives. Slots submitted to the pool (writes, and GETs behind
 // outstanding requests) are completed by it (slot implements
@@ -400,7 +379,7 @@ func (s *Server) handle(c net.Conn) {
 		cd = &binCodec{}
 	}
 
-	cs := newConnState(s, sess, s.cfg.Pipeline, cd)
+	cs := newConnState(s, sess, cd)
 	cs.conn = c
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
@@ -483,7 +462,7 @@ type connState struct {
 	replPSync []byte
 }
 
-func newConnState(s *Server, sess store.Session, pipeline int, cd codec) *connState {
+func newConnState(s *Server, sess store.Session, cd codec) *connState {
 	cs := &connState{
 		srv:   s,
 		sess:  sess,
@@ -654,7 +633,7 @@ func (cs *connState) exec(req request) bool {
 		cs.srv.Promote()
 		cs.reply(reply{kind: replyOK})
 	case cmdPSync:
-		if cs.srv.prim == nil || cs.srv.readOnly.Load() {
+		if cs.srv.readOnly.Load() {
 			cs.replyErr("PSYNC: not a primary")
 			break
 		}
@@ -764,9 +743,6 @@ func degraded01(s *Server) uint64 {
 func (s *Server) DegradedErr() error {
 	if err := s.pool.DegradedErr(); err != nil {
 		return err
-	}
-	if s.st == nil { // component tests build a Server around a bare pool
-		return nil
 	}
 	return s.st.DurableErr()
 }

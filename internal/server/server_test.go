@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/batcher"
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/pmem"
@@ -469,11 +468,7 @@ func TestReadYourWritesAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := "unix:" + filepath.Join(t.TempDir(), "nv.sock")
-	srv := New(st, Config{
-		MaxConns: 8,
-		Pipeline: 4096,
-		MaxBatch: 8192,
-	})
+	srv := New(st, Config{MaxConns: 8})
 	ln, err := Listen(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -623,6 +618,42 @@ func (s *inversionSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, 
 	return dst
 }
 
+// sessionStore stands a Server on stub sessions: it embeds a real store
+// (for the calls the server, its pool and its primary make) but reports one
+// shard per entry of sessions, hands pool worker i sessions[i], and routes
+// key k to worker shardFor(k) (worker 0 when shardFor is nil).
+type sessionStore struct {
+	store.Store
+	sessions []store.Session
+	shardFor func(key uint64) int
+	next     int
+}
+
+func (s *sessionStore) Shards() int { return len(s.sessions) }
+
+func (s *sessionStore) NewSession() store.Session {
+	s.next++
+	return s.sessions[s.next-1]
+}
+
+func (s *sessionStore) ShardFor(key uint64) int {
+	if s.shardFor == nil {
+		return 0
+	}
+	return s.shardFor(key)
+}
+
+// stubServer builds a Server whose pool workers run the given stub
+// sessions (see sessionStore) over an empty in-memory store.
+func stubServer(t *testing.T, shardFor func(uint64) int, sessions ...store.Session) *Server {
+	t.Helper()
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(&sessionStore{Store: st, sessions: sessions, shardFor: shardFor}, Config{})
+}
+
 // execText decodes one text request line and executes it
 // (component-level tests with no socket).
 func execText(cs *connState, line string) {
@@ -657,13 +688,12 @@ func TestAwaitWritesWaitsForAllOutstanding(t *testing.T) {
 		m: make(map[uint64]uint64), pause: 100 * time.Millisecond,
 		entered: make(chan struct{}), release: make(chan struct{}),
 	}
-	p := batcher.NewSessionPool(sess, batcher.PoolConfig{})
+	srv := stubServer(t, nil, sess)
 	defer func() {
-		p.Close()
+		srv.Close()
 		close(sess.entered) // stops the gatekeeper below
 	}()
-	srv := &Server{pool: p}
-	cs := newConnState(srv, sess, 16, &textCodec{})
+	cs := newConnState(srv, sess, &textCodec{})
 
 	execText(cs, "PUT 1 1") // priming write: flushes alone, at once
 	<-sess.entered          // ... and is held mid-flush
@@ -687,7 +717,7 @@ func TestAwaitWritesWaitsForAllOutstanding(t *testing.T) {
 	}
 	// The GET finds PUT 7 outstanding unless the reader stalls through the
 	// stub's 100 ms pause; either way the PUTs shared the second flush.
-	if ps := p.Stats(); ps.Reads > 1 || ps.Ops != 3+ps.Reads || ps.Flushes != 2+ps.Reads {
+	if ps := srv.pool.Stats(); ps.Reads > 1 || ps.Ops != 3+ps.Reads || ps.Flushes != 2+ps.Reads {
 		t.Fatalf("%d ops (%d reads) in %d flushes, want PUT 7 and PUT 8 sharing the second flush and a pooled GET in a third", ps.Ops, ps.Reads, ps.Flushes)
 	}
 }
@@ -702,13 +732,12 @@ func TestGetRidesRingBehindHeldFlush(t *testing.T) {
 		m:       make(map[uint64]uint64),
 		entered: make(chan struct{}), release: make(chan struct{}),
 	}
-	p := batcher.NewSessionPool(sess, batcher.PoolConfig{})
+	srv := stubServer(t, nil, sess)
 	defer func() {
-		p.Close()
+		srv.Close()
 		close(sess.entered) // stops the gate drain on the failure path
 	}()
-	srv := &Server{pool: p}
-	cs := newConnState(srv, sess, 16, &textCodec{})
+	cs := newConnState(srv, sess, &textCodec{})
 
 	execText(cs, "PUT 1 1") // priming write: flushes alone, at once
 	<-sess.entered          // ... and is held mid-flush
@@ -741,7 +770,7 @@ func TestGetRidesRingBehindHeldFlush(t *testing.T) {
 			t.Fatalf("reply %d = %q, want %q", i, got, want[i])
 		}
 	}
-	if ps := p.Stats(); ps.Flushes != 2 || ps.Ops != 4 || ps.Reads != 1 {
+	if ps := srv.pool.Stats(); ps.Flushes != 2 || ps.Ops != 4 || ps.Reads != 1 {
 		t.Fatalf("%d ops (%d reads) in %d flushes, want PUT 7, GET 7 and PUT 8 sharing the second of 2 flushes", ps.Ops, ps.Reads, ps.Flushes)
 	}
 }
@@ -776,16 +805,11 @@ func TestAwaitWritesAcrossWorkers(t *testing.T) {
 		delay:            100 * time.Millisecond,
 	}
 	fast := &inversionSession{m: make(map[uint64]uint64)}
-	p := batcher.NewSessionsPool(
-		[]store.Session{slow, fast},
-		func(key uint64) int { return int(key % 2) },
-		batcher.PoolConfig{MaxBatch: 1},
-	)
-	defer p.Close()
-	srv := &Server{pool: p}
+	srv := stubServer(t, func(key uint64) int { return int(key % 2) }, slow, fast)
+	defer srv.Close()
 	// The read session is the slow worker's: a stale read of key 2 would
 	// observe the map before the delayed apply.
-	cs := newConnState(srv, slow, 16, &textCodec{})
+	cs := newConnState(srv, slow, &textCodec{})
 
 	execText(cs, "PUT 2 42") // worker 0 (slow)
 	execText(cs, "PUT 3 9")  // worker 1 (fast, acks first)
@@ -799,7 +823,7 @@ func TestAwaitWritesAcrossWorkers(t *testing.T) {
 			t.Fatalf("reply %d = %q, want %q (read ran before the slow worker's write committed)", i, got, want[i])
 		}
 	}
-	if ps := p.Stats(); ps.Ops != 4 || ps.Reads != 1 {
+	if ps := srv.pool.Stats(); ps.Ops != 4 || ps.Reads != 1 {
 		t.Fatalf("pool applied %d ops (%d reads), want the three PUTs and the GET", ps.Ops, ps.Reads)
 	}
 }

@@ -57,6 +57,11 @@ const (
 	OpScan
 )
 
+// Read reports whether an operation of kind k only reads (OpGet, OpScan).
+// A read needs no durability to acknowledge: it completes on a degraded
+// store and never waits for replication. Every other kind is a write.
+func (k OpKind) Read() bool { return k == OpGet || k == OpScan }
+
 // Op is one operation of a batch.
 type Op struct {
 	Kind       OpKind
@@ -261,12 +266,11 @@ type Config struct {
 	// layout-determining (absent from the manifest). Only meaningful with
 	// Dir.
 	FS vfs.FS
-	// WaitReplicas records the configured write quorum K for serving
-	// layers to pick up (surfaced through Repl().WaitReplicas): a write
+	// WaitReplicas is the write quorum K, and its only source: a write
 	// acknowledged under WAIT mode has been confirmed by K replicas. The
 	// store itself does not enforce it — the replication primary the
-	// server wires into the group-commit pool does. Not
-	// layout-determining.
+	// server wires into the group-commit pool reads it through
+	// Repl().WaitReplicas and does. Not layout-determining.
 	WaitReplicas int
 }
 

@@ -111,9 +111,9 @@ func WithReplicaOf(addr string) Option {
 // WithWaitReplicas declares the write quorum K the serving layer enforces
 // on this store: a WAIT-mode write is acknowledged only after K replicas
 // confirmed the fence group containing it. The store itself does not gate
-// on it — nvserver's replication primary does — but recording it here lets
-// one Open call express the full durability contract, and Repl() surfaces
-// it.
+// on it — the replication primary a server builds over the store reads K
+// from here, which is also how nvserver's -wait reaches it — and Repl()
+// surfaces it. The store's config is the quorum's only source.
 func WithWaitReplicas(k int) Option {
 	return func(c *openConfig) { c.cfg.WaitReplicas = k }
 }
