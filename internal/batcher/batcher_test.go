@@ -8,6 +8,7 @@ import (
 	"repro/internal/persist"
 	"repro/internal/pmem"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
 func openEngine(t *testing.T, shards, sessions int) store.Store {
@@ -64,7 +65,7 @@ func TestGroupCommitFenceAccounting(t *testing.T) {
 	eng := batched.(*store.Engine)
 
 	g := newGate()
-	b := NewPool(&sessionStore{Store: batched, sessions: []store.Session{gatedSession{batched.NewSession(), g}}}, PoolConfig{})
+	b := NewPool(&storetest.Sessions{Store: batched, List: []store.Session{gatedSession{batched.NewSession(), g}}}, PoolConfig{})
 	key := func(r, w int) uint64 { return uint64(r*K+w) + 1 }
 	const warmup = uint64(R*K) + 1
 

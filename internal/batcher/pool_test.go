@@ -7,50 +7,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/pmem"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
-
-// sessionStore is the test seam for the pool's sessions: it embeds a real
-// store (whose MaybeCheckpoint, Repl and the rest the pool may call) but
-// tells NewPool there is one shard per entry of sessions, hands worker i
-// sessions[i], and routes key k to worker shardFor(k) (worker 0 when
-// shardFor is nil).
-type sessionStore struct {
-	store.Store
-	sessions []store.Session
-	shardFor func(key uint64) int
-	next     int
-}
-
-func (s *sessionStore) Shards() int { return len(s.sessions) }
-
-func (s *sessionStore) NewSession() store.Session {
-	s.next++
-	return s.sessions[s.next-1]
-}
-
-func (s *sessionStore) ShardFor(key uint64) int {
-	if s.shardFor == nil {
-		return 0
-	}
-	return s.shardFor(key)
-}
-
-// stubStore builds a pool store over stub sessions, embedding an empty
-// in-memory store.
-func stubStore(t *testing.T, shardFor func(uint64) int, sessions ...store.Session) store.Store {
-	t.Helper()
-	st, err := store.Open(store.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &sessionStore{Store: st, sessions: sessions, shardFor: shardFor}
-}
 
 // oneWorker presents st to NewPool as a single shard, so one worker's
 // session serves every shard of st and one flush spans several shard fence
 // groups, acknowledging them group by group.
 func oneWorker(st store.Store) store.Store {
-	return &sessionStore{Store: st, sessions: []store.Session{st.NewSession()}}
+	return &storetest.Sessions{Store: st, List: []store.Session{st.NewSession()}}
 }
 
 func asIs(st store.Store) store.Store { return st }
@@ -212,7 +176,7 @@ func (s *orderSession) Rand() uint64 { return 0 }
 // ring is FIFO and a worker applies batches in ring order).
 func TestPoolShardAffinityAndOrder(t *testing.T) {
 	s0, s1 := newOrderSession(), newOrderSession()
-	p := NewPool(stubStore(t, func(key uint64) int { return int(key % 2) }, s0, s1), PoolConfig{})
+	p := NewPool(storetest.Stub(t, func(key uint64) int { return int(key % 2) }, s0, s1), PoolConfig{})
 	const writers, per = 4, 100
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -302,7 +266,7 @@ func (c countCompleter) Complete(store.OpResult, error) { c.wg.Done() }
 func TestPoolGroupCommit(t *testing.T) {
 	const K = 8
 	s := &gateSession{orderSession: newOrderSession(), gate: newGate()}
-	p := NewPool(stubStore(t, nil, s), PoolConfig{})
+	p := NewPool(storetest.Stub(t, nil, s), PoolConfig{})
 	var wg sync.WaitGroup
 	wg.Add(K + 1)
 	p.Submit(store.Op{Kind: store.OpPut, Key: 1, Value: 1}, countCompleter{&wg})
@@ -330,7 +294,7 @@ func TestPoolGroupCommit(t *testing.T) {
 // clock involved, and completes as a flush of one.
 func TestPoolLoneRequestFlushesAtOnce(t *testing.T) {
 	s := &gateSession{orderSession: newOrderSession(), gate: newGate()}
-	p := NewPool(stubStore(t, nil, s), PoolConfig{})
+	p := NewPool(storetest.Stub(t, nil, s), PoolConfig{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	p.Submit(store.Op{Kind: store.OpPut, Key: 1, Value: 1}, countCompleter{&wg})
@@ -352,7 +316,7 @@ func TestPoolLoneRequestFlushesAtOnce(t *testing.T) {
 // one of the 8 left over.
 func TestPoolFlushCap(t *testing.T) {
 	s := &gateSession{orderSession: newOrderSession(), gate: newGate()}
-	p := NewPool(stubStore(t, nil, s), PoolConfig{})
+	p := NewPool(storetest.Stub(t, nil, s), PoolConfig{})
 	var wg sync.WaitGroup
 	wg.Add(maxBatch + 9)
 	p.Submit(store.Op{Kind: store.OpPut, Key: 1, Value: 1}, countCompleter{&wg})

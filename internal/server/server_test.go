@@ -17,6 +17,7 @@ import (
 	"repro/internal/persist"
 	"repro/internal/pmem"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 	"repro/internal/wire"
 )
 
@@ -450,15 +451,17 @@ func modelScan(model map[uint64]uint64, lo, hi uint64, max int) []string {
 }
 
 // TestReadYourWritesAcrossShards regression-tests the ordering bug where a
-// read waited only on the connection's most recent write: within one
-// batcher flush, shard groups are acknowledged in shard-index order, not
-// submission order, so an earlier write to a later-committing shard could
-// still be unexecuted when the latest write's fence landed. Each round
-// pipelines PUT a, a filler burst spread across every shard, PUT b, GET a
-// into a single flush; the GET must observe a no matter which shards a and
-// b hash to. The NVRAM profile stretches each flush's execution (spin cost
-// per op), widening the window between one shard group's acknowledgement
-// and a later group's execution so the old code fails reliably.
+// read waited only on the connection's most recent write: workers and the
+// shard groups within one flush acknowledge out of submission order, so an
+// earlier write to a later-committing shard could still be unexecuted when
+// the latest write's fence landed. Each round pipelines PUT a, a filler
+// burst spread across every shard, PUT b and GET a, sized to fit one
+// pipeline window so that all of them are outstanding together (a slot is
+// recycled only once its reply is sent, so a larger round would hold the
+// GET back until PUT a had been answered); the GET must observe a no matter
+// which shards a and b hash to. The NVRAM profile stretches each flush's
+// execution (spin cost per op), so PUT a is still unexecuted when the
+// reader decodes the GET, and a GET that ignores outstanding writes fails.
 func TestReadYourWritesAcrossShards(t *testing.T) {
 	st, err := store.Open(store.Config{
 		Kind: core.KindHash, Policy: persist.NVTraverse{}, Profile: pmem.ProfileNVRAM,
@@ -487,7 +490,9 @@ func TestReadYourWritesAcrossShards(t *testing.T) {
 	}
 	defer cl.Close()
 
-	const rounds, filler = 40, 2000
+	// PUT a, the fillers, PUT b and GET a: pipeline-5 requests, leaving
+	// slack for slots the writer is still returning from the last round.
+	const rounds, filler = 40, pipeline - 8
 	next := uint64(1)
 	for r := 0; r < rounds; r++ {
 		a := next
@@ -618,40 +623,11 @@ func (s *inversionSession) ApplyCommitted(ops []store.Op, dst []store.OpResult, 
 	return dst
 }
 
-// sessionStore stands a Server on stub sessions: it embeds a real store
-// (for the calls the server, its pool and its primary make) but reports one
-// shard per entry of sessions, hands pool worker i sessions[i], and routes
-// key k to worker shardFor(k) (worker 0 when shardFor is nil).
-type sessionStore struct {
-	store.Store
-	sessions []store.Session
-	shardFor func(key uint64) int
-	next     int
-}
-
-func (s *sessionStore) Shards() int { return len(s.sessions) }
-
-func (s *sessionStore) NewSession() store.Session {
-	s.next++
-	return s.sessions[s.next-1]
-}
-
-func (s *sessionStore) ShardFor(key uint64) int {
-	if s.shardFor == nil {
-		return 0
-	}
-	return s.shardFor(key)
-}
-
 // stubServer builds a Server whose pool workers run the given stub
-// sessions (see sessionStore) over an empty in-memory store.
+// sessions, key k on worker shardFor(k) (see storetest.Sessions).
 func stubServer(t *testing.T, shardFor func(uint64) int, sessions ...store.Session) *Server {
 	t.Helper()
-	st, err := store.Open(store.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(&sessionStore{Store: st, sessions: sessions, shardFor: shardFor}, Config{})
+	return New(storetest.Stub(t, shardFor, sessions...), Config{})
 }
 
 // execText decodes one text request line and executes it
