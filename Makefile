@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race fmt vet staticcheck nvlint lint apicheck benchmark-smoke crash-smoke repl-smoke fault-smoke bench-smoke bench-ci soak ci
+.PHONY: build test short race fmt vet staticcheck nvlint lint apicheck benchmark-smoke crash-smoke repl-smoke fault-smoke bench-smoke bench-ci soak size ci
 
 build:
 	$(GO) build ./...
@@ -168,6 +168,12 @@ SOAK_RUNS ?= 200
 SOAK_RACE_RUNS ?= 1000
 soak:
 	GO=$(GO) bash scripts/soak.sh $(SOAK_RUNS) $(SOAK_RACE_RUNS)
+
+# Footprint, kept out of ci (a report, not a check): non-test Go lines
+# outside benchmark/ and the exported symbols per package — top-level
+# declarations and exported struct fields, as `go doc -all` lists them.
+size:
+	GO=$(GO) bash scripts/size.sh
 
 # Run the Go benchmarks once (panels + flush accounting smoke), then the
 # YCSB-E panel once end to end: every ordered kind x durable policy,

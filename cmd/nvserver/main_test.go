@@ -76,6 +76,90 @@ func TestWaitFlagReachesPrimary(t *testing.T) {
 	}
 }
 
+// TestReadsAppendNoWAL: on a -data -sync server that has taken a PUT load,
+// a window of GETs, MGETs and a whole-range SCAN leaves STATS wal_bytes and
+// wal_records where the PUTs left them — a read appends nothing to the log.
+// The reads take well under the 2 s the server runs for.
+func TestReadsAppendNoWAL(t *testing.T) {
+	const keys = 2048
+	for _, kind := range []string{"hash", "skiplist"} {
+		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			cl, serveErr, serveOut := serveInProcess(t, "-kind", kind, "-data", t.TempDir(), "-sync", "-serve-for", "2s")
+			// Pipelined rounds of up to 100 requests, well inside the
+			// server's per-connection window.
+			round := func(send func(k uint64) error, check func(k uint64, r server.Reply)) {
+				for lo := uint64(1); lo <= keys; lo += 100 {
+					hi := min(lo+99, keys)
+					for k := lo; k <= hi; k++ {
+						if err := send(k); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := cl.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					for k := lo; k <= hi; k++ {
+						r, err := cl.ReadReply()
+						if err != nil || r.IsErr() {
+							t.Fatalf("key %d: %v %s", k, err, r.Err)
+						}
+						check(k, r)
+					}
+				}
+			}
+			round(func(k uint64) error { return cl.SendPut(k, k*3) }, func(uint64, server.Reply) {})
+			round(func(k uint64) error {
+				if k%7 != 0 {
+					return cl.SendGet(k)
+				}
+				return cl.SendPut(k, k*3)
+			}, func(uint64, server.Reply) {})
+			wal := func() (bytes, records uint64) {
+				st, err := cl.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st["wal_bytes"], st["wal_records"]
+			}
+			b0, r0 := wal()
+			if b0 == 0 || r0 == 0 {
+				t.Fatalf("the PUT load logged %d bytes in %d records", b0, r0)
+			}
+
+			round(cl.SendGet, func(k uint64, r server.Reply) {
+				if !r.Found || r.Value != k*3 {
+					t.Fatalf("GET %d = (%d, %v), want (%d, true)", k, r.Value, r.Found, k*3)
+				}
+			})
+			round(func(k uint64) error { return cl.SendMGet([]uint64{k, k + keys}) }, func(k uint64, r server.Reply) {
+				if len(r.Array) != 2 {
+					t.Fatalf("MGET %d: %d replies, want 2", k, len(r.Array))
+				}
+			})
+			ks, vs, err := cl.Scan(1, 1<<61-1, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ks) != keys {
+				t.Fatalf("SCAN returned %d pairs, want %d", len(ks), keys)
+			}
+			for i, k := range ks {
+				if vs[i] != k*3 {
+					t.Fatalf("SCAN: key %d = %d, want %d", k, vs[i], k*3)
+				}
+			}
+			if b, r := wal(); b != b0 || r != r0 {
+				t.Fatalf("the read window appended %d WAL bytes in %d records, want 0 and 0", b-b0, r-r0)
+			}
+			cl.Close()
+			if err := <-serveErr; err != nil {
+				t.Fatalf("serve: %v\n%s", err, serveOut.String())
+			}
+		})
+	}
+}
+
 // mustRefuse runs nvserver with args in serve mode and fails the test
 // unless it returns an error before it starts serving.
 func mustRefuse(t *testing.T, args ...string) error {

@@ -186,8 +186,7 @@ func (a *Arena[T]) Alloc(tid int) uint64 {
 	if a.chunks[ci].Load() == nil {
 		a.grow.Lock()
 		if a.chunks[ci].Load() == nil {
-			a.chunks[ci].Store(a.newChunk())
-			a.registerChunk(ci)
+			a.publishChunk(ci, a.newChunk())
 		}
 		a.grow.Unlock()
 	}
@@ -220,24 +219,31 @@ func (a *Arena[T]) Persist(sp *pmem.Space) {
 	a.space = sp
 	a.regd = make(map[uint64]bool)
 	for ci := uint64(0); ci < maxChunks; ci++ {
-		if a.chunks[ci].Load() == nil {
-			continue
+		if c := a.chunks[ci].Load(); c != nil {
+			a.registerChunk(ci, c)
 		}
-		a.registerChunk(ci)
 	}
 	sp.Provide(func(sub uint32) { a.ensureChunk(uint64(sub)) })
 }
 
-// registerChunk registers chunk ci with the durable backend (idempotent).
-// Caller holds a.grow. ChunkSize is a multiple of 64, so the chunk's byte
-// size is always line-sized regardless of the node type.
-func (a *Arena[T]) registerChunk(ci uint64) {
+// registerChunk registers chunk c as chunk ci with the durable backend
+// (idempotent). Caller holds a.grow. ChunkSize is a multiple of 64, so the
+// chunk's byte size is always line-sized regardless of the node type.
+func (a *Arena[T]) registerChunk(ci uint64, c *[ChunkSize]T) {
 	if a.space == nil || a.regd[ci] {
 		return
 	}
 	a.regd[ci] = true
-	p := unsafe.Pointer(a.chunks[ci].Load())
-	a.space.Register(uint32(ci), p, ChunkSize*a.nodeSize)
+	a.space.Register(uint32(ci), unsafe.Pointer(c), ChunkSize*a.nodeSize)
+}
+
+// publishChunk registers a new chunk ci and then makes it visible. The order
+// matters on a file-backed memory: a thread that finds the chunk must find
+// its region too, or its first writes would bracket a different version
+// pair than the flushes after registration. Caller holds a.grow.
+func (a *Arena[T]) publishChunk(ci uint64, c *[ChunkSize]T) {
+	a.registerChunk(ci, c)
+	a.chunks[ci].Store(c)
 }
 
 // ensureChunk is the replay-time provider: it materializes chunk ci if this
@@ -252,10 +258,11 @@ func (a *Arena[T]) ensureChunk(ci uint64) {
 		return
 	}
 	a.grow.Lock()
-	if a.chunks[ci].Load() == nil {
-		a.chunks[ci].Store(a.newChunk())
+	if c := a.chunks[ci].Load(); c != nil {
+		a.registerChunk(ci, c)
+	} else {
+		a.publishChunk(ci, a.newChunk())
 	}
-	a.registerChunk(ci)
 	a.grow.Unlock()
 	end := (ci + 1) * ChunkSize
 	for {

@@ -28,12 +28,8 @@ func New(mem *pmem.Memory, pol persist.Policy, nbuckets int) *Table {
 	if nbuckets <= 0 {
 		panic("hashtable: nbuckets must be positive")
 	}
-	sh := list.NewShared(mem, pol)
-	t := mem.NewThread()
-	tab := &Table{sh: sh, buckets: make([]list.List, nbuckets)}
-	for i := range tab.buckets {
-		tab.buckets[i] = *list.NewOn(sh, t)
-	}
+	tab := &Table{sh: list.NewShared(mem, pol), buckets: make([]list.List, nbuckets)}
+	list.NewOnEach(tab.sh, mem.NewThread(), tab.buckets)
 	return tab
 }
 

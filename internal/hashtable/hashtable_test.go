@@ -282,3 +282,40 @@ func TestValidateCatchesDamage(t *testing.T) {
 		t.Fatalf("Contents %v, CountMarked %d on a cycle", h.Contents(th), h.CountMarked(th))
 	}
 }
+
+// TestConstructionFencesPerChunk: building a 4,096-bucket table fences once
+// per 64 bucket sentinels, not once per bucket, and still leaves every
+// sentinel persistent — a crash right after construction recovers a valid
+// empty table, whatever lines the crash lets evict.
+func TestConstructionFencesPerChunk(t *testing.T) {
+	const buckets = 4096
+	for seed := int64(1); seed <= 3; seed++ {
+		mem := pmem.NewTracked()
+		h := New(mem, persist.NVTraverse{}, buckets)
+		ctor := mem.Threads()[0] // New's own thread, owned by this goroutine
+		ctor.PublishStats()
+		if got, want := mem.Stats().Fences, uint64((buckets+63)/64); got != want {
+			t.Fatalf("construction issued %d fences, want %d", got, want)
+		}
+		if n := mem.DirtyLines(); n != 0 {
+			t.Fatalf("%d lines dirty after construction, want 0", n)
+		}
+		mem.Crash()
+		mem.FinishCrash(0.5, seed)
+		mem.Restart()
+		th := mem.NewThread()
+		h.Recover(th)
+		if err := h.Validate(th); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if c := h.Contents(th); len(c) != 0 {
+			t.Fatalf("seed %d: recovered table holds %v, want none", seed, c)
+		}
+		if !h.Insert(th, 7, 70) {
+			t.Fatalf("seed %d: insert into the recovered table failed", seed)
+		}
+		if v, ok := h.Find(th, 7); !ok || v != 70 {
+			t.Fatalf("seed %d: Find(7) = (%d, %v)", seed, v, ok)
+		}
+	}
+}

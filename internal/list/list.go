@@ -107,6 +107,33 @@ func NewWithOriginalParent(mem *pmem.Memory, pol persist.Policy) *List {
 // NewOn creates a list on an existing substrate (hash table buckets). The
 // head sentinel is allocated and persisted with t.
 func NewOn(sh *Shared, t *pmem.Thread) *List {
+	l := &List{sh: sh, head: newHead(sh, t)}
+	t.Fence()
+	return l
+}
+
+// headsPerFence is how many head sentinels NewOnEach writes and flushes
+// under one fence.
+const headsPerFence = 64
+
+// NewOnEach fills lists with new lists on sh (a hash table's buckets),
+// their head sentinels allocated and persisted with t. It fences once per
+// headsPerFence sentinels, not once per list: a table's buckets are built
+// before anything can reach them, so no sentinel needs to be persistent
+// before the next is written, only all of them before this returns.
+func NewOnEach(sh *Shared, t *pmem.Thread, lists []List) {
+	for i := range lists {
+		if i > 0 && i%headsPerFence == 0 {
+			t.Fence()
+		}
+		lists[i] = List{sh: sh, head: newHead(sh, t)}
+	}
+	t.Fence()
+}
+
+// newHead allocates a head sentinel with t, writes it and flushes it; the
+// caller fences.
+func newHead(sh *Shared, t *pmem.Thread) uint64 {
 	h := sh.Ar.Alloc(t.ID)
 	n := sh.Ar.Get(h)
 	t.Store(&n.Key, 0)
@@ -116,8 +143,7 @@ func NewOn(sh *Shared, t *pmem.Thread) *List {
 	t.Flush(&n.Key)
 	t.Flush(&n.Value)
 	t.Flush(&n.Next)
-	t.Fence()
-	return &List{sh: sh, head: h}
+	return h
 }
 
 // Head returns the head sentinel handle.

@@ -3,8 +3,8 @@ package pmem
 // Tests of the clean-line rule of the file backend: a flush of a line whose
 // current content the log (or a checkpoint) already holds does no I/O, and
 // neither of the two ways that rule could lose data — lines sharing a
-// hashed version slot, and a load that sees a store before the store's
-// version bump — does.
+// version, and a load that sees a store before the store's version bump —
+// does.
 
 import (
 	"io"
@@ -124,21 +124,6 @@ func replayWinner(cur walRec, have bool, recs []walRec, idx uint32) (walRec, boo
 	return cur, have
 }
 
-// distinctSlots returns the lines whose version slots differ pairwise, so
-// that a test counting captures is not at the mercy of where the allocator
-// put its lines (a write to one line makes a slot-mate look dirty once).
-func distinctSlots(th *Thread, lines [][]Cell) [][]Cell {
-	seen := map[uintptr]bool{}
-	var out [][]Cell
-	for _, l := range lines {
-		if s := th.fastSlot(&l[0]); !seen[s] {
-			seen[s] = true
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 func flushesOf(th *Thread) (issued, elided uint64) {
 	th.PublishStats()
 	s := th.StatsSnapshot()
@@ -152,7 +137,6 @@ func TestCleanFlushNoIO(t *testing.T) {
 	cfs := &countFS{FS: vfs.OS}
 	m, th, lines := openDurableFS(t, t.TempDir(), cfs, true, 4)
 	defer m.Close()
-	lines = distinctSlots(th, lines)
 	for i := range lines {
 		commitCell(th, &lines[i][0], uint64(i+1))
 	}
@@ -258,9 +242,11 @@ func TestFlushSyncsOnce(t *testing.T) {
 	}
 }
 
-// TestCleanLineSlotCollision: two registered lines share a version slot.
-// Whatever the interleaving of writes to them, a changed line is always
-// captured — the slot's version vouches for neither line by itself.
+// TestCleanLineSlotCollision: two registered lines share a slot of the
+// hashed version table. Whatever the interleaving of writes to them, a
+// changed line is always captured, and an unchanged one never is: each
+// line's version is its own, so neither vouches for, nor dirties, the
+// other.
 func TestCleanLineSlotCollision(t *testing.T) {
 	dir := t.TempDir()
 	const n = 600 // > 2^8 slots: some pair must collide
@@ -308,6 +294,15 @@ func TestCleanLineSlotCollision(t *testing.T) {
 		if got := logged() - l0; got != 1 {
 			t.Fatalf("round %d: flush of changed line A logged %d lines, want 1", i, got)
 		}
+		// And the converse: A changes, B does not. B's flush must not
+		// capture — a version shared with A would call it dirty here.
+		commitCell(th, ca, i+2000)
+		l0 = logged()
+		th.Flush(cb)
+		th.CommitFence()
+		if got := logged() - l0; got != 0 {
+			t.Fatalf("round %d: flush of unchanged line B logged %d lines, want 0", i, got)
+		}
 	}
 	// The kill: no Close, recovery sees what the commit points left.
 	m2, th2, lines2 := open()
@@ -336,10 +331,11 @@ func parkWriter(m *Memory) (entered, release chan struct{}) {
 // window — new value visible, version still the logged one — and lets a
 // reader load, flush, commit and "reply". The value it read must then be in
 // the file. Both elisions are exercised: the clean-line check (the line's
-// logged version equals the slot's) and the pending-set check (the reader
-// already captured the line at that version in this fence window). In both
-// the test first shows that the version alone calls the line unchanged,
-// i.e. that without the in-flight check the reader would have elided.
+// logged version equals its write version) and the pending-set check (the
+// reader already captured the line at that version in this fence window).
+// In both the test first shows that the version alone calls the line
+// unchanged, i.e. that without the in-flight check the reader would have
+// elided.
 func TestReadDurableInStoreWindow(t *testing.T) {
 	for _, pending := range []bool{false, true} {
 		name := "clean-line"
@@ -353,7 +349,7 @@ func TestReadDurableInStoreWindow(t *testing.T) {
 			r := m.NewThread()
 			c := &lines[0][0]
 			reg := m.durable.lookup(uintptr(lineOf(c)) << lineShift)
-			sl := &m.lineVer[w.fastSlot(c)]
+			sl := &reg.lines[0]
 
 			commitCell(w, c, 1)
 			if pending {
@@ -456,11 +452,8 @@ func TestReadDurableRacingWriter(t *testing.T) {
 // reading the store back does not re-log it.
 func TestCleanAcrossCheckpointAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	m, th, lines := openDurable(t, dir, ModeFast, 8)
-	n := len(distinctSlots(th, lines)) // a prefix: slot-mates of earlier lines are dropped below
-	if n != len(lines) {
-		t.Skip("allocator placed two test lines in one version slot")
-	}
+	const n = 8
+	m, th, lines := openDurable(t, dir, ModeFast, n)
 	for i := 1; i < n; i++ {
 		commitCell(th, &lines[i][0], uint64(100+i))
 	}

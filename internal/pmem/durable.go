@@ -39,10 +39,11 @@ import (
 // the equivalent is the clean-line rule: a flush may be skipped only if a
 // capture of the line's current content is already appended to the log or
 // covered by a checkpoint, and the commit point that follows syncs whatever
-// is buffered. Each region carries the exact per-line version of the newest
-// such capture (region.logged); Thread.Flush and walFromFlushSet compare it
-// with the line's current write version. A read of quiescent data therefore
-// appends nothing and syncs nothing.
+// is buffered. Each line of a registered region carries its own exact write
+// version and the version of the newest such capture (region.lines);
+// Thread.Flush and walFromFlushSet compare the two. A read of quiescent
+// data therefore appends nothing and syncs nothing, and a write logs the
+// lines it changed and no others.
 //
 // Addresses do not survive a process restart, so the log cannot record raw
 // pointers. Instead, structures register the memory that backs their cells
@@ -81,19 +82,27 @@ type region struct {
 	// ptr is the GC-visible interior pointer that both keeps the backing
 	// slab alive and is the legal base for unsafe.Add arithmetic.
 	ptr unsafe.Pointer
-	// logged[i] is 1 + the write version of the newest capture of line i
-	// that is appended to the log or covered by the state recovery loaded;
-	// 0 means none. It is indexed by the exact line — never by the hashed
-	// version slot, where two lines would vouch for each other — and costs
-	// 8 bytes per 64-byte line. Written under d.mu (or by RecoverFiles,
-	// quiescent), read lock-free by the flush path.
-	logged []atomic.Uint64
+	// lines[i] is line i's exact write-version pair and its logged version.
+	lines []regionLine
+}
+
+// regionLine is the durable bookkeeping of one line of a region, 24 bytes
+// per 64-byte line. The embedded verPair is the line's fast-mode write
+// version: Store/CAS bracket it, and no other line shares it. logged is
+// 1 + the write version of the newest capture of the line that is appended
+// to the log or covered by the state recovery loaded; 0 means none. logged
+// is written under d.mu (or by RecoverFiles, quiescent) and read lock-free
+// by the flush path. Tracked mode keeps versions in its model and uses only
+// logged.
+type regionLine struct {
+	verPair
+	logged atomic.Uint64
 }
 
 // clean reports whether a capture of line idx at write version ver is
 // already in the log or the recovered state.
 func (r *region) clean(idx uint32, ver uint64) bool {
-	return r.logged[idx].Load() == ver+1
+	return r.lines[idx].logged.Load() == ver+1
 }
 
 // stamp records that a capture of line idx at ver has been appended. Stamps
@@ -101,7 +110,7 @@ func (r *region) clean(idx uint32, ver uint64) bool {
 // a newer one) must not make the line look dirty at the newer version, nor
 // clean at the older. Caller holds d.mu.
 func (r *region) stamp(idx uint32, ver uint64) {
-	if l := &r.logged[idx]; l.Load() < ver+1 {
+	if l := &r.lines[idx].logged; l.Load() < ver+1 {
 		l.Store(ver + 1)
 	}
 }
@@ -380,7 +389,7 @@ func (s *Space) Register(sub uint32, p unsafe.Pointer, size uintptr) {
 	}
 	r := &region{
 		tag: spaceTag(s.id, sub), base: uintptr(p), size: size, ptr: p,
-		logged: make([]atomic.Uint64, size/LineSize),
+		lines: make([]regionLine, size/LineSize),
 	}
 	d.regMu.Lock()
 	defer d.regMu.Unlock()
@@ -482,30 +491,49 @@ func (d *durableMem) inWriteWindow() {
 	}
 }
 
-// captureFast snapshots c's whole line for the WAL (fast mode, durable
-// only): called from Flush after the coalescing check admitted the line,
-// with ver from durableVersion. It returns false, capturing nothing, when
-// the line is clean at ver.
+// captureFast snapshots the whole line idx of region r for the WAL (fast
+// mode, durable only): called from Flush after the coalescing check
+// admitted the line, with ver from durableVersion. It returns false,
+// capturing nothing, when the line is clean at ver; an unregistered line
+// (r == nil) is an ordinary flush and returns true.
 // Reading the version before the content is what makes replay ack-safe: a
 // write's own capture (which happens after the write in program order)
 // always carries a version at least as new as the write's bump, so any
 // record that could shadow it during replay must itself contain the write.
-func (t *Thread) captureFast(d *durableMem, c *Cell, ver uint64) bool {
-	addr := uintptr(unsafe.Pointer(c)) &^ uintptr(LineSize-1)
-	r := d.lookup(addr)
+func (t *Thread) captureFast(r *region, idx uint32, ver uint64) bool {
 	if r == nil {
-		return true // unregistered line: not durable, an ordinary flush
+		return true
 	}
-	e := walEntry{r: r, idx: uint32((addr - r.base) >> lineShift), mask: 0xff, ver: ver}
-	if r.clean(e.idx, ver) {
+	if r.clean(idx, ver) {
 		return false
 	}
-	p := unsafe.Add(r.ptr, addr-r.base)
+	e := walEntry{r: r, idx: idx, mask: 0xff, ver: ver}
+	p := unsafe.Add(r.ptr, uintptr(idx)<<lineShift)
 	for i := 0; i < CellsPerLine; i++ {
 		e.vals[i] = (*atomic.Uint64)(unsafe.Add(p, i*8)).Load()
 	}
 	t.walPend = append(t.walPend, e)
 	return true
+}
+
+// durLine returns the write-version pair of c's line on a file-backed
+// fast-mode memory: the line's own in its registered region r (line idx),
+// or the hashed slot when no region covers it (r == nil; such a line never
+// reaches the log). The thread caches the last region it found, so a run of
+// accesses within one arena chunk skips the registry's binary search.
+// Regions are never unregistered, and a region is registered before any
+// thread can reach its cells (Space.Lines, arena chunk growth), so every
+// write and flush of a line uses the same pair.
+func (t *Thread) durLine(d *durableMem, c *Cell) (p *verPair, r *region, idx uint32) {
+	addr := uintptr(unsafe.Pointer(c)) &^ uintptr(LineSize-1)
+	if r = t.reg; r == nil || addr-r.base >= r.size {
+		if r = d.lookup(addr); r == nil {
+			return &t.lineVer[t.fastSlot(c)].verPair, nil, 0
+		}
+		t.reg = r
+	}
+	idx = uint32((addr - r.base) >> lineShift)
+	return &r.lines[idx].verPair, r, idx
 }
 
 // entryForLine builds a WAL entry for a tracked line's current volatile

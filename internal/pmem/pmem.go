@@ -17,11 +17,13 @@
 //
 //   - ModeFast: accesses are plain Go atomics; Flush and Fence charge a
 //     calibrated spin cost from a latency Profile and bump per-thread
-//     counters. Writes additionally bump a hashed per-line version table so
-//     flush coalescing is observable in the counters. This mode is used by
-//     the throughput benchmarks: the paper's claims are about the count and
-//     placement of flushes and fences, and the cost model exercises exactly
-//     the code paths the NVTraverse transformation changes.
+//     counters. Writes additionally bump a per-line write version so flush
+//     coalescing is observable in the counters: hashed into a table on a
+//     memory with no file backend, exact per line in a registered region
+//     of a file-backed one. This mode is used by the throughput benchmarks:
+//     the paper's claims are about the count and placement of flushes and
+//     fences, and the cost model exercises exactly the code paths the
+//     NVTraverse transformation changes.
 //
 //   - ModeTracked: the memory additionally maintains, for every line written
 //     since the last full persist, the newest line image known to be
@@ -82,11 +84,13 @@ type Config struct {
 	Profile    Profile
 	MaxThreads int // capacity for NewThread; defaults to 64
 
-	// LineTableBits sizes the fast-mode per-line write-version table at
-	// 2^bits slots (defaults to DefaultLineTableBits). Lines hash into the
-	// table; collisions merge write versions and only perturb the flush-
-	// coalescing statistics. Tracked mode keys lines exactly and ignores
-	// this.
+	// LineTableBits sizes the fast-mode hashed write-version table at 2^bits
+	// slots (defaults to DefaultLineTableBits). Lines hash into the table,
+	// and lines sharing a slot share a version, which only perturbs the
+	// flush-coalescing statistics. On a file-backed memory every line of a
+	// registered region has its own exact version (region.lines) and the
+	// table serves only the unregistered lines, which never reach the log.
+	// Tracked mode keys lines exactly and ignores this.
 	LineTableBits int
 
 	// Dir, when non-empty, gives the memory a durable file backend in that
@@ -116,7 +120,7 @@ const DefaultMaxThreads = 128
 // line-padded slots, 1 MiB per fast-mode memory. Distinct lines hashing to
 // one slot merge their write versions, which only perturbs the
 // flush-coalescing counters (conservatively: merged lines look dirtier, so
-// fewer flushes elide).
+// fewer flushes elide). The log's clean-line check never sees a slot.
 const DefaultLineTableBits = 14
 
 // Memory is one simulated persistent memory domain. All cells of a data
@@ -137,8 +141,9 @@ type Memory struct {
 	model *model // non-nil iff ModeTracked
 
 	// lineVer is the fast-mode hashed per-line write-version table (nil in
-	// tracked mode, which tracks lines exactly in the model). Slots are
-	// padded to one physical cache line each: the table sits on the
+	// tracked mode, which tracks lines exactly in the model). A file-backed
+	// memory uses it only for lines outside every registered region. Slots
+	// are padded to one physical cache line each: the table sits on the
 	// Store/CAS hot path of every benchmark, and unpadded slots would add
 	// false-sharing contention to the very numbers fast mode measures.
 	lineVer []paddedVer
@@ -153,16 +158,21 @@ type Memory struct {
 	spaceSeq atomic.Uint32
 }
 
-// paddedVer is one slot of the fast-mode version table. v counts finished
-// writes (bumped after the store) and is the line's write version everywhere.
+// verPair is a line's fast-mode write version. v counts finished writes
+// (bumped after the store) and is the line's write version everywhere.
 // started counts writes begun (bumped before the store) and is maintained
 // only on file-backed memories, whose clean-line check needs to see a write
-// that is in flight — see Thread.durableVersion. It lives in what was
-// padding, on the same physical line as v.
-type paddedVer struct {
+// that is in flight — see Thread.durableVersion.
+type verPair struct {
 	v       atomic.Uint64
 	started atomic.Uint64
-	_       [LineSize - 16]byte
+}
+
+// paddedVer is one slot of the hashed version table, alone on its physical
+// line.
+type paddedVer struct {
+	verPair
+	_ [LineSize - 16]byte
 }
 
 // New creates a Memory with the given configuration.

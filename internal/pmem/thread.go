@@ -112,6 +112,9 @@ type Thread struct {
 	fenceCost int32       // mem.cfg.Profile.FenceCost
 	dur       *durableMem // mem.durable (nil without a file backend)
 
+	// reg caches the region durLine found last (file-backed fast mode).
+	reg *region
+
 	// unfenced counts flushes issued since the last fence. Policies that
 	// model link-and-persist use it to elide fences when nothing is
 	// pending.
@@ -257,11 +260,11 @@ func (t *Thread) Load(c *Cell) uint64 {
 	return c.v.Load()
 }
 
-// fastSlot maps a cell's line to a slot of the fast-mode line-version
-// table (thread-cached shift). Distinct lines may collide; collisions merge
-// their write versions, which only perturbs the flush-coalescing statistics
-// (fast mode has no crash semantics), and the multiplicative hash keeps
-// neighboring lines apart.
+// fastSlot maps a cell's line to a slot of the hashed line-version table
+// (thread-cached shift). Distinct lines may collide; collisions merge their
+// write versions, which only perturbs the flush-coalescing statistics (no
+// line that reaches the log uses the table), and the multiplicative hash
+// keeps neighboring lines apart.
 func (t *Thread) fastSlot(c *Cell) uintptr {
 	h := uint64(lineOf(c)) * 0x9e3779b97f4a7c15
 	return uintptr(h >> t.lineShift)
@@ -274,9 +277,10 @@ func (t *Thread) fastSlot(c *Cell) uintptr {
 // old content. A file-backed memory skips flushes of lines whose version
 // says the log already has them, and that instant would let a reader elide,
 // fence and reply with a value no record holds. So there (t.dur != nil) a
-// write is bracketed: started is bumped before the cell changes, the
-// version after, and the flush path treats started != version as "a write
-// is in flight" (see durableVersion). Other memories keep the single bump.
+// write is bracketed on the line's own version pair (durLine): started is
+// bumped before the cell changes, the version after, and the flush path
+// treats started != version as "a write is in flight" (see durableVersion).
+// Other memories keep the single bump of a hashed slot.
 func (t *Thread) Store(c *Cell, v uint64) {
 	t.st.Writes++
 	if m := t.model; m != nil {
@@ -285,11 +289,11 @@ func (t *Thread) Store(c *Cell, v uint64) {
 		return
 	}
 	if d := t.dur; d != nil {
-		sl := &t.lineVer[t.fastSlot(c)]
-		sl.started.Add(1)
+		p, _, _ := t.durLine(d, c)
+		p.started.Add(1)
 		c.v.Store(v)
 		d.inWriteWindow()
-		sl.v.Add(1)
+		p.v.Add(1)
 		return
 	}
 	c.v.Store(v)
@@ -307,11 +311,11 @@ func (t *Thread) CAS(c *Cell, old, new uint64) bool {
 		t.mem.checkCrash()
 		ok = m.cas(c, old, new)
 	} else if d := t.dur; d != nil {
-		sl := &t.lineVer[t.fastSlot(c)]
-		sl.started.Add(1)
+		p, _, _ := t.durLine(d, c)
+		p.started.Add(1)
 		ok = c.v.CompareAndSwap(old, new)
 		d.inWriteWindow()
-		sl.v.Add(1)
+		p.v.Add(1)
 	} else {
 		ok = c.v.CompareAndSwap(old, new)
 		if ok {
@@ -325,8 +329,8 @@ func (t *Thread) CAS(c *Cell, old, new uint64) bool {
 }
 
 // durableVersion returns the write version a file-backed fast-mode flush of
-// c's line works with: the version the capture will carry, and the one the
-// pending-set and clean-line checks compare.
+// the line whose pair is p works with: the version the capture will carry,
+// and the one the pending-set and clean-line checks compare.
 //
 // Both checks skip the capture when an earlier capture carried the same
 // version, and the argument that this loses nothing is: that capture read
@@ -340,13 +344,14 @@ func (t *Thread) CAS(c *Cell, old, new uint64) bool {
 // tie to an older one without the store. So the flush performs an empty
 // bracket of its own: the version it gets is larger than that of any
 // capture that began before this thread's loads, and any capture at or
-// above it began after them and contains what they saw.
-func (t *Thread) durableVersion(c *Cell) uint64 {
-	sl := &t.lineVer[t.fastSlot(c)]
-	cur := sl.v.Load()
-	if sl.started.Load() != cur {
-		sl.started.Add(1)
-		cur = sl.v.Add(1)
+// above it began after them and contains what they saw. The pair belongs
+// to this line alone, so an equal version means no write to the line at
+// all, and a write to any other line never moves it.
+func (t *Thread) durableVersion(p *verPair) uint64 {
+	cur := p.v.Load()
+	if p.started.Load() != cur {
+		p.started.Add(1)
+		cur = p.v.Add(1)
 	}
 	return cur
 }
@@ -368,10 +373,10 @@ func (t *Thread) durableVersion(c *Cell) uint64 {
 // On a file-backed fast-mode memory a flush of a clean line is a no-op too,
 // as a clwb of an already-persistent line is on NVRAM: when a capture of the
 // line at its current version is already appended to the log or covered by a
-// checkpoint (region.logged), nothing is captured and the next fence appends
-// nothing for it. The commit point that follows still drains and syncs the
-// log, which is what covers a line some other thread fenced but has not yet
-// synced.
+// checkpoint (regionLine.logged), nothing is captured and the next fence
+// appends nothing for it. The commit point that follows still drains and
+// syncs the log, which is what covers a line some other thread fenced but
+// has not yet synced.
 func (t *Thread) Flush(c *Cell) {
 	if m := t.model; m != nil {
 		t.mem.checkCrash()
@@ -380,14 +385,12 @@ func (t *Thread) Flush(c *Cell) {
 			return
 		}
 	} else if d := t.dur; d != nil {
-		// Durable fast mode keys the pending set and the logged versions
-		// by the exact line (two distinct lines colliding in the hashed
-		// version table must not elide each other's capture) while the
-		// version itself still comes from the hashed slot: a collision only
-		// ever makes it larger, which the replay guard tolerates and which
-		// can force a re-capture but never an elision.
-		cur := t.durableVersion(c)
-		if !t.lines.put(lineOf(c), cur) || !t.captureFast(d, c, cur) {
+		// Durable fast mode keys the pending set by the exact line and takes
+		// the version from the line's own pair, so a flush elides exactly
+		// when this line has not been written since its capture.
+		p, r, idx := t.durLine(d, c)
+		cur := t.durableVersion(p)
+		if !t.lines.put(lineOf(c), cur) || !t.captureFast(r, idx, cur) {
 			t.st.FlushesElided++
 			return
 		}

@@ -624,9 +624,8 @@ func (d *durableMem) markAllClean(m *Memory) {
 		return
 	}
 	for _, r := range *p {
-		first := r.base >> lineShift
-		for i := range r.logged {
-			r.logged[i].Store(m.lineVersion(first+uintptr(i)) + 1)
+		for i := range r.lines {
+			r.lines[i].logged.Store(m.lineVersion(r, uint32(i)) + 1)
 		}
 	}
 }
@@ -721,7 +720,8 @@ func (m *Memory) Checkpoint() error {
 		for off := uintptr(0); off < r.size; off += LineSize {
 			// Version first, then content — the capture ordering the
 			// replay-guard seeding depends on.
-			e := walEntry{r: r, idx: uint32(off >> lineShift), mask: 0xff, ver: m.lineVersion((r.base + off) >> lineShift)}
+			idx := uint32(off >> lineShift)
+			e := walEntry{r: r, idx: idx, mask: 0xff, ver: m.lineVersion(r, idx)}
 			p := unsafe.Add(r.ptr, off)
 			for s := range e.vals {
 				e.vals[s] = (*atomic.Uint64)(unsafe.Add(p, s*8)).Load()
@@ -797,22 +797,23 @@ func (m *Memory) Checkpoint() error {
 	return nil
 }
 
-// lineVersion reads a line's current write version the same way the flush
-// path does: the exact tracked counter under its stripe lock, or the
-// hashed fast-mode slot (collisions only inflate the version, which at
-// worst makes a replay-guard seed skip a record whose content the
-// checkpoint covers anyway — the slot counter is shared and monotone).
-func (m *Memory) lineVersion(key uintptr) uint64 {
-	if mo := m.model; mo != nil {
-		st := mo.stripeOf(key)
-		st.mu.Lock()
-		var ver uint64
-		if ls := st.lines[key]; ls != nil {
-			ver = ls.curVer
-		}
-		st.mu.Unlock()
-		return ver
+// lineVersion reads the current write version of line idx of region r the
+// same way the flush path does: the exact tracked counter under its stripe
+// lock, or the line's own fast-mode pair. The pair is exact too, so a
+// checkpoint seeds the replay guard with the line's own version, never one
+// inflated by another line's writes, and markAllClean declares a line clean
+// at exactly the version its next write moves.
+func (m *Memory) lineVersion(r *region, idx uint32) uint64 {
+	mo := m.model
+	if mo == nil {
+		return r.lines[idx].v.Load()
 	}
-	h := uint64(key) * 0x9e3779b97f4a7c15
-	return m.lineVer[h>>(64-uint(m.cfg.LineTableBits))].v.Load()
+	key := r.base>>lineShift + uintptr(idx)
+	st := mo.stripeOf(key)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if ls := st.lines[key]; ls != nil {
+		return ls.curVer
+	}
+	return 0
 }

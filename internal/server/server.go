@@ -114,7 +114,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
+	conns     map[*sockConn]struct{}
+	closedIO  sockCount // socket calls of the connections that have closed
 	sessions  chan store.Session
 	created   int
 	closed    bool
@@ -138,7 +139,7 @@ func New(st store.Store, cfg Config) *Server {
 		cfg:       cfg,
 		prim:      prim,
 		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		conns:     make(map[*sockConn]struct{}),
 		sessions:  make(chan store.Session, cfg.MaxConns),
 	}
 }
@@ -256,14 +257,16 @@ func (s *Server) Serve(ln net.Listener) error {
 			c.Close()
 			return nil
 		}
-		s.conns[c] = struct{}{}
+		sc := &sockConn{Conn: c}
+		s.conns[sc] = struct{}{}
 		s.handlers.Add(1)
 		s.mu.Unlock()
 		go func() {
 			defer s.handlers.Done()
-			s.handle(c)
+			s.handle(sc)
 			s.mu.Lock()
-			delete(s.conns, c)
+			delete(s.conns, sc)
+			s.closedIO.add(sc.count())
 			s.mu.Unlock()
 		}()
 	}
@@ -678,6 +681,7 @@ func (cs *connState) statRows() []statRow {
 	bs := cs.srv.pool.Stats()
 	rs := cs.srv.st.Repl()
 	cpu, allocs, gcs := procStats()
+	sock := cs.srv.sockStats()
 	return []statRow{
 		{"ops", st.Ops},
 		{"reads", st.Reads},
@@ -705,6 +709,8 @@ func (cs *connState) statRows() []statRow {
 		{"cpu_ns", cpu},
 		{"heap_allocs", allocs},
 		{"gc_cycles", gcs},
+		{"sock_reads", sock.reads},
+		{"sock_writes", sock.writes},
 	}
 }
 
@@ -745,6 +751,51 @@ func (s *Server) DegradedErr() error {
 		return err
 	}
 	return s.st.DurableErr()
+}
+
+// sockConn is an accepted connection that counts its socket read and write
+// calls in atomics, so STATS on another connection can load them while the
+// reader and writer goroutines add. A read is counted once it returns,
+// before the request it delivered runs; a write before it is issued, so
+// the peer cannot see its bytes before STATS can count it.
+type sockConn struct {
+	net.Conn
+	reads, writes atomic.Uint64
+}
+
+func (c *sockConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.reads.Add(1)
+	return n, err
+}
+
+func (c *sockConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c *sockConn) count() sockCount {
+	return sockCount{reads: c.reads.Load(), writes: c.writes.Load()}
+}
+
+// sockCount is a tally of socket read and write calls.
+type sockCount struct{ reads, writes uint64 }
+
+func (a *sockCount) add(b sockCount) {
+	a.reads += b.reads
+	a.writes += b.writes
+}
+
+// sockStats sums the socket calls of every connection this server has
+// served: the closed ones' totals and the live ones' counters.
+func (s *Server) sockStats() sockCount {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.closedIO
+	for c := range s.conns {
+		n.add(c.count())
+	}
+	return n
 }
 
 // connCount is a test hook: live connections.

@@ -929,6 +929,49 @@ func TestMGet(t *testing.T) {
 	}
 }
 
+// TestSockStats: STATS counts the socket read and write calls of every
+// connection, live and closed. Each of n sequential PING round trips on a
+// raw connection costs one read and one write; the STATS request that
+// reports them has been read once and not yet answered. After the raw
+// connection closes, its reads (plus the one that saw EOF) and writes stay
+// in the totals.
+func TestSockStats(t *testing.T) {
+	addr, srv, _ := startServer(t, core.KindHash, 1, Config{})
+	c, br := rawText(t, addr)
+	const n = 25
+	for i := 0; i < n; i++ {
+		if _, err := c.Write([]byte("PING\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := br.ReadString('\n'); err != nil || line != "+PONG\r\n" {
+			t.Fatalf("PING %d: %q %v", i, line, err)
+		}
+	}
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	check := func(reads, writes uint64) {
+		t.Helper()
+		st, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st["sock_reads"] != reads || st["sock_writes"] != writes {
+			t.Fatalf("sock_reads %d, sock_writes %d, want %d and %d", st["sock_reads"], st["sock_writes"], reads, writes)
+		}
+	}
+	check(n+1, n)
+	c.Close()
+	for deadline := time.Now().Add(5 * time.Second); srv.connCount() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the closed connection's handler never finished")
+		}
+	}
+	check(n+1+2, n+1)
+}
+
 // TestMaxConns: connections beyond the session pool get a clean error.
 func TestMaxConns(t *testing.T) {
 	addr, _, _ := startServer(t, core.KindHash, 0, Config{MaxConns: 2})

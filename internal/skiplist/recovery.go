@@ -19,18 +19,18 @@ func (l *List) Recover(t *pmem.Thread) {
 	prev := l.head
 	for {
 		prevN := l.node(prev)
-		pn := t.Load(&prevN.Next[0])
+		pn := t.Load(prevN.next(0))
 		cur := pmem.RefIndex(pn)
 		if cur == 0 {
 			break
 		}
-		cn := t.Load(&l.node(cur).Next[0])
+		cn := t.Load(l.node(cur).next(0))
 		if !pmem.Marked(cn) {
 			prev = cur
 			continue
 		}
-		if t.CAS(&prevN.Next[0], pn, pmem.ClearTags(cn)) {
-			t.Flush(&prevN.Next[0])
+		if t.CAS(prevN.next(0), pn, pmem.ClearTags(cn)) {
+			t.Flush(prevN.next(0))
 			t.Fence()
 		}
 	}
@@ -40,7 +40,7 @@ func (l *List) Recover(t *pmem.Thread) {
 	headN := l.node(l.head)
 	var tails [MaxLevel]uint64
 	for i := 1; i < MaxLevel; i++ {
-		t.Store(&headN.Next[i], pmem.NilRef)
+		t.Store(headN.next(i), pmem.NilRef)
 		tails[i] = l.head
 	}
 	// A level-0 cycle ends the rebuild early; Validate reports it.
@@ -53,9 +53,9 @@ func (l *List) Recover(t *pmem.Thread) {
 			lvl = 1 // defensive: height is volatile metadata
 			t.Store(&n.Level, lvl)
 		}
-		for i := uint64(1); i < lvl; i++ {
-			t.Store(&n.Next[i], pmem.NilRef)
-			t.Store(&l.node(tails[i]).Next[i], pmem.MakeRef(idx))
+		for i := 1; i < int(lvl); i++ {
+			t.Store(n.next(i), pmem.NilRef)
+			t.Store(l.node(tails[i]).next(i), pmem.MakeRef(idx))
 			tails[i] = idx
 		}
 		return nil
@@ -80,7 +80,7 @@ func (l *List) walk(t *pmem.Thread, levels int, visit func(lvl int, idx uint64, 
 				}
 			}
 			n := l.node(idx)
-			next := t.Load(&n.Next[lvl])
+			next := t.Load(n.next(lvl))
 			if err := visit(lvl, idx, n, next); err != nil {
 				return err
 			}
@@ -137,7 +137,7 @@ func (l *List) Validate(t *pmem.Thread) error {
 		} else if !reachable[idx] {
 			return fmt.Errorf("skiplist: level-%d indexes unreachable node %d", lvl, idx)
 		}
-		if pmem.Marked(next) || pmem.Marked(t.Load(&n.Next[0])) {
+		if pmem.Marked(next) || pmem.Marked(t.Load(n.next(0))) {
 			return nil
 		}
 		k := t.Load(&n.Key)

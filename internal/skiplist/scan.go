@@ -29,8 +29,8 @@ func (l *List) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (u
 		}
 		rightN := l.node(tr.right)
 		for {
-			nx := t.Load(&rightN.Next[0])
-			pol.Read(t, &rightN.Next[0])
+			nx := t.Load(rightN.next(0))
+			pol.Read(t, rightN.next(0))
 			if pmem.Marked(nx) {
 				break // logically deleted under us: retraverse and re-decide
 			}
@@ -79,9 +79,9 @@ func (l *List) RangeScan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint6
 		if k > hi {
 			break
 		}
-		nx := t.Load(&n.Next[0])
-		pol.TraverseRead(t, &n.Next[0])
-		tr.cells = append(tr.cells, &n.Next[0])
+		nx := t.Load(n.next(0))
+		pol.TraverseRead(t, n.next(0))
+		tr.cells = append(tr.cells, n.next(0))
 		if !pmem.Marked(nx) {
 			v := t.Load(&n.Value)
 			pol.ReadData(t, &n.Value)

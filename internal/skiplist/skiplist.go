@@ -34,19 +34,37 @@ import (
 	"repro/internal/pmem"
 )
 
-// MaxLevel is the tallest tower (level indices 0..MaxLevel-1).
-const MaxLevel = 20
+// MaxLevel is the tallest tower (level indices 0..MaxLevel-1): one level-0
+// link plus the sixteen index levels that fill a node's last two lines.
+const MaxLevel = 17
 
 // Node is one skiplist node. Key and Level are immutable after
-// initialization. Next[0] is core-tree state (persisted); Next[1..] are
-// auxiliary. The level-0 mark bit is the logical deletion mark; upper
-// levels carry their own volatile marks so index unlinking is safe.
+// initialization. The level-0 link is core-tree state (persisted); the
+// upper links are auxiliary. The level-0 mark bit is the logical deletion
+// mark; upper levels carry their own volatile marks so index unlinking is
+// safe.
+//
+// The first line holds only core-tree state: an insert's volatile tower
+// writes into its neighbours' upper links must not change the line a read
+// flushes, or on a file-backed memory that read would log the line again
+// for a change recovery throws away. Key, Value, Level and the level-0
+// link are the first four cells, where existing data directories hold
+// them; recovery rebuilds every upper link from Level.
 type Node struct {
 	Key   pmem.Cell
 	Value pmem.Cell
 	Level pmem.Cell // number of levels in this tower (1..MaxLevel)
-	Next  [MaxLevel]pmem.Cell
-	_     [8]byte // pad to whole 64-byte lines (line-granular persistence)
+	next0 pmem.Cell
+	_     [4]pmem.Cell
+	up    [MaxLevel - 1]pmem.Cell // links 1..MaxLevel-1
+}
+
+// next returns the node's level-i link.
+func (n *Node) next(i int) *pmem.Cell {
+	if i == 0 {
+		return &n.next0
+	}
+	return &n.up[i-1]
 }
 
 // List is the skiplist.
@@ -97,11 +115,11 @@ func New(mem *pmem.Memory, pol persist.Policy) *List {
 	t.Store(&n.Value, 0)
 	t.Store(&n.Level, MaxLevel)
 	for i := 0; i < MaxLevel; i++ {
-		t.Store(&n.Next[i], pmem.NilRef)
+		t.Store(n.next(i), pmem.NilRef)
 	}
 	// Only the core-tree part of the sentinel needs persisting.
 	t.Flush(&n.Key)
-	t.Flush(&n.Next[0])
+	t.Flush(n.next(0))
 	t.Fence()
 	l.head = h
 	return l
@@ -131,7 +149,7 @@ retry:
 	for lvl := MaxLevel - 1; lvl >= 1; lvl-- {
 		for {
 			predN := l.node(pred)
-			pn := t.Load(&predN.Next[lvl])
+			pn := t.Load(predN.next(lvl))
 			if pmem.Marked(pn) {
 				goto retry // pred is dying at this level: restart
 			}
@@ -140,10 +158,10 @@ retry:
 				break
 			}
 			curN := l.node(cur)
-			cn := t.Load(&curN.Next[lvl])
+			cn := t.Load(curN.next(lvl))
 			if pmem.Marked(cn) {
 				// Unlink the marked tower at this level (volatile).
-				t.CAS(&predN.Next[lvl], pn, pmem.ClearTags(cn))
+				t.CAS(predN.next(lvl), pn, pmem.ClearTags(cn))
 				continue
 			}
 			if t.Load(&curN.Key) < k {
@@ -169,8 +187,8 @@ func (l *List) traverse(t *pmem.Thread, entry uint64, k uint64, tr *traversal) b
 		pred := entry
 		curr := entry
 		currN := l.node(curr)
-		succ := t.Load(&currN.Next[0])
-		pol.TraverseRead(t, &currN.Next[0])
+		succ := t.Load(currN.next(0))
+		pol.TraverseRead(t, currN.next(0))
 		if entry != l.head && pmem.Marked(succ) {
 			return false // stale entry point: re-derive it
 		}
@@ -190,26 +208,26 @@ func (l *List) traverse(t *pmem.Thread, entry uint64, k uint64, tr *traversal) b
 				break
 			}
 			currN = l.node(curr)
-			succ = t.Load(&currN.Next[0])
-			pol.TraverseRead(t, &currN.Next[0])
+			succ = t.Load(currN.next(0))
+			pol.TraverseRead(t, currN.next(0))
 		}
 		right := curr
 		if right != 0 {
-			rn := t.Load(&l.node(right).Next[0])
-			pol.TraverseRead(t, &l.node(right).Next[0])
+			rn := t.Load(l.node(right).next(0))
+			pol.TraverseRead(t, l.node(right).next(0))
 			if pmem.Marked(rn) {
 				continue
 			}
 		}
 		tr.parent, tr.left, tr.right, tr.leftNext = leftParent, left, right, leftNext
 		tr.cells = tr.cells[:0]
-		tr.cells = append(tr.cells, &l.node(leftParent).Next[0])
-		tr.cells = append(tr.cells, &l.node(left).Next[0])
+		tr.cells = append(tr.cells, l.node(leftParent).next(0))
+		tr.cells = append(tr.cells, l.node(left).next(0))
 		for _, m := range tr.marked {
-			tr.cells = append(tr.cells, &l.node(m).Next[0])
+			tr.cells = append(tr.cells, l.node(m).next(0))
 		}
 		if right != 0 {
-			tr.cells = append(tr.cells, &l.node(right).Next[0])
+			tr.cells = append(tr.cells, l.node(right).next(0))
 		}
 		return true
 	}
@@ -227,8 +245,8 @@ func (l *List) trimMarked(t *pmem.Thread, tr *traversal) bool {
 	leftN := l.node(tr.left)
 	newNext := pmem.Dirty(pmem.MakeRef(tr.right))
 	pol.BeforeCAS(t)
-	ok := t.CAS(&leftN.Next[0], tr.leftNext, newNext)
-	pol.Wrote(t, &leftN.Next[0])
+	ok := t.CAS(leftN.next(0), tr.leftNext, newNext)
+	pol.Wrote(t, leftN.next(0))
 	if !ok {
 		pol.BeforeReturn(t)
 		return false
@@ -236,8 +254,8 @@ func (l *List) trimMarked(t *pmem.Thread, tr *traversal) bool {
 	tr.leftNext = newNext
 	rightClean := true
 	if tr.right != 0 {
-		rn := t.Load(&l.node(tr.right).Next[0])
-		pol.Read(t, &l.node(tr.right).Next[0])
+		rn := t.Load(l.node(tr.right).next(0))
+		pol.Read(t, l.node(tr.right).next(0))
 		rightClean = !pmem.Marked(rn)
 	}
 	pol.BeforeReturn(t)
@@ -271,16 +289,16 @@ retryLevel:
 	pred := l.head
 	for {
 		predN := l.node(pred)
-		pn := t.Load(&predN.Next[i])
+		pn := t.Load(predN.next(i))
 		cur := pmem.RefIndex(pn)
 		if cur == 0 {
 			return // not linked at this level
 		}
 		if cur == idx {
-			nn := t.Load(&n.Next[i]) // marked
+			nn := t.Load(n.next(i)) // marked
 			// Preserve pred's own mark bit if it is dying too.
 			repl := pmem.ClearTags(nn) | (pn & pmem.MarkBit)
-			if !t.CAS(&predN.Next[i], pn, repl) {
+			if !t.CAS(predN.next(i), pn, repl) {
 				goto retryLevel
 			}
 			return
@@ -338,22 +356,22 @@ func (l *List) insertGet(t *pmem.Thread, key, value uint64, wantValue bool) (uin
 		t.Store(&n.Key, key)
 		t.Store(&n.Value, value)
 		t.Store(&n.Level, lvl)
-		t.Store(&n.Next[0], pmem.Dirty(pmem.MakeRef(tr.right)))
-		for i := uint64(1); i < lvl; i++ {
+		t.Store(n.next(0), pmem.Dirty(pmem.MakeRef(tr.right)))
+		for i := 1; i < int(lvl); i++ {
 			//nvcheck:ignore writehook -- upper tower levels are volatile index state: recovery rebuilds them from the durable Level field, so no hook or flush is wanted
-			t.Store(&n.Next[i], pmem.NilRef)
+			t.Store(n.next(i), pmem.NilRef)
 		}
 		// Core-tree fields participate in the protocol; Level is persisted
-		// too because recovery rebuilds the towers from it. Upper Next
-		// cells are auxiliary and stay unflushed.
+		// too because recovery rebuilds the towers from it. Upper links
+		// are auxiliary and stay unflushed.
 		pol.InitWrite(t, &n.Key)
 		pol.InitWrite(t, &n.Value)
 		pol.InitWrite(t, &n.Level)
-		pol.InitWrite(t, &n.Next[0])
+		pol.InitWrite(t, n.next(0))
 		leftN := l.node(tr.left)
 		pol.BeforeCAS(t)
-		ok := t.CAS(&leftN.Next[0], tr.leftNext, pmem.Dirty(pmem.MakeRef(idx)))
-		pol.Wrote(t, &leftN.Next[0])
+		ok := t.CAS(leftN.next(0), tr.leftNext, pmem.Dirty(pmem.MakeRef(idx)))
+		pol.Wrote(t, leftN.next(0))
 		pol.BeforeReturn(t)
 		if !ok {
 			l.ar.Free(t.ID, idx)
@@ -372,20 +390,20 @@ func (l *List) insertGet(t *pmem.Thread, key, value uint64, wantValue bool) (uin
 // deleter's identity unlink handles whatever was already linked.
 func (l *List) linkTower(t *pmem.Thread, idx, lvl, key uint64, tr *traversal) {
 	n := l.node(idx)
-	for i := uint64(1); i < lvl; i++ {
+	for i := 1; i < int(lvl); i++ {
 		for {
-			if pmem.Marked(t.Load(&n.Next[0])) {
+			if pmem.Marked(t.Load(n.next(0))) {
 				return // deleted concurrently: stop linking
 			}
 			pred := tr.preds[i]
 			predN := l.node(pred)
-			pn := t.Load(&predN.Next[i])
+			pn := t.Load(predN.next(i))
 			cur := pmem.RefIndex(pn)
 			for !pmem.Marked(pn) && cur != 0 && cur != idx &&
 				t.Load(&l.node(cur).Key) < key {
 				pred = cur
 				predN = l.node(pred)
-				pn = t.Load(&predN.Next[i])
+				pn = t.Load(predN.next(i))
 				cur = pmem.RefIndex(pn)
 			}
 			if pmem.Marked(pn) {
@@ -396,20 +414,20 @@ func (l *List) linkTower(t *pmem.Thread, idx, lvl, key uint64, tr *traversal) {
 			if cur == idx {
 				break // already linked (helped)
 			}
-			old := t.Load(&n.Next[i])
+			old := t.Load(n.next(i))
 			if pmem.Marked(old) {
 				return // deleter claimed the tower
 			}
-			if !t.CAS(&n.Next[i], old, pmem.MakeRef(cur)) {
+			if !t.CAS(n.next(i), old, pmem.MakeRef(cur)) {
 				continue // marked or changed under us: re-examine
 			}
-			if t.CAS(&predN.Next[i], pn, pmem.MakeRef(idx)) {
+			if t.CAS(predN.next(i), pn, pmem.MakeRef(idx)) {
 				// A deletion that raced with this publish may already
 				// have finished its own identity unlink; re-check and
 				// clean up ourselves. We are still inside the epoch
 				// critical section, so the node cannot be reused yet.
-				if pmem.Marked(t.Load(&n.Next[0])) {
-					l.unlinkLevel(t, idx, key, int(i))
+				if pmem.Marked(t.Load(n.next(0))) {
+					l.unlinkLevel(t, idx, key, i)
 				}
 				break
 			}
@@ -445,28 +463,28 @@ func (l *List) Delete(t *pmem.Thread, key uint64) bool {
 		lvl := t.Load(&rightN.Level)
 		for i := int(lvl) - 1; i >= 1; i-- {
 			for {
-				nx := t.Load(&rightN.Next[i])
+				nx := t.Load(rightN.next(i))
 				if pmem.Marked(nx) {
 					break
 				}
 				//nvcheck:ignore writehook -- upper tower levels are volatile index state: recovery rebuilds them from the durable Level field, so no hook or flush is wanted
-				if t.CAS(&rightN.Next[i], nx, pmem.WithMark(nx)) {
+				if t.CAS(rightN.next(i), nx, pmem.WithMark(nx)) {
 					break
 				}
 			}
 		}
 		// Core-tree logical deletion under Protocol 2.
-		rNext := t.Load(&rightN.Next[0])
-		pol.Read(t, &rightN.Next[0])
+		rNext := t.Load(rightN.next(0))
+		pol.Read(t, rightN.next(0))
 		if !pmem.Marked(rNext) {
 			pol.BeforeCAS(t)
-			ok := t.CAS(&rightN.Next[0], rNext, pmem.WithMark(pmem.Dirty(rNext)))
-			pol.Wrote(t, &rightN.Next[0])
+			ok := t.CAS(rightN.next(0), rNext, pmem.WithMark(pmem.Dirty(rNext)))
+			pol.Wrote(t, rightN.next(0))
 			pol.BeforeCAS(t)
 			if ok {
 				leftN := l.node(tr.left)
-				phys := t.CAS(&leftN.Next[0], tr.leftNext, pmem.ClearTags(rNext))
-				pol.Wrote(t, &leftN.Next[0])
+				phys := t.CAS(leftN.next(0), tr.leftNext, pmem.ClearTags(rNext))
+				pol.Wrote(t, leftN.next(0))
 				pol.BeforeReturn(t)
 				if phys {
 					l.unlinkTower(t, tr.right)

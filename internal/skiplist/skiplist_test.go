@@ -270,7 +270,7 @@ func TestRecoverRebuildsTowers(t *testing.T) {
 	// zero out every upper-level link.
 	headN := l.node(l.head)
 	for i := 1; i < MaxLevel; i++ {
-		th.Store(&headN.Next[i], pmem.NilRef)
+		th.Store(headN.next(i), pmem.NilRef)
 	}
 	l.Recover(th)
 	if err := l.Validate(th); err != nil {
@@ -282,7 +282,7 @@ func TestRecoverRebuildsTowers(t *testing.T) {
 		}
 	}
 	// The rebuilt index must actually exist (not everything at level 1).
-	if pmem.RefIndex(th.Load(&headN.Next[1])) == 0 {
+	if pmem.RefIndex(th.Load(headN.next(1))) == 0 {
 		t.Fatalf("towers not rebuilt")
 	}
 }
@@ -296,17 +296,17 @@ func TestRecoverTrimsMarked(t *testing.T) {
 	}
 	// Mark some level-0 nodes by hand (lost physical deletions).
 	markedKeys := []uint64{5, 25, 45}
-	cur := pmem.RefIndex(th.Load(&l.node(l.head).Next[0]))
+	cur := pmem.RefIndex(th.Load(l.node(l.head).next(0)))
 	for cur != 0 {
 		n := l.node(cur)
-		nx := th.Load(&n.Next[0])
+		nx := th.Load(n.next(0))
 		k := th.Load(&n.Key)
 		for _, mk := range markedKeys {
 			if k == mk {
-				th.CAS(&n.Next[0], nx, pmem.WithMark(nx))
+				th.CAS(n.next(0), nx, pmem.WithMark(nx))
 			}
 		}
-		cur = pmem.RefIndex(pmem.ClearTags(th.Load(&n.Next[0])))
+		cur = pmem.RefIndex(pmem.ClearTags(th.Load(n.next(0))))
 	}
 	if l.CountMarked(th) != 3 {
 		t.Fatalf("marked = %d", l.CountMarked(th))
@@ -380,19 +380,19 @@ func TestValidateCatchesDamage(t *testing.T) {
 		return l, th
 	}
 	l, th := build()
-	l.ar.Free(th.ID, pmem.RefIndex(th.Load(&l.node(l.head).Next[0])))
+	l.ar.Free(th.ID, pmem.RefIndex(th.Load(l.node(l.head).next(0))))
 	if err := l.Validate(th); err == nil || !strings.Contains(err.Error(), "free or in limbo") {
 		t.Fatalf("Validate with a level-0 node freed = %v", err)
 	}
 
 	// A tower unlinked from level 0 but still indexed above it.
 	l, th = build()
-	tower := pmem.RefIndex(th.Load(&l.node(l.head).Next[1]))
+	tower := pmem.RefIndex(th.Load(l.node(l.head).next(1)))
 	pred := l.head
-	for pmem.RefIndex(th.Load(&l.node(pred).Next[0])) != tower {
-		pred = pmem.RefIndex(th.Load(&l.node(pred).Next[0]))
+	for pmem.RefIndex(th.Load(l.node(pred).next(0))) != tower {
+		pred = pmem.RefIndex(th.Load(l.node(pred).next(0)))
 	}
-	th.Store(&l.node(pred).Next[0], th.Load(&l.node(tower).Next[0]))
+	th.Store(l.node(pred).next(0), th.Load(l.node(tower).next(0)))
 	l.ar.Free(th.ID, tower)
 	if err := l.Validate(th); err == nil || !strings.Contains(err.Error(), "free or in limbo") {
 		t.Fatalf("Validate with a level-1 tower freed = %v", err)
@@ -401,8 +401,8 @@ func TestValidateCatchesDamage(t *testing.T) {
 	// A marked node linked to itself breaks no key order: only the walk's
 	// step bound catches it.
 	l, th = build()
-	first := pmem.RefIndex(th.Load(&l.node(l.head).Next[0]))
-	th.Store(&l.node(first).Next[0], pmem.WithMark(pmem.MakeRef(first)))
+	first := pmem.RefIndex(th.Load(l.node(l.head).next(0)))
+	th.Store(l.node(first).next(0), pmem.WithMark(pmem.MakeRef(first)))
 	if err := l.Validate(th); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("Validate with a cycle = %v", err)
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kv"
 	"repro/internal/pmem/vfs"
 	"repro/internal/store"
 )
@@ -103,11 +104,8 @@ func TestZeroIOReads(t *testing.T) {
 		vals[k] = k * 7
 		s.Put(k, k*7)
 	}
-	// One pass first: a line that shares a hashed version slot with a line
-	// the Puts wrote looks dirty once, is logged again unchanged, and is
-	// clean from then on. Quiescent means after that.
-	readPass(t, s, 2*cleanKeys, want)
-
+	// Every line's version is its own, so the store is quiescent as soon as
+	// the last Put returns: the very first read pass appends nothing.
 	b0, s0 := fs.snapshot()
 	readPass(t, s, 10000, want)
 	if b, sy := fs.snapshot(); b != b0 || sy != s0 {
@@ -127,11 +125,72 @@ func TestZeroIOReads(t *testing.T) {
 	if b, sy := fs.snapshot(); b != b1 || sy != s1 {
 		t.Fatalf("reading the key just put cost %d WAL bytes and %d syncs, want 0 and 0", b-b1, sy-s1)
 	}
-	// Everything else is as clean as before, give or take the slot-mates of
-	// the two or three lines the Put wrote (each 96 bytes framed alone).
+	// Everything else is as clean as before: the Put dirtied only the lines
+	// it wrote, and its own commit logged them.
 	readPass(t, s, 2*cleanKeys, want)
-	if b, _ := fs.snapshot(); b-b1 > 16*96 {
+	if b, _ := fs.snapshot(); b != b1 {
 		t.Fatalf("one Put made %d bytes' worth of other lines dirty", b-b1)
+	}
+}
+
+// TestReadsAppendNoWAL: on every kind, a 4-shard SyncFence store that has
+// just taken a write phase — every key put, every 7th put again — appends
+// nothing to its WAL for a Get of every key, nor for a whole-range Scan. A
+// read flushes the lines it traversed, and each of those lines is clean
+// unless it changed since its last capture; no write to any other line
+// makes it look changed. -short (the race pass) keeps the two quick kinds.
+func TestReadsAppendNoWAL(t *testing.T) {
+	const keys = 8192
+	kinds := core.Kinds()
+	if testing.Short() {
+		kinds = []core.Kind{core.KindHash, core.KindSkiplist}
+	}
+	for _, kind := range kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			st, err := store.Open(store.Config{Kind: kind, Shards: 4, Dir: t.TempDir(), SyncFence: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			s := st.NewSession()
+			for k := uint64(1); k <= keys; k++ {
+				s.Put(k, k)
+			}
+			for k := uint64(7); k <= keys; k += 7 {
+				s.Put(k, k+1)
+			}
+			want := func(k uint64) uint64 {
+				if k%7 == 0 {
+					return k + 1
+				}
+				return k
+			}
+			b0 := st.Stats().WALBytes
+			for k := uint64(1); k <= keys; k++ {
+				if v, ok := s.Get(k); !ok || v != want(k) {
+					t.Fatalf("Get(%d) = (%d, %v), want (%d, true)", k, v, ok, want(k))
+				}
+			}
+			if b := st.Stats().WALBytes - b0; b != 0 {
+				t.Fatalf("a Get of each of %d keys appended %d WAL bytes, want 0", keys, b)
+			}
+			n := 0
+			if err := s.Scan(kv.MinKey, kv.MaxKey, func(k, v uint64) bool {
+				if v != want(k) {
+					t.Fatalf("Scan: key %d = %d, want %d", k, v, want(k))
+				}
+				n++
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if n != keys {
+				t.Fatalf("Scan saw %d keys, want %d", n, keys)
+			}
+			if b := st.Stats().WALBytes - b0; b != 0 {
+				t.Fatalf("a whole-range Scan appended %d WAL bytes, want 0", b)
+			}
+		})
 	}
 }
 
@@ -171,8 +230,9 @@ func TestRestartReadsAppendNothing(t *testing.T) {
 }
 
 // loggedLines parses every WAL file in dir and returns the set of (tag,
-// line index) coordinates that appear in an intact record.
-func loggedLines(t *testing.T, dir string) map[[2]uint64]bool {
+// line index) coordinates that appear in an intact record, and the number
+// of line entries, repeats included.
+func loggedLines(t *testing.T, dir string) (set map[[2]uint64]bool, entries int) {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(names) == 0 {
@@ -183,7 +243,7 @@ func loggedLines(t *testing.T, dir string) map[[2]uint64]bool {
 	// each entry uvarint space | sub | idx | ver, u8 mask, u8 nz, then one
 	// u64 per bit of nz.
 	const magicLen, frameHeader = 8, 8
-	set := map[[2]uint64]bool{}
+	set = map[[2]uint64]bool{}
 	for _, name := range names {
 		b, err := os.ReadFile(name)
 		if err != nil {
@@ -213,21 +273,24 @@ func loggedLines(t *testing.T, dir string) map[[2]uint64]bool {
 				}
 				p = p[2+8*bits.OnesCount8(p[1]):]
 				set[[2]uint64{space<<32 | sub, idx}] = true
+				entries++
 			}
 			pos = end
 		}
 	}
-	return set
+	return set, entries
 }
 
 // TestTrackedAndFastLogSameLines runs one seeded single-threaded op
 // sequence against a tracked and a fast file-backed store and requires the
-// same set of logged lines. Every key is written before it is read, so each
-// line a read flushes has been logged in both modes whatever version-slot
-// collisions the fast mode's allocator produced (they re-log a line, never
-// add one).
+// same set of logged lines, each logged as often: both modes version every
+// registered line exactly, so a line is re-logged exactly when it changed.
 func TestTrackedAndFastLogSameLines(t *testing.T) {
-	run := func(tracked bool) map[[2]uint64]bool {
+	type logged struct {
+		set     map[[2]uint64]bool
+		entries int
+	}
+	run := func(tracked bool) logged {
 		cfg := store.Config{Kind: core.KindHash, Shards: 1, SizeHint: 1 << 10, Tracked: tracked, Dir: t.TempDir()}
 		st, err := store.Open(cfg)
 		if err != nil {
@@ -257,20 +320,24 @@ func TestTrackedAndFastLogSameLines(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return loggedLines(t, filepath.Join(cfg.Dir, "shard-0"))
+		set, entries := loggedLines(t, filepath.Join(cfg.Dir, "shard-0"))
+		return logged{set, entries}
 	}
 	fast, tracked := run(false), run(true)
-	for l := range fast {
-		if !tracked[l] {
+	for l := range fast.set {
+		if !tracked.set[l] {
 			t.Errorf("line (tag %#x, idx %d) logged in fast mode only", l[0], l[1])
 		}
 	}
-	for l := range tracked {
-		if !fast[l] {
+	for l := range tracked.set {
+		if !fast.set[l] {
 			t.Errorf("line (tag %#x, idx %d) logged in tracked mode only", l[0], l[1])
 		}
 	}
-	if len(fast) == 0 {
+	if len(fast.set) == 0 {
 		t.Fatal("nothing was logged")
+	}
+	if fast.entries != tracked.entries {
+		t.Errorf("fast mode logged %d line entries, tracked mode %d", fast.entries, tracked.entries)
 	}
 }

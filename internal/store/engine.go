@@ -296,6 +296,7 @@ type session struct {
 	scanIdxs []int      // scratch: batch op indexes holding scans
 	bufs     [][]kvPair // scratch: per-shard scan cursor chunks
 	heads    []int      // scratch: per-shard merge positions in bufs
+	wants    []int      // scratch: per-shard size of the next chunk
 }
 
 // kvPair is one buffered scan result during a merged engine scan.
@@ -303,10 +304,18 @@ type kvPair struct {
 	key, value uint64
 }
 
-// scanChunk is the number of pairs a merged scan buffers per shard: a
-// refill is one RangeScan that stops after scanChunk keys, so a scan whose
-// fn stops early has copied at most shards × scanChunk pairs.
-const scanChunk = 64
+// scanChunk is the number of pairs a merged scan first buffers per shard:
+// a refill is one RangeScan that stops after its chunk's worth of keys, so
+// a scan whose fn stops within the first chunks has copied at most
+// shards × scanChunk pairs. Each later refill of a shard asks for twice
+// the pairs of its last, up to maxScanChunk, so a scan that runs to the
+// end of n keys costs O(shards · log(n/scanChunk)) RangeScans — each of
+// which pays its own descent and fences — while one that stops after r
+// keys has still buffered only O(r + shards × scanChunk) pairs.
+const (
+	scanChunk    = 64
+	maxScanChunk = 1 << 16
+)
 
 func (s *session) Rand() uint64 { return s.th[0].Rand() }
 
@@ -342,9 +351,10 @@ func (s *session) GetOrInsert(key, value uint64) (v uint64, inserted bool) {
 
 // Scan k-way merges the shards' ordered streams: keys are
 // hash-partitioned, so each shard's RangeScan yields an ordered disjoint
-// stream. Each shard is read through a cursor of scanChunk pairs that
-// refills by RangeScan from just past its last key, so the work is bounded
-// by what fn consumes, not by the width of [lo, hi]. One shard scans its
+// stream. Each shard is read through a cursor chunk that refills by
+// RangeScan from just past its last key, scanChunk pairs first and twice
+// as many each refill after (see scanChunk), so the work is bounded by
+// what fn consumes, not by the width of [lo, hi]. One shard scans its
 // structure directly; an unordered kind's shards scan one after another.
 func (s *session) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 	e := s.eng
@@ -364,8 +374,10 @@ func (s *session) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 	if s.bufs == nil {
 		s.bufs = make([][]kvPair, len(e.shards))
 		s.heads = make([]int, len(e.shards))
+		s.wants = make([]int, len(e.shards))
 	}
 	for i := range e.shards {
+		s.wants[i] = scanChunk
 		if err := s.refill(i, lo, hi); err != nil {
 			return err
 		}
@@ -377,9 +389,10 @@ func (s *session) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 			if buf := s.bufs[i]; s.heads[i] == len(buf) {
 				// A short chunk, or one that reached hi, ended the shard.
 				n := len(buf)
-				if n < scanChunk || buf[n-1].key >= hi {
+				if n < s.wants[i] || buf[n-1].key >= hi {
 					continue
 				}
+				s.wants[i] = min(2*s.wants[i], maxScanChunk)
 				if err := s.refill(i, buf[n-1].key+1, hi); err != nil {
 					return err
 				}
@@ -402,13 +415,13 @@ func (s *session) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 	}
 }
 
-// refill replaces shard i's cursor chunk with the first scanChunk pairs of
-// [lo, hi] on that shard.
+// refill replaces shard i's cursor chunk with the first s.wants[i] pairs
+// of [lo, hi] on that shard.
 func (s *session) refill(i int, lo, hi uint64) error {
-	buf := s.bufs[i][:0]
+	buf, want := s.bufs[i][:0], s.wants[i]
 	err := s.eng.shards[i].set.RangeScan(s.th[i], lo, hi, func(k, v uint64) bool {
 		buf = append(buf, kvPair{k, v})
-		return len(buf) < scanChunk
+		return len(buf) < want
 	})
 	s.bufs[i], s.heads[i] = buf, 0
 	return err

@@ -22,7 +22,7 @@ func newScanEngine(t *testing.T, shards int, kind core.Kind) *Engine {
 // cursor chunks per shard (refills across chunk boundaries).
 func TestScanMergesShards(t *testing.T) {
 	for _, shards := range []int{1, 4, 7} {
-		// 2,048 keys in the second input: at least four chunks per shard.
+		// 2,048 keys in the second input: at least three chunks per shard.
 		for _, last := range []uint64{500, 3 * 32 * scanChunk} {
 			eng := newScanEngine(t, shards, core.KindSkiplist)
 			s := eng.NewSession()
@@ -98,6 +98,58 @@ func TestScanWorkBoundedByReply(t *testing.T) {
 	}
 	if buffered > shards*scanChunk {
 		t.Fatalf("a 10-key scan buffered %d pairs, want at most %d (shards × chunk)", buffered, shards*scanChunk)
+	}
+}
+
+// TestFullScanCost pins, in tracked mode, what a whole-range merged scan of
+// ascending keys on 4 shards costs when each shard's cursor chunk doubles
+// per refill: every refill is a RangeScan that re-descends its structure
+// (on these BSTs, a right spine) and fences, so the number of refills is
+// what the counts measure. -short (the race pass) runs only the quick row:
+// ascending inserts into a BST walk its whole right spine.
+func TestFullScanCost(t *testing.T) {
+	for _, c := range []struct {
+		kind            core.Kind
+		keys            uint64
+		flushes, fences uint64
+		quick           bool
+	}{
+		{core.KindEllenBST, 10_000, 34_636, 48, false},
+		{core.KindNMBST, 10_000, 34_660, 48, false},
+		{core.KindSkiplist, 10_000, 10_036, 48, true},
+		{core.KindSkiplist, 100_000, 100_056, 72, false},
+	} {
+		if testing.Short() && !c.quick {
+			continue
+		}
+		eng := openEngine(t, Config{Shards: 4, Kind: c.kind, SizeHint: int(c.keys), Tracked: true})
+		s := eng.newSession()
+		for k := uint64(1); k <= c.keys; k++ {
+			s.Put(k, k)
+		}
+		publish := func() {
+			for _, th := range s.th {
+				th.PublishStats()
+			}
+		}
+		publish()
+		before := eng.Stats()
+		n := uint64(0)
+		if err := s.Scan(kv.MinKey, kv.MaxKey, func(k, v uint64) bool {
+			n++
+			if k != n || v != k {
+				t.Fatalf("%s: scan[%d] = (%d, %d)", c.kind, n, k, v)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		publish()
+		d := eng.Stats().Sub(before)
+		if n != c.keys || d.Flushes != c.flushes || d.Fences != c.fences {
+			t.Errorf("%s: scan of %d keys saw %d, cost %d flushes and %d fences, want %d and %d",
+				c.kind, c.keys, n, d.Flushes, d.Fences, c.flushes, c.fences)
+		}
 	}
 }
 
