@@ -175,11 +175,13 @@ soak:
 size:
 	GO=$(GO) bash scripts/size.sh
 
-# Run the Go benchmarks once (panels + flush accounting smoke), then the
+# Run the Go benchmarks once (panels + flush accounting smoke, and pmem's
+# Store + Flush + Fence on a plain and on a file-backed line), then the
 # YCSB-E panel once end to end: every ordered kind x durable policy,
 # 1-shard + 4-shard store, real rows or a hard failure.
 bench-ci:
 	NVBENCH_DUR=5ms $(GO) test -run=NONE -bench=. -benchtime=1x ./internal/bench/...
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/pmem/
 	NVBENCH_DUR=5ms $(GO) run ./cmd/nvbench -panel yE -threads 2 -scale 256
 
 ci: fmt vet build nvlint short race apicheck bench-smoke benchmark-smoke crash-smoke repl-smoke fault-smoke bench-ci

@@ -60,7 +60,7 @@ func run(args []string, out io.Writer) error {
 		waitK     = fs.Int("wait", 0, "write quorum: acknowledge a write only after this many replicas confirmed it (0 = never wait)")
 		waitTO    = fs.Duration("wait-timeout", time.Second, "fail WAIT-gated writes after this long without quorum")
 
-		idleTO = fs.Duration("idle-timeout", 5*time.Minute, "close connections idle for this long (0 = never)")
+		idleTO = fs.Duration("idle-timeout", 5*time.Minute, "close connections idle, or leaving replies unread, for this long (0 = never)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

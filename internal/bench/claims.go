@@ -5,10 +5,10 @@
 // cost stays flat however long the traversal is, while the general
 // transformation (Izraelevitz et al.) pays at every node it reads. Counts
 // carry that claim, and counts can be exact: a tracked memory keys lines by
-// their exact address (fast mode hashes them into a version table, so its
-// elision counts depend on where nodes land), and one goroutine running a
-// seeded op stream after a seeded prefill issues the same flushes and
-// fences on every run. ClaimRuns lists the runs and Claims the paper's
+// their exact address and versions every write (fast mode compares a line's
+// content instead, so there a same-value store elides), and one goroutine
+// running a seeded op stream after a seeded prefill issues the same flushes
+// and fences on every run. ClaimRuns lists the runs and Claims the paper's
 // findings as relations over their counts; TestPaperClaims also pins every
 // run's totals, and nvbench -flushstats prints the table.
 package bench

@@ -53,7 +53,7 @@ func v2Checkpoint(n int) []byte {
 // regions, (0, 0) of 4 lines and (0, 1) of 2, and returns their six lines
 // in that order.
 func openTwoRegions(dir string) (*Memory, [][]Cell, error) {
-	m := New(Config{Mode: ModeFast, Profile: ProfileZero, Dir: dir, LineTableBits: 8})
+	m := New(Config{Mode: ModeFast, Profile: ProfileZero, Dir: dir})
 	sp := m.NewSpace()
 	lines := append(sp.Lines(0, 4), sp.Lines(1, 2)...)
 	_, err := m.RecoverFiles()

@@ -242,36 +242,22 @@ func TestFlushSyncsOnce(t *testing.T) {
 	}
 }
 
-// TestCleanLineSlotCollision: two registered lines share a slot of the
-// hashed version table. Whatever the interleaving of writes to them, a
-// changed line is always captured, and an unchanged one never is: each
-// line's version is its own, so neither vouches for, nor dirties, the
-// other.
-func TestCleanLineSlotCollision(t *testing.T) {
+// TestCleanLineOwnVersion: two registered lines of one region, written in
+// every order. A changed line is always captured, and an unchanged one never
+// is: each line's version is its own, so neither vouches for, nor dirties,
+// the other.
+func TestCleanLineOwnVersion(t *testing.T) {
 	dir := t.TempDir()
-	const n = 600 // > 2^8 slots: some pair must collide
 	open := func() (*Memory, *Thread, [][]Cell) {
-		m := New(Config{Mode: ModeFast, Profile: ProfileZero, Dir: dir, LineTableBits: 8})
-		lines := m.NewSpace().Lines(0, n)
+		m := New(Config{Mode: ModeFast, Profile: ProfileZero, Dir: dir})
+		lines := m.NewSpace().Lines(0, 2)
 		if _, err := m.RecoverFiles(); err != nil {
 			t.Fatal(err)
 		}
 		return m, m.NewThread(), lines
 	}
 	m, th, lines := open()
-	a, b := -1, -1
-	seen := map[uintptr]int{}
-	for i := range lines {
-		s := th.fastSlot(&lines[i][0])
-		if j, ok := seen[s]; ok {
-			a, b = j, i
-			break
-		}
-		seen[s] = i
-	}
-	if a < 0 {
-		t.Fatal("no two lines share a slot")
-	}
+	const a, b = 0, 1
 	ca, cb := &lines[a][0], &lines[b][0]
 
 	logged := func() uint64 { return m.WALStats().Lines }
@@ -283,9 +269,8 @@ func TestCleanLineSlotCollision(t *testing.T) {
 		if got := logged() - l0; got != 2 {
 			t.Fatalf("round %d: alternating commits logged %d lines, want 2", i, got)
 		}
-		// The dangerous order: A changes, then B changes and is logged at a
-		// slot version that covers A's bump too. A's flush must still
-		// capture — a table keyed by slot would call it clean here.
+		// A changes, then B changes and is logged. A's flush must still
+		// capture — a version shared with B would call it clean here.
 		th.Store(ca, i+2000)
 		commitCell(th, cb, i+3000)
 		l0 = logged()

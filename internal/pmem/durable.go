@@ -82,21 +82,24 @@ type region struct {
 	// ptr is the GC-visible interior pointer that both keeps the backing
 	// slab alive and is the legal base for unsafe.Add arithmetic.
 	ptr unsafe.Pointer
-	// lines[i] is line i's exact write-version pair and its logged version.
+	// lines[i] is line i's exact write version and its logged version.
 	lines []regionLine
 }
 
 // regionLine is the durable bookkeeping of one line of a region, 24 bytes
-// per 64-byte line. The embedded verPair is the line's fast-mode write
-// version: Store/CAS bracket it, and no other line shares it. logged is
+// per 64-byte line. v is the line's fast-mode write version: it counts
+// finished writes (bumped after the store), and no other line shares it.
+// started counts writes begun (bumped before the store), so the clean-line
+// check can see a write in flight (see Thread.durableVersion). logged is
 // 1 + the write version of the newest capture of the line that is appended
 // to the log or covered by the state recovery loaded; 0 means none. logged
 // is written under d.mu (or by RecoverFiles, quiescent) and read lock-free
 // by the flush path. Tracked mode keeps versions in its model and uses only
 // logged.
 type regionLine struct {
-	verPair
-	logged atomic.Uint64
+	v       atomic.Uint64
+	started atomic.Uint64
+	logged  atomic.Uint64
 }
 
 // clean reports whether a capture of line idx at write version ver is
@@ -494,16 +497,12 @@ func (d *durableMem) inWriteWindow() {
 // captureFast snapshots the whole line idx of region r for the WAL (fast
 // mode, durable only): called from Flush after the coalescing check
 // admitted the line, with ver from durableVersion. It returns false,
-// capturing nothing, when the line is clean at ver; an unregistered line
-// (r == nil) is an ordinary flush and returns true.
+// capturing nothing, when the line is clean at ver.
 // Reading the version before the content is what makes replay ack-safe: a
 // write's own capture (which happens after the write in program order)
 // always carries a version at least as new as the write's bump, so any
 // record that could shadow it during replay must itself contain the write.
 func (t *Thread) captureFast(r *region, idx uint32, ver uint64) bool {
-	if r == nil {
-		return true
-	}
 	if r.clean(idx, ver) {
 		return false
 	}
@@ -516,24 +515,55 @@ func (t *Thread) captureFast(r *region, idx uint32, ver uint64) bool {
 	return true
 }
 
-// durLine returns the write-version pair of c's line on a file-backed
-// fast-mode memory: the line's own in its registered region r (line idx),
-// or the hashed slot when no region covers it (r == nil; such a line never
-// reaches the log). The thread caches the last region it found, so a run of
-// accesses within one arena chunk skips the registry's binary search.
-// Regions are never unregistered, and a region is registered before any
-// thread can reach its cells (Space.Lines, arena chunk growth), so every
-// write and flush of a line uses the same pair.
-func (t *Thread) durLine(d *durableMem, c *Cell) (p *verPair, r *region, idx uint32) {
+// durLine returns the registered region r of c's line and the line's index
+// in it on a file-backed fast-mode memory, or r == nil: no file backend, or
+// no region covers the line, which then never reaches the log and has no
+// write version. It stays small enough to inline, so a memory with no file
+// backend pays one nil check on every Store, CAS and Flush.
+func (t *Thread) durLine(c *Cell) (r *region, idx uint32) {
+	if t.dur == nil {
+		return nil, 0
+	}
+	return t.findLine(c)
+}
+
+// findLine is durLine on a file-backed memory. The thread caches the last
+// region it found, so a run of accesses within one arena chunk skips the
+// registry's binary search. Regions are never unregistered, and a region is
+// registered before any thread can reach its cells (Space.Lines, arena
+// chunk growth), so every write and flush of a registered line uses the
+// same version.
+func (t *Thread) findLine(c *Cell) (r *region, idx uint32) {
 	addr := uintptr(unsafe.Pointer(c)) &^ uintptr(LineSize-1)
 	if r = t.reg; r == nil || addr-r.base >= r.size {
-		if r = d.lookup(addr); r == nil {
-			return &t.lineVer[t.fastSlot(c)].verPair, nil, 0
+		if r = t.dur.lookup(addr); r == nil {
+			return nil, 0
 		}
 		t.reg = r
 	}
-	idx = uint32((addr - r.base) >> lineShift)
-	return &r.lines[idx].verPair, r, idx
+	return r, uint32((addr - r.base) >> lineShift)
+}
+
+// lineMix returns a 64-bit mix of the eight words of c's line, read now:
+// the content key a fast-mode flush of a line with no write version
+// coalesces on (see Thread.Flush). It is a sum of the words times distinct
+// odd constants, so the eight products are independent and a change of any
+// one word always changes the mix. The words around c may belong to other
+// objects; they are only loaded, atomically, one word at a time (a pointer
+// to the whole line could straddle allocations, which the race detector's
+// pointer checks reject), and always lie on c's page.
+func lineMix(c *Cell) uint64 {
+	p := unsafe.Add(unsafe.Pointer(c), -int(uintptr(unsafe.Pointer(c))&(LineSize-1)))
+	var h uint64
+	for i, k := range lineMixKeys {
+		h += (*atomic.Uint64)(unsafe.Add(p, i*8)).Load() * k
+	}
+	return h
+}
+
+var lineMixKeys = [CellsPerLine]uint64{
+	0xa0761d6478bd642f, 0xe7037ed1a0b428db, 0x8ebc6af09c88c6e3, 0x589965cc75374cc3,
+	0x1d8e4e27c47d124f, 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb,
 }
 
 // entryForLine builds a WAL entry for a tracked line's current volatile
@@ -564,9 +594,9 @@ func (d *durableMem) entryForLine(key uintptr, ls *lineState) (walEntry, bool) {
 // entries (the model already captured content and version at flush time),
 // leaving out lines that are clean at the captured version. Tracked
 // versions are exact and move with the content under the line's stripe
-// lock, so an equal version is the same image: neither hazard of the fast
-// path (hashed slots, the store-then-bump window) exists here. The flush
-// itself still counts and still feeds the crash model.
+// lock, so an equal version is the same image: the fast path's
+// store-then-bump window does not exist here. The flush itself still counts
+// and still feeds the crash model.
 func (t *Thread) walFromFlushSet(d *durableMem) {
 	for i := range t.flushSet {
 		fe := &t.flushSet[i]

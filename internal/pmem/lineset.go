@@ -1,9 +1,9 @@
 package pmem
 
 // lineSet is the per-thread pending-flush line set: an open-addressed hash
-// set keyed by line (real line key in tracked mode, version-table slot in
-// fast mode) holding the write version each line had when it was last
-// captured. It answers the only question Flush asks — "is this line already
+// set keyed by line holding the write version (or, for a fast-mode line
+// without one, the content mix) each line had when it was last captured.
+// It answers the only question Flush asks — "is this line already
 // pending, unchanged?" — in O(1), replacing the O(pending) linear scan over
 // the flush slice that made Flush quadratic inside large Apply batches.
 //

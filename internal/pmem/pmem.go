@@ -17,10 +17,11 @@
 //
 //   - ModeFast: accesses are plain Go atomics; Flush and Fence charge a
 //     calibrated spin cost from a latency Profile and bump per-thread
-//     counters. Writes additionally bump a per-line write version so flush
-//     coalescing is observable in the counters: hashed into a table on a
-//     memory with no file backend, exact per line in a registered region
-//     of a file-backed one. This mode is used by the throughput benchmarks:
+//     counters. Flush coalescing is observable in the counters: a line
+//     counts as unchanged while its content equals what the pending flush
+//     captured, and a registered line of a file-backed memory carries an
+//     exact write version instead, which the log's replay needs (see
+//     Thread.Flush). This mode is used by the throughput benchmarks:
 //     the paper's claims are about the count and placement of flushes and
 //     fences, and the cost model exercises exactly the code paths the
 //     NVTraverse transformation changes.
@@ -84,15 +85,6 @@ type Config struct {
 	Profile    Profile
 	MaxThreads int // capacity for NewThread; defaults to 64
 
-	// LineTableBits sizes the fast-mode hashed write-version table at 2^bits
-	// slots (defaults to DefaultLineTableBits). Lines hash into the table,
-	// and lines sharing a slot share a version, which only perturbs the
-	// flush-coalescing statistics. On a file-backed memory every line of a
-	// registered region has its own exact version (region.lines) and the
-	// table serves only the unregistered lines, which never reach the log.
-	// Tracked mode keys lines exactly and ignores this.
-	LineTableBits int
-
 	// Dir, when non-empty, gives the memory a durable file backend in that
 	// directory: fenced line snapshots of registered regions (see Space)
 	// are appended to a write-ahead log, and RecoverFiles replays them at
@@ -116,13 +108,6 @@ type Config struct {
 // DefaultMaxThreads is used when Config.MaxThreads is zero.
 const DefaultMaxThreads = 128
 
-// DefaultLineTableBits is used when Config.LineTableBits is zero: 2^14
-// line-padded slots, 1 MiB per fast-mode memory. Distinct lines hashing to
-// one slot merge their write versions, which only perturbs the
-// flush-coalescing counters (conservatively: merged lines look dirtier, so
-// fewer flushes elide). The log's clean-line check never sees a slot.
-const DefaultLineTableBits = 14
-
 // Memory is one simulated persistent memory domain. All cells of a data
 // structure must be used with threads of the same Memory.
 type Memory struct {
@@ -140,14 +125,6 @@ type Memory struct {
 
 	model *model // non-nil iff ModeTracked
 
-	// lineVer is the fast-mode hashed per-line write-version table (nil in
-	// tracked mode, which tracks lines exactly in the model). A file-backed
-	// memory uses it only for lines outside every registered region. Slots
-	// are padded to one physical cache line each: the table sits on the
-	// Store/CAS hot path of every benchmark, and unpadded slots would add
-	// false-sharing contention to the very numbers fast mode measures.
-	lineVer []paddedVer
-
 	// fenceTrap implements the CrashAtFence deterministic crash schedule.
 	fenceTrap atomic.Int64
 
@@ -158,42 +135,14 @@ type Memory struct {
 	spaceSeq atomic.Uint32
 }
 
-// verPair is a line's fast-mode write version. v counts finished writes
-// (bumped after the store) and is the line's write version everywhere.
-// started counts writes begun (bumped before the store) and is maintained
-// only on file-backed memories, whose clean-line check needs to see a write
-// that is in flight — see Thread.durableVersion.
-type verPair struct {
-	v       atomic.Uint64
-	started atomic.Uint64
-}
-
-// paddedVer is one slot of the hashed version table, alone on its physical
-// line.
-type paddedVer struct {
-	verPair
-	_ [LineSize - 16]byte
-}
-
 // New creates a Memory with the given configuration.
 func New(cfg Config) *Memory {
 	if cfg.MaxThreads == 0 {
 		cfg.MaxThreads = DefaultMaxThreads
 	}
-	if cfg.LineTableBits == 0 {
-		cfg.LineTableBits = DefaultLineTableBits
-	}
-	if cfg.LineTableBits < 8 {
-		cfg.LineTableBits = 8
-	}
-	if cfg.LineTableBits > 22 {
-		cfg.LineTableBits = 22
-	}
 	m := &Memory{cfg: cfg}
 	if cfg.Mode == ModeTracked {
 		m.model = newModel()
-	} else {
-		m.lineVer = make([]paddedVer, 1<<cfg.LineTableBits)
 	}
 	if cfg.Dir != "" {
 		// No file IO here: the backend stays inert (appends dropped) until
@@ -240,8 +189,6 @@ func (m *Memory) NewThread() *Thread {
 		mem:       m,
 		rng:       uint64(len(m.threads))*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 		model:     m.model,
-		lineVer:   m.lineVer,
-		lineShift: uint8(64 - m.cfg.LineTableBits),
 		flushCost: int32(m.cfg.Profile.FlushCost),
 		fenceCost: int32(m.cfg.Profile.FenceCost),
 		dur:       m.durable,

@@ -549,9 +549,19 @@ func TestLineEvictionIsAtomic(t *testing.T) {
 }
 
 func TestFlushCoalescing(t *testing.T) {
-	// Repeat flushes of an unchanged line coalesce; a write un-coalesces.
-	for _, mk := range []func() *Memory{NewTracked, func() *Memory { return NewFast(ProfileZero) }} {
-		m := mk()
+	// Repeat flushes of an unchanged line coalesce; a write un-coalesces;
+	// distinct lines never coalesce, however many one fence window holds.
+	// A same-value store is the one difference between the modes: tracked
+	// mode versions every write, while a fast-mode line with no write
+	// version compares content, and the content did not change.
+	for _, tc := range []struct {
+		mk              func() *Memory
+		sameValueElides bool
+	}{
+		{NewTracked, false},
+		{func() *Memory { return NewFast(ProfileZero) }, true},
+	} {
+		m := tc.mk()
 		th := m.NewThread()
 		ln := AllocLines(1)[0]
 		a, b := &ln[0], &ln[1]
@@ -577,6 +587,28 @@ func TestFlushCoalescing(t *testing.T) {
 		s = m.Stats()
 		if s.Flushes != 3 {
 			t.Fatalf("mode %v: flush after fence elided: %+v", m.Mode(), s)
+		}
+		th.Store(b, 2) // same value
+		th.Flush(a)
+		th.PublishStats()
+		want := uint64(4)
+		if tc.sameValueElides {
+			want = 3
+		}
+		if s = m.Stats(); s.Flushes != want {
+			t.Fatalf("mode %v: flush after same-value store: flushes=%d, want %d", m.Mode(), s.Flushes, want)
+		}
+
+		th.Fence()
+		m.ResetStats()
+		const n = 1 << 15
+		for _, l := range AllocLines(n) {
+			th.Flush(&l[0])
+		}
+		th.PublishStats()
+		if s = m.Stats(); s.Flushes != n || s.FlushesElided != 0 {
+			t.Fatalf("mode %v: %d fresh lines in one window: flushes=%d elided=%d, want %d/0",
+				m.Mode(), n, s.Flushes, s.FlushesElided, n)
 		}
 	}
 }
@@ -632,5 +664,39 @@ func TestCrashAtFence(t *testing.T) {
 	th.Fence()
 	if m.PersistedValue(b) != 3 {
 		t.Fatalf("fence after disarm did not persist")
+	}
+}
+
+// BenchmarkFlush prices one Store, Flush and Fence under the zero profile,
+// i.e. the bookkeeping of the persistence instructions alone: on a plain
+// fast line, whose flush mixes the line's content, and on a registered
+// line of a file-backed memory, whose flush checks the line's write
+// version and captures it for the log (one record a fence, appended to the
+// log's buffer). Both allocate nothing.
+func BenchmarkFlush(b *testing.B) {
+	b.Run("plain", func(b *testing.B) {
+		m := NewFast(ProfileZero)
+		benchStoreFlushFence(b, m.NewThread(), &AllocLines(1)[0][0])
+	})
+	b.Run("registered", func(b *testing.B) {
+		m := New(Config{Mode: ModeFast, Profile: ProfileZero, Dir: b.TempDir()})
+		lines := m.NewSpace().Lines(0, 1)
+		if _, err := m.RecoverFiles(); err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		benchStoreFlushFence(b, m.NewThread(), &lines[0][0])
+	})
+}
+
+func benchStoreFlushFence(b *testing.B, th *Thread, c *Cell) {
+	b.ReportAllocs()
+	th.Store(c, 1) // the first fence window sizes the pending set
+	th.Flush(c)
+	th.Fence()
+	for v := uint64(2); b.Loop(); v++ {
+		th.Store(c, v)
+		th.Flush(c)
+		th.Fence()
 	}
 }

@@ -11,10 +11,11 @@ import "sync/atomic"
 //
 // Flushes counts clwb instructions actually issued; FlushesElided counts
 // Flush calls that did no work: the line was already captured, unchanged,
-// in the thread's pending flush set, or — on a file-backed fast-mode memory
-// — it was clean, its current content already appended to the log or
-// checkpointed (see Thread.Flush). Flushes+FlushesElided is the number of
-// Flush calls the persistence policy made.
+// in the thread's pending flush set, or — for a registered line of a
+// file-backed fast-mode memory — it was clean, its current content already
+// appended to the log or checkpointed (see Thread.Flush).
+// Flushes+FlushesElided is the number of Flush calls the persistence policy
+// made.
 //
 // WALRecords, WALBytes and WALSyncs are the file backend's: records
 // appended to the log, the bytes they framed, and commit-point fsyncs (see
@@ -106,8 +107,6 @@ type Thread struct {
 	// pointer chase through mem and its config. All are immutable for the
 	// Memory's lifetime.
 	model     *model      // mem.model
-	lineVer   []paddedVer // mem.lineVer (fast mode)
-	lineShift uint8       // 64 - LineTableBits (fast mode)
 	flushCost int32       // mem.cfg.Profile.FlushCost
 	fenceCost int32       // mem.cfg.Profile.FenceCost
 	dur       *durableMem // mem.durable (nil without a file backend)
@@ -127,9 +126,9 @@ type Thread struct {
 	pendingCommit bool
 
 	// lines is the pending flush set: every line flushed since the last
-	// fence, at its capture-time write version, in an open-addressed table
-	// reset by generation bump. Both modes consult it to coalesce repeat
-	// flushes of an unchanged line in O(1).
+	// fence, at its capture-time write version (or content mix, see Flush),
+	// in an open-addressed table reset by generation bump. Both modes
+	// consult it to coalesce repeat flushes of an unchanged line in O(1).
 	lines lineSet
 
 	// flushSet (tracked mode only) holds one entry per issued flush in
@@ -260,27 +259,16 @@ func (t *Thread) Load(c *Cell) uint64 {
 	return c.v.Load()
 }
 
-// fastSlot maps a cell's line to a slot of the hashed line-version table
-// (thread-cached shift). Distinct lines may collide; collisions merge their
-// write versions, which only perturbs the flush-coalescing statistics (no
-// line that reaches the log uses the table), and the multiplicative hash
-// keeps neighboring lines apart.
-func (t *Thread) fastSlot(c *Cell) uintptr {
-	h := uint64(lineOf(c)) * 0x9e3779b97f4a7c15
-	return uintptr(h >> t.lineShift)
-}
-
 // Store atomically writes a cell.
 //
-// Fast mode writes the cell and then bumps the line's version, so for an
-// instant a load can return the new value while the version still names the
-// old content. A file-backed memory skips flushes of lines whose version
-// says the log already has them, and that instant would let a reader elide,
-// fence and reply with a value no record holds. So there (t.dur != nil) a
-// write is bracketed on the line's own version pair (durLine): started is
-// bumped before the cell changes, the version after, and the flush path
+// In fast mode a registered line of a file-backed memory carries a write
+// version, and the write is bracketed on it (durLine): started is bumped
+// before the cell changes, the version after. A file-backed memory skips
+// flushes of lines whose version says the log already has them, and without
+// the bracket the instant between the store and the bump would let a reader
+// elide, fence and reply with a value no record holds; the flush path
 // treats started != version as "a write is in flight" (see durableVersion).
-// Other memories keep the single bump of a hashed slot.
+// Any other line has no version: its flushes compare content.
 func (t *Thread) Store(c *Cell, v uint64) {
 	t.st.Writes++
 	if m := t.model; m != nil {
@@ -288,39 +276,35 @@ func (t *Thread) Store(c *Cell, v uint64) {
 		m.store(c, v)
 		return
 	}
-	if d := t.dur; d != nil {
-		p, _, _ := t.durLine(d, c)
-		p.started.Add(1)
+	if r, i := t.durLine(c); r != nil {
+		l := &r.lines[i]
+		l.started.Add(1)
 		c.v.Store(v)
-		d.inWriteWindow()
-		p.v.Add(1)
+		t.dur.inWriteWindow()
+		l.v.Add(1)
 		return
 	}
 	c.v.Store(v)
-	t.lineVer[t.fastSlot(c)].v.Add(1)
 }
 
 // CAS atomically compares-and-swaps a cell, returning whether it succeeded.
-// On a file-backed memory the attempt is bracketed like Store; a failed
-// attempt still closes its bracket, which advances the version of an
-// unchanged line and costs at most one harmless re-log.
+// A registered line of a file-backed memory brackets the attempt like
+// Store; a failed attempt still closes its bracket, which advances the
+// version of an unchanged line and costs at most one harmless re-log.
 func (t *Thread) CAS(c *Cell, old, new uint64) bool {
 	t.st.CASes++
 	var ok bool
 	if m := t.model; m != nil {
 		t.mem.checkCrash()
 		ok = m.cas(c, old, new)
-	} else if d := t.dur; d != nil {
-		p, _, _ := t.durLine(d, c)
-		p.started.Add(1)
+	} else if r, i := t.durLine(c); r != nil {
+		l := &r.lines[i]
+		l.started.Add(1)
 		ok = c.v.CompareAndSwap(old, new)
-		d.inWriteWindow()
-		p.v.Add(1)
+		t.dur.inWriteWindow()
+		l.v.Add(1)
 	} else {
 		ok = c.v.CompareAndSwap(old, new)
-		if ok {
-			t.lineVer[t.fastSlot(c)].v.Add(1)
-		}
 	}
 	if !ok {
 		t.st.CASFail++
@@ -329,7 +313,7 @@ func (t *Thread) CAS(c *Cell, old, new uint64) bool {
 }
 
 // durableVersion returns the write version a file-backed fast-mode flush of
-// the line whose pair is p works with: the version the capture will carry,
+// the registered line l works with: the version the capture will carry,
 // and the one the pending-set and clean-line checks compare.
 //
 // Both checks skip the capture when an earlier capture carried the same
@@ -344,14 +328,14 @@ func (t *Thread) CAS(c *Cell, old, new uint64) bool {
 // tie to an older one without the store. So the flush performs an empty
 // bracket of its own: the version it gets is larger than that of any
 // capture that began before this thread's loads, and any capture at or
-// above it began after them and contains what they saw. The pair belongs
+// above it began after them and contains what they saw. The version belongs
 // to this line alone, so an equal version means no write to the line at
 // all, and a write to any other line never moves it.
-func (t *Thread) durableVersion(p *verPair) uint64 {
-	cur := p.v.Load()
-	if p.started.Load() != cur {
-		p.started.Add(1)
-		cur = p.v.Add(1)
+func (t *Thread) durableVersion(l *regionLine) uint64 {
+	cur := l.v.Load()
+	if l.started.Load() != cur {
+		l.started.Add(1)
+		cur = l.v.Add(1)
 	}
 	return cur
 }
@@ -361,46 +345,48 @@ func (t *Thread) durableVersion(p *verPair) uint64 {
 // Fence. Flush alone guarantees nothing.
 //
 // Flush coalesces: when the thread's pending flush set already holds this
-// line at its current write version, the call is a no-op (counted in
-// Stats.FlushesElided, no latency charged). This is the paper's TSO
-// flush-coalescing optimization — clwb of a line that is already queued
-// for writeback, unchanged, does no additional work — and it is exact: any
-// write to the line bumps its version, so a changed line is always
-// re-captured. The pending set is an open-addressed line table (lineSet),
-// so the coalescing check is O(1) regardless of how many lines a batch has
-// flushed since the last fence.
+// line, unchanged, the call is a no-op (counted in Stats.FlushesElided, no
+// latency charged). This is the paper's TSO flush-coalescing optimization —
+// clwb of a line that is already queued for writeback, unchanged, does no
+// additional work. The pending set is an open-addressed table keyed by the
+// exact line (lineSet), so the check is O(1) regardless of how many lines a
+// batch has flushed since the last fence. What "unchanged" means depends on
+// the line:
 //
-// On a file-backed fast-mode memory a flush of a clean line is a no-op too,
-// as a clwb of an already-persistent line is on NVRAM: when a capture of the
-// line at its current version is already appended to the log or covered by a
-// checkpoint (regionLine.logged), nothing is captured and the next fence
-// appends nothing for it. The commit point that follows still drains and
-// syncs the log, which is what covers a line some other thread fenced but
-// has not yet synced.
+//   - Tracked mode and a registered line of a file-backed memory compare
+//     the line's exact write version. Any write moves it, so a written line
+//     is always re-captured, even one written back to the captured content.
+//   - Every other fast-mode line compares a 64-bit mix of its eight words,
+//     read at flush time (lineMix). A line whose content equals the content
+//     captured in the same fence window elides, an ABA restore or a
+//     same-value store included: a second writeback would persist identical
+//     bytes. This is the one count that differs from tracked mode, which
+//     counts such a flush. A change of one word always changes the mix; two
+//     contents that differ in more words mix alike with probability about
+//     2^-64, and can only miscount one flush, because these lines persist
+//     nothing.
+//
+// For a registered line of a file-backed memory a flush of a clean line is
+// a no-op too, as a clwb of an already-persistent line is on NVRAM: when a
+// capture of the line at its current version is already appended to the log
+// or covered by a checkpoint (regionLine.logged), nothing is captured and
+// the next fence appends nothing for it. The commit point that follows
+// still drains and syncs the log, which is what covers a line some other
+// thread fenced but has not yet synced.
 func (t *Thread) Flush(c *Cell) {
+	var issued bool
 	if m := t.model; m != nil {
 		t.mem.checkCrash()
-		if !t.flushTracked(c, m) {
-			t.st.FlushesElided++
-			return
-		}
-	} else if d := t.dur; d != nil {
-		// Durable fast mode keys the pending set by the exact line and takes
-		// the version from the line's own pair, so a flush elides exactly
-		// when this line has not been written since its capture.
-		p, r, idx := t.durLine(d, c)
-		cur := t.durableVersion(p)
-		if !t.lines.put(lineOf(c), cur) || !t.captureFast(r, idx, cur) {
-			t.st.FlushesElided++
-			return
-		}
+		issued = t.flushTracked(c, m)
+	} else if r, i := t.durLine(c); r != nil {
+		cur := t.durableVersion(&r.lines[i])
+		issued = t.lines.put(lineOf(c), cur) && t.captureFast(r, i, cur)
 	} else {
-		slot := t.fastSlot(c)
-		cur := t.lineVer[slot].v.Load()
-		if !t.lines.put(slot, cur) {
-			t.st.FlushesElided++
-			return
-		}
+		issued = t.lines.put(lineOf(c), lineMix(c))
+	}
+	if !issued {
+		t.st.FlushesElided++
+		return
 	}
 	t.st.Flushes++
 	t.unfenced++

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -73,13 +75,13 @@ var ErrWALVersion = errors.New("pmem: WAL format version not supported")
 // (ErrWALVersion), and a torn first write — an empty log — if it does not.
 //
 // A checkpoint holds one entry per registered line (mask 0xff, the version
-// read before the content, as captureFast reads them), region by region and
-// each region's lines in order, ckptRecordLines to a record, sealed by an
-// empty record (count 0). It is written to a temp file, fsynced and renamed,
-// then a fresh empty WAL for the next generation is created before CURRENT
-// flips — so a crash anywhere in the sequence leaves either the old
-// generation fully live or the new one, never a mix, and never a damaged
-// checkpoint: its reader is strict where the log's is tolerant (see
+// read before the content, as captureFast reads them), region by region in
+// tag order and each region's lines in order, ckptRecordLines to a record,
+// sealed by an empty record (count 0). It is written to a temp file, fsynced
+// and renamed, then a fresh empty WAL for the next generation is created
+// before CURRENT flips — so a crash anywhere in the sequence leaves either
+// the old generation fully live or the new one, never a mix, and never a
+// damaged checkpoint: its reader is strict where the log's is tolerant (see
 // loadCheckpoint). The per-line versions seed the replay guard: a WAL record
 // that captured a line at a version the checkpoint already covers is
 // skipped, which is what makes checkpointing safe under live traffic — a
@@ -625,7 +627,7 @@ func (d *durableMem) markAllClean(m *Memory) {
 	}
 	for _, r := range *p {
 		for i := range r.lines {
-			r.lines[i].logged.Store(m.lineVersion(r, uint32(i)) + 1)
+			r.lines[i].logged.Store(m.writeVersion(r, uint32(i)) + 1)
 		}
 	}
 }
@@ -697,11 +699,14 @@ func (m *Memory) Checkpoint() error {
 	// 1. Snapshot all regions into ckpt-<newGen> (tmp + fsync + rename).
 	// The regions snapshot is loaded after d.mu: a region referenced by any
 	// record in the retired log was registered before the fence that wrote
-	// the record, which took d.mu before we did.
+	// the record, which took d.mu before we did. The registry is sorted by
+	// address, which differs from boot to boot; the snapshot goes in tag
+	// order, so that the same recovered state checkpoints to the same bytes.
 	var regs []*region
 	if p := d.regions.Load(); p != nil {
-		regs = *p
+		regs = slices.Clone(*p)
 	}
+	slices.SortFunc(regs, func(a, b *region) int { return cmp.Compare(a.tag, b.tag) })
 	tmp := ckptPath(d.dir, newGen) + ".tmp"
 	cf, err := d.fs.Create(tmp)
 	if err != nil {
@@ -721,7 +726,7 @@ func (m *Memory) Checkpoint() error {
 			// Version first, then content — the capture ordering the
 			// replay-guard seeding depends on.
 			idx := uint32(off >> lineShift)
-			e := walEntry{r: r, idx: idx, mask: 0xff, ver: m.lineVersion(r, idx)}
+			e := walEntry{r: r, idx: idx, mask: 0xff, ver: m.writeVersion(r, idx)}
 			p := unsafe.Add(r.ptr, off)
 			for s := range e.vals {
 				e.vals[s] = (*atomic.Uint64)(unsafe.Add(p, s*8)).Load()
@@ -797,13 +802,13 @@ func (m *Memory) Checkpoint() error {
 	return nil
 }
 
-// lineVersion reads the current write version of line idx of region r the
+// writeVersion reads the current write version of line idx of region r the
 // same way the flush path does: the exact tracked counter under its stripe
-// lock, or the line's own fast-mode pair. The pair is exact too, so a
+// lock, or the line's own fast-mode version. Both are exact, so a
 // checkpoint seeds the replay guard with the line's own version, never one
 // inflated by another line's writes, and markAllClean declares a line clean
 // at exactly the version its next write moves.
-func (m *Memory) lineVersion(r *region, idx uint32) uint64 {
+func (m *Memory) writeVersion(r *region, idx uint32) uint64 {
 	mo := m.model
 	if mo == nil {
 		return r.lines[idx].v.Load()

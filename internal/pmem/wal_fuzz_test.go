@@ -289,7 +289,7 @@ func FuzzReplayWAL(f *testing.F) {
 		if err := os.WriteFile(walPath(dir, 1), wal, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m := New(Config{Mode: ModeFast, Profile: ProfileZero, Dir: dir, LineTableBits: 8})
+		m := New(Config{Mode: ModeFast, Profile: ProfileZero, Dir: dir})
 		lines := m.NewSpace().Lines(0, fuzzLines)
 		var st ReplayStats
 		lastGood, err := m.durable.replayWAL(1, map[lineGuard][2]uint64{}, map[uint64]bool{}, &st)

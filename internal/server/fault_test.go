@@ -148,6 +148,37 @@ func TestServerIdleTimeout(t *testing.T) {
 	}
 }
 
+// TestServerIdleTimeoutStalledReader: a client that pipelines past the
+// window and never reads a reply fills the window, so the reader waits on a
+// slot, not on the socket, and the idle deadline cannot fire. The write
+// deadline the idle timeout also sets must end the connection and release
+// its session.
+func TestServerIdleTimeoutStalledReader(t *testing.T) {
+	_, srv, _ := startServer(t, core.KindHash, 2, Config{MaxConns: 1, IdleTimeout: 50 * time.Millisecond})
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	go func() {
+		srv.handle(server)
+		close(done)
+	}()
+	var burst []byte
+	for k := 1; k <= 4*pipeline; k++ {
+		burst = fmt.Appendf(burst, "PUT %d %d\r\n", k, k)
+	}
+	go client.Write(burst) // returns once the server read it all, or at Close
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		server.Close() // unblock the handler before failing
+		<-done
+		t.Fatalf("handler of a client that never reads still running 5 s after its %v idle timeout", srv.cfg.IdleTimeout)
+	}
+	if n := len(srv.sessions); n != 1 {
+		t.Fatalf("%d sessions free after the handler returned, want 1", n)
+	}
+}
+
 // TestClientTimeout: a stalled server (accepts, reads, never replies)
 // must not hang the client — WithDialTimeout bounds the read and surfaces the
 // typed ErrTimeout.
@@ -218,7 +249,7 @@ func TestDeadlinesPerBurst(t *testing.T) {
 	const n = 64
 	for _, bin := range []bool{false, true} {
 		_, srv, _ := startServer(t, core.KindHash, 4, Config{
-			IdleTimeout: time.Minute, WriteTimeout: time.Minute,
+			IdleTimeout: time.Minute,
 		})
 		client, server := net.Pipe()
 		cc := &countConn{Conn: server}

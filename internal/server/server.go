@@ -81,12 +81,12 @@ type Config struct {
 	// server is about to wait on the socket for the rest of the next frame —
 	// once per burst of pipelined requests, not once per request — so a slow
 	// pipeline of replies never trips it, only a client that has gone quiet
-	// (or dribbles one frame) while holding a session slot.
+	// (or dribbles one frame) while holding a session slot. It also bounds
+	// each socket write of a reply burst: a client that stops reading fills
+	// its kernel buffer and the pipelining window, after which the reader
+	// waits on a slot rather than the socket, and only the write deadline
+	// can end the connection and release its session.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each write of a reply burst to the socket (0 = no
-	// limit): a client that stops reading cannot pin a handler forever once
-	// its kernel buffer fills.
-	WriteTimeout time.Duration
 	// WaitTimeout bounds a WAIT-mode write's wait for its replica quorum
 	// before it fails with a typed quorum error (default 2s). The quorum K
 	// itself is the store's (store.Config.WaitReplicas).
@@ -389,8 +389,8 @@ func (s *Server) handle(c net.Conn) {
 	go func() {
 		defer writerWG.Done()
 		var w io.Writer = c
-		if wt := s.cfg.WriteTimeout; wt > 0 {
-			w = deadlineWriter{c: c, d: wt}
+		if d := s.cfg.IdleTimeout; d > 0 {
+			w = deadlineWriter{c: c, d: d}
 		}
 		bw := bufio.NewWriterSize(w, 64<<10)
 		for sl := range cs.order {

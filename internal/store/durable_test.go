@@ -1,11 +1,14 @@
 package store_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -295,4 +298,116 @@ func TestFailedOpenClosesFiles(t *testing.T) {
 	if n := fs.open.Load(); n != 0 {
 		t.Fatalf("a failed Open left %d files open", n)
 	}
+}
+
+// TestRecoveryDeterminacy: recovery is a function of the files. A 4-shard
+// store of every kind takes concurrent churn and is abandoned without
+// Close; three copies of its directory are each reopened and checkpointed,
+// and all three must then hold byte-identical files. The copies reopen at
+// the same boot, so even the boot counter in each record agrees.
+func TestRecoveryDeterminacy(t *testing.T) {
+	const writers, keys = 4, 4096
+	ops := 10000 // each writer's; fewer leave the Ellen BST one chunk per arena, in an order a boot rarely changes
+	if testing.Short() {
+		ops = 2000
+	}
+	for _, kind := range core.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := store.Config{Kind: kind, Shards: 4, SizeHint: keys, Dir: t.TempDir()}
+			st, err := store.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(s store.Session) {
+					defer wg.Done()
+					for i := 0; i < ops; i++ {
+						r := s.Rand()
+						if k := r%keys + 1; r>>32%4 == 0 {
+							s.Delete(k)
+						} else {
+							s.Put(k, r>>8)
+						}
+					}
+				}(st.NewSession())
+			}
+			wg.Wait()
+			// The kill: st is abandoned without Close.
+			var files [3]map[string][]byte
+			for i := range files {
+				c := cfg
+				c.Dir = t.TempDir()
+				copyTree(t, cfg.Dir, c.Dir)
+				st2, err := store.Open(c)
+				if err != nil {
+					t.Fatalf("reopen copy %d: %v", i, err)
+				}
+				if err := st2.Checkpoint(); err != nil {
+					t.Fatalf("checkpoint copy %d: %v", i, err)
+				}
+				if err := st2.Close(); err != nil {
+					t.Fatalf("close copy %d: %v", i, err)
+				}
+				files[i] = readTree(t, c.Dir)
+			}
+			ckpts := 0
+			for name := range files[0] {
+				if strings.HasPrefix(filepath.Base(name), "ckpt-") {
+					ckpts++
+				}
+			}
+			for i := 1; i < len(files); i++ {
+				for name, b := range files[0] {
+					if o, ok := files[i][name]; !ok || !bytes.Equal(b, o) {
+						t.Errorf("%s differs between recoveries 0 and %d of the same files (%d and %d bytes)", name, i, len(b), len(o))
+					}
+				}
+				if len(files[0]) != len(files[i]) {
+					t.Errorf("recoveries 0 and %d left %d and %d files", i, len(files[0]), len(files[i]))
+				}
+			}
+			if ckpts != cfg.Shards {
+				t.Errorf("%d checkpoint files compared, want one per shard (%d)", ckpts, cfg.Shards)
+			}
+		})
+	}
+}
+
+// copyTree copies the regular files under directory src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	for name, b := range readTree(t, src) {
+		p := filepath.Join(dst, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readTree returns the contents of every regular file under dir, by path
+// relative to dir.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || !de.Type().IsRegular() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
