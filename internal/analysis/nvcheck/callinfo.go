@@ -59,8 +59,9 @@ func isFence(k callKind) bool {
 // bannedInTraverse reports whether k is a persistence effect or shared
 // mutation that must not appear inside a traversal phase. TraverseRead and
 // PostTraverse delimit the phase; ReadData is permitted because scans
-// report values mid-walk — the flush it may issue is fenced by the closing
-// PostTraverse, preserving "one fence at the destination".
+// report values mid-walk — the flush it may issue joins the closing
+// PostTraverse's flushes, all persisted by the critical method's first
+// protocol fence, preserving "one fence at the destination".
 func bannedInTraverse(k callKind) bool {
 	switch k {
 	case threadFlush, threadFence, threadCommitFence, threadStore, threadCAS,

@@ -50,7 +50,8 @@ func casWithPostTraverse(t *pmem.Thread, pol persist.Policy, c *pmem.Cell) {
 }
 
 // scanMidWalk reads a data word mid-walk: ReadData is permitted inside the
-// phase (the closing PostTraverse fences whatever it flushed).
+// phase (the fence that persists the closing PostTraverse's flushes
+// persists it too).
 func scanMidWalk(t *pmem.Thread, pol persist.Policy, c, d *pmem.Cell) uint64 {
 	pol.TraverseRead(t, c)
 	v := t.Load(d)

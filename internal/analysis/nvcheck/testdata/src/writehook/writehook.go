@@ -1,7 +1,8 @@
 // Package writehook is an analysistest fixture for the writehook rule:
 // every Store/CAS in a critical section needs its matching write hook on
-// the success path, and every CAS a dominating BeforeCAS. It also exercises
-// the nvcheck:ignore grammar, including the malformed-directive report.
+// the success path, and every CAS or Store to a published cell a
+// dominating BeforeCAS. It also exercises the nvcheck:ignore grammar,
+// including the malformed-directive report.
 package writehook
 
 import (
@@ -24,6 +25,27 @@ func casNoBeforeCAS(t *pmem.Thread, pol persist.Policy, c *pmem.Cell, old, v uin
 	pol.Wrote(t, c)
 	pol.BeforeReturn(t)
 	return ok
+}
+
+// storePublishedNoBeforeCAS writes published cells — their hooks are Wrote
+// and WroteData — with no fence before them: under NVTraverse the
+// traversal destination's flushes are still unfenced, and another thread
+// could act on the new value before they persist.
+func storePublishedNoBeforeCAS(t *pmem.Thread, pol persist.Policy, link, val *pmem.Cell, v uint64) {
+	t.Store(link, v) // want "writes a published cell without a dominating Policy.BeforeCAS"
+	pol.Wrote(t, link)
+	t.Store(val, v) // want "writes a published cell without a dominating Policy.BeforeCAS"
+	pol.WroteData(t, val)
+	pol.BeforeReturn(t)
+}
+
+// storePublishedComplete is the same published write fenced first. No
+// diagnostics.
+func storePublishedComplete(t *pmem.Thread, pol persist.Policy, val *pmem.Cell, v uint64) {
+	pol.BeforeCAS(t)
+	t.Store(val, v)
+	pol.WroteData(t, val)
+	pol.BeforeReturn(t)
 }
 
 // casComplete is the full Protocol 2 shape: BeforeCAS, CAS, hook on the

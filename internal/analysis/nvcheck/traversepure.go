@@ -16,7 +16,7 @@ import (
 // invoke critical-section hooks (Read/InitWrite/Wrote/WroteData/BeforeCAS/
 // BeforeReturn), or call a same-package function that transitively does any
 // of those. ReadData is permitted: scans report values mid-walk, and the
-// flush it may issue is fenced by the closing PostTraverse.
+// flush it may issue is fenced with the closing PostTraverse's flushes.
 //
 // The phase is tracked in source order within each function body, which is
 // exact for the loop-free spine of every traversal here and conservative

@@ -10,12 +10,19 @@ import (
 // hooks (protocol code), every Thread.Store and Thread.CAS on a shared cell
 // must be followed — on the path where the write took effect — by the
 // matching policy hook for the same cell (Wrote for link words, WroteData
-// for data words, InitWrite for unpublished fields), and every Thread.CAS
-// must be preceded by a dominating Policy.BeforeCAS (the flush-before-CAS /
-// fence-before-CAS point). A missed WroteData is the exact bug class behind
-// the LinkAndPersist eager-flush caveat: the write lands, no flush covers
-// it, and the commit fence acknowledges an operation whose value is not
-// durable.
+// for data words, InitWrite for unpublished fields), and every write to a
+// published cell — every Thread.CAS, and every Thread.Store whose matching
+// hook is Wrote or WroteData — must be preceded by a dominating
+// Policy.BeforeCAS (the fence-before-write point). A Store whose hook is
+// InitWrite writes a node no other thread can reach yet and is exempt. A
+// missed WroteData is the exact bug class behind the LinkAndPersist
+// eager-flush caveat: the write lands, no flush covers it, and the commit
+// fence acknowledges an operation whose value is not durable. A missed
+// BeforeCAS before a published write is the premise NVTraverse's
+// PostTraverse rests on: it issues no fence of its own, so the first
+// protocol fence of the critical method is what persists the traversal
+// destination, and it must come before anything another thread could see
+// depend on it.
 //
 // The check is per-function-body, not interprocedural: every Store/CAS on
 // simulated memory in this repository sits in the same function as its
@@ -27,7 +34,7 @@ import (
 // `pol.Wrote(t, &n.Next)` adjacency the code base uses.
 var WriteHook = &Analyzer{
 	Name: "writehook",
-	Doc:  "every Store/CAS in a critical section needs its matching write hook and a preceding BeforeCAS (Protocol 2)",
+	Doc:  "every Store/CAS in a critical section needs its matching write hook, and every write to a published cell a preceding BeforeCAS (Protocol 2)",
 	Run:  runWriteHook,
 }
 
@@ -83,7 +90,8 @@ func checkWriteHooks(pass *Pass, fn *types.Func, fd *ast.FuncDecl) {
 		if cell == "" {
 			return true
 		}
-		if !hookFollows(pkg, parents, call, cell) {
+		hook := hookFollows(pkg, parents, call, cell)
+		if hook == callOther {
 			verb := "Store"
 			if k == threadCAS {
 				verb = "CAS"
@@ -92,9 +100,17 @@ func checkWriteHooks(pass *Pass, fn *types.Func, fd *ast.FuncDecl) {
 				"%s of %s in %s has no matching write hook on its success path: need Policy.Wrote / WroteData / InitWrite for the same cell after the write (Protocol 2; the LinkAndPersist.WroteData caveat is this bug)",
 				verb, cell, fn.Name())
 		}
-		if k == threadCAS && !beforeCASDominates(pkg, parents, call) {
+		if beforeCASDominates(pkg, parents, call) {
+			return true
+		}
+		switch {
+		case k == threadCAS:
 			pass.Reportf(call.Pos(),
 				"CAS of %s in %s without a dominating Policy.BeforeCAS: the pre-CAS fence orders the new node's flushed fields before the link publishes them (Protocol 2)",
+				cell, fn.Name())
+		case hook == hookWrote || hook == hookWroteData:
+			pass.Reportf(call.Pos(),
+				"Store of %s in %s writes a published cell without a dominating Policy.BeforeCAS: the first protocol fence is what persists the traversal destination, so no shared write may precede it (Protocol 2)",
 				cell, fn.Name())
 		}
 		return true
@@ -142,20 +158,25 @@ func stmtList(n ast.Node) []ast.Stmt {
 	return nil
 }
 
-// callsHookOn reports whether the subtree contains a write hook call whose
-// cell argument (hooks take (t, cell)) prints equal to cell.
-func callsHookOn(pkg *Package, n ast.Node, cell string) bool {
-	found := false
+// callsHookOn returns the kind of the first write hook call in the subtree
+// whose cell argument (hooks take (t, cell)) prints equal to cell, or
+// callOther if there is none.
+func callsHookOn(pkg *Package, n ast.Node, cell string) callKind {
+	found := callOther
 	ast.Inspect(n, func(m ast.Node) bool {
+		if found != callOther {
+			return false
+		}
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if !isWriteHook(classifyCall(pkg.Info, call)) {
+		k := classifyCall(pkg.Info, call)
+		if !isWriteHook(k) {
 			return true
 		}
 		if len(call.Args) >= 2 && types.ExprString(call.Args[1]) == cell {
-			found = true
+			found = k
 			return false
 		}
 		// PostTraverse-style slice hooks don't occur for writes; single
@@ -165,19 +186,18 @@ func callsHookOn(pkg *Package, n ast.Node, cell string) bool {
 	return found
 }
 
-// hookFollows reports whether a matching write hook appears after the
-// write, scanning forward through following siblings and out through
-// enclosing blocks — and, when the write sits in an if-condition or its
-// statement is an assignment consumed by an immediate if, inside that if's
-// body (the CAS success branch).
-func hookFollows(pkg *Package, parents map[ast.Node]ast.Node, call *ast.CallExpr, cell string) bool {
+// hookFollows returns the kind of the matching write hook that appears
+// after the write, or callOther if none does, scanning forward through
+// following siblings and out through enclosing blocks — and, when the write
+// sits in an if-condition, inside that if's body (the CAS success branch).
+func hookFollows(pkg *Package, parents map[ast.Node]ast.Node, call *ast.CallExpr, cell string) callKind {
 	// If the call is syntactically inside an if-statement's condition, a
 	// hook anywhere in the then-body counts (success-branch placement).
 	for cur := ast.Node(call); cur != nil; cur = parents[cur] {
 		ifst, ok := parents[cur].(*ast.IfStmt)
 		if ok && cur == ast.Node(ifst.Cond) {
-			if callsHookOn(pkg, ifst.Body, cell) {
-				return true
+			if h := callsHookOn(pkg, ifst.Body, cell); h != callOther {
+				return h
 			}
 		}
 		if _, isStmt := cur.(ast.Stmt); isStmt {
@@ -198,11 +218,11 @@ func hookFollows(pkg *Package, parents map[ast.Node]ast.Node, call *ast.CallExpr
 		}
 		if idx >= 0 {
 			for _, s := range list[idx+1:] {
-				if callsHookOn(pkg, s, cell) {
-					return true
+				if h := callsHookOn(pkg, s, cell); h != callOther {
+					return h
 				}
 				if terminal(s) {
-					return false // path ends before any hook
+					return callOther // path ends before any hook
 				}
 			}
 		}
@@ -213,7 +233,7 @@ func hookFollows(pkg *Package, parents map[ast.Node]ast.Node, call *ast.CallExpr
 		}
 		st = next
 	}
-	return false
+	return callOther
 }
 
 // terminal reports whether s unconditionally leaves the enclosing list

@@ -17,52 +17,52 @@ var claimPins = []struct {
 	run                     string
 	flushes, elided, fences uint64
 }{
-	{"list/nvtraverse/256", 7253, 205, 4722},
-	{"list/nvtraverse/4096", 7260, 205, 4722},
+	{"list/nvtraverse/256", 6504, 954, 2722},
+	{"list/nvtraverse/4096", 6511, 954, 2722},
 	{"list/izraelevitz/256", 134275, 0, 136997},
 	{"list/izraelevitz/4096", 2054979, 0, 2057701},
 	{"list/logfree/256", 541, 200, 541},
 	{"list/logfree/4096", 635, 206, 635},
-	{"hash/nvtraverse/256", 4214, 2196, 4722},
-	{"hash/nvtraverse/4096", 4214, 2196, 4722},
+	{"hash/nvtraverse/256", 3465, 2945, 2722},
+	{"hash/nvtraverse/4096", 3465, 2945, 2722},
 	{"hash/izraelevitz/256", 5355, 0, 8077},
 	{"hash/izraelevitz/4096", 5355, 0, 8077},
 	{"hash/logfree/256", 767, 224, 767},
 	{"hash/logfree/4096", 767, 224, 767},
-	{"ellenbst/nvtraverse/256", 8073, 6770, 4726},
-	{"ellenbst/nvtraverse/4096", 8073, 6768, 4726},
+	{"ellenbst/nvtraverse/256", 8073, 6770, 2726},
+	{"ellenbst/nvtraverse/4096", 8073, 6768, 2726},
 	{"ellenbst/izraelevitz/256", 46229, 0, 48955},
 	{"ellenbst/izraelevitz/4096", 71673, 0, 74399},
 	{"ellenbst/logfree/256", 1687, 2580, 1381},
 	{"ellenbst/logfree/4096", 1806, 2660, 1488},
-	{"nmbst/nvtraverse/256", 7475, 3000, 4638},
-	{"nmbst/nvtraverse/4096", 7475, 3000, 4638},
+	{"nmbst/nvtraverse/256", 7475, 3000, 2638},
+	{"nmbst/nvtraverse/4096", 7475, 3000, 2638},
 	{"nmbst/izraelevitz/256", 23168, 0, 25806},
 	{"nmbst/izraelevitz/4096", 35891, 0, 38529},
 	{"nmbst/logfree/256", 944, 856, 837},
 	{"nmbst/logfree/4096", 989, 864, 881},
-	{"skiplist/nvtraverse/256", 6235, 1321, 4722},
-	{"skiplist/nvtraverse/4096", 6144, 1419, 4722},
+	{"skiplist/nvtraverse/256", 5486, 2070, 2722},
+	{"skiplist/nvtraverse/4096", 5395, 2168, 2722},
 	{"skiplist/izraelevitz/256", 9314, 0, 12036},
 	{"skiplist/izraelevitz/4096", 9331, 0, 12053},
 	{"skiplist/logfree/256", 544, 306, 544},
 	{"skiplist/logfree/4096", 632, 309, 632},
-	{"list/nvtraverse+origparent/256", 7351, 205, 4722},
-	{"list/nvtraverse/256/A", 8878, 1437, 5299},
-	{"list/nvtraverse/256/B", 7453, 471, 4191},
-	{"list/nvtraverse/256/C", 6746, 319, 4000},
+	{"list/nvtraverse+origparent/256", 6602, 954, 2722},
+	{"list/nvtraverse/256/A", 7064, 3251, 3202},
+	{"list/nvtraverse/256/B", 5883, 2041, 2163},
+	{"list/nvtraverse/256/C", 5681, 1384, 2000},
 	{"list/izraelevitz/256/A", 86528, 0, 89730},
 	{"list/izraelevitz/256/B", 63611, 0, 65774},
 	{"list/izraelevitz/256/C", 48819, 0, 50819},
-	{"nmbst/nvtraverse/256/A", 9307, 2873, 5202},
-	{"nmbst/nvtraverse/256/B", 7817, 2252, 4163},
-	{"nmbst/nvtraverse/256/C", 7065, 2000, 4000},
+	{"nmbst/nvtraverse/256/A", 9307, 2873, 3105},
+	{"nmbst/nvtraverse/256/B", 7817, 2252, 2135},
+	{"nmbst/nvtraverse/256/C", 7065, 2000, 2000},
 	{"nmbst/izraelevitz/256/A", 27757, 0, 30862},
 	{"nmbst/izraelevitz/256/B", 24557, 0, 26692},
 	{"nmbst/izraelevitz/256/C", 22327, 0, 24327},
-	{"ellenbst/nvtraverse/256/A", 13436, 15244, 7218},
-	{"ellenbst/nvtraverse/256/B", 8273, 5406, 4377},
-	{"ellenbst/nvtraverse/256/C", 7065, 4000, 4000},
+	{"ellenbst/nvtraverse/256/A", 13436, 15244, 5121},
+	{"ellenbst/nvtraverse/256/B", 8273, 5406, 2349},
+	{"ellenbst/nvtraverse/256/C", 7065, 4000, 2000},
 	{"ellenbst/izraelevitz/256/A", 66125, 0, 71246},
 	{"ellenbst/izraelevitz/256/B", 48739, 0, 51088},
 	{"ellenbst/izraelevitz/256/C", 43589, 0, 45589},

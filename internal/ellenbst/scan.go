@@ -58,9 +58,9 @@ func (tr *Tree) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (
 // outside [lo, hi] are never entered and leaves arrive in key order. The
 // whole walk is traversal-phase — child links are read with TraverseRead
 // (no persistence under NVTraverse) and collected, then one PostTraverse
-// persists every link of the visited region (the scan's returned node set)
-// before the commit fence. Sentinel leaves (keys >= Inf1) are never in
-// range. See list.RangeScan for the consistency contract.
+// flushes every link of the visited region (the scan's returned node set)
+// and the commit fence persists them. Sentinel leaves (keys >= Inf1) are
+// never in range. See list.RangeScan for the consistency contract.
 func (tr *Tree) RangeScan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint64) bool) error {
 	lo, hi, ok := kv.ClampKeyRange(lo, hi)
 	if !ok {

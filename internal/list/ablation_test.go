@@ -27,11 +27,11 @@ func (dropEnsureReachable) PostTraverse(t *pmem.Thread, cells []*pmem.Cell) {
 	for _, c := range cells[1:] {
 		t.Flush(c)
 	}
-	t.Fence()
 }
 
-// dropMakePersistent is NVTraverse without Protocol 1 entirely: nothing is
-// persisted between traverse and critical.
+// dropMakePersistent is NVTraverse without Protocol 1 entirely: PostTraverse
+// flushes nothing, so the critical method's fences have none of the
+// traversal destination to persist.
 type dropMakePersistent struct{ persist.NVTraverse }
 
 func (dropMakePersistent) Name() string { return "nvtraverse-minus-posttraverse" }
@@ -67,16 +67,13 @@ func stageUnpersistedInsert(t *testing.T, l *List, th *pmem.Thread, k1 uint64) {
 	// volatile only.
 }
 
-// runEnsureReachableScenario returns whether key k2 survived the crash.
+// runStagedScenario returns whether key want survived the crash.
 //
 // Schedule: keys {10, 30} persisted; thread A's insert(20) is in flight,
 // stopped right after its link CAS (10 -> 20 volatile only); thread B then
-// runs a complete Insert(25) under the given policy. B's traversal stops
-// at left=20: B's link CAS writes into node 20, whose own reachability
-// hinges on A's unpersisted link. ensureReachable makes B flush the
-// parent link (10.Next) before B's critical method; without it, B returns
-// "inserted" while 25 hangs off an unreachable node.
-func runEnsureReachableScenario(t *testing.T, pol persist.Policy) bool {
+// runs op, a complete operation under the given policy that must report
+// success; then the crash, with eviction 0.
+func runStagedScenario(t *testing.T, pol persist.Policy, op func(b *pmem.Thread, l *List) bool, want uint64) bool {
 	t.Helper()
 	mem := pmem.New(pmem.Config{Mode: pmem.ModeTracked, Profile: pmem.ProfileZero, MaxThreads: 8})
 	l := New(mem, pol)
@@ -88,11 +85,10 @@ func runEnsureReachableScenario(t *testing.T, pol persist.Policy) bool {
 	a := mem.NewThread()
 	stageUnpersistedInsert(t, l, a, 20)
 
-	b := mem.NewThread()
-	if !l.Insert(b, 25, 25) {
-		t.Fatalf("B's insert failed")
+	if !op(mem.NewThread(), l) {
+		t.Fatalf("%s: B's operation failed", pol.Name())
 	}
-	// B's insert COMPLETED. Crash now.
+	// B's operation COMPLETED. Crash now.
 	mem.Crash()
 	mem.FinishCrash(0, 1)
 	mem.Restart()
@@ -101,8 +97,18 @@ func runEnsureReachableScenario(t *testing.T, pol persist.Policy) bool {
 	if err := l.Validate(rec); err != nil {
 		t.Fatalf("structure invalid after crash: %v", err)
 	}
-	_, ok := l.Find(rec, 25)
+	_, ok := l.Find(rec, want)
 	return ok
+}
+
+// runEnsureReachableScenario returns whether B's Insert(25) survived. B's
+// traversal stops at left=20: B's link CAS writes into node 20, whose own
+// reachability hinges on A's unpersisted link. ensureReachable makes B
+// flush the parent link (10.Next) before B's critical method; without it,
+// B returns "inserted" while 25 hangs off an unreachable node.
+func runEnsureReachableScenario(t *testing.T, pol persist.Policy) bool {
+	insert := func(b *pmem.Thread, l *List) bool { return l.Insert(b, 25, 25) }
+	return runStagedScenario(t, pol, insert, 25)
 }
 
 func TestEnsureReachableIsNecessary(t *testing.T) {
@@ -163,6 +169,46 @@ func TestMakePersistentIsNecessary(t *testing.T) {
 	}
 	if runMakePersistentScenario(t, dropMakePersistent{}) {
 		t.Fatalf("ablated policy unexpectedly survived: the scenario no longer demonstrates necessity")
+	}
+}
+
+// dropReturnFence is NVTraverse without Protocol 2's fence-before-return.
+// PostTraverse fences nothing of its own, so in a read-only operation the
+// return fence is the only one that persists what the traversal returned.
+type dropReturnFence struct{ persist.NVTraverse }
+
+func (dropReturnFence) Name() string                { return "nvtraverse-minus-returnfence" }
+func (dropReturnFence) BeforeReturn(t *pmem.Thread) {}
+
+// TestReadPersistsWhatItReturns: a completed Find and a completed RangeScan
+// that report A's key 20 persist it, though PostTraverse issues no fence.
+// B's answer depends on A's unpersisted link: PostTraverse flushes the link
+// and the return fence makes it durable, so the same reads without the
+// return fence let the crash take the key back.
+func TestReadPersistsWhatItReturns(t *testing.T) {
+	reads := map[string]func(b *pmem.Thread, l *List) bool{
+		"Find": func(b *pmem.Thread, l *List) bool {
+			v, ok := l.Find(b, 20)
+			return ok && v == 20
+		},
+		"RangeScan": func(b *pmem.Thread, l *List) bool {
+			saw := false
+			if err := l.RangeScan(b, 15, 25, func(k, v uint64) bool {
+				saw = saw || (k == 20 && v == 20)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return saw
+		},
+	}
+	for name, read := range reads {
+		if !runStagedScenario(t, persist.NVTraverse{}, read, 20) {
+			t.Errorf("%s: full NVTraverse lost the key a completed read returned", name)
+		}
+		if runStagedScenario(t, dropReturnFence{}, read, 20) {
+			t.Errorf("%s: ablated policy unexpectedly survived: the scenario no longer shows the return fence persists a read", name)
+		}
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 // check makes a successful CAS on a node that a concurrent Delete is
 // removing legal — the two operations overlap, so the update may be ordered
 // before the deletion. Persistence follows Protocol 2: the traversal
-// destination is persisted by PostTraverse, the new value is flushed by
-// WroteData, and the commit fence precedes the return.
+// destination is flushed by PostTraverse and persisted by the fence before
+// the value CAS, the new value is flushed by WroteData, and the commit
+// fence precedes the return.
 func (l *List) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (uint64, bool) {
 	checkKey(key)
 	l.sh.Dom.Enter(t.ID)
@@ -59,10 +60,10 @@ func (l *List) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (u
 // The scan extends the traversal phase: it positions on lo with the usual
 // traverse, then keeps walking — reading links with TraverseRead, which
 // persists nothing under NVTraverse — and treats the entire visited range
-// as the returned node set, so a single PostTraverse at the end persists
-// every link the answer depends on (ensureReachable + makePersistent, one
-// fence), followed by the commit fence. The scan never writes: marked nodes
-// are skipped, not trimmed.
+// as the returned node set, so a single PostTraverse at the end flushes
+// every link the answer depends on (ensureReachable + makePersistent) and
+// the commit fence persists them. The scan never writes: marked nodes are
+// skipped, not trimmed.
 //
 // Consistency: each key's presence is decided at the moment its link is
 // read (the scan is not an atomic snapshot); keys untouched by concurrent
@@ -82,7 +83,8 @@ func (l *List) RangeScan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint6
 // ScanAll runs RangeScan's walk over the whole key range on each of lists
 // (a hash table's buckets) in turn, each in its own epoch with its own
 // PostTraverse, until fn returns false. The walks together are one
-// operation: one commit fence and one op count at the end.
+// operation: one commit fence, which persists every walk's flushes, and
+// one op count at the end.
 func ScanAll(t *pmem.Thread, lists []List, fn func(key, value uint64) bool) {
 	for i := range lists {
 		if !lists[i].scan(t, kv.MinKey, kv.MaxKey, fn) {

@@ -47,9 +47,9 @@ func (tr *Tree) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (
 // The pruned in-order walk mirrors ellenbst.RangeScan (internal keys route
 // left < key <= right); edges are followed through their flag/tag bits —
 // like Find, the scan treats flagged leaves as present. Sentinel leaves
-// (keys >= Inf0) are never in range. One PostTraverse persists the visited
-// region's edges before the commit fence; see list.RangeScan for the
-// consistency contract.
+// (keys >= Inf0) are never in range. One PostTraverse flushes the visited
+// region's edges and the commit fence persists them; see list.RangeScan
+// for the consistency contract.
 func (tr *Tree) RangeScan(t *pmem.Thread, lo, hi uint64, fn func(key, value uint64) bool) error {
 	lo, hi, ok := kv.ClampKeyRange(lo, hi)
 	if !ok {

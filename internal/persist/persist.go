@@ -8,8 +8,8 @@
 //   - Izraelevitz:   the general transformation of Izraelevitz et al.
 //     (DISC'16): flush+fence around every shared access.
 //   - NVTraverse:    the paper's transformation (Protocols 1 and 2): nothing
-//     during the traversal, ensureReachable+makePersistent at
-//     its end, flush-after-access and fence-before-
+//     during the traversal, ensureReachable+makePersistent
+//     flushes at its end, flush-after-access and fence-before-
 //     write/return in the critical method.
 //   - LinkAndPersist: the hand-tuned optimization of David et al. (ATC'18)
 //     layered on the NVTraverse placement: link words carry
@@ -21,7 +21,7 @@
 // Hook-to-protocol correspondence (NVTraverse, paper §4):
 //
 //	TraverseRead  — reads inside traverse: no persistence           (§4: "no persisting is done during the traverse method")
-//	PostTraverse  — ensureReachable + makePersistent + one fence    (Protocol 1)
+//	PostTraverse  — ensureReachable + makePersistent flushes        (Protocol 1; fenced by the next protocol fence)
 //	Read          — "flush after every read of a shared variable"   (Protocol 2)
 //	InitWrite     — flush after initializing a not-yet-published field
 //	Wrote         — "flush after every write/CAS"                   (Protocol 2)
@@ -33,8 +33,14 @@
 // durable before the operation is acknowledged, so when a caller batches
 // several operations and acknowledges them together (store.Session batches),
 // one fence at the end of the batch serves every operation in it. The
-// ordering fences (BeforeCAS, the PostTraverse fence) are never deferred —
-// they keep each operation all-or-nothing across a crash.
+// ordering fence (BeforeCAS) is never deferred — it keeps each operation
+// all-or-nothing across a crash.
+//
+// NVTraverse's PostTraverse issues no fence of its own: no critical method
+// writes a published cell before its first BeforeCAS (nvlint's writehook
+// rule checks it), so that fence, or BeforeReturn's for a read-only
+// operation, persists the destination before anything can depend on it
+// (DESIGN.md, "Why PostTraverse issues no fence").
 //
 // Link-cell restriction: hooks other than InitWrite may only be passed cells
 // holding pmem.Ref values (next pointers, child edges, update words), never
@@ -154,12 +160,15 @@ func (NVTraverse) Durable() bool { return true }
 func (NVTraverse) TraverseRead(*pmem.Thread, *pmem.Cell) {}
 
 // PostTraverse flushes the parent link and every field read in the returned
-// nodes, then issues a single fence (ensureReachable + makePersistent).
+// nodes (ensureReachable + makePersistent) and leaves them unfenced: the
+// critical method's first protocol fence — BeforeCAS before its first
+// write, or BeforeReturn for a read-only operation — persists them, and
+// critical-method flushes of the same unchanged lines coalesce into the
+// pending captures.
 func (NVTraverse) PostTraverse(t *pmem.Thread, cells []*pmem.Cell) {
 	for _, c := range cells {
 		t.Flush(c)
 	}
-	t.Fence()
 }
 
 func (NVTraverse) Read(t *pmem.Thread, c *pmem.Cell)      { t.Flush(c) }

@@ -93,19 +93,63 @@ func TestNVTraversePlacement(t *testing.T) {
 	}
 	p.PostTraverse(th, []*pmem.Cell{a, b, c})
 	s := stats(m, th)
-	if s.Flushes != 3 || s.Fences != 1 {
-		t.Fatalf("PostTraverse: %+v", s)
+	if s.Flushes != 3 || s.Fences != 0 || th.Unfenced() != 3 {
+		t.Fatalf("PostTraverse: %+v, %d unfenced; want 3 flushes, no fence", s, th.Unfenced())
 	}
-	p.Read(th, a)  // flush, no fence (fresh window: PostTraverse fenced)
+	p.Read(th, a) // a's unchanged line is already pending: coalesces
+	s = stats(m, th)
+	if s.Flushes != 3 || s.FlushesElided != 1 {
+		t.Fatalf("critical read of a destination line: %+v", s)
+	}
+	p.BeforeCAS(th) // the first protocol fence covers PostTraverse's flushes
+	if s := stats(m, th); s.Fences != 1 || th.Unfenced() != 0 {
+		t.Fatalf("first BeforeCAS: %+v, %d unfenced", s, th.Unfenced())
+	}
+	th.Store(b, 1)
 	p.Wrote(th, b) // flush, no fence
 	s = stats(m, th)
-	if s.Flushes != 5 || s.Fences != 1 {
-		t.Fatalf("critical accesses: %+v", s)
+	if s.Flushes != 4 || s.Fences != 1 {
+		t.Fatalf("critical write: %+v", s)
 	}
-	p.BeforeCAS(th)
 	p.BeforeReturn(th)
-	if s := stats(m, th); s.Fences != 3 {
+	if s := stats(m, th); s.Fences != 2 {
 		t.Fatalf("fences: %+v", s)
+	}
+}
+
+// TestNVTraversePostTraverseFencedByNext: in tracked mode, with eviction 0,
+// the traversal destination's flushes persist nothing until the critical
+// method's first protocol fence, and then persist all of it — whether that
+// fence is BeforeCAS or BeforeReturn.
+func TestNVTraversePostTraverseFencedByNext(t *testing.T) {
+	for _, fence := range []struct {
+		name string
+		hook func(Policy, *pmem.Thread)
+	}{
+		{"BeforeCAS", Policy.BeforeCAS},
+		{"BeforeReturn", Policy.BeforeReturn},
+	} {
+		for _, fenced := range []bool{false, true} {
+			m := pmem.NewTracked()
+			th := m.NewThread()
+			lines := pmem.AllocLines(2)
+			a, b := &lines[0][0], &lines[1][0]
+			m.PersistAll()
+			th.Store(a, pmem.MakeRef(1))
+			th.Store(b, pmem.MakeRef(2))
+			var p Policy = NVTraverse{}
+			p.PostTraverse(th, []*pmem.Cell{a, b})
+			if fenced {
+				fence.hook(p, th)
+			}
+			m.Crash()
+			m.FinishCrash(0, 1)
+			m.Restart()
+			kept := th.Load(a) == pmem.MakeRef(1) && th.Load(b) == pmem.MakeRef(2)
+			if kept != fenced {
+				t.Errorf("%s fenced=%v: destination survived=%v", fence.name, fenced, kept)
+			}
+		}
 	}
 }
 

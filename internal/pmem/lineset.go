@@ -66,8 +66,23 @@ func (s *lineSet) put(line uintptr, ver uint64) bool {
 	}
 }
 
-// reset empties the set in O(1) by moving to the next generation.
+// lineSetKeepSlots is the largest table a set keeps after the fence window
+// that grew it is over. One window can hold thousands of distinct lines (a
+// whole-range hash scan flushes every bucket head before its one fence),
+// and a table grown to megabytes for it misses the cache on every later
+// probe: after such a scan a 4-shard hash session's puts cost about half as
+// much again at the zero profile. So the first fence whose window would
+// have fit in this many slots drops the table, and the next put starts
+// again at lineSetMinSlots.
+const lineSetKeepSlots = 4096
+
+// reset empties the set in O(1) by moving to the next generation, or by
+// dropping a large table that the closed window did not need.
 func (s *lineSet) reset() {
+	if len(s.slots) > lineSetKeepSlots && 2*s.n <= lineSetKeepSlots {
+		*s = lineSet{}
+		return
+	}
 	s.gen++
 	s.n = 0
 }

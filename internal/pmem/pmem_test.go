@@ -610,6 +610,15 @@ func TestFlushCoalescing(t *testing.T) {
 			t.Fatalf("mode %v: %d fresh lines in one window: flushes=%d elided=%d, want %d/0",
 				m.Mode(), n, s.Flushes, s.FlushesElided, n)
 		}
+		// The large window's table outlives its fence, but not the next
+		// small window.
+		th.Fence()
+		th.Flush(a)
+		th.Fence()
+		if got := len(th.lines.slots); got > lineSetKeepSlots {
+			t.Fatalf("mode %v: %d pending-set slots kept after a one-line window, want at most %d",
+				m.Mode(), got, lineSetKeepSlots)
+		}
 	}
 }
 

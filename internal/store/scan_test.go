@@ -104,9 +104,11 @@ func TestScanWorkBoundedByReply(t *testing.T) {
 // TestFullScanCost pins, in tracked mode, what a whole-range merged scan of
 // ascending keys on 4 shards costs when each shard's cursor chunk doubles
 // per refill: every refill is a RangeScan that re-descends its structure
-// (on these BSTs, a right spine) and fences, so the number of refills is
-// what the counts measure. -short (the race pass) runs only the quick row:
-// ascending inserts into a BST walk its whole right spine.
+// (on these BSTs, a right spine) and fences once, so the number of refills
+// is what the counts measure. The hash kind scans shard after shard, each
+// shard one walk over all its buckets: one fence per shard, however many
+// buckets. -short (the race pass) runs only the quick rows: ascending
+// inserts into a BST walk its whole right spine.
 func TestFullScanCost(t *testing.T) {
 	for _, c := range []struct {
 		kind            core.Kind
@@ -114,10 +116,11 @@ func TestFullScanCost(t *testing.T) {
 		flushes, fences uint64
 		quick           bool
 	}{
-		{core.KindEllenBST, 10_000, 34_636, 48, false},
-		{core.KindNMBST, 10_000, 34_660, 48, false},
-		{core.KindSkiplist, 10_000, 10_036, 48, true},
-		{core.KindSkiplist, 100_000, 100_056, 72, false},
+		{core.KindEllenBST, 10_000, 34_636, 24, false},
+		{core.KindNMBST, 10_000, 34_660, 24, false},
+		{core.KindSkiplist, 10_000, 10_036, 24, true},
+		{core.KindSkiplist, 100_000, 100_056, 36, false},
+		{core.KindHash, 10_000, 20_000, 4, true},
 	} {
 		if testing.Short() && !c.quick {
 			continue
@@ -135,11 +138,13 @@ func TestFullScanCost(t *testing.T) {
 		publish()
 		before := eng.Stats()
 		n := uint64(0)
+		seen := make([]bool, c.keys+1)
 		if err := s.Scan(kv.MinKey, kv.MaxKey, func(k, v uint64) bool {
 			n++
-			if k != n || v != k {
+			if k > c.keys || seen[k] || v != k || (core.Ordered(c.kind) && k != n) {
 				t.Fatalf("%s: scan[%d] = (%d, %d)", c.kind, n, k, v)
 			}
+			seen[k] = true
 			return true
 		}); err != nil {
 			t.Fatal(err)
