@@ -26,9 +26,11 @@
 //	writehook    — every Thread.Store/CAS in a critical section must be
 //	               followed on its success path by the matching write hook
 //	               (Wrote / WroteData / InitWrite) for the same cell, and
-//	               every CAS must be preceded by a dominating
-//	               Policy.BeforeCAS ("fence before every write/CAS",
-//	               Protocol 2). This is the exact class of bug behind the
+//	               every write of a link (hook Wrote) must be preceded by a
+//	               dominating Policy.BeforeCAS ("fence before every
+//	               write/CAS", Protocol 2; a data-word write, hook
+//	               WroteData, links nothing and is exempt). This is the
+//	               exact class of bug behind the
 //	               LinkAndPersist.WroteData eager-flush caveat.
 //	linelayout   — every arena-allocated node struct must be padded to a
 //	               whole positive multiple of 64 bytes and no pmem.Cell

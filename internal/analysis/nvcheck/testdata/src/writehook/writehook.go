@@ -1,6 +1,6 @@
 // Package writehook is an analysistest fixture for the writehook rule:
 // every Store/CAS in a critical section needs its matching write hook on
-// the success path, and every CAS or Store to a published cell a
+// the success path, and every CAS or Store of a published link a
 // dominating BeforeCAS. It also exercises the nvcheck:ignore grammar,
 // including the malformed-directive report.
 package writehook
@@ -27,16 +27,45 @@ func casNoBeforeCAS(t *pmem.Thread, pol persist.Policy, c *pmem.Cell, old, v uin
 	return ok
 }
 
-// storePublishedNoBeforeCAS writes published cells — their hooks are Wrote
-// and WroteData — with no fence before them: under NVTraverse the
-// traversal destination's flushes are still unfenced, and another thread
-// could act on the new value before they persist.
+// storePublishedNoBeforeCAS writes published cells with no fence before
+// them. The link (hook Wrote) is reported: under NVTraverse the traversal
+// destination's flushes are still unfenced, and another thread could follow
+// the new link before they persist. The data word (hook WroteData) links
+// nothing and is exempt.
 func storePublishedNoBeforeCAS(t *pmem.Thread, pol persist.Policy, link, val *pmem.Cell, v uint64) {
-	t.Store(link, v) // want "writes a published cell without a dominating Policy.BeforeCAS"
+	t.Store(link, v) // want "writes a published link without a dominating Policy.BeforeCAS"
 	pol.Wrote(t, link)
-	t.Store(val, v) // want "writes a published cell without a dominating Policy.BeforeCAS"
+	t.Store(val, v)
 	pol.WroteData(t, val)
 	pol.BeforeReturn(t)
+}
+
+// valueCASNoBeforeCAS is the in-place update: a CAS on a published node's
+// value word, hooked by WroteData, with no fence before it. The commit
+// fence persists the new value with the line it was read from. No
+// diagnostics.
+func valueCASNoBeforeCAS(t *pmem.Thread, pol persist.Policy, val *pmem.Cell, old, v uint64) bool {
+	pol.ReadData(t, val)
+	if t.CAS(val, old, v) {
+		pol.WroteData(t, val)
+		pol.BeforeReturn(t)
+		return true
+	}
+	pol.BeforeReturn(t)
+	return false
+}
+
+// linkCASNoBeforeCAS is the same shape on a link word, hooked by Wrote: the
+// fence is still required.
+func linkCASNoBeforeCAS(t *pmem.Thread, pol persist.Policy, link *pmem.Cell, old, v uint64) bool {
+	pol.Read(t, link)
+	if t.CAS(link, old, v) { // want "without a dominating Policy.BeforeCAS"
+		pol.Wrote(t, link)
+		pol.BeforeReturn(t)
+		return true
+	}
+	pol.BeforeReturn(t)
+	return false
 }
 
 // storePublishedComplete is the same published write fenced first. No

@@ -10,19 +10,21 @@ import (
 // hooks (protocol code), every Thread.Store and Thread.CAS on a shared cell
 // must be followed — on the path where the write took effect — by the
 // matching policy hook for the same cell (Wrote for link words, WroteData
-// for data words, InitWrite for unpublished fields), and every write to a
-// published cell — every Thread.CAS, and every Thread.Store whose matching
-// hook is Wrote or WroteData — must be preceded by a dominating
-// Policy.BeforeCAS (the fence-before-write point). A Store whose hook is
-// InitWrite writes a node no other thread can reach yet and is exempt. A
-// missed WroteData is the exact bug class behind the LinkAndPersist
-// eager-flush caveat: the write lands, no flush covers it, and the commit
-// fence acknowledges an operation whose value is not durable. A missed
-// BeforeCAS before a published write is the premise NVTraverse's
-// PostTraverse rests on: it issues no fence of its own, so the first
-// protocol fence of the critical method is what persists the traversal
-// destination, and it must come before anything another thread could see
-// depend on it.
+// for data words, InitWrite for unpublished fields), and every write of a
+// published link — every Thread.CAS and Thread.Store whose matching hook is
+// not InitWrite or WroteData — must be preceded by a dominating
+// Policy.BeforeCAS (the fence-before-write point). Two writes are exempt
+// from the fence: a Store whose hook is InitWrite writes a node no other
+// thread can reach yet, and a write whose hook is WroteData changes a data
+// word, which links nothing, so the commit fence persists it together with
+// the destination it was read from. A missed WroteData is the exact bug
+// class behind the LinkAndPersist eager-flush caveat: the write lands, no
+// flush covers it, and the commit fence acknowledges an operation whose
+// value is not durable. A missed BeforeCAS before a link write breaks the
+// premise NVTraverse's PostTraverse rests on: it issues no fence of its
+// own, so the first protocol fence of the critical method is what persists
+// the traversal destination, and it must come before any link another
+// thread could follow without flushing it.
 //
 // The check is per-function-body, not interprocedural: every Store/CAS on
 // simulated memory in this repository sits in the same function as its
@@ -34,7 +36,7 @@ import (
 // `pol.Wrote(t, &n.Next)` adjacency the code base uses.
 var WriteHook = &Analyzer{
 	Name: "writehook",
-	Doc:  "every Store/CAS in a critical section needs its matching write hook, and every write to a published cell a preceding BeforeCAS (Protocol 2)",
+	Doc:  "every Store/CAS in a critical section needs its matching write hook, and every write of a published link a preceding BeforeCAS (Protocol 2)",
 	Run:  runWriteHook,
 }
 
@@ -100,17 +102,17 @@ func checkWriteHooks(pass *Pass, fn *types.Func, fd *ast.FuncDecl) {
 				"%s of %s in %s has no matching write hook on its success path: need Policy.Wrote / WroteData / InitWrite for the same cell after the write (Protocol 2; the LinkAndPersist.WroteData caveat is this bug)",
 				verb, cell, fn.Name())
 		}
-		if beforeCASDominates(pkg, parents, call) {
+		if hook == hookWroteData || beforeCASDominates(pkg, parents, call) {
 			return true
 		}
 		switch {
 		case k == threadCAS:
 			pass.Reportf(call.Pos(),
-				"CAS of %s in %s without a dominating Policy.BeforeCAS: the pre-CAS fence orders the new node's flushed fields before the link publishes them (Protocol 2)",
+				"CAS of %s in %s without a dominating Policy.BeforeCAS: a link write needs the pre-CAS fence to persist what it publishes — the new node's flushed fields and the traversal destination — before another thread can follow it (Protocol 2)",
 				cell, fn.Name())
-		case hook == hookWrote || hook == hookWroteData:
+		case hook == hookWrote:
 			pass.Reportf(call.Pos(),
-				"Store of %s in %s writes a published cell without a dominating Policy.BeforeCAS: the first protocol fence is what persists the traversal destination, so no shared write may precede it (Protocol 2)",
+				"Store of %s in %s writes a published link without a dominating Policy.BeforeCAS: the first protocol fence is what persists the traversal destination, so no link write may precede it (Protocol 2)",
 				cell, fn.Name())
 		}
 		return true

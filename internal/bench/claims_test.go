@@ -17,16 +17,16 @@ var claimPins = []struct {
 	run                     string
 	flushes, elided, fences uint64
 }{
-	{"list/nvtraverse/256", 6504, 954, 2722},
-	{"list/nvtraverse/4096", 6511, 954, 2722},
-	{"list/izraelevitz/256", 134275, 0, 136997},
-	{"list/izraelevitz/4096", 2054979, 0, 2057701},
+	{"list/nvtraverse/256", 6396, 1062, 2314},
+	{"list/nvtraverse/4096", 6403, 1062, 2314},
+	{"list/izraelevitz/256", 134275, 0, 136589},
+	{"list/izraelevitz/4096", 2054979, 0, 2057293},
 	{"list/logfree/256", 541, 200, 541},
 	{"list/logfree/4096", 635, 206, 635},
-	{"hash/nvtraverse/256", 3465, 2945, 2722},
-	{"hash/nvtraverse/4096", 3465, 2945, 2722},
-	{"hash/izraelevitz/256", 5355, 0, 8077},
-	{"hash/izraelevitz/4096", 5355, 0, 8077},
+	{"hash/nvtraverse/256", 3357, 3053, 2314},
+	{"hash/nvtraverse/4096", 3357, 3053, 2314},
+	{"hash/izraelevitz/256", 5355, 0, 7669},
+	{"hash/izraelevitz/4096", 5355, 0, 7669},
 	{"hash/logfree/256", 767, 224, 767},
 	{"hash/logfree/4096", 767, 224, 767},
 	{"ellenbst/nvtraverse/256", 8073, 6770, 2726},
@@ -41,24 +41,24 @@ var claimPins = []struct {
 	{"nmbst/izraelevitz/4096", 35891, 0, 38529},
 	{"nmbst/logfree/256", 944, 856, 837},
 	{"nmbst/logfree/4096", 989, 864, 881},
-	{"skiplist/nvtraverse/256", 5486, 2070, 2722},
-	{"skiplist/nvtraverse/4096", 5395, 2168, 2722},
-	{"skiplist/izraelevitz/256", 9314, 0, 12036},
-	{"skiplist/izraelevitz/4096", 9331, 0, 12053},
+	{"skiplist/nvtraverse/256", 5378, 2178, 2314},
+	{"skiplist/nvtraverse/4096", 5287, 2276, 2314},
+	{"skiplist/izraelevitz/256", 9314, 0, 11628},
+	{"skiplist/izraelevitz/4096", 9331, 0, 11645},
 	{"skiplist/logfree/256", 544, 306, 544},
 	{"skiplist/logfree/4096", 632, 309, 632},
-	{"list/nvtraverse+origparent/256", 6602, 954, 2722},
-	{"list/nvtraverse/256/A", 7064, 3251, 3202},
-	{"list/nvtraverse/256/B", 5883, 2041, 2163},
+	{"list/nvtraverse+origparent/256", 6494, 1062, 2314},
+	{"list/nvtraverse/256/A", 7064, 3251, 2194},
+	{"list/nvtraverse/256/B", 5883, 2041, 2056},
 	{"list/nvtraverse/256/C", 5681, 1384, 2000},
-	{"list/izraelevitz/256/A", 86528, 0, 89730},
-	{"list/izraelevitz/256/B", 63611, 0, 65774},
+	{"list/izraelevitz/256/A", 86528, 0, 88722},
+	{"list/izraelevitz/256/B", 63611, 0, 65667},
 	{"list/izraelevitz/256/C", 48819, 0, 50819},
-	{"nmbst/nvtraverse/256/A", 9307, 2873, 3105},
-	{"nmbst/nvtraverse/256/B", 7817, 2252, 2135},
+	{"nmbst/nvtraverse/256/A", 9307, 2873, 2194},
+	{"nmbst/nvtraverse/256/B", 7817, 2252, 2056},
 	{"nmbst/nvtraverse/256/C", 7065, 2000, 2000},
-	{"nmbst/izraelevitz/256/A", 27757, 0, 30862},
-	{"nmbst/izraelevitz/256/B", 24557, 0, 26692},
+	{"nmbst/izraelevitz/256/A", 27757, 0, 29951},
+	{"nmbst/izraelevitz/256/B", 24557, 0, 26613},
 	{"nmbst/izraelevitz/256/C", 22327, 0, 24327},
 	{"ellenbst/nvtraverse/256/A", 13436, 15244, 5121},
 	{"ellenbst/nvtraverse/256/B", 8273, 5406, 2349},

@@ -75,6 +75,18 @@ func stageUnpersistedInsert(t *testing.T, l *List, th *pmem.Thread, k1 uint64) {
 // success; then the crash, with eviction 0.
 func runStagedScenario(t *testing.T, pol persist.Policy, op func(b *pmem.Thread, l *List) bool, want uint64) bool {
 	t.Helper()
+	_, ok := runStagedCrash(t, pol, op, want, 0, 0, 1)
+	return ok
+}
+
+// runStagedCrash is runStagedScenario's schedule with the crash placed
+// anywhere: at B's atFence-th fence (B's op is then cut off there), or
+// after B's op completes when atFence is 0. The crash evicts each dirty
+// line with probability evict, drawn from seed. It returns want's value
+// after recovery and whether want is present.
+func runStagedCrash(t *testing.T, pol persist.Policy, op func(b *pmem.Thread, l *List) bool, want uint64,
+	atFence int, evict float64, seed int64) (uint64, bool) {
+	t.Helper()
 	mem := pmem.New(pmem.Config{Mode: pmem.ModeTracked, Profile: pmem.ProfileZero, MaxThreads: 8})
 	l := New(mem, pol)
 	setup := mem.NewThread()
@@ -85,20 +97,27 @@ func runStagedScenario(t *testing.T, pol persist.Policy, op func(b *pmem.Thread,
 	a := mem.NewThread()
 	stageUnpersistedInsert(t, l, a, 20)
 
-	if !op(mem.NewThread(), l) {
-		t.Fatalf("%s: B's operation failed", pol.Name())
+	b := mem.NewThread()
+	if atFence > 0 {
+		mem.CrashAtFence(atFence)
+		if !pmem.RunOp(func() { op(b, l) }) {
+			t.Fatalf("%s: B's operation finished before its fence %d", pol.Name(), atFence)
+		}
+	} else {
+		if !op(b, l) {
+			t.Fatalf("%s: B's operation failed", pol.Name())
+		}
+		// B's operation COMPLETED. Crash now.
+		mem.Crash()
 	}
-	// B's operation COMPLETED. Crash now.
-	mem.Crash()
-	mem.FinishCrash(0, 1)
+	mem.FinishCrash(evict, seed)
 	mem.Restart()
 	rec := mem.NewThread()
 	l.Recover(rec)
 	if err := l.Validate(rec); err != nil {
 		t.Fatalf("structure invalid after crash: %v", err)
 	}
-	_, ok := l.Find(rec, want)
-	return ok
+	return l.Find(rec, want)
 }
 
 // runEnsureReachableScenario returns whether B's Insert(25) survived. B's
@@ -210,6 +229,57 @@ func TestReadPersistsWhatItReturns(t *testing.T) {
 			t.Errorf("%s: ablated policy unexpectedly survived: the scenario no longer shows the return fence persists a read", name)
 		}
 	}
+}
+
+// updateTo99 is B's in-place Update of A's unpersisted key 20.
+func updateTo99(b *pmem.Thread, l *List) bool {
+	v, ok := l.Update(b, 20, func(uint64) uint64 { return 99 })
+	return ok && v == 99
+}
+
+// TestUpdatePersistsWhatItReturns: no fence precedes the value CAS, so the
+// commit fence is B's only one, and a completed Update(20) on A's
+// unpersisted insert must still survive the crash: the fence persists the
+// parent link PostTraverse flushed together with the new value WroteData
+// flushed. Without the return fence nothing of it persists and the update
+// is lost.
+func TestUpdatePersistsWhatItReturns(t *testing.T) {
+	oneFence := func(b *pmem.Thread, l *List) bool {
+		ok := updateTo99(b, l)
+		if f := b.StatsSnapshot().Fences; f != 1 {
+			t.Errorf("B's Update issued %d fences, want 1: its commit fence", f)
+		}
+		return ok
+	}
+	if v, ok := runStagedCrash(t, persist.NVTraverse{}, oneFence, 20, 0, 0, 1); !ok || v != 99 {
+		t.Errorf("full NVTraverse: after a completed Update(20) -> 99, 20 present=%v value=%d", ok, v)
+	}
+	if v, ok := runStagedCrash(t, dropReturnFence{}, updateTo99, 20, 0, 0, 1); ok && v == 99 {
+		t.Errorf("ablated policy unexpectedly kept the update: the scenario no longer shows the return fence persists it")
+	}
+}
+
+// TestUpdateCrashAtCommitFence cuts B's Update off at its first fence,
+// which is its commit fence, and lets the crash evict each dirty line with
+// probability 0.5. Neither A's insert nor B's update was acknowledged, so
+// every surviving state must be one some order of the two explains: 20
+// absent, 20 holding A's value, or 20 holding B's.
+func TestUpdateCrashAtCommitFence(t *testing.T) {
+	seen := map[string]bool{}
+	for seed := int64(0); seed < 64; seed++ {
+		v, ok := runStagedCrash(t, persist.NVTraverse{}, updateTo99, 20, 1, 0.5, seed)
+		switch {
+		case !ok:
+			seen["absent"] = true
+		case v == 20:
+			seen["old"] = true
+		case v == 99:
+			seen["new"] = true
+		default:
+			t.Fatalf("seed %d: 20 holds %d, neither A's value nor B's", seed, v)
+		}
+	}
+	t.Logf("outcomes over 64 seeds: %v", seen)
 }
 
 // dropCriticalFlushes is NVTraverse without Protocol 2's flush-after-CAS:

@@ -242,12 +242,13 @@ func (l *List) traverse(t *pmem.Thread, entry uint64, k uint64, tr *traversal) {
 
 // trimMarked is deleteMarkedNodes (Algorithm 4 lines 40–57): physically
 // disconnect the marked nodes between left and right with one CAS. Returns
-// false when the critical method must restart. A fence is issued before
-// returning, so callers need not fence again immediately after.
+// false when the critical method must restart. With nothing marked it
+// writes nothing and issues no fence: the caller's next protocol fence
+// (BeforeCAS before its write, or BeforeReturn) persists the traversal
+// destination. After a trim CAS it fences before returning.
 func (l *List) trimMarked(t *pmem.Thread, tr *traversal) bool {
 	pol := l.sh.Pol
 	if len(tr.marked) == 0 {
-		pol.BeforeReturn(t)
 		return true
 	}
 	leftN := l.node(tr.left)

@@ -13,10 +13,12 @@ import (
 // Linearization: the value CAS is the linearization point. The pre-CAS mark
 // check makes a successful CAS on a node that a concurrent Delete is
 // removing legal — the two operations overlap, so the update may be ordered
-// before the deletion. Persistence follows Protocol 2: the traversal
-// destination is flushed by PostTraverse and persisted by the fence before
-// the value CAS, the new value is flushed by WroteData, and the commit
-// fence precedes the return.
+// before the deletion. Persistence: the traversal destination is flushed by
+// PostTraverse, the value line read by ReadData and the new value by
+// WroteData, and the one commit fence before the return persists all three.
+// No fence precedes the value CAS: the value word links no node, so nothing
+// another thread trusts without flushing it can persist ahead of what it
+// was built on (DESIGN.md, "Why a value CAS needs no fence before it").
 func (l *List) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (uint64, bool) {
 	checkKey(key)
 	l.sh.Dom.Enter(t.ID)
@@ -41,7 +43,6 @@ func (l *List) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (u
 			old := t.Load(&rightN.Value)
 			pol.ReadData(t, &rightN.Value)
 			newv := fn(old)
-			pol.BeforeCAS(t)
 			if t.CAS(&rightN.Value, old, newv) {
 				pol.WroteData(t, &rightN.Value)
 				pol.BeforeReturn(t)

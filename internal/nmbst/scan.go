@@ -11,8 +11,9 @@ import (
 // flagged leaf is still logically present until the ancestor swing, and an
 // update racing the swing overlaps the deletion and may be linearized
 // before it (see ellenbst.Update; the value word plays no part in the
-// edge-based coordination). Persistence follows Protocol 2 with WroteData
-// flushing the new value before the commit fence.
+// edge-based coordination). Persistence is list.Update's: WroteData
+// flushes the new value, and the commit fence — the only one, since a value
+// CAS needs none before it — persists it with the traversal destination.
 func (tr *Tree) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (uint64, bool) {
 	checkKey(key)
 	tr.dom.Enter(t.ID)
@@ -31,7 +32,6 @@ func (tr *Tree) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (
 		old := t.Load(&leafN.Value)
 		pol.ReadData(t, &leafN.Value)
 		newv := fn(old)
-		pol.BeforeCAS(t)
 		if t.CAS(&leafN.Value, old, newv) {
 			pol.WroteData(t, &leafN.Value)
 			pol.BeforeReturn(t)

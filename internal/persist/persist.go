@@ -25,7 +25,7 @@
 //	Read          — "flush after every read of a shared variable"   (Protocol 2)
 //	InitWrite     — flush after initializing a not-yet-published field
 //	Wrote         — "flush after every write/CAS"                   (Protocol 2)
-//	BeforeCAS     — "fence before every write/CAS on shared"        (Protocol 2)
+//	BeforeCAS     — "fence before every write/CAS on shared"        (Protocol 2; link writes only: a value CAS needs none)
 //	BeforeReturn  — "fence before every return statement"           (Protocol 2)
 //
 // BeforeReturn issues its fence via pmem.Thread.CommitFence rather than
@@ -37,10 +37,13 @@
 // all-or-nothing across a crash.
 //
 // NVTraverse's PostTraverse issues no fence of its own: no critical method
-// writes a published cell before its first BeforeCAS (nvlint's writehook
-// rule checks it), so that fence, or BeforeReturn's for a read-only
-// operation, persists the destination before anything can depend on it
-// (DESIGN.md, "Why PostTraverse issues no fence").
+// writes a published link before its first BeforeCAS (nvlint's writehook
+// rule checks it), so that fence, or BeforeReturn's for an operation that
+// writes no link, persists the destination before any link can depend on
+// it (DESIGN.md, "Why PostTraverse issues no fence"). An in-place value
+// CAS writes no link and takes no BeforeCAS: its commit fence persists the
+// destination, the value line read and the new value together (DESIGN.md,
+// "Why a value CAS needs no fence before it").
 //
 // Link-cell restriction: hooks other than InitWrite may only be passed cells
 // holding pmem.Ref values (next pointers, child edges, update words), never
@@ -78,14 +81,17 @@ type Policy interface {
 	Wrote(t *pmem.Thread, c *pmem.Cell)
 	// WroteData is invoked after each write or CAS on a raw-data word (user
 	// values) of an already-published node — the in-place value update of
-	// the RMW operations. It must never tag the cell: the word holds user
-	// data, not a link. Policies that reason "published data was persisted
-	// before publication" (LinkAndPersist's ReadData) cannot apply that
-	// reasoning here, because this write happens after publication; they
-	// must flush (and fence) so the new value is durable before the
-	// operation's commit fence acknowledges it.
+	// the RMW operations. No BeforeCAS precedes such a write: it links
+	// nothing, so the commit fence that follows persists it together with
+	// what it was read from. It must never tag the cell: the word holds
+	// user data, not a link. Policies that reason "published data was
+	// persisted before publication" (LinkAndPersist's ReadData) cannot
+	// apply that reasoning here, because this write happens after
+	// publication; they must flush (and fence) so the new value is durable
+	// before the operation's commit fence acknowledges it.
 	WroteData(t *pmem.Thread, c *pmem.Cell)
-	// BeforeCAS is invoked before each write or CAS on shared memory.
+	// BeforeCAS is invoked before each write or CAS of a link on shared
+	// memory (not before a WroteData write).
 	BeforeCAS(t *pmem.Thread)
 	// BeforeReturn is invoked before the operation attempt returns or
 	// restarts out of the critical method.

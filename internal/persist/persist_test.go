@@ -115,6 +115,24 @@ func TestNVTraversePlacement(t *testing.T) {
 	if s := stats(m, th); s.Fences != 2 {
 		t.Fatalf("fences: %+v", s)
 	}
+
+	// An in-place update: PostTraverse over the parent link and the
+	// destination, the value read (its line is the destination's, already
+	// pending), the value CAS with no fence before it, its flush, and the
+	// commit fence — 3 flushes and 1 fence.
+	m, th = newThread()
+	lines = pmem.AllocLines(2)
+	parent, dest, val := &lines[0][0], &lines[1][0], &lines[1][1]
+	p.PostTraverse(th, []*pmem.Cell{parent, dest})
+	p.ReadData(th, val)
+	if !th.CAS(val, 0, 7) {
+		t.Fatalf("value CAS failed")
+	}
+	p.WroteData(th, val)
+	p.BeforeReturn(th)
+	if s := stats(m, th); s.Flushes != 3 || s.FlushesElided != 1 || s.Fences != 1 || th.Unfenced() != 0 {
+		t.Fatalf("in-place update: %+v, %d unfenced; want 3 flushes, 1 elided, 1 fence", s, th.Unfenced())
+	}
 }
 
 // TestNVTraversePostTraverseFencedByNext: in tracked mode, with eviction 0,

@@ -8,8 +8,9 @@ import (
 // Update atomically read-modify-writes the value of key in place with a CAS
 // on the node's value word. Returns the installed value and true, or
 // (0, false) if key is absent. See list.Update for the linearization and
-// persistence argument; the skiplist variant is identical on level 0 and
-// never touches the auxiliary levels (values are core-tree state).
+// persistence argument (one commit fence, none before the value CAS); the
+// skiplist variant is identical on level 0 and never touches the auxiliary
+// levels (values are core-tree state).
 func (l *List) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (uint64, bool) {
 	checkKey(key)
 	l.dom.Enter(t.ID)
@@ -37,7 +38,6 @@ func (l *List) Update(t *pmem.Thread, key uint64, fn func(old uint64) uint64) (u
 			old := t.Load(&rightN.Value)
 			pol.ReadData(t, &rightN.Value)
 			newv := fn(old)
-			pol.BeforeCAS(t)
 			if t.CAS(&rightN.Value, old, newv) {
 				pol.WroteData(t, &rightN.Value)
 				pol.BeforeReturn(t)

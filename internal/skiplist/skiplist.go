@@ -235,11 +235,11 @@ func (l *List) traverse(t *pmem.Thread, entry uint64, k uint64, tr *traversal) b
 
 // trimMarked physically disconnects the marked level-0 nodes between left
 // and right, with Protocol 2 persistence, and retires them once the
-// disconnection is persistent.
+// disconnection is persistent. With nothing marked it writes nothing and
+// issues no fence (see list.trimMarked).
 func (l *List) trimMarked(t *pmem.Thread, tr *traversal) bool {
 	pol := l.pol
 	if len(tr.marked) == 0 {
-		pol.BeforeReturn(t)
 		return true
 	}
 	leftN := l.node(tr.left)

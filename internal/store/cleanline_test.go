@@ -341,3 +341,43 @@ func TestTrackedAndFastLogSameLines(t *testing.T) {
 		t.Errorf("fast mode logged %d line entries, tracked mode %d", fast.entries, tracked.entries)
 	}
 }
+
+// TestApplyUpdatesShareOneWALRecord: on a file-backed 1-shard store, one
+// Apply of 8 puts to distinct present keys appends exactly 1 WAL record. A
+// put to a present key is an in-place value CAS, and no fence precedes a
+// value CAS, so nothing closes a record between the updates: the batch's
+// one commit fence logs every updated line in one record.
+func TestApplyUpdatesShareOneWALRecord(t *testing.T) {
+	for _, kind := range []core.Kind{core.KindList, core.KindHash, core.KindSkiplist, core.KindNMBST} {
+		t.Run(string(kind), func(t *testing.T) {
+			st, err := store.Open(store.Config{Kind: kind, Shards: 1, SizeHint: 256, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			s := st.NewSession()
+			for k := uint64(1); k <= 64; k++ {
+				s.Put(k, k)
+			}
+			ops := make([]store.Op, 8)
+			for i := range ops {
+				k := uint64(i*8 + 1)
+				ops[i] = store.Op{Kind: store.OpPut, Key: k, Value: k + 1000}
+			}
+			r0 := st.Stats().WALRecords
+			for i, r := range s.Apply(ops, nil) {
+				if !r.OK {
+					t.Fatalf("put %d of the batch failed", i)
+				}
+			}
+			if n := st.Stats().WALRecords - r0; n != 1 {
+				t.Fatalf("an Apply of 8 puts to present keys appended %d WAL records, want 1", n)
+			}
+			for _, op := range ops {
+				if v, ok := s.Get(op.Key); !ok || v != op.Value {
+					t.Fatalf("Get(%d) = (%d, %v), want (%d, true)", op.Key, v, ok, op.Value)
+				}
+			}
+		})
+	}
+}
